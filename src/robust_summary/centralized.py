@@ -1,11 +1,17 @@
 """Offline summary construction: descending threshold sweep with bucket sampling.
 
 Builds a deletion-robust summary in one pass over a geometric threshold
-lattice.  At each threshold the pool is rescanned into a bucket of feasible
+lattice.  At each threshold the pool is scanned into a bucket of feasible
 high-marginal elements; while the bucket stays large enough, elements are
 drawn uniformly at random into the candidate solution, which insures every
 insertion against adversarial deletions.  Leftover buckets are banked into
 the reservoir for the post-deletion solve.
+
+The scans are lazy (Minoux 1978): the solution only grows during the sweep,
+so by submodularity a gain computed earlier bounds every later gain from
+above, and by downward closure an element that once made the solution
+dependent never fits again.  Skipping such elements yields exactly the
+buckets of a full rescan with fewer oracle queries.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ class CentralizedConfig:
     d: int
     monotone_mode: bool = False
     seed: int = 0
-    bucket_mode: str = "literal"
     audit: bool = False
 
     def __post_init__(self):
@@ -43,8 +48,6 @@ class CentralizedConfig:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.d < 0:
             raise ValueError("deletion budget d must be non-negative")
-        if self.bucket_mode not in ("literal", "lazy"):
-            raise ValueError("bucket_mode must be 'literal' or 'lazy'")
 
     @property
     def epsilon_in_guarantee_range(self) -> bool:
@@ -74,31 +77,26 @@ def compute_delta(values: Sequence[float], d: int) -> tuple[float, list[int]]:
     return delta, top
 
 
-def _scan_bucket(pool, solution, tau, objective, matroid, lazy, gain_cache, infeasible):
+def _scan_bucket(pool, solution, tau, objective, matroid, gain_cache, infeasible):
     """Current bucket at threshold tau: feasible pool elements with gain >= tau.
 
-    The literal mode rescans everything; the lazy mode skips elements whose
-    cached gain already sits below tau (gains only shrink as the solution
-    grows) and elements known to be infeasible (feasibility never returns
-    once lost).  Both modes produce the same bucket and the same gains.
+    Skips elements whose cached gain already sits below tau and elements
+    already known to be infeasible; the rest are rechecked, and their fresh
+    gains refresh the cache.  Both skips are exact because the solution only
+    grows: gains only shrink (submodularity) and feasibility never returns
+    once lost (downward closure), so a full rescan would reject the skipped
+    elements too.
     """
     bucket: list[int] = []
     gains: dict[int, float] = {}
     for e in pool:
-        if lazy:
-            if e in infeasible:
-                continue
-            if gain_cache[e] < tau:
-                continue
-            if not matroid.is_independent(solution | {e}):
-                infeasible.add(e)
-                continue
-            gain = objective.marginal(e, solution)
-            gain_cache[e] = gain
-        else:
-            if not matroid.is_independent(solution | {e}):
-                continue
-            gain = objective.marginal(e, solution)
+        if e in infeasible or gain_cache[e] < tau:
+            continue
+        if not matroid.is_independent(solution | {e}):
+            infeasible.add(e)
+            continue
+        gain = objective.marginal(e, solution)
+        gain_cache[e] = gain
         if gain >= tau:
             bucket.append(e)
             gains[e] = gain
@@ -131,9 +129,8 @@ def build_summary(
 
     protected = set(top)
     pool = [e for e in range(n) if e not in protected]
-    lazy = config.bucket_mode == "lazy"
     # singleton values are the exact gains at the empty solution
-    gain_cache = {e: values[e] for e in pool} if lazy else {}
+    gain_cache = {e: values[e] for e in pool}
     infeasible: set[int] = set()
 
     entries: list[SummaryEntry] = []
@@ -142,19 +139,18 @@ def build_summary(
 
     for exponent in lattice.exponents:
         tau = lattice.power(exponent)
-        bucket, gains = _scan_bucket(
-            pool, solution, tau, objective, matroid, lazy, gain_cache, infeasible
-        )
-        while len(bucket) >= cap:
+        while True:
+            bucket, gains = _scan_bucket(
+                pool, solution, tau, objective, matroid, gain_cache, infeasible
+            )
+            if len(bucket) < cap:
+                break
             pick = bucket[int(rng.integers(len(bucket)))]
             entries.append(SummaryEntry(pick, exponent, gains[pick]))
             solution.add(pick)
             pool.remove(pick)
             if config.audit and not matroid.is_independent(solution):
                 raise AssertionError("candidate solution became dependent")
-            bucket, gains = _scan_bucket(
-                pool, solution, tau, objective, matroid, lazy, gain_cache, infeasible
-            )
         if bucket:
             leftover[exponent] = list(bucket)
             for e in bucket:
@@ -174,5 +170,4 @@ def build_summary(
         top_buffer=list(top),
         exponents=list(lattice.exponents),
         counters={"low_value": len(pool)},
-        bucket_mode=config.bucket_mode,
     )

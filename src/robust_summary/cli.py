@@ -29,7 +29,7 @@ def _parse_order(spec: str, n: int) -> list[int]:
     return ids
 
 
-def _parse_deletions(spec: str, instance, budget: int) -> list[int]:
+def _parse_deletions(spec: str, instance) -> list[int]:
     heads = ("top:", "rand:", "block:", "maxdmg:", "list:")
     if spec.startswith(heads):
         return choose_deletions(instance, parse_strategy(spec))
@@ -51,7 +51,6 @@ def cmd_summarize(args) -> int:
             d=args.d,
             monotone_mode=args.monotone,
             seed=args.seed,
-            bucket_mode=args.bucket_mode,
         )
         summary = build_summary(instance.objective, instance.matroid, config)
     else:
@@ -78,7 +77,7 @@ def cmd_summarize(args) -> int:
 def cmd_solve(args) -> int:
     instance = read_instance(args.instance)
     summary = read_summary(args.summary)
-    deleted = _parse_deletions(args.delete, instance, summary.d)
+    deleted = _parse_deletions(args.delete, instance)
     solver = SolverKind(args.solver, exhaustive_cap=args.cap)
     solution = solve_after_deletions(
         summary, deleted, instance.objective, instance.matroid, solver
@@ -159,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monotone", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--bucket-mode", choices=("literal", "lazy"), default="literal")
     p.add_argument("--order", default="identity", help="arrival order file | shuffle:<seed> | identity")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
@@ -200,7 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"robust-summary: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

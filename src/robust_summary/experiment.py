@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +22,7 @@ from .centralized import CentralizedConfig, bucket_cap, build_summary, compute_d
 from .generators import generate_instance
 from .instance import Instance, read_instance, write_instance
 from .solvers import SolverKind, solve_after_deletions
-from .streaming import StreamingConfig, check_weight_properties, stream_summary
+from .streaming import StreamingConfig, check_weight_properties, drain_cap, stream_summary
 from .summary import Summary
 from .thresholds import PowerLadder, lattice_size_limit
 
@@ -33,9 +31,6 @@ CSV_COLUMNS = (
     "strategy,seed,fS,fAprime,opt,method,ratio_ensemble,"
     "summary_size,peak_mem,oracle_calls,invariants_ok"
 )
-
-THREAD_ENV = "ROBUST_SUMMARY_THREADS"
-
 
 # ---------------------------------------------------------------------------
 # summary verification
@@ -70,8 +65,7 @@ class VerifyReport:
 
 def streaming_memory_limit(k: int, d: int, epsilon: float) -> int:
     """k + d + (worst-case bucket count) * (per-bucket drain cap)."""
-    per_bucket = max(1, math.ceil(d / epsilon))
-    return k + d + lattice_size_limit(k, epsilon) * per_bucket
+    return k + d + lattice_size_limit(k, epsilon) * drain_cap(d, epsilon)
 
 
 def structural_checks(summary: Summary, instance: Instance) -> list[VerifyCheck]:
@@ -114,7 +108,7 @@ def structural_checks(summary: Summary, instance: Instance) -> list[VerifyCheck]
     if summary.mode == "centralized":
         cap = bucket_cap(summary.k, summary.d, summary.epsilon, summary.monotone)
     else:
-        cap = max(1, math.ceil(summary.d / summary.epsilon))
+        cap = drain_cap(summary.d, summary.epsilon)
     checks.append(
         VerifyCheck(
             "bucket_caps",
@@ -248,7 +242,6 @@ class ExperimentConfig:
     monotone: bool = False
     gamma: float | None = None
     sample_prob: float | None = None
-    bucket_mode: str = "literal"
     drain_order: str = "highest"
     order: str = "shuffle"  # streaming arrival order: identity | shuffle
     instance_file: str | None = None
@@ -265,7 +258,6 @@ class ExperimentConfig:
     seed_base: int = 0
     bound_check: bool = True
     slack: float = 0.05
-    threads: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
@@ -299,7 +291,6 @@ def load_experiment_config(path) -> ExperimentConfig:
         monotone=parser.getboolean("algorithm", "monotone", fallback=False),
         gamma=float(gamma) if gamma else None,
         sample_prob=float(sample_prob) if sample_prob else None,
-        bucket_mode=get("algorithm", "bucket_mode", "literal"),
         drain_order=get("algorithm", "drain_order", "highest"),
         order=get("algorithm", "order", "shuffle"),
         instance_file=get("instance", "file"),
@@ -316,7 +307,6 @@ def load_experiment_config(path) -> ExperimentConfig:
         seed_base=int(get("trials", "seed_base", "0")),
         bound_check=parser.getboolean("report", "bound_check", fallback=True),
         slack=float(get("report", "slack", "0.05")),
-        threads=int(get("trials", "threads", "1")),
     )
 
 
@@ -371,14 +361,6 @@ class ExperimentReport:
         return all(s.bound_ok in (True, None) for s in self.strategies)
 
 
-def _effective_threads(requested: int) -> int:
-    capped = requested
-    env = os.environ.get(THREAD_ENV)
-    if env:
-        capped = min(capped, max(1, int(env)))
-    return max(1, capped)
-
-
 def _load_instance(config: ExperimentConfig) -> Instance:
     if config.instance_file is not None:
         return read_instance(config.instance_file)
@@ -396,7 +378,6 @@ def _phase_one(config: ExperimentConfig, instance: Instance, seed: int) -> tuple
                 d=config.d,
                 monotone_mode=config.monotone,
                 seed=seed,
-                bucket_mode=config.bucket_mode,
             ),
         )
     else:
@@ -499,17 +480,10 @@ def run_experiment(
         return rows
 
     seeds = [config.seed_base + i for i in range(config.trials)]
-    threads = _effective_threads(config.threads)
     completed: dict[int, list[TrialRow]] = {}
     try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = {seed: pool.submit(run_trial, seed) for seed in seeds}
-                for seed, future in futures.items():
-                    completed[seed] = future.result()
-        else:
-            for seed in seeds:
-                completed[seed] = run_trial(seed)
+        for seed in seeds:
+            completed[seed] = run_trial(seed)
     except Exception:
         _flush_partial(out_dir, strategies, completed)
         raise

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Ids = Iterable[int]
 
@@ -141,9 +141,13 @@ class GraphicMatroid(Matroid):
         self.n_vertices = n_vertices
         self.edges = tuple(pairs)
         self.n = len(pairs)
-        self.k = n_vertices - self._component_count(range(self.n))
+        self.k = sum(self._joins(range(self.n)))  # edges of a spanning forest
 
-    def _component_count(self, edge_ids: Iterable[int]) -> int:
+    def _joins(self, edge_ids: Iterable[int]) -> Iterator[bool]:
+        """Union-find over the edges in turn: per edge, whether it joined two trees.
+
+        The scratch forest is per call; no state is shared across calls.
+        """
         parent = list(range(self.n_vertices))
 
         def find(x: int) -> int:
@@ -152,32 +156,14 @@ class GraphicMatroid(Matroid):
                 x = parent[x]
             return x
 
-        comps = self.n_vertices
         for e in edge_ids:
             u, v = self.edges[e]
             ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                comps -= 1
-        return comps
+            parent[ru] = rv
+            yield ru != rv
 
     def _independent(self, s: frozenset) -> bool:
-        # union-find scratch per call; no state is shared across calls
-        parent = list(range(self.n_vertices))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in sorted(s):
-            u, v = self.edges[e]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+        return all(self._joins(sorted(s)))
 
 
 def make_uniform(n: int, k: int) -> UniformMatroid:

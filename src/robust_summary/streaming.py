@@ -26,6 +26,11 @@ from .thresholds import PowerLadder
 DRAIN_ORDERS = ("highest", "lowest", "arrival")
 
 
+def drain_cap(d: int, epsilon: float) -> int:
+    """Bucket size at which a streaming bucket drains: ceil(d/epsilon), floored at 1."""
+    return max(1, math.ceil(d / epsilon))
+
+
 @dataclass(frozen=True)
 class StreamingConfig:
     """Streaming builder parameters.
@@ -70,7 +75,7 @@ class StreamingConfig:
 
     @property
     def drain_cap(self) -> int:
-        return max(1, math.ceil(self.d / self.epsilon))
+        return drain_cap(self.d, self.epsilon)
 
 
 class StreamState:

@@ -61,7 +61,6 @@ class Summary:
     top_buffer: list[int]
     exponents: list[int]
     counters: dict[str, int]
-    bucket_mode: str | None = None
     gamma: float | None = None
     sample_prob: float | None = None
     drain_order: str | None = None
@@ -120,8 +119,6 @@ def format_summary(summary: Summary, include_audit: bool = False) -> str:
     lines.append(f"epsilon={summary.epsilon!r}")
     lines.append(f"monotone={int(summary.monotone)}")
     lines.append(f"seed={summary.seed}")
-    if summary.bucket_mode is not None:
-        lines.append(f"bucket_mode={summary.bucket_mode}")
     if summary.gamma is not None:
         lines.append(f"gamma={summary.gamma!r}")
     if summary.sample_prob is not None:
@@ -176,9 +173,8 @@ def parse_summary(text: str) -> Summary:
     audit_seen = False
     audit = StreamAudit()
     known = {
-        "mode", "n", "k", "d", "epsilon", "monotone", "seed", "bucket_mode",
-        "gamma", "p", "drain_order", "delta", "exponents", "vd", "b",
-        "peak_memory", "counters",
+        "mode", "n", "k", "d", "epsilon", "monotone", "seed", "gamma", "p",
+        "drain_order", "delta", "exponents", "vd", "b", "peak_memory", "counters",
     }
     audit_keys = {
         "audit_drained", "audit_swapped_out", "audit_sample_rejected",
@@ -213,7 +209,7 @@ def parse_summary(text: str) -> Summary:
                 audit.weight_log = _parse_pairs(value)
         elif key in known:
             fields[key] = value
-        else:
+        elif key != "bucket_mode":  # the scan mode older versions wrote; ignored
             raise ValueError(f"unknown summary key: {key!r}")
     for required in ("mode", "n", "k", "d", "epsilon", "monotone", "seed", "delta"):
         if required not in fields:
@@ -238,7 +234,6 @@ def parse_summary(text: str) -> Summary:
         top_buffer=_parse_ids(fields.get("vd", "")),
         exponents=exponents,
         counters=counters,
-        bucket_mode=fields.get("bucket_mode"),
         gamma=float(fields["gamma"]) if "gamma" in fields else None,
         sample_prob=float(fields["p"]) if "p" in fields else None,
         drain_order=fields.get("drain_order"),

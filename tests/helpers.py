@@ -2,11 +2,16 @@
 
 These deliberately avoid the library's own shortcuts: optima come from plain
 itertools enumeration, cut/coverage values from direct definition sweeps,
-graphic independence from DFS cycle detection, and matroid axioms from full
-bitmask truth tables.
+graphic independence from DFS cycle detection, matroid axioms from full
+bitmask truth tables, and the centralized summary from a sweep that rescans
+the whole pool at every step.
 """
 
 import itertools
+
+import numpy as np
+
+from robust_summary import Summary, SummaryEntry, bucket_cap, compute_delta, threshold_lattice
 
 
 def brute_force_opt(objective, matroid, ground):
@@ -122,3 +127,59 @@ def minimal_dependent_supersets(table, base_mask, g, n):
 
 def mask_to_ids(mask, n):
     return [i for i in range(n) if mask >> i & 1]
+
+
+def literal_build_summary(objective, matroid, config):
+    """Centralized threshold sweep that rescans every pool element at every step.
+
+    The plain reference for ``build_summary``: same lattice, caps and seeded
+    draws, but no cached gains and no remembered infeasibility.
+    """
+    rng = np.random.default_rng(config.seed)
+    n = objective.n
+    values = [objective.value((e,)) for e in range(n)]
+    delta, top = compute_delta(values, config.d)
+    lattice = threshold_lattice(delta, matroid.k, config.epsilon)
+    cap = bucket_cap(matroid.k, config.d, config.epsilon, config.monotone_mode)
+    protected = set(top)
+    pool = [e for e in range(n) if e not in protected]
+    entries, solution, leftover = [], set(), {}
+
+    def scan(tau):
+        gains = {}
+        for e in pool:
+            if matroid.is_independent(solution | {e}):
+                gain = objective.marginal(e, solution)
+                if gain >= tau:
+                    gains[e] = gain
+        return list(gains), gains
+
+    for exponent in lattice.exponents:
+        tau = lattice.power(exponent)
+        bucket, gains = scan(tau)
+        while len(bucket) >= cap:
+            pick = bucket[int(rng.integers(len(bucket)))]
+            entries.append(SummaryEntry(pick, exponent, gains[pick]))
+            solution.add(pick)
+            pool.remove(pick)
+            bucket, gains = scan(tau)
+        if bucket:
+            leftover[exponent] = bucket
+            for e in bucket:
+                pool.remove(e)
+
+    return Summary(
+        mode="centralized",
+        n=n,
+        k=matroid.k,
+        d=config.d,
+        epsilon=config.epsilon,
+        monotone=config.monotone_mode,
+        seed=config.seed,
+        delta=delta,
+        entries=entries,
+        buckets=leftover,
+        top_buffer=list(top),
+        exponents=list(lattice.exponents),
+        counters={"low_value": len(pool)},
+    )

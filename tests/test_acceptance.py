@@ -43,6 +43,7 @@ from helpers import (
     augmentation_violations,
     downward_closed_violations,
     independence_table,
+    literal_build_summary,
     mask_to_ids,
     minimal_dependent_supersets,
 )
@@ -437,23 +438,24 @@ def test_criterion_9_determinism(tmp_path):
             include_audit=True,
         )
 
-    # lazy bucket maintenance reproduces the literal sweep exactly, per seed
-    for seed in range(10):
-        literal = build_summary(
-            busy_obj.clone(), busy_matroid,
-            CentralizedConfig(epsilon=0.3, d=3, monotone_mode=True, seed=seed,
-                              bucket_mode="literal"),
-        )
-        lazy = build_summary(
-            busy_obj.clone(), busy_matroid,
-            CentralizedConfig(epsilon=0.3, d=3, monotone_mode=True, seed=seed,
-                              bucket_mode="lazy"),
-        )
-        assert format_summary(literal).replace("literal", "?") == format_summary(
-            lazy
-        ).replace("lazy", "?")
+    # the lazy sweep reproduces the full-rescan reference exactly, per seed
+    coverage = generate_instance(
+        "coverage n=40 universe=30 density=0.15", matroid="partition nblocks=4 cap=2", seed=3
+    )
+    cut = generate_instance("cut n=30 p=0.2", matroid="uniform k=3", seed=3)
+    cases = [
+        (busy_obj, busy_matroid, dict(epsilon=0.3, d=3, monotone_mode=True)),
+        (coverage.objective, coverage.matroid, dict(epsilon=0.25, d=1, monotone_mode=True)),
+        (cut.objective, cut.matroid, dict(epsilon=0.5, d=1, monotone_mode=False)),
+    ]
+    for obj, matroid, fields in cases:
+        for seed in range(10):
+            config = CentralizedConfig(seed=seed, **fields)
+            assert format_summary(build_summary(obj.clone(), matroid, config)) == format_summary(
+                literal_build_summary(obj.clone(), matroid, config)
+            )
     print("criterion 9 PASS: byte-identical reruns (CSV, reports, summaries); "
-          "lazy == literal bucket maintenance on 10 seeds")
+          "lazy sweep == full-rescan reference on 10 seeds x 3 instances")
 
 
 def test_criterion_10_headline_constants():

@@ -11,6 +11,7 @@ from robust_summary import (
     build_summary,
     compute_delta,
     format_summary,
+    generate_instance,
     lattice_size_limit,
     make_modular,
     make_uniform,
@@ -19,7 +20,7 @@ from robust_summary import (
     threshold_lattice,
 )
 
-from helpers import brute_force_opt
+from helpers import brute_force_opt, literal_build_summary
 
 
 def test_compute_delta_examples():
@@ -134,10 +135,8 @@ def _busy_instance():
     return make_modular(weights), make_uniform(16, 4)
 
 
-def _busy_config(seed=0, bucket_mode="literal"):
-    return CentralizedConfig(
-        epsilon=0.3, d=3, monotone_mode=True, seed=seed, bucket_mode=bucket_mode, audit=True
-    )
+def _busy_config(seed=0):
+    return CentralizedConfig(epsilon=0.3, d=3, monotone_mode=True, seed=seed, audit=True)
 
 
 def test_sampling_run_populates_solution():
@@ -181,15 +180,27 @@ def test_seed_determinism_and_variation():
     assert len(outputs) > 1  # different seeds explore different draws
 
 
-def test_lazy_mode_matches_literal():
+def _differential_cases():
+    """(objective, matroid, config fields) on which sampling runs for every seed."""
     obj, matroid = _busy_instance()
-    for seed in range(6):
-        literal = build_summary(obj, matroid, _busy_config(seed=seed, bucket_mode="literal"))
-        lazy = build_summary(obj, matroid, _busy_config(seed=seed, bucket_mode="lazy"))
-        # byte-for-byte identical summaries apart from the recorded mode
-        assert format_summary(literal).replace("literal", "x") == format_summary(lazy).replace(
-            "lazy", "x"
-        )
+    yield obj, matroid, dict(epsilon=0.3, d=3, monotone_mode=True)
+    coverage = generate_instance(
+        "coverage n=40 universe=30 density=0.15", matroid="partition nblocks=4 cap=2", seed=3
+    )
+    yield coverage.objective, coverage.matroid, dict(epsilon=0.25, d=1, monotone_mode=True)
+    cut = generate_instance("cut n=30 p=0.2", matroid="uniform k=3", seed=3)
+    yield cut.objective, cut.matroid, dict(epsilon=0.5, d=1, monotone_mode=False)
+
+
+def test_lazy_mode_matches_literal():
+    # skipping stale rescans reproduces the full-rescan sweep byte for byte
+    for obj, matroid, fields in _differential_cases():
+        for seed in range(10):
+            config = CentralizedConfig(seed=seed, **fields)
+            summary = build_summary(obj.clone(), matroid, config)
+            reference = literal_build_summary(obj.clone(), matroid, config)
+            assert summary.entries
+            assert format_summary(summary) == format_summary(reference)
 
 
 def test_lazy_mode_saves_queries():
@@ -199,9 +210,9 @@ def test_lazy_mode_saves_queries():
     matroid = make_uniform(24, 4)
     literal_obj = make_weighted_coverage(universe, covers)
     lazy_obj = literal_obj.clone()
-    config = dict(epsilon=0.3, d=2, monotone_mode=True)
-    build_summary(literal_obj, matroid, CentralizedConfig(seed=1, bucket_mode="literal", **config))
-    build_summary(lazy_obj, matroid, CentralizedConfig(seed=1, bucket_mode="lazy", **config))
+    config = CentralizedConfig(epsilon=0.3, d=2, monotone_mode=True, seed=1)
+    literal_build_summary(literal_obj, matroid, config)
+    build_summary(lazy_obj, matroid, config)
     assert lazy_obj.queries < literal_obj.queries
 
 

@@ -144,3 +144,24 @@ def test_verify_exit_code_on_corruption(tmp_path):
     broken = summ.read_text().replace("vd=", "vd=0,", 1)
     summ.write_text(broken)
     assert main(["verify", "--summary", str(summ), "--instance", str(inst)]) == 1
+
+
+def test_missing_instance_file_is_a_clean_error(tmp_path, capsys):
+    missing = tmp_path / "absent.txt"
+    code = main([
+        "summarize", "--mode", "centralized", "--instance", str(missing),
+        "--epsilon", "0.1", "--d", "1", "--out", str(tmp_path / "summary.txt"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("robust-summary: error: ") and str(missing) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_out_of_range_epsilon_is_a_clean_error(capsys):
+    code = main(["bound", "--mode", "centralized", "--beta", "1.0", "--epsilon", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("robust-summary: error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

@@ -70,22 +70,6 @@ def test_rerun_is_byte_identical(tmp_path):
     assert first == second
 
 
-def test_parallel_matches_serial(tmp_path, monkeypatch):
-    serial_cfg = _experiment_config(tmp_path, out_dir=str(tmp_path / "serial"), threads=1)
-    parallel_cfg = _experiment_config(tmp_path, out_dir=str(tmp_path / "parallel"), threads=4)
-    monkeypatch.delenv("ROBUST_SUMMARY_THREADS", raising=False)
-    serial = run_experiment(serial_cfg)
-    parallel = run_experiment(parallel_cfg)
-    assert serial.csv_path.read_text() == parallel.csv_path.read_text()
-
-
-def test_thread_env_caps_parallelism(tmp_path, monkeypatch):
-    monkeypatch.setenv("ROBUST_SUMMARY_THREADS", "1")
-    config = _experiment_config(tmp_path, threads=8)
-    report = run_experiment(config)  # must still succeed, capped to one worker
-    assert report.all_invariants_ok
-
-
 def test_out_of_range_epsilon_carries_warning(tmp_path):
     report = run_experiment(_experiment_config(tmp_path, epsilon=0.3))
     assert any("outside (0, 1/5)" in w for w in report.warnings)

@@ -149,6 +149,39 @@ def test_centralized_summary_roundtrip():
     assert again.buckets == summary.buckets
 
 
+OLD_CENTRALIZED_SUMMARY = """\
+# robust-summary summary v1
+mode=centralized
+n=8
+k=2
+d=1
+epsilon=0.3
+monotone=1
+seed=5
+bucket_mode=literal
+delta=1.0
+exponents=0,-1,-2,-3,-4,-5,-6,-7,-8
+a=4,0,1.0
+a=5,0,1.0
+vd=0
+b=0
+counters=low_value:5
+"""
+
+
+def test_old_summary_with_bucket_mode_parses():
+    # older versions recorded the centralized scan mode; it is read and dropped
+    summary = parse_summary(OLD_CENTRALIZED_SUMMARY)
+    assert summary.solution == [4, 5] and summary.top_buffer == [0]
+    assert format_summary(summary) == OLD_CENTRALIZED_SUMMARY.replace("bucket_mode=literal\n", "")
+    rebuilt = build_summary(
+        make_modular([1.0] * 6 + [0.5] * 2),
+        make_uniform(8, 2),
+        CentralizedConfig(epsilon=0.3, d=1, monotone_mode=True, seed=5),
+    )
+    assert format_summary(rebuilt) == format_summary(summary)
+
+
 def test_streaming_summary_roundtrip_with_audit():
     rng = np.random.default_rng(6)
     obj = make_modular(rng.uniform(0.0, 4.0, size=12))
