@@ -271,43 +271,67 @@ class ExperimentConfig:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Read the sectioned key=value experiment configuration file."""
-    parser = configparser.ConfigParser()
-    parser.read_string(Path(path).read_text())
+    """Read the sectioned key=value experiment configuration file.
+
+    A ``;`` after whitespace starts a comment.  A section or key the runner
+    does not read is an error, so a misspelled key cannot silently fall back
+    to its default.  Every malformed file raises ValueError naming the file.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    read: set[tuple[str, str]] = set()
 
     def get(section, option, fallback=None):
+        read.add((section, option))
         return parser.get(section, option, fallback=fallback)
 
-    strategies = tuple(
-        s.strip() for s in get("deletions", "strategies", "").split(",") if s.strip()
-    )
-    gamma = get("algorithm", "gamma")
-    sample_prob = get("algorithm", "p")
-    return ExperimentConfig(
-        out_dir=get("report", "out_dir", "runs/experiment"),
-        mode=get("algorithm", "mode", "centralized"),
-        epsilon=float(get("algorithm", "epsilon", "0.1")),
-        d=int(get("algorithm", "d", "0")),
-        monotone=parser.getboolean("algorithm", "monotone", fallback=False),
-        gamma=float(gamma) if gamma else None,
-        sample_prob=float(sample_prob) if sample_prob else None,
-        drain_order=get("algorithm", "drain_order", "highest"),
-        order=get("algorithm", "order", "shuffle"),
-        instance_file=get("instance", "file"),
-        gen_spec=get("instance", "generator"),
-        gen_matroid=get("instance", "matroid"),
-        gen_seed=int(get("instance", "gen_seed", "0")),
-        solver=get("phase2", "solver", "greedy"),
-        exhaustive_cap=int(get("phase2", "exhaustive_cap", "22")),
-        ls_improve=float(get("phase2", "ls_improve", "0.01")),
-        ls_max_moves=int(get("phase2", "ls_max_moves", "10000")),
-        strategies=strategies,
-        opt_method=get("deletions", "opt_method", "exhaustive"),
-        trials=int(get("trials", "count", "1")),
-        seed_base=int(get("trials", "seed_base", "0")),
-        bound_check=parser.getboolean("report", "bound_check", fallback=True),
-        slack=float(get("report", "slack", "0.05")),
-    )
+    def getboolean(section, option, fallback):
+        read.add((section, option))
+        return parser.getboolean(section, option, fallback=fallback)
+
+    try:
+        parser.read_string(Path(path).read_text(), source=str(path))
+        strategies = tuple(
+            s.strip() for s in get("deletions", "strategies", "").split(",") if s.strip()
+        )
+        gamma = get("algorithm", "gamma")
+        sample_prob = get("algorithm", "p")
+        fields = dict(
+            out_dir=get("report", "out_dir", "runs/experiment"),
+            mode=get("algorithm", "mode", "centralized"),
+            epsilon=float(get("algorithm", "epsilon", "0.1")),
+            d=int(get("algorithm", "d", "0")),
+            monotone=getboolean("algorithm", "monotone", False),
+            gamma=float(gamma) if gamma else None,
+            sample_prob=float(sample_prob) if sample_prob else None,
+            drain_order=get("algorithm", "drain_order", "highest"),
+            order=get("algorithm", "order", "shuffle"),
+            instance_file=get("instance", "file"),
+            gen_spec=get("instance", "generator"),
+            gen_matroid=get("instance", "matroid"),
+            gen_seed=int(get("instance", "gen_seed", "0")),
+            solver=get("phase2", "solver", "greedy"),
+            exhaustive_cap=int(get("phase2", "exhaustive_cap", "22")),
+            ls_improve=float(get("phase2", "ls_improve", "0.01")),
+            ls_max_moves=int(get("phase2", "ls_max_moves", "10000")),
+            strategies=strategies,
+            opt_method=get("deletions", "opt_method", "exhaustive"),
+            trials=int(get("trials", "count", "1")),
+            seed_base=int(get("trials", "seed_base", "0")),
+            bound_check=getboolean("report", "bound_check", True),
+            slack=float(get("report", "slack", "0.05")),
+        )
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: " + " ".join(str(exc).split())) from None
+    known_sections = {section for section, _ in read}
+    if parser.defaults():
+        raise ValueError(f"{path}: unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in known_sections:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        for option in parser.options(section):
+            if (section, option) not in read:
+                raise ValueError(f"{path}: unknown key [{section}] {option}")
+    return ExperimentConfig(**fields)
 
 
 # ---------------------------------------------------------------------------

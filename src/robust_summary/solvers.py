@@ -7,6 +7,8 @@ routine's output and the surviving candidate solution itself.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -57,25 +59,47 @@ class SolverKind:
 def greedy_matroid(ground: Iterable[int], objective: Objective, matroid: Matroid) -> list[int]:
     """Classic greedy: keep adding the feasible element of best positive gain.
 
-    Ties break toward the smaller id; stops when nothing improves.
+    Ties break toward the smaller id; stops when nothing improves.  Lazy
+    (Minoux 1978): a heap of ``(-gain, id, picks)`` entries, ``picks`` being
+    how many elements were chosen when the gain was computed.  Submodularity
+    makes an older gain an upper bound, so only entries that reach the top
+    are recomputed.  An element that stops being independent of the picks is
+    dropped for good: the picks only grow and independence is downward closed.
     """
-    remaining = sorted(set(int(e) for e in ground))
     chosen: set[int] = set()
-    while True:
-        best_gain = 0.0
-        best = None
-        for e in remaining:
-            if e in chosen:
-                continue
-            if not matroid.is_independent(chosen | {e}):
-                continue
-            gain = objective.marginal(e, chosen)
-            if gain > best_gain:
-                best_gain = gain
-                best = e
-        if best is None:
+    # -inf: no gain computed yet, so the first round evaluates every element
+    heap = [(-math.inf, e, -1) for e in sorted(set(int(e) for e in ground))]
+    accepted = 0.0
+    while heap:
+        key, e, stamp = heapq.heappop(heap)
+        if stamp != len(chosen):
+            if matroid.is_independent(chosen | {e}):
+                heapq.heappush(heap, (-objective.marginal(e, chosen), e, len(chosen)))
+            continue
+        # Marginals are differences of float sums, so they are not exactly
+        # submodular: a stale bound can sit an ulp below its fresh gain and
+        # hide a tie the smaller id must win.  Refresh every entry within a
+        # relative slack of the top before picking; rounding error is many
+        # orders of magnitude below it.
+        top = -key
+        slack = 1e-9 * (accepted + top)
+        window = [(key, e)]
+        while heap and -heap[0][0] >= top - slack:
+            key, e, stamp = heapq.heappop(heap)
+            if stamp != len(chosen):
+                if not matroid.is_independent(chosen | {e}):
+                    continue
+                key = -objective.marginal(e, chosen)
+            window.append((key, e))
+        best_key, best = min(window)
+        if best_key >= 0.0:
             return sorted(chosen)
+        for key, e in window:
+            if e != best:
+                heapq.heappush(heap, (key, e, len(chosen)))
         chosen.add(best)
+        accepted -= best_key
+    return sorted(chosen)
 
 
 def exhaustive_opt(

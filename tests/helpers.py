@@ -3,8 +3,9 @@
 These deliberately avoid the library's own shortcuts: optima come from plain
 itertools enumeration, cut/coverage values from direct definition sweeps,
 graphic independence from DFS cycle detection, matroid axioms from full
-bitmask truth tables, and the centralized summary from a sweep that rescans
-the whole pool at every step.
+bitmask truth tables, the centralized summary from a sweep that rescans
+the whole pool at every step, and the greedy from a loop that re-evaluates
+every element at every pick.
 """
 
 import itertools
@@ -127,6 +128,31 @@ def minimal_dependent_supersets(table, base_mask, g, n):
 
 def mask_to_ids(mask, n):
     return [i for i in range(n) if mask >> i & 1]
+
+
+def plain_greedy_matroid(ground, objective, matroid):
+    """Greedy that re-checks and re-evaluates every remaining element each round.
+
+    The plain reference for ``greedy_matroid``: same picks, ties toward the
+    smaller id, stops when nothing improves.
+    """
+    remaining = sorted(set(int(e) for e in ground))
+    chosen: set[int] = set()
+    while True:
+        best_gain = 0.0
+        best = None
+        for e in remaining:
+            if e in chosen:
+                continue
+            if not matroid.is_independent(chosen | {e}):
+                continue
+            gain = objective.marginal(e, chosen)
+            if gain > best_gain:
+                best_gain = gain
+                best = e
+        if best is None:
+            return sorted(chosen)
+        chosen.add(best)
 
 
 def literal_build_summary(objective, matroid, config):

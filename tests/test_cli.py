@@ -158,6 +158,43 @@ def test_missing_instance_file_is_a_clean_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _experiment_error(tmp_path, capsys, text):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    code = main(["experiment", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("robust-summary: error: ") and str(cfg) in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    return captured.err
+
+
+def test_config_without_section_header_is_a_clean_error(tmp_path, capsys):
+    err = _experiment_error(tmp_path, capsys, "epsilon = 0.2\n[algorithm]\nd = 1\n")
+    assert "no section headers" in err
+
+
+_VALID_CONFIG = (
+    "[instance]\ngenerator = lowerbound k=3 d=2 nzero=4\n"
+    "[deletions]\nstrategies = top:2\n"
+)
+
+
+def test_misspelled_config_key_is_rejected(tmp_path, capsys):
+    err = _experiment_error(tmp_path, capsys, _VALID_CONFIG + "[algorithm]\nepsilom = 0.25\n")
+    assert "unknown key [algorithm] epsilom" in err
+
+
+def test_removed_config_key_is_rejected(tmp_path, capsys):
+    err = _experiment_error(tmp_path, capsys, _VALID_CONFIG + "[trials]\nthreads = 4\n")
+    assert "unknown key [trials] threads" in err
+
+
+def test_unknown_config_section_is_rejected(tmp_path, capsys):
+    err = _experiment_error(tmp_path, capsys, _VALID_CONFIG + "[phase3]\n")
+    assert "unknown section [phase3]" in err
+
+
 def test_out_of_range_epsilon_is_a_clean_error(capsys):
     code = main(["bound", "--mode", "centralized", "--beta", "1.0", "--epsilon", "2"])
     assert code == 2

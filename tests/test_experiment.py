@@ -1,6 +1,7 @@
 """Experiment runner, summary verification and report determinism."""
 
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +144,20 @@ slack = 0.1
     assert config.trials == 3 and config.seed_base == 50
     report = run_experiment(config)
     assert len(report.rows) == 6
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    config = load_experiment_config(path)
+    # the inline "; a | b" comments are not part of the values
+    assert config.mode == "streaming"
+    assert config.solver == "exhaustive"
+    assert config.opt_method == "exhaustive"
+    assert config.order == "shuffle"
+    assert config.strategies == ("top:2", "rand:2:3", "maxdmg:2")
 
 
 def test_single_trial_empty_deletion_ratio_under_bound(tmp_path):

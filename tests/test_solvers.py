@@ -10,17 +10,21 @@ from robust_summary import (
     SummaryEntry,
     build_summary,
     exhaustive_opt,
+    generate_instance,
     greedy_matroid,
     local_search,
     make_cut_function,
+    make_graphic,
     make_modular,
     make_partition,
     make_uniform,
     make_weighted_coverage,
+    opt_value,
     solve_after_deletions,
 )
+from robust_summary import adversary, solvers
 
-from helpers import brute_force_opt
+from helpers import brute_force_opt, plain_greedy_matroid
 
 
 def test_greedy_examples():
@@ -35,6 +39,67 @@ def test_greedy_skips_nonpositive_gains():
     cut = make_cut_function(2, [(0, 1, 5.0)])
     # adding the second vertex would close the cut: gain -5, greedy stops
     assert greedy_matroid(range(2), cut, make_uniform(2, 2)) == [0]
+
+
+def _greedy_corpus():
+    """(name, objective, matroid, ground) on which the lazy greedy is checked."""
+    # exact ties in true gain whose float gains differ by an ulp between rounds
+    for seed in (6, 20, 28, 29):
+        inst = generate_instance(
+            "coverage n=100 universe=60 density=0.08", matroid="uniform k=12", seed=seed
+        )
+        ground = sorted(int(e) for e in np.random.default_rng(seed).choice(100, 66, replace=False))
+        yield f"coverage-tie-{seed}", inst.objective, inst.matroid, ground
+    for seed in range(4):
+        for spec in ("partition nblocks=4 cap=2", "uniform k=5"):
+            inst = generate_instance("cut n=30 p=0.2", matroid=spec, seed=seed)
+            yield f"cut-{spec.split()[0]}-{seed}", inst.objective, inst.matroid, range(30)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        edges = [(u, v) for u in range(12) for v in range(u + 1, 12) if rng.random() < 0.35]
+        weights = rng.lognormal(0.0, 1.0, size=len(edges))
+        yield f"graphic-{seed}", make_modular(weights), make_graphic(12, edges), range(len(edges))
+    for seed in range(4):
+        weights = np.random.default_rng(seed).integers(0, 4, size=30).astype(float)
+        yield f"integer-{seed}", make_modular(weights), make_uniform(30, 7), range(30)
+
+
+def test_greedy_matches_plain_reference():
+    for name, obj, matroid, ground in _greedy_corpus():
+        lazy = greedy_matroid(ground, obj.clone(), matroid)
+        assert lazy == plain_greedy_matroid(ground, obj.clone(), matroid), name
+
+
+def test_greedy_callers_match_plain_reference(monkeypatch):
+    cases = list(_greedy_corpus())
+
+    def callers():
+        bounds = [
+            opt_value(obj, matroid, set(range(obj.n)) - set(ground), method="greedy-bound")
+            for _, obj, matroid, ground in cases
+        ]
+        searches = [
+            local_search(ground, obj, matroid)
+            for _, obj, matroid, ground in cases
+            if obj.n <= 30
+        ]
+        return bounds, searches
+
+    lazy = callers()
+    monkeypatch.setattr(solvers, "greedy_matroid", plain_greedy_matroid)
+    monkeypatch.setattr(adversary, "greedy_matroid", plain_greedy_matroid)
+    assert lazy == callers()
+
+
+def test_lazy_greedy_saves_queries():
+    saved = {}
+    for name, obj, matroid, ground in _greedy_corpus():
+        lazy_obj, plain_obj = obj.clone(), obj.clone()
+        greedy_matroid(ground, lazy_obj, matroid)
+        plain_greedy_matroid(ground, plain_obj, matroid)
+        assert lazy_obj.queries <= plain_obj.queries, name
+        saved[name] = plain_obj.queries - lazy_obj.queries
+    assert saved["coverage-tie-6"] > 0
 
 
 def test_exhaustive_examples():
