@@ -284,41 +284,50 @@ def load_experiment_config(path) -> ExperimentConfig:
         read.add((section, option))
         return parser.get(section, option, fallback=fallback)
 
-    def getboolean(section, option, fallback):
-        read.add((section, option))
-        return parser.getboolean(section, option, fallback=fallback)
+    def convert(kind, section, option, fallback=None):
+        """The value converted by ``kind``; None for an unset or empty optional key."""
+        text = get(section, option, fallback)
+        if fallback is None and not text:
+            return None
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: [{section}] {option}: {exc}") from None
+
+    def boolean(text):
+        if text.lower() not in parser.BOOLEAN_STATES:
+            raise ValueError(f"not a boolean: {text!r}")
+        return parser.BOOLEAN_STATES[text.lower()]
 
     try:
         parser.read_string(Path(path).read_text(), source=str(path))
         strategies = tuple(
             s.strip() for s in get("deletions", "strategies", "").split(",") if s.strip()
         )
-        gamma = get("algorithm", "gamma")
-        sample_prob = get("algorithm", "p")
         fields = dict(
             out_dir=get("report", "out_dir", "runs/experiment"),
             mode=get("algorithm", "mode", "centralized"),
-            epsilon=float(get("algorithm", "epsilon", "0.1")),
-            d=int(get("algorithm", "d", "0")),
-            monotone=getboolean("algorithm", "monotone", False),
-            gamma=float(gamma) if gamma else None,
-            sample_prob=float(sample_prob) if sample_prob else None,
+            epsilon=convert(float, "algorithm", "epsilon", "0.1"),
+            d=convert(int, "algorithm", "d", "0"),
+            monotone=convert(boolean, "algorithm", "monotone", "false"),
+            gamma=convert(float, "algorithm", "gamma"),
+            sample_prob=convert(float, "algorithm", "p"),
             drain_order=get("algorithm", "drain_order", "highest"),
             order=get("algorithm", "order", "shuffle"),
             instance_file=get("instance", "file"),
             gen_spec=get("instance", "generator"),
             gen_matroid=get("instance", "matroid"),
-            gen_seed=int(get("instance", "gen_seed", "0")),
+            gen_seed=convert(int, "instance", "gen_seed", "0"),
             solver=get("phase2", "solver", "greedy"),
-            exhaustive_cap=int(get("phase2", "exhaustive_cap", "22")),
-            ls_improve=float(get("phase2", "ls_improve", "0.01")),
-            ls_max_moves=int(get("phase2", "ls_max_moves", "10000")),
+            exhaustive_cap=convert(int, "phase2", "exhaustive_cap", "22"),
+            ls_improve=convert(float, "phase2", "ls_improve", "0.01"),
+            ls_max_moves=convert(int, "phase2", "ls_max_moves", "10000"),
             strategies=strategies,
             opt_method=get("deletions", "opt_method", "exhaustive"),
-            trials=int(get("trials", "count", "1")),
-            seed_base=int(get("trials", "seed_base", "0")),
-            bound_check=getboolean("report", "bound_check", True),
-            slack=float(get("report", "slack", "0.05")),
+            trials=convert(int, "trials", "count", "1"),
+            seed_base=convert(int, "trials", "seed_base", "0"),
+            bound_check=convert(boolean, "report", "bound_check", "true"),
+            slack=convert(float, "report", "slack", "0.05"),
         )
     except configparser.Error as exc:
         raise ValueError(f"{path}: " + " ".join(str(exc).split())) from None

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-Ids = Iterable[int]
+from .ground import GroundSet, Ids
+
+NOT_DEPENDENT = "circuit() requires base+g to be dependent"
 
 
-class Matroid:
+class Matroid(GroundSet):
     """Independence oracle over the ground set 0..n-1.
 
     Subclasses provide the fast native membership test; rank and circuit are
     derived from it, so every algorithm in the package stays oracle-generic.
-    Oracles are immutable after construction.
+    The concrete matroids override circuit() with a direct construction of
+    the same set.  Oracles are immutable after construction.
     """
 
     kind = "abstract"
@@ -40,27 +43,23 @@ class Matroid:
         Equals {g} plus every x in a whose removal restores independence;
         valid only when a is independent and a+g is not.
         """
-        base = self._as_set(a)
-        g = self._check_id(g)
-        if not self._independent(base):
-            raise ValueError("circuit() requires an independent base set")
-        with_g = frozenset(base | {g})
+        base, g = self._circuit_args(a, g)
+        with_g = base | {g}
         if self._independent(with_g):
-            raise ValueError("circuit() requires base+g to be dependent")
+            raise ValueError(NOT_DEPENDENT)
         members = {g}
         for x in sorted(base):
             if self._independent(with_g - {x}):
                 members.add(x)
         return frozenset(members)
 
-    def _check_id(self, e) -> int:
-        e = int(e)
-        if not 0 <= e < self.n:
-            raise ValueError(f"element id {e} outside range [0, {self.n})")
-        return e
-
-    def _as_set(self, ids: Ids) -> frozenset:
-        return frozenset(self._check_id(e) for e in ids)
+    def _circuit_args(self, a: Ids, g: int) -> tuple[frozenset, int]:
+        """circuit()'s validated arguments; the base must be independent."""
+        base = self._as_set(a)
+        g = self._check_id(g)
+        if not self._independent(base):
+            raise ValueError("circuit() requires an independent base set")
+        return base, g
 
     def _independent(self, s: frozenset) -> bool:
         raise NotImplementedError
@@ -81,6 +80,12 @@ class UniformMatroid(Matroid):
 
     def _independent(self, s: frozenset) -> bool:
         return len(s) <= self.cap
+
+    def circuit(self, a: Ids, g: int) -> frozenset:
+        base, g = self._circuit_args(a, g)
+        if g in base or len(base) < self.cap:
+            raise ValueError(NOT_DEPENDENT)
+        return base | {g}
 
 
 class PartitionMatroid(Matroid):
@@ -116,6 +121,15 @@ class PartitionMatroid(Matroid):
             if counts[bi] > self.capacities[bi]:
                 return False
         return True
+
+    def circuit(self, a: Ids, g: int) -> frozenset:
+        """g plus the members of the base in g's block, when that block is full."""
+        base, g = self._circuit_args(a, g)
+        block = self.block_of[g]
+        members = [x for x in base if self.block_of[x] == block]
+        if g in base or len(members) < self.capacities[block]:
+            raise ValueError(NOT_DEPENDENT)
+        return frozenset(members) | {g}
 
 
 class GraphicMatroid(Matroid):
@@ -164,6 +178,34 @@ class GraphicMatroid(Matroid):
 
     def _independent(self, s: frozenset) -> bool:
         return all(self._joins(sorted(s)))
+
+    def circuit(self, a: Ids, g: int) -> frozenset:
+        """g plus the path joining g's endpoints in the forest of the base."""
+        base, g = self._circuit_args(a, g)
+        adjacent: dict[int, list[tuple[int, int]]] = {}
+        for e in base:
+            u, v = self.edges[e]
+            adjacent.setdefault(u, []).append((v, e))
+            adjacent.setdefault(v, []).append((u, e))
+        start, goal = self.edges[g]
+        via = {start: -1}  # vertex -> the forest edge it was reached by
+        stack = [start]
+        while stack and goal not in via:
+            x = stack.pop()
+            for y, e in adjacent.get(x, ()):
+                if y not in via:
+                    via[y] = e
+                    stack.append(y)
+        if g in base or goal not in via:
+            raise ValueError(NOT_DEPENDENT)
+        members = {g}
+        x = goal
+        while x != start:
+            e = via[x]
+            members.add(e)
+            u, v = self.edges[e]
+            x = u if x == v else v
+        return frozenset(members)
 
 
 def make_uniform(n: int, k: int) -> UniformMatroid:

@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import bisect
 import copy
 from typing import Iterable, Sequence
 
 import numpy as np
 
-Ids = Iterable[int]
+from .ground import GroundSet, Ids
 
 
-class Objective:
+class Objective(GroundSet):
     """Value oracle for a normalized, non-negative submodular set function.
 
     The ground set is the integers 0..n-1.  Every value() call bumps a query
-    tally so experiment reports can account oracle cost (a marginal costs two
-    queries); the tally is the only mutable state, parameters are frozen at
-    construction and safe to share across threads.
+    tally so experiment reports can account oracle cost; a marginal counts as
+    two queries even when f(S) comes from the memo.  Parameters are frozen at
+    construction.  The mutable state is the tally and a one-slot memo
+    ``(S, f(S), per-class state of S)`` of the last set a marginal was asked
+    against, so marginals against an unchanged S cost one evaluation of
+    f(S+e).  The memo is replaced whole, never changed in place; clone() gives
+    a copy with its own tally and an empty memo.
     """
 
     kind = "abstract"
@@ -27,22 +32,27 @@ class Objective:
         self.n = int(n)
         self.monotone = bool(monotone)
         self._queries = 0
+        self._memo = None
 
     def value(self, ids: Ids) -> float:
         s = self._as_set(ids)
         self._queries += 1
-        if not s:
-            return 0.0
-        return float(self._value(s))
+        return self._f(s)
 
     def marginal(self, e: int, ids: Ids) -> float:
-        """f(ids + e) - f(ids), always computed as two value() calls.
+        """f(ids + e) - f(ids), equal to the difference of two value() calls.
 
         Yields an exact 0.0 when e is already in the set.
         """
         e = self._check_id(e)
         s = self._as_set(ids)
-        return self.value(s | {e}) - self.value(s)
+        self._queries += 2
+        memo = self._memo
+        if memo is None or memo[0] != s:
+            memo = self._memo = (s, self._f(s), self._state(s))
+        _, base, state = memo
+        with_e = base if e in s else float(self._value_with(state, e, s))
+        return with_e - base
 
     @property
     def queries(self) -> int:
@@ -52,22 +62,26 @@ class Objective:
         self._queries = 0
 
     def clone(self) -> "Objective":
-        """Same oracle with a fresh query tally; parameters are shared."""
+        """Same oracle with a fresh query tally and memo; parameters are shared."""
         other = copy.copy(self)
         other._queries = 0
+        other._memo = None
         return other
 
-    def _check_id(self, e) -> int:
-        e = int(e)
-        if not 0 <= e < self.n:
-            raise ValueError(f"element id {e} outside range [0, {self.n})")
-        return e
-
-    def _as_set(self, ids: Ids) -> frozenset:
-        return frozenset(self._check_id(e) for e in ids)
+    def _f(self, s: frozenset) -> float:
+        """f(s) as value() returns it, without counting a query."""
+        return float(self._value(s)) if s else 0.0
 
     def _value(self, s: frozenset) -> float:
         raise NotImplementedError
+
+    def _state(self, s: frozenset):
+        """What _value_with needs to know of s; never modified after it is made."""
+        return None
+
+    def _value_with(self, state, e: int, s: frozenset) -> float:
+        """f(s + e) for e not in s, by the same float arithmetic as _value."""
+        return self._value(s | {e})
 
 
 class WeightedCoverage(Objective):
@@ -89,6 +103,7 @@ class WeightedCoverage(Objective):
         super().__init__(len(cover_sets), monotone=True)
         self.universe_weights = weights
         self.covers = tuple(cover_sets)
+        self._cover_items = tuple(np.fromiter(c, dtype=np.intp, count=len(c)) for c in cover_sets)
 
     def _value(self, s: frozenset) -> float:
         covered: set[int] = set()
@@ -97,6 +112,18 @@ class WeightedCoverage(Objective):
         if not covered:
             return 0.0
         return float(self.universe_weights[sorted(covered)].sum())
+
+    def _state(self, s: frozenset) -> np.ndarray:
+        covered = np.zeros(self.universe_weights.size, dtype=bool)
+        for e in s:
+            covered[self._cover_items[e]] = True
+        return covered
+
+    def _value_with(self, covered: np.ndarray, e: int, s: frozenset) -> float:
+        # a mask selects the covered items in ascending order, as sorted() does
+        covered = covered.copy()
+        covered[self._cover_items[e]] = True
+        return self.universe_weights[covered].sum()
 
 
 class FacilityLocation(Objective):
@@ -118,6 +145,18 @@ class FacilityLocation(Objective):
             return 0.0
         cols = sorted(s)
         return float(self.similarity[:, cols].max(axis=1).sum())
+
+    def _state(self, s: frozenset) -> np.ndarray | None:
+        """Best similarity per client over s; None for the empty set."""
+        if not s:
+            return None
+        return self.similarity[:, sorted(s)].max(axis=1)
+
+    def _value_with(self, best: np.ndarray | None, e: int, s: frozenset) -> float:
+        # max is exact, so the per-client bests equal those of _value(s + e)
+        column = self.similarity[:, e]
+        best = column.copy() if best is None else np.maximum(best, column)
+        return best.sum()
 
 
 class GraphCut(Objective):
@@ -146,6 +185,11 @@ class GraphCut(Objective):
         self.edge_u = np.asarray(us, dtype=int)
         self.edge_v = np.asarray(vs, dtype=int)
         self.edge_w = np.asarray(ws, dtype=float)
+        incident: list[list[int]] = [[] for _ in range(n_vertices)]
+        for i, (u, v) in enumerate(zip(us, vs)):
+            incident[u].append(i)
+            incident[v].append(i)
+        self._incident = tuple(np.asarray(edge_ids, dtype=np.intp) for edge_ids in incident)
 
     @property
     def edges(self) -> list[tuple[int, int, float]]:
@@ -157,10 +201,19 @@ class GraphCut(Objective):
     def _value(self, s: frozenset) -> float:
         if self.edge_w.size == 0:
             return 0.0
+        return float(self.edge_w[self._state(s)].sum())
+
+    def _state(self, s: frozenset) -> np.ndarray:
+        """Which edges cross the cut of s."""
         inside = np.zeros(self.n, dtype=bool)
-        inside[sorted(s)] = True
-        crossing = inside[self.edge_u] ^ inside[self.edge_v]
-        return float(self.edge_w[crossing].sum())
+        inside[np.fromiter(s, dtype=np.intp, count=len(s))] = True
+        return inside[self.edge_u] ^ inside[self.edge_v]
+
+    def _value_with(self, crossing: np.ndarray, e: int, s: frozenset) -> float:
+        # adding e (not in s, no self-loops) flips exactly the edges at e
+        crossing = crossing.copy()
+        crossing[self._incident[e]] ^= True
+        return self.edge_w[crossing].sum()
 
 
 class Modular(Objective):
@@ -177,6 +230,15 @@ class Modular(Objective):
 
     def _value(self, s: frozenset) -> float:
         return float(self.weights[sorted(s)].sum())
+
+    def _state(self, s: frozenset) -> tuple[list[int], np.ndarray]:
+        ids = sorted(s)
+        return ids, self.weights[ids]
+
+    def _value_with(self, state, e: int, s: frozenset) -> float:
+        ids, weights = state
+        i = bisect.bisect(ids, e)
+        return np.concatenate((weights[:i], self.weights[e : e + 1], weights[i:])).sum()
 
 
 def make_weighted_coverage(universe_weights, covers) -> WeightedCoverage:

@@ -195,6 +195,21 @@ def test_unknown_config_section_is_rejected(tmp_path, capsys):
     assert "unknown section [phase3]" in err
 
 
+@pytest.mark.parametrize(
+    "section, line, named",
+    [
+        ("algorithm", "epsilon = 0,2", "[algorithm] epsilon: could not convert string to float: '0,2'"),
+        ("trials", "count = 3.5", "[trials] count: invalid literal for int()"),
+        ("report", "bound_check = maybe", "[report] bound_check: not a boolean: 'maybe'"),
+        ("algorithm", "gamma = 1.2.3", "[algorithm] gamma: could not convert"),
+        ("phase2", "exhaustive_cap =", "[phase2] exhaustive_cap: invalid literal for int()"),
+    ],
+)
+def test_malformed_config_number_names_the_key(tmp_path, capsys, section, line, named):
+    err = _experiment_error(tmp_path, capsys, _VALID_CONFIG + f"[{section}]\n{line}\n")
+    assert named in err
+
+
 def test_out_of_range_epsilon_is_a_clean_error(capsys):
     code = main(["bound", "--mode", "centralized", "--beta", "1.0", "--epsilon", "2"])
     assert code == 2

@@ -2,10 +2,12 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from robust_summary import make_graphic, make_partition, make_uniform
+from robust_summary.matroids import Matroid
 
 from helpers import (
     augmentation_violations,
@@ -164,8 +166,6 @@ def test_axioms_exhaustive_small():
     seed=st.integers(0, 999),
 )
 def test_partition_axioms_sampled(sizes, caps, seed):
-    import numpy as np
-
     blocks, start = [], 0
     for s in sizes:
         blocks.append(list(range(start, start + s)))
@@ -189,3 +189,52 @@ def test_out_of_range_rejected():
         m.is_independent([3])
     with pytest.raises(ValueError):
         m.rank_of([-1])
+
+
+def _random_matroid(rng, kind):
+    if kind == "uniform":
+        return make_uniform(int(rng.integers(1, 12)), int(rng.integers(0, 6)))
+    if kind == "partition":
+        sizes = rng.integers(1, 5, size=int(rng.integers(1, 5)))
+        ids = [int(e) for e in rng.permutation(int(sizes.sum()))]
+        blocks = [ids[start - size : start] for size, start in zip(sizes, np.cumsum(sizes))]
+        return make_partition(blocks, rng.integers(0, 4, size=len(blocks)))
+    n_vertices = int(rng.integers(2, 9))
+    pairs = [(u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices)]
+    pairs = [pairs[i] for i in rng.permutation(len(pairs)) if rng.random() < 0.6]
+    return make_graphic(n_vertices, pairs or [(0, 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["uniform", "partition", "graphic"]), seed=st.integers(0, 2**32 - 1))
+def test_native_circuit_matches_generic(kind, seed):
+    rng = np.random.default_rng(seed)
+    m = _random_matroid(rng, kind)
+    assert type(m).circuit is not Matroid.circuit
+    base: set[int] = set()
+    for e in rng.permutation(m.n):
+        if rng.random() < 0.8 and m.is_independent(base | {int(e)}):
+            base.add(int(e))
+    for g in range(m.n):
+        if g not in base and not m.is_independent(base | {g}):
+            assert m.circuit(iter(base), g) == Matroid.circuit(m, base, g)
+        else:
+            with pytest.raises(ValueError, match="base\\+g to be dependent"):
+                m.circuit(base, g)
+            with pytest.raises(ValueError, match="base\\+g to be dependent"):
+                Matroid.circuit(m, base, g)
+
+
+@pytest.mark.parametrize(
+    "m, dependent",
+    [
+        (make_uniform(4, 2), [0, 1, 2]),
+        (make_partition([[0, 1], [2, 3]], [1, 2]), [0, 1]),
+        (make_graphic(3, [(0, 1), (1, 2), (2, 0)]), [0, 1, 2]),
+    ],
+)
+def test_native_circuit_rejects_a_dependent_base(m, dependent):
+    for g in range(m.n):
+        for circuit in (m.circuit, lambda a, g: Matroid.circuit(m, a, g)):
+            with pytest.raises(ValueError, match="independent base set"):
+                circuit(dependent, g)

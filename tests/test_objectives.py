@@ -173,3 +173,105 @@ def test_marginal_matches_two_value_calls(weights, seed):
     e = int(rng.integers(0, obj.n))
     direct = obj.value(base | {e}) - obj.value(base)
     assert abs(obj.marginal(e, base) - direct) <= 1e-9
+
+
+KINDS = ["modular", "coverage", "facility", "cut"]
+
+
+def _wide_objective(rng, kind):
+    """An objective whose sums round differently in a different order.
+
+    Weights span nine decades, and sizes reach past numpy's 8- and 128-term
+    summation blocks, so only the reference order of the terms reproduces
+    value() bit for bit.
+    """
+
+    def weights(size):
+        return rng.random(size) * 10.0 ** rng.integers(-4, 5, size=size)
+
+    n = int(rng.integers(2, 40))
+    if kind == "modular":
+        return make_modular(weights(n))
+    if kind == "coverage":
+        universe = int(rng.integers(1, 300))
+        density = float(rng.random())
+        covers = [np.flatnonzero(rng.random(universe) < density) for _ in range(n)]
+        return make_weighted_coverage(weights(universe), covers)
+    if kind == "facility":
+        clients = int(rng.integers(1, 200))
+        return make_facility_location(weights(clients * n).reshape(clients, n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+    return make_cut_function(n, [(u, v, w) for (u, v), w in zip(pairs, weights(len(pairs)))])
+
+
+def _random_subset(rng, n):
+    return set(int(e) for e in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+
+
+def _reference_marginal(obj, e, ids):
+    return obj.value(set(ids) | {e}) - obj.value(ids)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+def test_marginal_equals_value_difference_exactly(kind, seed):
+    rng = np.random.default_rng(seed)
+    obj = _wide_objective(rng, kind)
+    base = _random_subset(rng, obj.n)
+    for e in range(obj.n):  # members of base included: their marginal is 0.0
+        assert obj.marginal(e, base) == _reference_marginal(obj, e, base)
+    for e in range(obj.n):
+        assert obj.marginal(e, ()) == obj.value([e])
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+def test_marginal_exact_when_sets_alternate(kind, seed):
+    rng = np.random.default_rng(seed)
+    obj = _wide_objective(rng, kind)
+    sets = [_random_subset(rng, obj.n) for _ in range(3)] + [set()]
+    for _ in range(30):
+        base = sets[int(rng.integers(len(sets)))]
+        e = int(rng.integers(obj.n))
+        assert obj.marginal(e, base) == _reference_marginal(obj, e, base)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+def test_marginal_exact_when_caller_mutates_its_set(kind, seed):
+    rng = np.random.default_rng(seed)
+    obj = _wide_objective(rng, kind)
+    base: set[int] = set()
+    for x in rng.permutation(obj.n):
+        e = int(rng.integers(obj.n))
+        assert obj.marginal(e, base) == _reference_marginal(obj, e, base)
+        base.add(int(x))
+        if rng.random() < 0.3:
+            base.discard(int(rng.integers(obj.n)))
+        assert obj.marginal(e, base) == _reference_marginal(obj, e, base)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+def test_marginal_exact_for_clone_and_original_in_turn(kind, seed):
+    rng = np.random.default_rng(seed)
+    obj = _wide_objective(rng, kind)
+    obj.marginal(0, _random_subset(rng, obj.n))  # cloned while its memo is filled
+    other = obj.clone()
+    sets = [_random_subset(rng, obj.n), _random_subset(rng, obj.n)]
+    for step in range(20):
+        oracle = (obj, other)[step % 2]
+        base = sets[int(rng.integers(2))]
+        e = int(rng.integers(obj.n))
+        assert oracle.marginal(e, base) == _reference_marginal(oracle, e, base)
+    assert obj.queries == 2 + 10 * 4 and other.queries == 10 * 4
+
+
+def test_marginal_accepts_a_one_shot_iterator():
+    obj = make_modular([1.0, 2.0, 4.0])
+    assert obj.marginal(2, iter([0, 1])) == 4.0
+    assert obj.value(e for e in [0, 2]) == 5.0
+    with pytest.raises(ValueError, match=r"element id 3 outside range \[0, 3\)"):
+        obj.value(iter([0, 3]))
+    with pytest.raises(ValueError, match=r"element id -1 outside range \[0, 3\)"):
+        obj.marginal(0, [2, -1])
