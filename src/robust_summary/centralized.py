@@ -87,15 +87,17 @@ def _scan_bucket(pool, solution, tau, objective, matroid, gain_cache, infeasible
     once lost (downward closure), so a full rescan would reject the skipped
     elements too.
     """
-    bucket: list[int] = []
-    gains: dict[int, float] = {}
+    fresh: list[int] = []
     for e in pool:
         if e in infeasible or gain_cache[e] < tau:
             continue
-        if not matroid.is_independent(solution | {e}):
+        if matroid.fits(e, solution):
+            fresh.append(e)
+        else:
             infeasible.add(e)
-            continue
-        gain = objective.marginal(e, solution)
+    bucket: list[int] = []
+    gains: dict[int, float] = {}
+    for e, gain in zip(fresh, objective.gains(fresh, solution)):
         gain_cache[e] = gain
         if gain >= tau:
             bucket.append(e)

@@ -1,4 +1,4 @@
-"""Element-id validation shared by the objective and matroid oracles."""
+"""Element-id validation and the per-solution memo shared by the objective and matroid oracles."""
 
 from __future__ import annotations
 
@@ -8,9 +8,15 @@ Ids = Iterable[int]
 
 
 class GroundSet:
-    """An oracle over the ground set 0..n-1; ids are validated at each call."""
+    """An oracle over the ground set 0..n-1; ids are validated at each call.
+
+    ``_memo`` is a one-slot memo ``(S, ...)`` of the last solution S the
+    oracle was asked about, filled by ``_remember(S)``.  It is replaced whole,
+    never changed in place, so a copy of the oracle may share it.
+    """
 
     n: int
+    _memo: tuple | None = None
 
     def _check_id(self, e) -> int:
         e = int(e)
@@ -25,3 +31,20 @@ class GroundSet:
             if low < 0 or high >= self.n:
                 self._check_id(low if low < 0 else high)  # raises
         return s
+
+    def _check_ids(self, ids: list[int]) -> None:
+        """Raise for the first id of ``ids`` outside the ground set, if any."""
+        if ids and (min(ids) < 0 or max(ids) >= self.n):
+            for e in ids:
+                self._check_id(e)
+
+    def _remembered(self, s: frozenset) -> tuple:
+        """The memo ``(s, *self._remember(s))``, rebuilt only when s differs from its key."""
+        memo = self._memo
+        if memo is None or memo[0] != s:
+            memo = self._memo = (s, *self._remember(s))
+        return memo
+
+    def _remember(self, s: frozenset) -> tuple:
+        """What the memo keeps of s besides s itself; never modified after it is made."""
+        raise NotImplementedError

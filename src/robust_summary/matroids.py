@@ -7,6 +7,7 @@ from typing import Iterable, Iterator, Sequence
 from .ground import GroundSet, Ids
 
 NOT_DEPENDENT = "circuit() requires base+g to be dependent"
+NOT_INDEPENDENT = "circuit() requires an independent base set"
 
 
 class Matroid(GroundSet):
@@ -15,7 +16,13 @@ class Matroid(GroundSet):
     Subclasses provide the fast native membership test; rank and circuit are
     derived from it, so every algorithm in the package stays oracle-generic.
     The concrete matroids override circuit() with a direct construction of
-    the same set.  Oracles are immutable after construction.
+    the same set.  The ground set and constraints are frozen at construction.
+    The only mutable state is a one-slot memo ``(S, independent(S), per-class
+    state of S)`` of the last set fits() or a native circuit() was asked
+    against: the concrete matroids keep S's size, its count per block, or
+    its forest, so each candidate against an unchanged S costs O(1) beyond
+    validating S.  The memo is replaced whole, never changed in place, so a
+    copy of the oracle may share it.
     """
 
     kind = "abstract"
@@ -24,6 +31,15 @@ class Matroid(GroundSet):
 
     def is_independent(self, ids: Ids) -> bool:
         return self._independent(self._as_set(ids))
+
+    def fits(self, e: int, ids: Ids) -> bool:
+        """Whether ids + e is independent: ``is_independent(ids | {e})``."""
+        e = self._check_id(e)
+        s = self._as_set(ids)
+        _, independent, state = self._remembered(s)
+        if e in s or not independent:
+            return independent
+        return self._fits(state, e, s)
 
     def rank_of(self, ids: Ids) -> int:
         """Size of a maximal independent subset, grown greedily.
@@ -43,7 +59,10 @@ class Matroid(GroundSet):
         Equals {g} plus every x in a whose removal restores independence;
         valid only when a is independent and a+g is not.
         """
-        base, g = self._circuit_args(a, g)
+        base = self._as_set(a)
+        g = self._check_id(g)
+        if not self._independent(base):
+            raise ValueError(NOT_INDEPENDENT)
         with_g = base | {g}
         if self._independent(with_g):
             raise ValueError(NOT_DEPENDENT)
@@ -53,16 +72,27 @@ class Matroid(GroundSet):
                 members.add(x)
         return frozenset(members)
 
-    def _circuit_args(self, a: Ids, g: int) -> tuple[frozenset, int]:
-        """circuit()'s validated arguments; the base must be independent."""
+    def _circuit_args(self, a: Ids, g: int) -> tuple[frozenset, int, object]:
+        """A native circuit()'s validated arguments and the memo state of the base.
+
+        The base must be independent.
+        """
         base = self._as_set(a)
         g = self._check_id(g)
-        if not self._independent(base):
-            raise ValueError("circuit() requires an independent base set")
-        return base, g
+        _, independent, state = self._remembered(base)
+        if not independent:
+            raise ValueError(NOT_INDEPENDENT)
+        return base, g, state
 
     def _independent(self, s: frozenset) -> bool:
         raise NotImplementedError
+
+    def _remember(self, s: frozenset) -> tuple:
+        return self._independent(s), None
+
+    def _fits(self, state, e: int, s: frozenset) -> bool:
+        """Whether s + e is independent, for independent s and e not in s."""
+        return self._independent(s | {e})
 
 
 class UniformMatroid(Matroid):
@@ -81,8 +111,11 @@ class UniformMatroid(Matroid):
     def _independent(self, s: frozenset) -> bool:
         return len(s) <= self.cap
 
+    def _fits(self, state, e: int, s: frozenset) -> bool:
+        return len(s) < self.cap
+
     def circuit(self, a: Ids, g: int) -> frozenset:
-        base, g = self._circuit_args(a, g)
+        base, g, _ = self._circuit_args(a, g)
         if g in base or len(base) < self.cap:
             raise ValueError(NOT_DEPENDENT)
         return base | {g}
@@ -114,22 +147,26 @@ class PartitionMatroid(Matroid):
         self.k = sum(min(c, len(b)) for c, b in zip(caps, blocks))
 
     def _independent(self, s: frozenset) -> bool:
+        return self._remember(s)[0]
+
+    def _remember(self, s: frozenset) -> tuple[bool, list[int]]:
+        """Independence of s and its member count per block."""
         counts = [0] * len(self.blocks)
         for e in s:
-            bi = self.block_of[e]
-            counts[bi] += 1
-            if counts[bi] > self.capacities[bi]:
-                return False
-        return True
+            counts[self.block_of[e]] += 1
+        return all(c <= cap for c, cap in zip(counts, self.capacities)), counts
+
+    def _fits(self, counts: list[int], e: int, s: frozenset) -> bool:
+        block = self.block_of[e]
+        return counts[block] < self.capacities[block]
 
     def circuit(self, a: Ids, g: int) -> frozenset:
         """g plus the members of the base in g's block, when that block is full."""
-        base, g = self._circuit_args(a, g)
+        base, g, counts = self._circuit_args(a, g)
         block = self.block_of[g]
-        members = [x for x in base if self.block_of[x] == block]
-        if g in base or len(members) < self.capacities[block]:
+        if g in base or counts[block] < self.capacities[block]:
             raise ValueError(NOT_DEPENDENT)
-        return frozenset(members) | {g}
+        return frozenset(x for x in base if self.block_of[x] == block) | {g}
 
 
 class GraphicMatroid(Matroid):
@@ -179,25 +216,55 @@ class GraphicMatroid(Matroid):
     def _independent(self, s: frozenset) -> bool:
         return all(self._joins(sorted(s)))
 
-    def circuit(self, a: Ids, g: int) -> frozenset:
-        """g plus the path joining g's endpoints in the forest of the base."""
-        base, g = self._circuit_args(a, g)
+    def _remember(self, s: frozenset):
+        """Independence of s and, for a forest s, its tree per vertex and its adjacency.
+
+        The edges of s touch some vertices in some trees; s is a forest iff it
+        has exactly one edge fewer than vertices in each tree.
+        """
         adjacent: dict[int, list[tuple[int, int]]] = {}
-        for e in base:
+        for e in s:
             u, v = self.edges[e]
             adjacent.setdefault(u, []).append((v, e))
             adjacent.setdefault(v, []).append((u, e))
+        tree = list(range(self.n_vertices))  # a vertex no edge touches is its own tree
+        labelled: set[int] = set()
+        trees = 0
+        for root in adjacent:
+            if root in labelled:
+                continue
+            trees += 1
+            labelled.add(root)
+            stack = [root]
+            while stack:
+                for y, _ in adjacent[stack.pop()]:
+                    if y not in labelled:
+                        labelled.add(y)
+                        tree[y] = root
+                        stack.append(y)
+        if len(s) != len(adjacent) - trees:
+            return False, None
+        return True, (tree, adjacent)
+
+    def _fits(self, state, e: int, s: frozenset) -> bool:
+        tree, _ = state
+        u, v = self.edges[e]
+        return tree[u] != tree[v]
+
+    def circuit(self, a: Ids, g: int) -> frozenset:
+        """g plus the path joining g's endpoints in the forest of the base."""
+        base, g, (tree, adjacent) = self._circuit_args(a, g)
         start, goal = self.edges[g]
+        if g in base or tree[start] != tree[goal]:
+            raise ValueError(NOT_DEPENDENT)
         via = {start: -1}  # vertex -> the forest edge it was reached by
         stack = [start]
-        while stack and goal not in via:
+        while goal not in via:
             x = stack.pop()
-            for y, e in adjacent.get(x, ()):
+            for y, e in adjacent[x]:
                 if y not in via:
                     via[y] = e
                     stack.append(y)
-        if g in base or goal not in via:
-            raise ValueError(NOT_DEPENDENT)
         members = {g}
         x = goal
         while x != start:

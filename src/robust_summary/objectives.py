@@ -10,18 +10,22 @@ import numpy as np
 
 from .ground import GroundSet, Ids
 
+# candidates gains() evaluates per _values_with call: bounds its temporaries
+BATCH_ROWS = 256
+
 
 class Objective(GroundSet):
     """Value oracle for a normalized, non-negative submodular set function.
 
     The ground set is the integers 0..n-1.  Every value() call bumps a query
     tally so experiment reports can account oracle cost; a marginal counts as
-    two queries even when f(S) comes from the memo.  Parameters are frozen at
-    construction.  The mutable state is the tally and a one-slot memo
-    ``(S, f(S), per-class state of S)`` of the last set a marginal was asked
-    against, so marginals against an unchanged S cost one evaluation of
-    f(S+e).  The memo is replaced whole, never changed in place; clone() gives
-    a copy with its own tally and an empty memo.
+    two queries even when f(S) comes from the memo, and gains() counts two
+    per candidate.  Parameters are frozen at construction.  The mutable state
+    is the tally and a one-slot memo ``(S, f(S), per-class state of S)`` of
+    the last set a marginal was asked against, so marginals against an
+    unchanged S cost one evaluation of f(S+e).  The memo is replaced whole,
+    never changed in place; clone() gives a copy with its own tally and an
+    empty memo.
     """
 
     kind = "abstract"
@@ -32,7 +36,6 @@ class Objective(GroundSet):
         self.n = int(n)
         self.monotone = bool(monotone)
         self._queries = 0
-        self._memo = None
 
     def value(self, ids: Ids) -> float:
         s = self._as_set(ids)
@@ -47,12 +50,32 @@ class Objective(GroundSet):
         e = self._check_id(e)
         s = self._as_set(ids)
         self._queries += 2
-        memo = self._memo
-        if memo is None or memo[0] != s:
-            memo = self._memo = (s, self._f(s), self._state(s))
-        _, base, state = memo
+        _, base, state = self._remembered(s)
         with_e = base if e in s else float(self._value_with(state, e, s))
         return with_e - base
+
+    def gains(self, candidates: Ids, ids: Ids) -> list[float]:
+        """``[marginal(e, ids) for e in candidates]``, evaluated in batches.
+
+        Validates the ids once and raises for the same id the loop would,
+        except that a bad S raises even with no candidates.  Counts two
+        queries per candidate, as the loop does.
+        """
+        es = [int(e) for e in candidates]
+        if es:
+            self._check_id(es[0])
+        s = self._as_set(ids)
+        self._check_ids(es)
+        self._queries += 2 * len(es)
+        if not es:
+            return []
+        _, base, state = self._remembered(s)
+        outside = [e for e in es if e not in s]
+        with_e: list = []
+        for i in range(0, len(outside), BATCH_ROWS):
+            with_e.extend(self._values_with(state, outside[i : i + BATCH_ROWS], s))
+        fresh = iter(with_e)
+        return [(base if e in s else float(next(fresh))) - base for e in es]
 
     @property
     def queries(self) -> int:
@@ -68,6 +91,9 @@ class Objective(GroundSet):
         other._memo = None
         return other
 
+    def _remember(self, s: frozenset) -> tuple:
+        return self._f(s), self._state(s)
+
     def _f(self, s: frozenset) -> float:
         """f(s) as value() returns it, without counting a query."""
         return float(self._value(s)) if s else 0.0
@@ -82,6 +108,22 @@ class Objective(GroundSet):
     def _value_with(self, state, e: int, s: frozenset) -> float:
         """f(s + e) for e not in s, by the same float arithmetic as _value."""
         return self._value(s | {e})
+
+    def _values_with(self, state, es: list[int], s: frozenset) -> Sequence[float]:
+        """f(s + e) for each e of a non-empty list of ids outside s, each equal to _value_with."""
+        return [self._value_with(state, e, s) for e in es]
+
+
+def _masked_row_sums(weights: np.ndarray, masks: np.ndarray) -> list[float]:
+    """``weights[mask].sum()`` for each row of a boolean matrix, bit for bit.
+
+    Each row's selected weights are summed on their own: np.add.reduceat
+    would add them left to right instead of pairwise, as sum() does, and so
+    round differently.
+    """
+    picked = np.broadcast_to(weights, masks.shape)[masks]
+    ends = np.cumsum(masks.sum(axis=1)).tolist()
+    return [picked[start:end].sum() for start, end in zip([0] + ends, ends)]
 
 
 class WeightedCoverage(Objective):
@@ -125,6 +167,12 @@ class WeightedCoverage(Objective):
         covered[self._cover_items[e]] = True
         return self.universe_weights[covered].sum()
 
+    def _values_with(self, covered: np.ndarray, es: list[int], s: frozenset) -> list[float]:
+        items = [self._cover_items[e] for e in es]
+        masks = np.repeat(covered[None, :], len(es), axis=0)
+        masks[np.repeat(np.arange(len(es)), [len(i) for i in items]), np.concatenate(items)] = True
+        return _masked_row_sums(self.universe_weights, masks)
+
 
 class FacilityLocation(Objective):
     """f(S) = sum over clients of the best similarity to an element of S."""
@@ -157,6 +205,16 @@ class FacilityLocation(Objective):
         column = self.similarity[:, e]
         best = column.copy() if best is None else np.maximum(best, column)
         return best.sum()
+
+    def _values_with(self, best: np.ndarray | None, es: list[int], s: frozenset) -> np.ndarray:
+        # one C-contiguous row per candidate: a row sum adds pairwise, as sum() does
+        columns = self.similarity[:, es].T
+        rows = np.empty(columns.shape)
+        if best is None:
+            rows[...] = columns
+        else:
+            np.maximum(best, columns, out=rows)
+        return rows.sum(axis=1)
 
 
 class GraphCut(Objective):
@@ -215,6 +273,12 @@ class GraphCut(Objective):
         crossing[self._incident[e]] ^= True
         return self.edge_w[crossing].sum()
 
+    def _values_with(self, crossing: np.ndarray, es: list[int], s: frozenset) -> list[float]:
+        incident = [self._incident[e] for e in es]
+        masks = np.repeat(crossing[None, :], len(es), axis=0)
+        masks[np.repeat(np.arange(len(es)), [len(i) for i in incident]), np.concatenate(incident)] ^= True
+        return _masked_row_sums(self.edge_w, masks)
+
 
 class Modular(Objective):
     """Additive f(S) = sum of per-element weights."""
@@ -239,6 +303,16 @@ class Modular(Objective):
         ids, weights = state
         i = bisect.bisect(ids, e)
         return np.concatenate((weights[:i], self.weights[e : e + 1], weights[i:])).sum()
+
+    def _values_with(self, state, es: list[int], s: frozenset) -> np.ndarray:
+        # row j is _value_with's array for es[j]: one C-contiguous row per
+        # candidate, so a row sum adds pairwise, as sum() does
+        ids, weights = state
+        at = np.searchsorted(np.asarray(ids, dtype=np.intp), es, side="right")
+        cols = np.arange(len(ids) + 1)
+        rows = np.append(weights, 0.0)[cols - (cols > at[:, None])]
+        rows[np.arange(len(es)), at] = self.weights[es]
+        return rows.sum(axis=1)
 
 
 def make_weighted_coverage(universe_weights, covers) -> WeightedCoverage:

@@ -8,7 +8,6 @@ routine's output and the surviving candidate solution itself.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -67,13 +66,16 @@ def greedy_matroid(ground: Iterable[int], objective: Objective, matroid: Matroid
     dropped for good: the picks only grow and independence is downward closed.
     """
     chosen: set[int] = set()
-    # -inf: no gain computed yet, so the first round evaluates every element
-    heap = [(-math.inf, e, -1) for e in sorted(set(int(e) for e in ground))]
+    feasible = [e for e in sorted(set(int(e) for e in ground)) if matroid.fits(e, chosen)]
+    heap = [(-gain, e, 0) for e, gain in zip(feasible, objective.gains(feasible, chosen))]
+    # the first round, all at once; the (gain, id) pairs are unique, so the
+    # pops follow from the entries alone, however the heap arranges them
+    heapq.heapify(heap)
     accepted = 0.0
     while heap:
         key, e, stamp = heapq.heappop(heap)
         if stamp != len(chosen):
-            if matroid.is_independent(chosen | {e}):
+            if matroid.fits(e, chosen):
                 heapq.heappush(heap, (-objective.marginal(e, chosen), e, len(chosen)))
             continue
         # Marginals are differences of float sums, so they are not exactly
@@ -87,7 +89,7 @@ def greedy_matroid(ground: Iterable[int], objective: Objective, matroid: Matroid
         while heap and -heap[0][0] >= top - slack:
             key, e, stamp = heapq.heappop(heap)
             if stamp != len(chosen):
-                if not matroid.is_independent(chosen | {e}):
+                if not matroid.fits(e, chosen):
                     continue
                 key = -objective.marginal(e, chosen)
             window.append((key, e))

@@ -102,7 +102,6 @@ class StreamState:
         self.arrivals = 0
         self.seen: set[int] = set()
         self.peak_memory = 0
-        self.max_active_buckets = 0
 
     def memory(self) -> int:
         return (
@@ -113,7 +112,6 @@ class StreamState:
 
     def _note_boundary(self) -> None:
         self.peak_memory = max(self.peak_memory, self.memory())
-        self.max_active_buckets = max(self.max_active_buckets, len(self.buckets))
 
 
 def _pop_smallest(buffer: list[tuple[float, int]]) -> tuple[float, int]:
@@ -215,7 +213,7 @@ def drain_buckets(
         accepted = bool(rng.random() < cfg.sample_prob_value)
 
         changed = grew = False
-        if matroid.is_independent(state.candidate_set | {g}):
+        if matroid.fits(g, state.candidate_set):
             if accepted:
                 state.candidate.append(g)
                 state.candidate_set.add(g)
@@ -253,26 +251,26 @@ def rebucket(state: StreamState, objective: Objective, solution_grew: bool = Fal
     candidate only grew, gains cannot rise, so upward moves are tracked
     separately from the legitimate ones a swap can cause.
     """
-    old = state.buckets
+    filed = [(x, e) for x in sorted(state.buckets, reverse=True) for e in state.buckets[x]]
+    gains = objective.gains([e for _, e in filed], state.candidate_set)
+    live = [not (state.tau_min > gain or gain <= 0.0) for gain in gains]
+    new_exponents = iter(
+        state.ladder.floor_exponents([gain for gain, ok in zip(gains, live) if ok])
+    )
     state.buckets = {}
-    for exponent in sorted(old, reverse=True):
-        for e in old[exponent]:
-            gain = objective.marginal(e, state.candidate_set)
-            if state.tau_min > gain or gain <= 0.0:
-                state.audit.low_value.append(e)
-                continue
-            new_exponent = state.ladder.floor_exponent(gain)
-            if (
-                state.min_active_exponent is not None
-                and new_exponent < state.min_active_exponent
-            ):
-                state.audit.low_value.append(e)
-                continue
-            if new_exponent > exponent:
-                state.upward_moves += 1
-                if solution_grew:
-                    state.upward_moves_after_growth += 1
-            bisect.insort(state.buckets.setdefault(new_exponent, []), e)
+    for (exponent, e), ok in zip(filed, live):
+        new_exponent = next(new_exponents) if ok else None
+        if new_exponent is None or (
+            state.min_active_exponent is not None
+            and new_exponent < state.min_active_exponent
+        ):
+            state.audit.low_value.append(e)
+            continue
+        if new_exponent > exponent:
+            state.upward_moves += 1
+            if solution_grew:
+                state.upward_moves_after_growth += 1
+        bisect.insort(state.buckets.setdefault(new_exponent, []), e)
     return state
 
 

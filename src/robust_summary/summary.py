@@ -166,7 +166,24 @@ def _parse_pairs(text: str) -> list[tuple[int, float]]:
     return out
 
 
+# audit keys and the StreamAudit field each one fills
+_AUDIT_FIELDS = {
+    "audit_drained": "drained",
+    "audit_swapped_out": "swapped_out",
+    "audit_sample_rejected": "sample_rejected",
+    "audit_swap_failed": "swap_failed",
+    "audit_low_value": "low_value",
+    "weight_log": "weight_log",
+}
+_PAIR_KEYS = ("audit_swapped_out", "weight_log")  # lists of id:weight pairs
+
+
 def parse_summary(text: str) -> Summary:
+    """Read a summary file's text; raises ValueError on a malformed or out-of-range line.
+
+    Ids must be non-negative; in a centralized summary they must also be
+    below n.
+    """
     fields: dict[str, str] = {}
     entries: list[SummaryEntry] = []
     buckets: dict[int, list[int]] = {}
@@ -176,10 +193,7 @@ def parse_summary(text: str) -> Summary:
         "mode", "n", "k", "d", "epsilon", "monotone", "seed", "gamma", "p",
         "drain_order", "delta", "exponents", "vd", "b", "peak_memory", "counters",
     }
-    audit_keys = {
-        "audit_drained", "audit_swapped_out", "audit_sample_rejected",
-        "audit_swap_failed", "audit_low_value", "weight_log",
-    }
+    id_lists: list[tuple[str, list[int]]] = []  # (key, ids) of every id-bearing line
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -190,30 +204,37 @@ def parse_summary(text: str) -> Summary:
         if key == "a":
             e, exp, gain = value.split(",")
             entries.append(SummaryEntry(int(e), int(exp), float(gain)))
+            id_lists.append((key, [entries[-1].element]))
         elif key == "bucket":
             exp, _, ids = value.partition(":")
             buckets[int(exp)] = _parse_ids(ids)
-        elif key in audit_keys:
+            id_lists.append((key, buckets[int(exp)]))
+        elif key in _AUDIT_FIELDS:
             audit_seen = True
-            if key == "audit_drained":
-                audit.drained = _parse_ids(value)
-            elif key == "audit_swapped_out":
-                audit.swapped_out = _parse_pairs(value)
-            elif key == "audit_sample_rejected":
-                audit.sample_rejected = _parse_ids(value)
-            elif key == "audit_swap_failed":
-                audit.swap_failed = _parse_ids(value)
-            elif key == "audit_low_value":
-                audit.low_value = _parse_ids(value)
+            if key in _PAIR_KEYS:
+                pairs = _parse_pairs(value)
+                setattr(audit, _AUDIT_FIELDS[key], pairs)
+                id_lists.append((key, [e for e, _ in pairs]))
             else:
-                audit.weight_log = _parse_pairs(value)
+                setattr(audit, _AUDIT_FIELDS[key], _parse_ids(value))
+                id_lists.append((key, getattr(audit, _AUDIT_FIELDS[key])))
         elif key in known:
             fields[key] = value
+            if key in ("vd", "b"):
+                id_lists.append((key, _parse_ids(value)))
         elif key != "bucket_mode":  # the scan mode older versions wrote; ignored
             raise ValueError(f"unknown summary key: {key!r}")
     for required in ("mode", "n", "k", "d", "epsilon", "monotone", "seed", "delta"):
         if required not in fields:
             raise ValueError(f"summary file is missing {required!r}")
+    # a streaming n counts arrivals, and an arrival order may cover part of
+    # the ground set, so streaming ids are only checked for sign
+    limit = int(fields["n"]) if fields["mode"] == "centralized" else None
+    for key, ids in id_lists:
+        for e in ids:
+            if e < 0 or (limit is not None and e >= limit):
+                where = f"outside range [0, {limit})" if limit is not None else "is negative"
+                raise ValueError(f"summary key {key!r}: element id {e} {where}")
     counters: dict[str, int] = {}
     if fields.get("counters"):
         for tok in fields["counters"].split(","):

@@ -4,15 +4,19 @@ These deliberately avoid the library's own shortcuts: optima come from plain
 itertools enumeration, cut/coverage values from direct definition sweeps,
 graphic independence from DFS cycle detection, matroid axioms from full
 bitmask truth tables, the centralized summary from a sweep that rescans
-the whole pool at every step, and the greedy from a loop that re-evaluates
-every element at every pick.
+the whole pool at every step, the greedy from a loop that re-evaluates
+every element at every pick, and the batched and memo-backed oracle calls
+from the scalar calls they must equal (``plain_oracle``).
 """
 
+import copy
 import itertools
 
 import numpy as np
 
 from robust_summary import Summary, SummaryEntry, bucket_cap, compute_delta, threshold_lattice
+from robust_summary.matroids import Matroid
+from robust_summary.objectives import Objective
 
 
 def brute_force_opt(objective, matroid, ground):
@@ -209,3 +213,27 @@ def literal_build_summary(objective, matroid, config):
         exponents=list(lattice.exponents),
         counters={"low_value": len(pool)},
     )
+
+
+def _plain_gains(objective, candidates, ids):
+    ids = list(ids)
+    return [objective.marginal(e, ids) for e in candidates]
+
+
+def _plain_fits(matroid, e, ids):
+    return matroid.is_independent(set(ids) | {e})
+
+
+def plain_oracle(oracle):
+    """A copy of an objective or matroid whose fast paths are their plain references.
+
+    ``gains`` becomes a loop of ``marginal``, ``fits(e, S)`` becomes
+    ``is_independent(S | {e})``, and every ``circuit`` the generic
+    ``Matroid.circuit``.  Everything else is the oracle's own code.
+    """
+    if isinstance(oracle, Objective):
+        plain, methods = oracle.clone(), {"gains": _plain_gains}
+    else:
+        plain, methods = copy.copy(oracle), {"fits": _plain_fits, "circuit": Matroid.circuit}
+    plain.__class__ = type(f"Plain{type(oracle).__name__}", (type(oracle),), methods)
+    return plain

@@ -217,3 +217,23 @@ def test_out_of_range_epsilon_is_a_clean_error(capsys):
     assert captured.out == ""
     assert captured.err.startswith("robust-summary: error: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_out_of_range_summary_id_is_a_clean_error(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    summ = tmp_path / "summary.txt"
+    main(["gen", "--spec", "lowerbound k=3 d=2 nzero=4", "--out", str(inst)])
+    main([
+        "summarize", "--mode", "centralized", "--instance", str(inst),
+        "--epsilon", "0.25", "--d", "2", "--monotone", "--seed", "1", "--out", str(summ),
+    ])
+    capsys.readouterr()
+    summ.write_text(summ.read_text().replace("vd=", "vd=12,", 1))
+    for command in (
+        ["verify", "--summary", str(summ), "--instance", str(inst)],
+        ["solve", "--summary", str(summ), "--instance", str(inst), "--delete", "top:2",
+         "--solver", "greedy", "--out", str(tmp_path / "solution.txt")],
+    ):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err == "robust-summary: error: summary key 'vd': element id 12 outside range [0, 9)\n"

@@ -204,3 +204,78 @@ def test_streaming_summary_roundtrip_with_audit():
 def test_summary_unknown_key_rejected():
     with pytest.raises(ValueError, match="unknown summary key"):
         parse_summary("mode=centralized\nwhatever=1\n")
+
+
+SMALL_CENTRALIZED_SUMMARY = """\
+mode=centralized
+n=5
+k=2
+d=1
+epsilon=0.3
+monotone=1
+seed=5
+delta=1.0
+exponents=0,-1
+a=4,0,1.0
+bucket=-1:2,3
+vd=0
+b=0,2,3
+counters=low_value:1
+"""
+
+
+@pytest.mark.parametrize(
+    "line, key, bad",
+    [
+        ("a=9,0,1.0", "a", "9 outside range"),
+        ("a=-1,0,1.0", "a", "-1 outside range"),
+        ("bucket=0:-3,7", "bucket", "-3 outside range"),
+        ("bucket=0:1,5", "bucket", "5 outside range"),
+        ("vd=12", "vd", "12 outside range"),
+        ("b=0,-2", "b", "-2 outside range"),
+    ],
+)
+def test_centralized_summary_ids_must_lie_in_the_ground_set(line, key, bad):
+    assert parse_summary(SMALL_CENTRALIZED_SUMMARY).solution == [4]
+    text = SMALL_CENTRALIZED_SUMMARY + line + "\n"
+    with pytest.raises(ValueError, match=rf"summary key '{key}': element id {bad} \[0, 5\)"):
+        parse_summary(text)
+
+
+def _streaming_text(include_audit=True):
+    rng = np.random.default_rng(6)
+    summary = stream_summary(
+        make_modular(rng.uniform(0.0, 4.0, size=12)),
+        make_uniform(12, 2),
+        StreamingConfig(epsilon=0.4, d=1, monotone_mode=True, seed=2),
+        range(12),
+    )
+    return format_summary(summary, include_audit=include_audit)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "a=-4,0,1.0",
+        "bucket=0:-3",
+        "vd=-1",
+        "b=-1",
+        "audit_drained=1,-2",
+        "audit_swapped_out=-2:0.5",
+        "audit_sample_rejected=-2",
+        "audit_swap_failed=-2",
+        "audit_low_value=-2",
+        "weight_log=3:1.0,-2:0.5",
+    ],
+)
+def test_streaming_summary_rejects_negative_ids(line):
+    key = line.partition("=")[0]
+    with pytest.raises(ValueError, match=rf"summary key '{key}': element id -\d+ is negative"):
+        parse_summary(_streaming_text() + line + "\n")
+
+
+def test_streaming_summary_ids_are_not_bounded_by_arrivals():
+    # a streaming n counts arrivals, and an order may cover part of the ground set
+    text = _streaming_text().replace("n=12\n", "n=3\n")
+    assert parse_summary(text).n == 3
+    assert parse_summary(text + "audit_low_value=40\n").audit.low_value == [40]

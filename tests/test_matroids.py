@@ -238,3 +238,61 @@ def test_native_circuit_rejects_a_dependent_base(m, dependent):
         for circuit in (m.circuit, lambda a, g: Matroid.circuit(m, a, g)):
             with pytest.raises(ValueError, match="independent base set"):
                 circuit(dependent, g)
+
+
+def _random_subset(rng, n):
+    return set(int(e) for e in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["uniform", "partition", "graphic"]), seed=st.integers(0, 2**32 - 1))
+def test_fits_equals_independence_of_the_union(kind, seed):
+    rng = np.random.default_rng(seed)
+    m = _random_matroid(rng, kind)
+    # random sets are often dependent; members of S are asked about too
+    sets = [_random_subset(rng, m.n) for _ in range(3)] + [set()]
+    for _ in range(40):
+        base = sets[int(rng.integers(len(sets)))]
+        e = int(rng.integers(m.n))
+        assert m.fits(e, iter(base)) == m.is_independent(base | {e})
+
+
+def test_fits_on_dependent_sets_and_members():
+    graphic = make_graphic(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    assert not graphic.fits(3, [0, 1, 2])  # S holds a cycle
+    assert not graphic.fits(0, [0, 1, 2])
+    assert graphic.fits(0, [0, 1]) and not graphic.fits(2, [0, 1]) and graphic.fits(3, [0, 1])
+    partition = make_partition([[0, 1, 2], [3]], [1, 1])
+    assert not partition.fits(3, [0, 1])
+    assert partition.fits(3, [0]) and not partition.fits(1, [0]) and partition.fits(0, [0])
+    uniform = make_uniform(4, 2)
+    assert uniform.fits(1, [0, 1]) and not uniform.fits(2, [0, 1]) and not uniform.fits(0, [0, 1, 2])
+    for m in (graphic, partition, uniform):
+        with pytest.raises(ValueError, match=r"element id 4 outside range \[0, 4\)"):
+            m.fits(4, [0])
+        with pytest.raises(ValueError, match=r"element id -1 outside range \[0, 4\)"):
+            m.fits(0, iter([-1, 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_graphic_circuit_follows_the_base_back_and_forth(seed):
+    rng = np.random.default_rng(seed)
+    m = _random_matroid(rng, "graphic")
+    forests = []
+    for _ in range(3):
+        base: set[int] = set()
+        for e in rng.permutation(m.n):
+            if rng.random() < 0.7 and m.is_independent(base | {int(e)}):
+                base.add(int(e))
+        forests.append(base)
+    for _ in range(30):
+        base = forests[int(rng.integers(len(forests)))]
+        g = int(rng.integers(m.n))
+        if rng.random() < 0.3:
+            assert m.fits(g, base) == m.is_independent(base | {g})
+        elif g not in base and not m.is_independent(base | {g}):
+            assert m.circuit(base, g) == Matroid.circuit(m, base, g)
+        else:
+            with pytest.raises(ValueError, match="base\\+g to be dependent"):
+                m.circuit(base, g)

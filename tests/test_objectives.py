@@ -275,3 +275,75 @@ def test_marginal_accepts_a_one_shot_iterator():
         obj.value(iter([0, 3]))
     with pytest.raises(ValueError, match=r"element id -1 outside range \[0, 3\)"):
         obj.marginal(0, [2, -1])
+
+
+def _loop_gains(obj, candidates, ids):
+    return [obj.marginal(e, ids) for e in candidates]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+def test_gains_equal_marginals_and_value_differences_exactly(kind, seed):
+    rng = np.random.default_rng(seed)
+    obj = _wide_objective(rng, kind)
+    reference = obj.clone()
+    for base in (_random_subset(rng, obj.n), set(), _random_subset(rng, obj.n)):
+        # members of base, duplicates and every id of the ground set
+        candidates = [int(e) for e in rng.integers(0, obj.n, size=int(rng.integers(0, 3 * obj.n)))]
+        candidates += list(range(obj.n)) + sorted(base)[:3]
+        before = obj.queries
+        got = obj.gains(iter(candidates), iter(sorted(base)))
+        assert obj.queries == before + 2 * len(candidates)
+        assert got == _loop_gains(reference, candidates, base)
+        assert got == [_reference_marginal(reference, e, base) for e in candidates]
+        assert all(type(g) is float for g in got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+def test_gains_and_marginals_share_the_memo_in_turn(kind, seed):
+    rng = np.random.default_rng(seed)
+    obj = _wide_objective(rng, kind)
+    sets = [_random_subset(rng, obj.n), _random_subset(rng, obj.n), set()]
+    for _ in range(12):
+        base = sets[int(rng.integers(len(sets)))]
+        if rng.random() < 0.5:
+            e = int(rng.integers(obj.n))
+            assert obj.marginal(e, base) == _reference_marginal(obj, e, base)
+        else:
+            candidates = [int(e) for e in rng.integers(0, obj.n, size=5)]
+            assert obj.gains(candidates, base) == [
+                _reference_marginal(obj, e, base) for e in candidates
+            ]
+
+
+def test_gains_of_no_candidates():
+    obj = make_modular([1.0, 2.0, 4.0])
+    assert obj.gains([], [0, 1]) == [] and obj.gains(iter(()), ()) == []
+    assert obj.queries == 0
+
+
+def test_gains_many_candidates_span_several_batches():
+    rng = np.random.default_rng(7)
+    obj = make_facility_location(rng.random((30, 700)))
+    base = set(range(0, 700, 9))
+    candidates = list(range(700)) * 2
+    assert obj.gains(candidates, base) == _loop_gains(obj.clone(), candidates, base)
+
+
+def test_gains_reject_out_of_range_ids_as_the_loop_does():
+    obj = make_modular([1.0, 2.0, 4.0])
+    cases = [
+        ([0, 3, 1], [2], r"element id 3 outside range \[0, 3\)"),  # a bad candidate
+        ([1, -2, 5], [2], r"element id -2 outside range \[0, 3\)"),  # the first bad one
+        ([1, 2], [0, 7], r"element id 7 outside range \[0, 3\)"),  # a bad S id
+        ([9, 1], [0, -1], r"element id 9 outside range \[0, 3\)"),  # the loop checks e first
+        ([1, 9], [0, -1], r"element id -1 outside range \[0, 3\)"),  # then S
+    ]
+    for candidates, ids, message in cases:
+        with pytest.raises(ValueError, match=message):
+            _loop_gains(obj, candidates, ids)
+        with pytest.raises(ValueError, match=message):
+            obj.gains(iter(candidates), iter(ids))
+    with pytest.raises(ValueError, match=r"element id 4 outside range \[0, 3\)"):
+        obj.gains([], [4])  # S is checked even with no candidates

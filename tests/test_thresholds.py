@@ -84,3 +84,29 @@ def test_lattice_rejects_bad_parameters():
         threshold_lattice(1.0, 0, 0.1)
     with pytest.raises(ValueError):
         threshold_lattice(1.0, 3, 1.5)
+
+
+@pytest.mark.parametrize("base", [1.001, 1.05, 1.1, 1.2, 1.9])
+def test_floor_exponents_match_floor_exponent(base):
+    ladder = PowerLadder(base)
+    xs = []
+    for i in list(range(-60, 61)) + [-400, -700, 500]:
+        p = ladder.power(i)
+        xs += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    # subnormals, down to the smallest positive double
+    xs += [5e-324, 1e-320, 2.2e-308, math.nextafter(2.2250738585072014e-308, 0.0)]
+    xs = [x for x in xs if x > 0.0]
+    expected = [ladder.floor_exponent(x) for x in xs]
+    assert ladder.floor_exponents(xs) == expected
+    assert all(type(i) is int for i in ladder.floor_exponents(xs))
+    assert ladder.floor_exponents(xs[::-1]) == expected[::-1]
+    for x in xs[:30]:
+        assert ladder.floor_exponents([x]) == [ladder.floor_exponent(x)]
+    assert ladder.floor_exponents([]) == []
+
+
+def test_floor_exponents_reject_non_positive_values():
+    ladder = PowerLadder(1.1)
+    for xs in ([1.0, 0.0], [-2.0], [3.0, -0.0]):
+        with pytest.raises(ValueError, match="positive argument"):
+            ladder.floor_exponents(xs)
