@@ -11,7 +11,11 @@ The scans are lazy (Minoux 1978): the solution only grows during the sweep,
 so by submodularity a gain computed earlier bounds every later gain from
 above, and by downward closure an element that once made the solution
 dependent never fits again.  Skipping such elements yields exactly the
-buckets of a full rescan with fewer oracle queries.
+buckets of a full rescan with fewer oracle queries.  Float marginals are
+differences of float sums and so not exactly submodular: a gain can come
+back an ulp higher after the solution grows.  A cached gain therefore skips
+an element only when it sits below tau by more than a relative slack,
+orders of magnitude above rounding error.
 """
 
 from __future__ import annotations
@@ -77,21 +81,23 @@ def compute_delta(values: Sequence[float], d: int) -> tuple[float, list[int]]:
     return delta, top
 
 
-def _scan_bucket(pool, solution, tau, objective, matroid, gain_cache, infeasible):
+def _scan_bucket(pool, solution, tau, objective, matroid, gain_cache, infeasible, accepted):
     """Current bucket at threshold tau: feasible pool elements with gain >= tau.
 
-    Skips elements whose cached gain already sits below tau and elements
-    already known to be infeasible; the rest are rechecked, and their fresh
-    gains refresh the cache.  Both skips are exact because the solution only
-    grows: gains only shrink (submodularity) and feasibility never returns
-    once lost (downward closure), so a full rescan would reject the skipped
-    elements too.
+    Skips elements whose cached gain sits below tau by more than the slack
+    ``1e-9 * (accepted + tau)``, ``accepted`` being the sum of the gains
+    accepted so far, and elements already known to be infeasible; the rest
+    are rechecked, and their fresh gains refresh the cache.  Both skips are
+    exact because the solution only grows: gains only shrink
+    (submodularity, up to rounding far inside the slack) and feasibility
+    never returns once lost (downward closure), so a full rescan would
+    reject the skipped elements too.
     """
+    floor = tau - 1e-9 * (accepted + tau)
+    checked = [e for e in pool if not (e in infeasible or gain_cache[e] < floor)]
     fresh: list[int] = []
-    for e in pool:
-        if e in infeasible or gain_cache[e] < tau:
-            continue
-        if matroid.fits(e, solution):
+    for e, fits in zip(checked, matroid.fits_each(checked, solution)):
+        if fits:
             fresh.append(e)
         else:
             infeasible.add(e)
@@ -137,19 +143,21 @@ def build_summary(
 
     entries: list[SummaryEntry] = []
     solution: set[int] = set()
+    accepted = 0.0
     leftover: dict[int, list[int]] = {}
 
     for exponent in lattice.exponents:
         tau = lattice.power(exponent)
         while True:
             bucket, gains = _scan_bucket(
-                pool, solution, tau, objective, matroid, gain_cache, infeasible
+                pool, solution, tau, objective, matroid, gain_cache, infeasible, accepted
             )
             if len(bucket) < cap:
                 break
             pick = bucket[int(rng.integers(len(bucket)))]
             entries.append(SummaryEntry(pick, exponent, gains[pick]))
             solution.add(pick)
+            accepted += gains[pick]
             pool.remove(pick)
             if config.audit and not matroid.is_independent(solution):
                 raise AssertionError("candidate solution became dependent")

@@ -70,26 +70,32 @@ def parse_matroid_spec(spec: str, n: int) -> Matroid:
     for tok in tokens[1:]:
         key, _, value = tok.partition("=")
         args[key] = value
+
+    def arg(key: str) -> str:
+        if key not in args:
+            raise ValueError(f"{kind} matroid spec is missing key {key!r}")
+        return args[key]
+
     if kind == "uniform":
-        return UniformMatroid(n, int(args["k"]))
+        return UniformMatroid(n, int(arg("k")))
     if kind == "partition":
         if "blocks" in args:
             blocks = [_ints(b) for b in args["blocks"].split("|")]
-            caps = _ints(args["caps"])
+            caps = _ints(arg("caps"))
         else:  # round-robin shorthand
-            nblocks = int(args["nblocks"])
+            nblocks = int(arg("nblocks"))
             cap = int(args.get("cap", "1"))
             blocks = [list(range(b, n, nblocks)) for b in range(nblocks)]
             caps = [cap] * nblocks
         return PartitionMatroid(blocks, caps)
     if kind == "graphic":
         pairs = []
-        for tok in args["edgemap"].split(","):
+        for tok in arg("edgemap").split(","):
             u, _, v = tok.partition("-")
             pairs.append((int(u), int(v)))
         if len(pairs) != n:
             raise ValueError("graphic edgemap must list one edge per element")
-        return GraphicMatroid(int(args["vertices"]), pairs)
+        return GraphicMatroid(int(arg("vertices")), pairs)
     raise ValueError(f"unknown matroid kind {kind!r}")
 
 

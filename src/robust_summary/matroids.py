@@ -21,7 +21,8 @@ class Matroid(GroundSet):
     state of S)`` of the last set fits() or a native circuit() was asked
     against: the concrete matroids keep S's size, its count per block, or
     its forest, so each candidate against an unchanged S costs O(1) beyond
-    validating S.  The memo is replaced whole, never changed in place, so a
+    validating S.  fits_each() validates S once for a whole list of
+    candidates.  The memo is replaced whole, never changed in place, so a
     copy of the oracle may share it.
     """
 
@@ -40,6 +41,24 @@ class Matroid(GroundSet):
         if e in s or not independent:
             return independent
         return self._fits(state, e, s)
+
+    def fits_each(self, candidates: Ids, ids: Ids) -> list[bool]:
+        """``[fits(e, ids) for e in candidates]``, validating ids once.
+
+        Raises for the same id the loop would, except that a bad S raises
+        even with no candidates.
+        """
+        es = [int(e) for e in candidates]
+        if es:
+            self._check_id(es[0])
+        s = self._as_set(ids)
+        self._check_ids(es)
+        if not es:
+            return []
+        _, independent, state = self._remembered(s)
+        if not independent:
+            return [False] * len(es)
+        return [e in s or self._fits(state, e, s) for e in es]
 
     def rank_of(self, ids: Ids) -> int:
         """Size of a maximal independent subset, grown greedily.

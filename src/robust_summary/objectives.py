@@ -18,14 +18,17 @@ class Objective(GroundSet):
     """Value oracle for a normalized, non-negative submodular set function.
 
     The ground set is the integers 0..n-1.  Every value() call bumps a query
-    tally so experiment reports can account oracle cost; a marginal counts as
-    two queries even when f(S) comes from the memo, and gains() counts two
+    tally so experiment reports can account oracle cost; a singleton value
+    counts as one query even when it comes from the table below, a marginal
+    counts as two even when f(S) comes from the memo, and gains() counts two
     per candidate.  Parameters are frozen at construction.  The mutable state
-    is the tally and a one-slot memo ``(S, f(S), per-class state of S)`` of
-    the last set a marginal was asked against, so marginals against an
-    unchanged S cost one evaluation of f(S+e).  The memo is replaced whole,
-    never changed in place; clone() gives a copy with its own tally and an
-    empty memo.
+    is the tally, a one-slot memo ``(S, f(S), per-class state of S)`` of the
+    last set a marginal was asked against, so marginals against an unchanged
+    S cost one evaluation of f(S+e), and a table of every f({e}), filled in
+    batches on the first one-element value() query.  The memo is replaced
+    whole, never changed in place; clone() gives a copy with its own tally
+    and an empty memo that shares the table, so it is computed at most once
+    per objective.
     """
 
     kind = "abstract"
@@ -36,10 +39,13 @@ class Objective(GroundSet):
         self.n = int(n)
         self.monotone = bool(monotone)
         self._queries = 0
+        self._singletons: list = [None]  # one slot, shared by every clone
 
     def value(self, ids: Ids) -> float:
         s = self._as_set(ids)
         self._queries += 1
+        if len(s) == 1:
+            return self._singleton_values()[next(iter(s))]
         return self._f(s)
 
     def marginal(self, e: int, ids: Ids) -> float:
@@ -85,11 +91,27 @@ class Objective(GroundSet):
         self._queries = 0
 
     def clone(self) -> "Objective":
-        """Same oracle with a fresh query tally and memo; parameters are shared."""
+        """Same oracle with a fresh query tally and memo.
+
+        Parameters and the singleton-value table are shared.
+        """
         other = copy.copy(self)
         other._queries = 0
         other._memo = None
         return other
+
+    def _singleton_values(self) -> list[float]:
+        """f({e}) for every e, each equal to _f(frozenset({e})); computed once."""
+        table = self._singletons[0]
+        if table is None:
+            empty = frozenset()
+            state = self._state(empty)
+            table = []
+            for start in range(0, self.n, BATCH_ROWS):
+                es = list(range(start, min(start + BATCH_ROWS, self.n)))
+                table.extend(float(v) for v in self._values_with(state, es, empty))
+            self._singletons[0] = table
+        return table
 
     def _remember(self, s: frozenset) -> tuple:
         return self._f(s), self._state(s)

@@ -66,7 +66,8 @@ def greedy_matroid(ground: Iterable[int], objective: Objective, matroid: Matroid
     dropped for good: the picks only grow and independence is downward closed.
     """
     chosen: set[int] = set()
-    feasible = [e for e in sorted(set(int(e) for e in ground)) if matroid.fits(e, chosen)]
+    elements = sorted(set(int(e) for e in ground))
+    feasible = [e for e, fits in zip(elements, matroid.fits_each(elements, chosen)) if fits]
     heap = [(-gain, e, 0) for e, gain in zip(feasible, objective.gains(feasible, chosen))]
     # the first round, all at once; the (gain, id) pairs are unique, so the
     # pops follow from the entries alone, however the heap arranges them
@@ -161,38 +162,28 @@ def local_search(
     def refine(start: Iterable[int]) -> tuple[set[int], float]:
         current = set(start)
         value = objective.value(current)
-        for _ in range(max_moves):
-            accepted = False
+
+        def moves():
+            """(trial set, whether it needs an independence check): adds, drops, swaps."""
             for e in elements:
-                if e in current:
+                if e not in current:
+                    yield current | {e}, True
+            for e in sorted(current):
+                yield current - {e}, False
+            for out in sorted(current):
+                for inn in elements:
+                    if inn not in current:
+                        yield (current - {out}) | {inn}, True
+
+        for _ in range(max_moves):
+            for trial, check in moves():
+                if check and not matroid.is_independent(trial):
                     continue
-                trial = current | {e}
-                if matroid.is_independent(trial) and improves(objective.value(trial), value):
-                    current, value = trial, objective.value(trial)
-                    accepted = True
+                trial_value = objective.value(trial)
+                if improves(trial_value, value):
+                    current, value = trial, trial_value
                     break
-            if not accepted:
-                for e in sorted(current):
-                    trial = current - {e}
-                    if improves(objective.value(trial), value):
-                        current, value = trial, objective.value(trial)
-                        accepted = True
-                        break
-            if not accepted:
-                for out in sorted(current):
-                    for inn in elements:
-                        if inn in current:
-                            continue
-                        trial = (current - {out}) | {inn}
-                        if matroid.is_independent(trial) and improves(
-                            objective.value(trial), value
-                        ):
-                            current, value = trial, objective.value(trial)
-                            accepted = True
-                            break
-                    if accepted:
-                        break
-            if not accepted:
+            else:
                 break
         return current, value
 

@@ -92,6 +92,7 @@ class StreamState:
         self.weights: dict[int, float] = {}  # fixed once per drained element
         self.entry_exponent: dict[int, int] = {}
         self.buckets: dict[int, list[int]] = {}  # exponent -> sorted ids
+        self.filed = 0  # elements in all buckets, kept as they are filed and removed
         self.top_buffer: list[tuple[float, int]] = []  # (value, id), size <= d
         self.delta = 0.0
         self.tau_min = 0.0
@@ -104,11 +105,7 @@ class StreamState:
         self.peak_memory = 0
 
     def memory(self) -> int:
-        return (
-            len(self.candidate)
-            + len(self.top_buffer)
-            + sum(len(b) for b in self.buckets.values())
-        )
+        return len(self.candidate) + len(self.top_buffer) + self.filed
 
     def _note_boundary(self) -> None:
         self.peak_memory = max(self.peak_memory, self.memory())
@@ -153,7 +150,9 @@ def ingest(
         state.min_active_exponent = state.ladder.ceil_exponent(state.tau_min)
         stale = sorted(x for x in state.buckets if x < state.min_active_exponent)
         for x in stale:
-            state.audit.low_value.extend(state.buckets.pop(x))
+            dropped = state.buckets.pop(x)
+            state.filed -= len(dropped)
+            state.audit.low_value.extend(dropped)
 
     gain = objective.marginal(popped, state.candidate_set)
     if state.tau_min > gain:
@@ -166,6 +165,7 @@ def ingest(
         # the window may leave no lattice point at or below the gain
         if state.min_active_exponent is None or exponent >= state.min_active_exponent:
             bisect.insort(state.buckets.setdefault(exponent, []), popped)
+            state.filed += 1
             filed = True
     if not filed:
         state.audit.low_value.append(popped)
@@ -186,23 +186,25 @@ def drain_buckets(
     """Pull elements out of capped buckets until none is at the cap.
 
     Per drained element the draw order is fixed: bucket-index draw first,
-    Bernoulli coin second, so traces replay exactly.
+    Bernoulli coin second, so traces replay exactly.  The capped buckets are
+    listed in bucket-map order once, and again only after a rebucket: between
+    rebuckets a drain only shrinks its own bucket.
     """
     cfg = state.config
     cap = cfg.drain_cap
-    while True:
-        over = [x for x in state.buckets if len(state.buckets[x]) >= cap]
-        if not over:
-            return state
+    over = [x for x in state.buckets if len(state.buckets[x]) >= cap]
+    while over:
         if cfg.drain_order == "highest":
             exponent = max(over)
         elif cfg.drain_order == "lowest":
             exponent = min(over)
         else:  # bucket-map insertion order
-            overset = set(over)
-            exponent = next(x for x in state.buckets if x in overset)
+            exponent = over[0]
         bucket = state.buckets[exponent]
         g = bucket.pop(int(rng.integers(len(bucket))))
+        state.filed -= 1
+        if len(bucket) < cap:
+            over.remove(exponent)
         if not bucket:
             del state.buckets[exponent]
         state.audit.drained.append(g)
@@ -242,14 +244,19 @@ def drain_buckets(
             if cfg.audit and not matroid.is_independent(state.candidate_set):
                 raise AssertionError("candidate solution became dependent")
             rebucket(state, objective, solution_grew=grew)
+            over = [x for x in state.buckets if len(state.buckets[x]) >= cap]
+    return state
 
 
 def rebucket(state: StreamState, objective: Objective, solution_grew: bool = False) -> StreamState:
     """Refile every buffered element by its marginal against the current candidate.
 
     Elements falling under the active window are discarded.  When the
-    candidate only grew, gains cannot rise, so upward moves are tracked
-    separately from the legitimate ones a swap can cause.
+    candidate only grew, gains cannot rise in exact arithmetic, so upward
+    moves are tracked separately from the legitimate ones a swap can cause.
+    Float marginals are differences of float sums, though: a gain lying on a
+    lattice point can come back an ulp higher after growth and move up one
+    bucket, so ``upward_moves_after_growth`` counts float noise too.
     """
     filed = [(x, e) for x in sorted(state.buckets, reverse=True) for e in state.buckets[x]]
     gains = objective.gains([e for _, e in filed], state.candidate_set)
@@ -258,6 +265,7 @@ def rebucket(state: StreamState, objective: Objective, solution_grew: bool = Fal
         state.ladder.floor_exponents([gain for gain, ok in zip(gains, live) if ok])
     )
     state.buckets = {}
+    state.filed = 0
     for (exponent, e), ok in zip(filed, live):
         new_exponent = next(new_exponents) if ok else None
         if new_exponent is None or (
@@ -271,6 +279,7 @@ def rebucket(state: StreamState, objective: Objective, solution_grew: bool = Fal
             if solution_grew:
                 state.upward_moves_after_growth += 1
         bisect.insort(state.buckets.setdefault(new_exponent, []), e)
+        state.filed += 1
     return state
 
 

@@ -85,10 +85,6 @@ class ThresholdLattice:
     def size(self) -> int:
         return len(self.exponents)
 
-    @property
-    def top_exponent(self) -> int | None:
-        return self.exponents[0] if self.exponents else None
-
 
 def threshold_lattice(delta: float, k: int, epsilon: float) -> ThresholdLattice:
     """Exponents i with epsilon*delta/((1+epsilon)*k) < (1+epsilon)**i <= delta.

@@ -5,8 +5,8 @@ itertools enumeration, cut/coverage values from direct definition sweeps,
 graphic independence from DFS cycle detection, matroid axioms from full
 bitmask truth tables, the centralized summary from a sweep that rescans
 the whole pool at every step, the greedy from a loop that re-evaluates
-every element at every pick, and the batched and memo-backed oracle calls
-from the scalar calls they must equal (``plain_oracle``).
+every element at every pick, and the batched, tabled and memo-backed oracle
+calls from the scalar calls they must equal (``plain_oracle``).
 """
 
 import copy
@@ -215,6 +215,12 @@ def literal_build_summary(objective, matroid, config):
     )
 
 
+def _plain_value(objective, ids):
+    s = objective._as_set(ids)
+    objective._queries += 1
+    return objective._f(s)
+
+
 def _plain_gains(objective, candidates, ids):
     ids = list(ids)
     return [objective.marginal(e, ids) for e in candidates]
@@ -224,16 +230,24 @@ def _plain_fits(matroid, e, ids):
     return matroid.is_independent(set(ids) | {e})
 
 
+def _plain_fits_each(matroid, candidates, ids):
+    ids = list(ids)
+    return [matroid.fits(e, ids) for e in candidates]
+
+
 def plain_oracle(oracle):
     """A copy of an objective or matroid whose fast paths are their plain references.
 
-    ``gains`` becomes a loop of ``marginal``, ``fits(e, S)`` becomes
-    ``is_independent(S | {e})``, and every ``circuit`` the generic
-    ``Matroid.circuit``.  Everything else is the oracle's own code.
+    ``value`` evaluates every set afresh, singletons included, ``gains``
+    becomes a loop of ``marginal``, ``fits(e, S)`` becomes
+    ``is_independent(S | {e})``, ``fits_each`` a loop of that ``fits``, and
+    every ``circuit`` the generic ``Matroid.circuit``.  Everything else is
+    the oracle's own code.
     """
     if isinstance(oracle, Objective):
-        plain, methods = oracle.clone(), {"gains": _plain_gains}
+        plain, methods = oracle.clone(), {"value": _plain_value, "gains": _plain_gains}
     else:
-        plain, methods = copy.copy(oracle), {"fits": _plain_fits, "circuit": Matroid.circuit}
+        methods = {"fits": _plain_fits, "fits_each": _plain_fits_each, "circuit": Matroid.circuit}
+        plain = copy.copy(oracle)
     plain.__class__ = type(f"Plain{type(oracle).__name__}", (type(oracle),), methods)
     return plain

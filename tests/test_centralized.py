@@ -5,6 +5,7 @@ import pytest
 
 from robust_summary import (
     CentralizedConfig,
+    PowerLadder,
     Summary,
     SummaryEntry,
     bucket_cap,
@@ -201,6 +202,36 @@ def test_lazy_mode_matches_literal():
             reference = literal_build_summary(obj.clone(), matroid, config)
             assert summary.entries
             assert format_summary(summary) == format_summary(reference)
+
+
+def _lattice_valued_case(seed):
+    """Modular weights that mostly sit on the threshold lattice itself.
+
+    A gain equal to a threshold is where float marginals, which are not
+    exactly submodular, can come back an ulp above an earlier cached gain.
+    """
+    rng = np.random.default_rng(seed)
+    epsilon = float(rng.choice([0.1, 0.2, 0.3]))
+    n = int(rng.integers(30, 81))
+    ladder = PowerLadder(1.0 + epsilon)
+    on_lattice = [ladder.power(int(i)) for i in rng.integers(-12, 4, size=n)]
+    weights = np.where(rng.random(n) < 0.8, on_lattice, rng.uniform(0.0, 4.0, size=n))
+    matroid = make_uniform(n, int(rng.integers(3, 15)))
+    config = CentralizedConfig(
+        epsilon=epsilon,
+        d=int(rng.integers(0, 3)),
+        monotone_mode=bool(rng.random() < 0.5),
+        seed=seed,
+    )
+    return make_modular(weights), matroid, config
+
+
+def test_lazy_mode_matches_literal_on_lattice_valued_weights():
+    for seed in range(150):
+        obj, matroid, config = _lattice_valued_case(seed)
+        summary = build_summary(obj.clone(), matroid, config)
+        reference = literal_build_summary(obj.clone(), matroid, config)
+        assert format_summary(summary) == format_summary(reference), seed
 
 
 def test_lazy_mode_saves_queries():

@@ -237,3 +237,15 @@ def test_out_of_range_summary_id_is_a_clean_error(tmp_path, capsys):
         assert main(command) == 2
         err = capsys.readouterr().err
         assert err == "robust-summary: error: summary key 'vd': element id 12 outside range [0, 9)\n"
+
+
+def test_matroid_spec_missing_a_key_is_a_clean_error(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    inst.write_text("n=3\nobjective=modular\nweights=1,2,3\nmatroid=uniform kk=2\n")
+    code = main([
+        "summarize", "--mode", "centralized", "--instance", str(inst),
+        "--epsilon", "0.1", "--d", "1", "--out", str(tmp_path / "summary.txt"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "robust-summary: error: uniform matroid spec is missing key 'k'\n"

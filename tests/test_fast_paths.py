@@ -1,9 +1,9 @@
-"""Batched gains, memo-backed independence and circuits against their plain references.
+"""Batched, tabled and memo-backed oracle calls against their plain references.
 
 Each builder and the phase-2 greedy run once with the library's oracles and
-once with ``helpers.plain_oracle`` copies, whose ``gains``, ``fits`` and
-``circuit`` are the scalar calls they must equal; the outputs must agree byte
-for byte, and so must the query tallies.
+once with ``helpers.plain_oracle`` copies, whose ``value``, ``gains``,
+``fits``, ``fits_each`` and ``circuit`` are the scalar calls they must equal;
+the outputs must agree byte for byte, and so must the query tallies.
 """
 
 import numpy as np

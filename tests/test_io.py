@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robust_summary import (
     CentralizedConfig,
@@ -279,3 +280,166 @@ def test_streaming_summary_ids_are_not_bounded_by_arrivals():
     text = _streaming_text().replace("n=12\n", "n=3\n")
     assert parse_summary(text).n == 3
     assert parse_summary(text + "audit_low_value=40\n").audit.low_value == [40]
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ("uniform kk=2", "k"),
+        ("partition nblock=2 cap=1", "nblocks"),
+        ("partition blocks=0,1|2", "caps"),
+        ("graphic vertices=3", "edgemap"),
+        ("graphic edgemap=0-1,1-2,0-2", "vertices"),
+    ],
+)
+def test_matroid_spec_missing_key_names_it(spec, key):
+    with pytest.raises(ValueError, match=f"matroid spec is missing key '{key}'"):
+        parse_matroid_spec(spec, 3)
+    text = f"n=3\nobjective=modular\nweights=1,2,3\nmatroid={spec}\n"
+    with pytest.raises(ValueError, match=f"missing key '{key}'"):
+        parse_instance_text(text)
+
+
+def _random_instance(seed, objective_kind, matroid_kind):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+
+    def floats(size):
+        return rng.random(size) * 10.0 ** rng.integers(-6, 7, size=size)
+
+    if objective_kind == "modular":
+        objective = make_modular(floats(n))
+    elif objective_kind == "coverage":
+        universe = int(rng.integers(0, 6))
+        covers = [np.flatnonzero(rng.random(universe) < 0.4) for _ in range(n)]
+        objective = make_weighted_coverage(floats(universe), covers)
+    elif objective_kind == "facility":
+        objective = make_facility_location(floats(int(rng.integers(1, 4)) * n).reshape(-1, n))
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        objective = make_cut_function(n, [(u, v, w) for (u, v), w in zip(pairs, floats(len(pairs)))])
+    if matroid_kind == "uniform":
+        matroid = make_uniform(n, int(rng.integers(0, n + 2)))
+    elif matroid_kind == "partition":
+        labels = rng.integers(0, 3, size=n)
+        blocks = [[e for e in range(n) if labels[e] == b] for b in range(3)]
+        matroid = make_partition(blocks, rng.integers(0, 3, size=3))
+    else:
+        vertices = n + 1  # a path on n+1 vertices has n distinct edges
+        order = rng.permutation(vertices)
+        matroid = make_graphic(vertices, [(int(order[i]), int(order[i + 1])) for i in range(n)])
+    tags = {int(e): f"t{e}" for e in range(n) if rng.random() < 0.3}
+    return Instance(objective, matroid, tags)
+
+
+OBJECTIVE_KINDS = ["modular", "coverage", "facility", "cut"]
+MATROID_KINDS = ["uniform", "partition", "graphic"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    objective_kind=st.sampled_from(OBJECTIVE_KINDS),
+    matroid_kind=st.sampled_from(MATROID_KINDS),
+)
+def test_instance_format_parse_format_round_trips(seed, objective_kind, matroid_kind):
+    _roundtrip(_random_instance(seed, objective_kind, matroid_kind))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), streaming=st.booleans(), audit=st.booleans())
+def test_summary_format_parse_format_round_trips(seed, streaming, audit):
+    instance = _random_instance(seed, "coverage", "graphic")  # rank n >= 1
+    fields = dict(epsilon=0.3, d=seed % 3, monotone_mode=True, seed=seed)
+    if streaming:
+        summary = stream_summary(
+            instance.objective, instance.matroid, StreamingConfig(**fields), range(instance.n)
+        )
+    else:
+        summary = build_summary(instance.objective, instance.matroid, CentralizedConfig(**fields))
+    text = format_summary(summary, include_audit=audit)
+    assert format_summary(parse_summary(text), include_audit=audit) == text
+
+
+# Mutation fuzzing: valid files with a few characters or lines changed.  The
+# inserted characters keep every number small, so no mutant asks for a large
+# allocation.
+FUZZ_ALPHABET = "0123456789-,.=|: \nabcknpe"
+_mutations = st.lists(
+    st.tuples(
+        st.sampled_from(["delete", "insert", "replace", "drop_line", "repeat_line"]),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.sampled_from(FUZZ_ALPHABET),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _mutate(text, mutations):
+    for op, i, j, char in mutations:
+        lines = text.split("\n")
+        at = i % (len(text) + 1)
+        if op == "delete":
+            text = text[:at] + text[at + 1 :]
+        elif op == "insert":
+            text = text[:at] + char + text[at:]
+        elif op == "replace":
+            text = text[:at] + char + text[at + 1 :]
+        elif op == "drop_line":
+            del lines[i % len(lines)]
+            text = "\n".join(lines)
+        else:
+            lines.insert(i % len(lines), lines[j % len(lines)])
+            text = "\n".join(lines)
+    return text
+
+
+def _fuzz_instances():
+    texts = [
+        format_instance(_random_instance(seed, objective_kind, matroid_kind))
+        for seed, (objective_kind, matroid_kind) in enumerate(
+            (o, m) for o in OBJECTIVE_KINDS for m in MATROID_KINDS
+        )
+    ]
+    texts.append(
+        "n=7\nobjective=modular\nweights=1,2,3,4,5,6,7\nmatroid=partition nblocks=3 cap=2\n"
+    )
+    return texts
+
+
+def _fuzz_summaries():
+    instance = generate_instance("coverage n=30 universe=20 density=0.2", "uniform k=3", seed=2)
+    objective, matroid = instance.objective, instance.matroid
+    centralized = build_summary(objective, matroid, CentralizedConfig(epsilon=0.3, d=2, seed=1))
+    streaming = stream_summary(
+        objective, matroid, StreamingConfig(epsilon=0.3, d=2, seed=1), range(instance.n)
+    )
+    return [
+        format_summary(centralized),
+        format_summary(streaming),
+        format_summary(streaming, include_audit=True),
+    ]
+
+
+FUZZ_INSTANCES = _fuzz_instances()
+FUZZ_SUMMARIES = _fuzz_summaries()
+
+
+@settings(max_examples=400, deadline=None)
+@given(base=st.sampled_from(FUZZ_INSTANCES), mutations=_mutations)
+def test_only_value_errors_escape_the_instance_parser(base, mutations):
+    try:
+        parse_instance_text(_mutate(base, mutations))
+    except ValueError:
+        pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(base=st.sampled_from(FUZZ_SUMMARIES), mutations=_mutations)
+def test_only_value_errors_escape_the_summary_parser(base, mutations):
+    try:
+        parse_summary(_mutate(base, mutations))
+    except ValueError:
+        pass

@@ -1,5 +1,6 @@
 """Matroid oracles: membership, rank, circuits, axioms."""
 
+import copy
 import itertools
 
 import numpy as np
@@ -296,3 +297,61 @@ def test_graphic_circuit_follows_the_base_back_and_forth(seed):
         else:
             with pytest.raises(ValueError, match="base\\+g to be dependent"):
                 m.circuit(base, g)
+
+
+def _loop_fits(m, candidates, ids):
+    return [m.fits(e, ids) for e in candidates]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["uniform", "partition", "graphic"]), seed=st.integers(0, 2**32 - 1))
+def test_fits_each_equals_the_fits_loop(kind, seed):
+    rng = np.random.default_rng(seed)
+    m = _random_matroid(rng, kind)
+    reference = copy.copy(m)
+    # random sets are often dependent; members of S and duplicates are asked about too
+    for base in [_random_subset(rng, m.n) for _ in range(3)] + [set()]:
+        candidates = [int(e) for e in rng.integers(0, m.n, size=int(rng.integers(0, 2 * m.n)))]
+        candidates += list(range(m.n)) + sorted(base)[:3]
+        got = m.fits_each(iter(candidates), iter(sorted(base)))
+        assert got == _loop_fits(reference, candidates, base)
+        assert got == [m.is_independent(base | {e}) for e in candidates]
+        assert all(type(f) is bool for f in got)
+
+
+def test_fits_each_on_dependent_sets_and_members():
+    graphic = make_graphic(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    assert graphic.fits_each([3, 0], [0, 1, 2]) == [False, False]  # S holds a cycle
+    assert graphic.fits_each([0, 2, 3], [0, 1]) == [True, False, True]
+    partition = make_partition([[0, 1, 2], [3]], [1, 1])
+    assert partition.fits_each([3, 2], [0, 1]) == [False, False]
+    assert partition.fits_each([3, 1, 0], [0]) == [True, False, True]
+    uniform = make_uniform(4, 2)
+    assert uniform.fits_each([1, 2], [0, 1]) == [True, False]
+    assert uniform.fits_each([0, 3], [0, 1, 2]) == [False, False]
+    assert uniform.fits_each([], [0]) == [] and uniform.fits_each(iter(()), ()) == []
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        make_uniform(4, 2),
+        make_partition([[0, 1], [2, 3]], [1, 1]),
+        make_graphic(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    ],
+)
+def test_fits_each_rejects_out_of_range_ids_as_the_loop_does(m):
+    cases = [
+        ([0, 4, 1], [2], r"element id 4 outside range \[0, 4\)"),  # a bad candidate
+        ([1, -2, 5], [2], r"element id -2 outside range \[0, 4\)"),  # the first bad one
+        ([1, 2], [0, 7], r"element id 7 outside range \[0, 4\)"),  # a bad S id
+        ([9, 1], [0, -1], r"element id 9 outside range \[0, 4\)"),  # the loop checks e first
+        ([1, 9], [0, -1], r"element id -1 outside range \[0, 4\)"),  # then S
+    ]
+    for candidates, ids, message in cases:
+        with pytest.raises(ValueError, match=message):
+            _loop_fits(m, candidates, ids)
+        with pytest.raises(ValueError, match=message):
+            m.fits_each(iter(candidates), iter(ids))
+    with pytest.raises(ValueError, match=r"element id 4 outside range \[0, 4\)"):
+        m.fits_each([], [4])  # S is checked even with no candidates

@@ -347,3 +347,94 @@ def test_gains_reject_out_of_range_ids_as_the_loop_does():
             obj.gains(iter(candidates), iter(ids))
     with pytest.raises(ValueError, match=r"element id 4 outside range \[0, 3\)"):
         obj.gains([], [4])  # S is checked even with no candidates
+
+
+def _singleton_objective(kind, n, seed):
+    """An objective over n elements with weights spanning nine decades and signed zeros.
+
+    Coverage gets empty covers, facility location may have no clients, and
+    the cut graph is sparse enough to leave isolated vertices.
+    """
+    rng = np.random.default_rng(seed)
+
+    def weights(size):
+        w = rng.random(size) * 10.0 ** rng.integers(-4, 5, size=size)
+        w[rng.random(size) < 0.1] = 0.0
+        w[rng.random(size) < 0.1] = -0.0
+        return w
+
+    if kind == "modular":
+        return make_modular(weights(n))
+    if kind == "coverage":
+        universe = int(rng.integers(1, 300))
+        density = float(rng.random()) * 0.2
+        covers = [
+            [] if rng.random() < 0.2 else np.flatnonzero(rng.random(universe) < density)
+            for _ in range(n)
+        ]
+        return make_weighted_coverage(weights(universe), covers)
+    if kind == "facility":
+        clients = int(rng.integers(0, 40))
+        return make_facility_location(weights(clients * n).reshape(clients, n))
+    edges = set()
+    for _ in range(int(rng.integers(0, 2 * n + 1))):
+        u, v = (int(x) for x in rng.integers(0, n, size=2))
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    edges = sorted(edges)
+    return make_cut_function(n, [(u, v, w) for (u, v), w in zip(edges, weights(len(edges)))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    n=st.one_of(st.sampled_from([1, 255, 256, 257]), st.integers(1, 40)),
+    seed=st.integers(0, 2**32 - 1),
+    clone_first=st.booleans(),
+)
+def test_singleton_values_are_bit_identical_to_a_fresh_evaluation(kind, n, seed, clone_first):
+    obj = _singleton_objective(kind, n, seed)
+    other = obj.clone()
+    first, second = (other, obj) if clone_first else (obj, other)
+    order = np.random.default_rng(seed).permutation(n)
+    got = [first.value([int(order[0])])]  # the first query fills the table
+    got += [second.value((int(e),)) for e in order[1:]]
+    # float.hex tells -0.0 from 0.0, which == does not
+    expected = [float.hex(obj._f(frozenset({int(e)}))) for e in order]
+    assert [float.hex(v) for v in got] == expected
+    assert all(type(v) is float for v in got)
+    assert (first.queries, second.queries) == (1, n - 1)
+
+
+def test_singleton_table_is_computed_once_for_every_clone(monkeypatch):
+    obj = make_facility_location(np.random.default_rng(5).random((6, 600)))
+    batches = []
+    original = type(obj)._values_with
+
+    def counted(self, state, es, s):
+        batches.append(len(es))
+        return original(self, state, es, s)
+
+    monkeypatch.setattr(type(obj), "_values_with", counted)
+    clone = obj.clone()
+    assert clone.value([599]) == obj._f(frozenset({599}))
+    assert batches == [256, 256, 88]  # BATCH_ROWS at a time
+    for e in range(600):
+        obj.value([e])
+        clone.clone().value([e])
+    assert len(batches) == 3
+
+
+def test_singleton_value_queries_count_one_each():
+    obj = make_cut_function(4, [(0, 1, 1.0), (1, 2, 2.0)])
+    assert obj.value([1]) == 3.0 and obj.queries == 1
+    assert obj.value([1]) == 3.0 and obj.queries == 2  # a repeat still counts
+    assert obj.value((2, 2)) == 2.0 and obj.queries == 3  # one distinct id
+    assert obj.value(iter([3])) == 0.0 and obj.queries == 4  # an isolated vertex
+    assert obj.value([0, 1]) == 2.0 and obj.queries == 5
+    assert obj.value([]) == 0.0 and obj.queries == 6
+    with pytest.raises(ValueError, match=r"element id 4 outside range \[0, 4\)"):
+        obj.value([4])
+    with pytest.raises(ValueError, match=r"element id -1 outside range \[0, 4\)"):
+        obj.value([-1])
+    assert obj.queries == 6

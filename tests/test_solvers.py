@@ -180,6 +180,24 @@ def test_local_search_floor_on_random_cuts():
         assert value >= 0.25 * opt_value - 1e-9
 
 
+def test_local_search_evaluates_each_trial_once():
+    instance = generate_instance("cut n=40 p=0.2", matroid="uniform k=8", seed=3)
+    cut = instance.objective.clone()
+    asked = []
+    value = cut.value
+
+    def recording_value(ids):
+        ids = frozenset(ids)
+        asked.append(ids)
+        return value(ids)
+
+    cut.value = recording_value
+    picked = local_search(range(cut.n), cut, instance.matroid)
+    assert value(picked) > 0.0 and len(asked) > 100
+    # an accepted trial's value is kept, never asked for again right away
+    assert all(a != b for a, b in zip(asked, asked[1:]))
+
+
 def test_solver_kind_validation_and_beta():
     assert SolverKind("exhaustive").beta == 1.0
     assert SolverKind("greedy").beta == 2.0

@@ -1,5 +1,7 @@
 """Single-pass builder: buffering, draining, swapping, rebucketing, audits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +125,26 @@ def test_forced_rejection_keeps_solution_empty():
     summary = finalize(state)
     assert summary.solution == []
     assert summary.audit.sample_rejected == [0, 1, 2]
+
+
+@pytest.mark.parametrize("drain_order", ["highest", "lowest", "arrival"])
+def test_a_bucket_drained_below_the_cap_stops_draining(drain_order):
+    # d=2, eps=0.5: cap 4.  Equal weights share one bucket and every coin
+    # rejects, so the candidate never changes and no rebucket runs: each
+    # arrival that fills the bucket drains exactly one element.
+    obj = make_modular([1.0] * 10)
+    cfg = StreamingConfig(epsilon=0.5, d=2, sample_prob=0.5, drain_order=drain_order)
+    state = StreamState(cfg, k=3)
+    rng = ScriptedRng(coin=0.9)
+    matroid = make_uniform(10, 3)
+    filed = []
+    for e in range(10):
+        ingest(state, e, obj, matroid, rng)
+        filed.append(sum(len(b) for b in state.buckets.values()))
+    # arrivals 0 and 1 warm the top buffer up; then each arrival pops itself
+    assert filed == [0, 0, 1, 2, 3, 3, 3, 3, 3, 3]
+    assert state.audit.drained == state.audit.sample_rejected == [2, 3, 4, 5, 6]
+    assert list(state.buckets.values()) == [[7, 8, 9]]
 
 
 def test_rebucket_discards_zeroed_marginals():
@@ -263,6 +285,22 @@ def test_buckets_stay_under_cap_at_every_arrival_boundary():
         ingest(state, int(e), obj, matroid, stream_rng)
         assert all(len(b) < cfg.drain_cap for b in state.buckets.values())
         assert state.memory() <= streaming_memory_limit(matroid.k, cfg.d, cfg.epsilon)
+
+
+@pytest.mark.parametrize("drain_order", ["highest", "lowest", "arrival"])
+def test_memory_equals_a_full_recount_after_every_arrival(drain_order):
+    drained = 0
+    for seed in range(20):
+        obj, matroid, cfg, order = _random_stream(seed, monotone=seed % 2 == 0)
+        cfg = dataclasses.replace(cfg, drain_order=drain_order)
+        state = StreamState(cfg, matroid.k)
+        stream_rng = np.random.default_rng(seed)
+        for e in order:
+            ingest(state, e, obj, matroid, stream_rng)
+            filed = sum(len(b) for b in state.buckets.values())
+            assert state.memory() == len(state.candidate) + len(state.top_buffer) + filed
+        drained += len(state.audit.drained)
+    assert drained  # drains and rebuckets ran
 
 
 def test_memory_limit_arithmetic():
