@@ -142,7 +142,8 @@ def build_summary(
     infeasible: set[int] = set()
 
     entries: list[SummaryEntry] = []
-    solution: set[int] = set()
+    # replaced on every pick, never mutated: the oracles know it by identity
+    solution: frozenset[int] = frozenset()
     accepted = 0.0
     leftover: dict[int, list[int]] = {}
 
@@ -156,7 +157,7 @@ def build_summary(
                 break
             pick = bucket[int(rng.integers(len(bucket)))]
             entries.append(SummaryEntry(pick, exponent, gains[pick]))
-            solution.add(pick)
+            solution = solution | {pick}
             accepted += gains[pick]
             pool.remove(pick)
             if config.audit and not matroid.is_independent(solution):

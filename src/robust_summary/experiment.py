@@ -444,10 +444,14 @@ def run_experiment(
     trial fails, the rows completed so far are flushed to
     ``results.partial.csv`` before the error propagates.
     """
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if instance is None:
         instance = _load_instance(config)
+    if config.monotone and not instance.objective.monotone:
+        raise ValueError(
+            f"monotone = true needs a monotone objective; {instance.objective.kind} is not"
+        )
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_instance(instance, out_dir / "instance.txt")
 
     solver = SolverKind(
@@ -472,10 +476,11 @@ def run_experiment(
 
     warnings = bound_warnings(config.mode, config.epsilon, gamma=config.gamma)
     bound: float | None = None
-    if solver.beta is not None:
+    beta = solver.beta(instance.objective.monotone)
+    if beta is not None:
         try:
             bound = theoretical_bound(
-                config.mode, config.monotone, solver.beta, config.epsilon, gamma=config.gamma
+                config.mode, config.monotone, beta, config.epsilon, gamma=config.gamma
             )
         except ValueError as exc:
             warnings.append(f"bound formula unavailable: {exc}")

@@ -13,6 +13,12 @@ class GroundSet:
     ``_memo`` is a one-slot memo ``(S, ...)`` of the last solution S the
     oracle was asked about, filled by ``_remember(S)``.  It is replaced whole,
     never changed in place, so a copy of the oracle may share it.
+
+    A frozenset of plain ints is validated as it is and kept as the memo key
+    itself, so a caller that passes the very same frozenset again, as the
+    builders and the greedy do while their solution is unchanged, skips both
+    the validation and the key comparison: a frozenset cannot change, so
+    being the key means it was validated already.
     """
 
     n: int
@@ -25,7 +31,13 @@ class GroundSet:
         return e
 
     def _as_set(self, ids: Ids) -> frozenset:
-        s = frozenset(map(int, ids))
+        memo = self._memo
+        if memo is not None and ids is memo[0]:
+            return ids
+        if type(ids) is frozenset and {*map(type, ids)} <= {int}:
+            s = ids  # bools and numpy ints are converted below, as in a list
+        else:
+            s = frozenset(map(int, ids))
         if s:
             low, high = min(s), max(s)
             if low < 0 or high >= self.n:
@@ -41,7 +53,7 @@ class GroundSet:
     def _remembered(self, s: frozenset) -> tuple:
         """The memo ``(s, *self._remember(s))``, rebuilt only when s differs from its key."""
         memo = self._memo
-        if memo is None or memo[0] != s:
+        if memo is None or (memo[0] is not s and memo[0] != s):
             memo = self._memo = (s, *self._remember(s))
         return memo
 

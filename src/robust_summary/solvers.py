@@ -22,8 +22,8 @@ SOLVER_NAMES = ("greedy", "exhaustive", "localsearch")
 class SolverKind:
     """Which routine runs in the post-deletion phase, with its knobs.
 
-    ``beta`` is the routine's claimed approximation factor, used by bound
-    checks; the local search carries no proven factor and reports None.
+    ``beta(monotone)`` is the routine's proven approximation factor on an
+    objective of that kind, used by bound checks, or None where it has none.
     """
 
     name: str
@@ -37,11 +37,11 @@ class SolverKind:
         if self.ls_improve <= 0.0:
             raise ValueError("local-search improvement factor must be positive")
 
-    @property
-    def beta(self) -> float | None:
+    def beta(self, monotone: bool) -> float | None:
+        """1 for the exact search; 2 for the greedy, proven for monotone objectives only."""
         if self.name == "exhaustive":
             return 1.0
-        if self.name == "greedy":
+        if self.name == "greedy" and monotone:
             return 2.0
         return None
 
@@ -65,7 +65,8 @@ def greedy_matroid(ground: Iterable[int], objective: Objective, matroid: Matroid
     are recomputed.  An element that stops being independent of the picks is
     dropped for good: the picks only grow and independence is downward closed.
     """
-    chosen: set[int] = set()
+    # replaced on every pick, never mutated: the oracles know it by identity
+    chosen: frozenset[int] = frozenset()
     elements = sorted(set(int(e) for e in ground))
     feasible = [e for e, fits in zip(elements, matroid.fits_each(elements, chosen)) if fits]
     heap = [(-gain, e, 0) for e, gain in zip(feasible, objective.gains(feasible, chosen))]
@@ -100,7 +101,7 @@ def greedy_matroid(ground: Iterable[int], objective: Objective, matroid: Matroid
         for key, e in window:
             if e != best:
                 heapq.heappush(heap, (key, e, len(chosen)))
-        chosen.add(best)
+        chosen = chosen | {best}
         accepted -= best_key
     return sorted(chosen)
 
@@ -241,7 +242,7 @@ def solve_after_deletions(
         ids=tuple(ids),
         value=value,
         source=source,
-        beta_claimed=solver.beta,
+        beta_claimed=solver.beta(objective.monotone),
         a_prime_value=survivors_value,
         deleted=tuple(sorted(removed)),
         warning=warning,

@@ -7,6 +7,13 @@ are pulled out uniformly at random, gated by a Bernoulli coin, and either
 added to the candidate solution directly or swapped against the lightest
 element of the circuit they would close - provided their weight beats the
 swap margin.  Every change of the candidate triggers a full rebucketing.
+
+The state keeps the gain each element was filed by.  Since every change of
+the candidate refiles every bucket, each filed gain is the element's marginal
+against the current candidate, so a drained element's weight is read from
+its filed gain, bit for bit the marginal a fresh query would return.  The
+active window (``tau_min`` and the lowest live bucket) depends on the anchor
+delta alone and moves only when delta grows.
 """
 
 from __future__ import annotations
@@ -88,11 +95,13 @@ class StreamState:
         self.k = k
         self.ladder = PowerLadder(1.0 + config.epsilon)
         self.candidate: list[int] = []  # insertion order
-        self.candidate_set: set[int] = set()
+        # replaced on every change, never mutated: the oracles know it by identity
+        self.candidate_set: frozenset[int] = frozenset()
         self.weights: dict[int, float] = {}  # fixed once per drained element
         self.entry_exponent: dict[int, int] = {}
         self.buckets: dict[int, list[int]] = {}  # exponent -> sorted ids
-        self.filed = 0  # elements in all buckets, kept as they are filed and removed
+        # filed element -> its marginal against the current candidate
+        self.gains: dict[int, float] = {}
         self.top_buffer: list[tuple[float, int]] = []  # (value, id), size <= d
         self.delta = 0.0
         self.tau_min = 0.0
@@ -105,7 +114,7 @@ class StreamState:
         self.peak_memory = 0
 
     def memory(self) -> int:
-        return len(self.candidate) + len(self.top_buffer) + self.filed
+        return len(self.candidate) + len(self.top_buffer) + len(self.gains)
 
     def _note_boundary(self) -> None:
         self.peak_memory = max(self.peak_memory, self.memory())
@@ -124,7 +133,11 @@ def ingest(
     matroid: Matroid,
     rng: np.random.Generator,
 ) -> StreamState:
-    """Process one arrival; drains buckets as a side effect when they fill."""
+    """Process one arrival; drains buckets as a side effect when they fill.
+
+    Outside a drain no bucket is at the cap, so only the bucket the arrival
+    is filed into can reach it, and only then is the drain called.
+    """
     element = int(element)
     if element in state.seen:
         raise ValueError(f"element {element} arrived twice")
@@ -143,36 +156,36 @@ def ingest(
     popped_value, popped = _pop_smallest(state.top_buffer)
 
     if popped_value > state.delta:
+        # the window depends on delta alone, so it moves only when delta grows
         state.delta = popped_value
-    state.tau_min = cfg.epsilon / (1.0 + cfg.epsilon) * state.delta / state.k
-    # tau_min can underflow to 0 on subnormal anchors; the window then stays open
-    if state.tau_min > 0.0:
-        state.min_active_exponent = state.ladder.ceil_exponent(state.tau_min)
-        stale = sorted(x for x in state.buckets if x < state.min_active_exponent)
-        for x in stale:
-            dropped = state.buckets.pop(x)
-            state.filed -= len(dropped)
-            state.audit.low_value.extend(dropped)
+        state.tau_min = cfg.epsilon / (1.0 + cfg.epsilon) * state.delta / state.k
+        # tau_min can underflow to 0 on subnormal anchors; the window then stays open
+        if state.tau_min > 0.0:
+            state.min_active_exponent = state.ladder.ceil_exponent(state.tau_min)
+            stale = sorted(x for x in state.buckets if x < state.min_active_exponent)
+            for x in stale:
+                dropped = state.buckets.pop(x)
+                for e in dropped:
+                    del state.gains[e]
+                state.audit.low_value.extend(dropped)
 
     gain = objective.marginal(popped, state.candidate_set)
-    if state.tau_min > gain:
-        state.audit.low_value.append(popped)
-        state._note_boundary()
-        return state
-    filed = False
-    if gain > 0.0:
+    exponent = None
+    if not state.tau_min > gain and gain > 0.0:
         exponent = state.ladder.floor_exponent(gain)
         # the window may leave no lattice point at or below the gain
-        if state.min_active_exponent is None or exponent >= state.min_active_exponent:
-            bisect.insort(state.buckets.setdefault(exponent, []), popped)
-            state.filed += 1
-            filed = True
-    if not filed:
+        if state.min_active_exponent is not None and exponent < state.min_active_exponent:
+            exponent = None
+    if exponent is None:
         state.audit.low_value.append(popped)
         state._note_boundary()
         return state
 
-    drain_buckets(state, objective, matroid, rng)
+    bucket = state.buckets.setdefault(exponent, [])
+    bisect.insort(bucket, popped)
+    state.gains[popped] = gain
+    if len(bucket) >= cfg.drain_cap:
+        drain_buckets(state, objective, matroid, rng, exponent)
     state._note_boundary()
     return state
 
@@ -182,17 +195,25 @@ def drain_buckets(
     objective: Objective,
     matroid: Matroid,
     rng: np.random.Generator,
+    capped: int,
 ) -> StreamState:
     """Pull elements out of capped buckets until none is at the cap.
 
-    Per drained element the draw order is fixed: bucket-index draw first,
-    Bernoulli coin second, so traces replay exactly.  The capped buckets are
-    listed in bucket-map order once, and again only after a rebucket: between
-    rebuckets a drain only shrinks its own bucket.
+    Called when bucket ``capped`` has just reached the cap while no other
+    bucket is at it.  Per drained element the draw order is fixed:
+    bucket-index draw first, Bernoulli coin second, so traces replay
+    exactly.  Between rebuckets a drain only shrinks its own bucket, so the
+    capped buckets are listed in bucket-map order again only after a
+    rebucket.
+
+    A drained element's weight is the gain it is filed by.  That is its
+    marginal against the current candidate: it was computed against the
+    candidate of the moment at filing, and every change of the candidate is
+    followed by a rebucket, which refiles every bucket by fresh gains.
     """
     cfg = state.config
     cap = cfg.drain_cap
-    over = [x for x in state.buckets if len(state.buckets[x]) >= cap]
+    over = [capped]
     while over:
         if cfg.drain_order == "highest":
             exponent = max(over)
@@ -202,14 +223,13 @@ def drain_buckets(
             exponent = over[0]
         bucket = state.buckets[exponent]
         g = bucket.pop(int(rng.integers(len(bucket))))
-        state.filed -= 1
+        weight = state.gains.pop(g)
         if len(bucket) < cap:
             over.remove(exponent)
         if not bucket:
             del state.buckets[exponent]
         state.audit.drained.append(g)
 
-        weight = objective.marginal(g, state.candidate_set)
         state.weights[g] = weight
         state.audit.weight_log.append((g, weight))
         accepted = bool(rng.random() < cfg.sample_prob_value)
@@ -218,7 +238,7 @@ def drain_buckets(
         if matroid.fits(g, state.candidate_set):
             if accepted:
                 state.candidate.append(g)
-                state.candidate_set.add(g)
+                state.candidate_set = state.candidate_set | {g}
                 state.entry_exponent[g] = exponent
                 changed = grew = True
             else:
@@ -226,13 +246,12 @@ def drain_buckets(
         else:
             cycle = matroid.circuit(state.candidate_set, g)
             victim = min(cycle, key=lambda y: (state.weights[y], y))
-            if state.weights[g] > (1.0 + cfg.gamma_value) * state.weights[victim]:
+            if weight > (1.0 + cfg.gamma_value) * state.weights[victim]:
                 if accepted:
                     state.candidate.remove(victim)
-                    state.candidate_set.discard(victim)
                     state.audit.swapped_out.append((victim, state.weights[victim]))
                     state.candidate.append(g)
-                    state.candidate_set.add(g)
+                    state.candidate_set = (state.candidate_set - {victim}) | {g}
                     state.entry_exponent[g] = exponent
                     changed = True
                 else:
@@ -251,9 +270,10 @@ def drain_buckets(
 def rebucket(state: StreamState, objective: Objective, solution_grew: bool = False) -> StreamState:
     """Refile every buffered element by its marginal against the current candidate.
 
-    Elements falling under the active window are discarded.  When the
-    candidate only grew, gains cannot rise in exact arithmetic, so upward
-    moves are tracked separately from the legitimate ones a swap can cause.
+    The fresh marginals become the filed gains.  Elements falling under the
+    active window are discarded.  When the candidate only grew, gains cannot
+    rise in exact arithmetic, so upward moves are tracked separately from the
+    legitimate ones a swap can cause.
     Float marginals are differences of float sums, though: a gain lying on a
     lattice point can come back an ulp higher after growth and move up one
     bucket, so ``upward_moves_after_growth`` counts float noise too.
@@ -265,8 +285,8 @@ def rebucket(state: StreamState, objective: Objective, solution_grew: bool = Fal
         state.ladder.floor_exponents([gain for gain, ok in zip(gains, live) if ok])
     )
     state.buckets = {}
-    state.filed = 0
-    for (exponent, e), ok in zip(filed, live):
+    state.gains = {}
+    for (exponent, e), gain, ok in zip(filed, gains, live):
         new_exponent = next(new_exponents) if ok else None
         if new_exponent is None or (
             state.min_active_exponent is not None
@@ -279,7 +299,7 @@ def rebucket(state: StreamState, objective: Objective, solution_grew: bool = Fal
             if solution_grew:
                 state.upward_moves_after_growth += 1
         bisect.insort(state.buckets.setdefault(new_exponent, []), e)
-        state.filed += 1
+        state.gains[e] = gain
     return state
 
 

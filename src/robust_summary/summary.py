@@ -84,10 +84,6 @@ class Summary:
             ids.update(bucket)
         return sorted(ids)
 
-    def weight_of(self) -> dict[int, float]:
-        """Per-element weight of the candidate solution."""
-        return {entry.element: entry.gain for entry in self.entries}
-
     def size(self) -> int:
         """|candidate| + |reservoir|, deduplicated against the candidate."""
         return len(self.entries) + len(set(self.reservoir) - self.solution_set)

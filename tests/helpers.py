@@ -4,9 +4,11 @@ These deliberately avoid the library's own shortcuts: optima come from plain
 itertools enumeration, cut/coverage values from direct definition sweeps,
 graphic independence from DFS cycle detection, matroid axioms from full
 bitmask truth tables, the centralized summary from a sweep that rescans
-the whole pool at every step, the greedy from a loop that re-evaluates
-every element at every pick, and the batched, tabled and memo-backed oracle
-calls from the scalar calls they must equal (``plain_oracle``).
+the whole pool at every step, the streaming summary from a pass that
+re-derives every weight, window and capped bucket that ``stream_summary``
+reuses, the greedy from a loop that re-evaluates every element at every pick,
+and the batched, tabled and memo-backed oracle calls from the scalar calls
+they must equal (``plain_oracle``).
 """
 
 import copy
@@ -14,7 +16,15 @@ import itertools
 
 import numpy as np
 
-from robust_summary import Summary, SummaryEntry, bucket_cap, compute_delta, threshold_lattice
+from robust_summary import (
+    StreamState,
+    Summary,
+    SummaryEntry,
+    bucket_cap,
+    compute_delta,
+    finalize,
+    threshold_lattice,
+)
 from robust_summary.matroids import Matroid
 from robust_summary.objectives import Objective
 
@@ -213,6 +223,161 @@ def literal_build_summary(objective, matroid, config):
         exponents=list(lattice.exponents),
         counters={"low_value": len(pool)},
     )
+
+
+def literal_stream_summary(objective, matroid, config, order):
+    """Streaming pass that re-derives what ``stream_summary`` keeps between arrivals.
+
+    The plain reference for ``stream_summary``: same buffer, filing, draws,
+    swaps and refiling, but a drained element's weight is a fresh marginal
+    against the candidate, the window is recomputed at every arrival, every
+    bucket is scanned for the cap before every draw, refiling asks one
+    marginal and one floor exponent per element, and memory is recounted at
+    every boundary.
+    """
+    rng = np.random.default_rng(config.seed)
+    state = StreamState(config, matroid.k)
+    ladder, audit, cap = state.ladder, state.audit, config.drain_cap
+    candidate = set()
+
+    def boundary():
+        filed = sum(len(bucket) for bucket in state.buckets.values())
+        memory = len(state.candidate) + len(state.top_buffer) + filed
+        state.peak_memory = max(state.peak_memory, memory)
+
+    def live_exponent(gain):
+        """The exponent to file a gain at, or None when it falls out of the window."""
+        if state.tau_min > gain or gain <= 0.0:
+            return None
+        exponent = ladder.floor_exponent(gain)
+        low = state.min_active_exponent
+        return None if low is not None and exponent < low else exponent
+
+    def refile(grew):
+        filed = [(x, e) for x in sorted(state.buckets, reverse=True) for e in state.buckets[x]]
+        state.buckets = {}
+        for old, e in filed:
+            exponent = live_exponent(objective.marginal(e, candidate))
+            if exponent is None:
+                audit.low_value.append(e)
+                continue
+            if exponent > old:
+                state.upward_moves += 1
+                state.upward_moves_after_growth += grew
+            state.buckets.setdefault(exponent, []).append(e)
+            state.buckets[exponent].sort()
+
+    def drain():
+        while True:
+            over = [x for x in state.buckets if len(state.buckets[x]) >= cap]
+            if not over:
+                return
+            if config.drain_order == "highest":
+                exponent = max(over)
+            elif config.drain_order == "lowest":
+                exponent = min(over)
+            else:
+                exponent = over[0]
+            bucket = state.buckets[exponent]
+            g = bucket.pop(int(rng.integers(len(bucket))))
+            if not bucket:
+                del state.buckets[exponent]
+            audit.drained.append(g)
+            weight = objective.marginal(g, candidate)
+            state.weights[g] = weight
+            audit.weight_log.append((g, weight))
+            accepted = bool(rng.random() < config.sample_prob_value)
+            changed = grew = False
+            if matroid.is_independent(candidate | {g}):
+                if accepted:
+                    changed = grew = True
+                else:
+                    audit.sample_rejected.append(g)
+            else:
+                cycle = matroid.circuit(candidate, g)
+                victim = min(cycle, key=lambda y: (state.weights[y], y))
+                if weight > (1.0 + config.gamma_value) * state.weights[victim]:
+                    if accepted:
+                        state.candidate.remove(victim)
+                        candidate.discard(victim)
+                        audit.swapped_out.append((victim, state.weights[victim]))
+                        changed = True
+                    else:
+                        audit.sample_rejected.append(g)
+                else:
+                    audit.swap_failed.append(g)
+            if changed:
+                state.candidate.append(g)
+                candidate.add(g)
+                state.entry_exponent[g] = exponent
+                refile(grew)
+
+    for element in order:
+        element = int(element)
+        state.arrivals += 1
+        value = objective.value((element,))
+        state.top_buffer.append((value, element))
+        if len(state.top_buffer) <= config.d:
+            boundary()
+            continue
+        # smallest value leaves; on ties the larger id leaves first
+        popped_value, popped = min(state.top_buffer, key=lambda t: (t[0], -t[1]))
+        state.top_buffer.remove((popped_value, popped))
+        state.delta = max(state.delta, popped_value)
+        state.tau_min = config.epsilon / (1.0 + config.epsilon) * state.delta / state.k
+        if state.tau_min > 0.0:
+            state.min_active_exponent = ladder.ceil_exponent(state.tau_min)
+            for x in sorted(state.buckets):
+                if x < state.min_active_exponent:
+                    audit.low_value.extend(state.buckets.pop(x))
+        exponent = live_exponent(objective.marginal(popped, candidate))
+        if exponent is None:
+            audit.low_value.append(popped)
+        else:
+            state.buckets.setdefault(exponent, []).append(popped)
+            state.buckets[exponent].sort()
+            drain()
+        boundary()
+    return finalize(state)
+
+
+def _typed(x):
+    """x with the type of every value and member spelled out; sets as sorted lists."""
+    if isinstance(x, (list, tuple)):
+        return type(x).__name__, [_typed(y) for y in x]
+    if isinstance(x, (set, frozenset)):
+        return type(x).__name__, sorted(_typed(y) for y in x)
+    return type(x).__name__, x
+
+
+def outcome(call):
+    """``call()``'s result with its types, or the type and message of the error it raises."""
+    try:
+        return "returned", _typed(call())
+    except Exception as exc:  # compared, never swallowed: a mismatch fails the test
+        return type(exc), str(exc)
+
+
+def set_forms(ids, n):
+    """Forms of S to hand an oracle in turn, each paired with the list form of S.
+
+    Covers the frozenset identity fast path: fresh frozensets with an id out
+    of range or negative, frozensets of numpy ints and of bools, the memo's
+    own key again, a frozenset equal to it but a different object, and a
+    mutable set right after the frozenset it equals.
+    """
+    ids = sorted(ids)
+    forms = [
+        (frozenset(ids), ids),
+        (frozenset(ids + [n]), ids + [n]),
+        (frozenset(ids + [-1]), ids + [-1]),
+        (frozenset(np.asarray(ids, dtype=np.int64)), ids),
+        (frozenset([False, True]), [False, True]),
+        (frozenset([True, False] + ids[2:]), [True, False] + ids[2:]),
+    ]
+    twin = frozenset(ids)
+    forms += [(twin, ids), (frozenset(list(ids)), ids), (twin, ids), (set(ids), ids), (twin, ids)]
+    return forms
 
 
 def _plain_value(objective, ids):

@@ -249,3 +249,36 @@ def test_matroid_spec_missing_a_key_is_a_clean_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == "robust-summary: error: uniform matroid spec is missing key 'k'\n"
+
+
+def test_monotone_experiment_on_a_cut_instance_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "[instance]\n"
+        "generator = cut n=30 p=0.2\n"
+        "matroid = uniform k=3\n"
+        "[algorithm]\n"
+        "mode = streaming\n"
+        "d = 1\n"
+        "monotone = true\n"
+        "[deletions]\n"
+        "strategies = top:1\n"
+        f"[report]\nout_dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "robust-summary: error: monotone = true needs a monotone objective; graph-cut is not\n"
+    )
+
+
+def test_greedy_solve_on_a_cut_instance_claims_no_beta(tmp_path):
+    inst, summ, sol = tmp_path / "inst.txt", tmp_path / "summary.txt", tmp_path / "sol.txt"
+    main(["gen", "--spec", "cut n=20 p=0.3", "--matroid", "uniform k=3", "--seed", "2",
+          "--out", str(inst)])
+    main(["summarize", "--mode", "streaming", "--instance", str(inst), "--epsilon", "0.2",
+          "--d", "1", "--out", str(summ)])
+    assert main(["solve", "--summary", str(summ), "--instance", str(inst), "--delete", "top:1",
+                 "--solver", "greedy", "--out", str(sol)]) == 0
+    assert "beta=unknown\n" in sol.read_text()

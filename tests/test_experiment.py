@@ -302,3 +302,36 @@ def test_verify_flags_inflated_gain():
     corrupted.entries[0] = SummaryEntry(entry.element, entry.exponent, entry.gain + 50.0)
     report = verify_summary(corrupted, inst)
     assert any(c.name == "gain_brackets" for c in report.failures())
+
+
+def _cut_experiment(tmp_path, **overrides):
+    base = dict(
+        out_dir=str(tmp_path / "cut"),
+        mode="streaming",
+        epsilon=0.2,
+        d=2,
+        gen_spec="cut n=60 p=0.1",
+        gen_matroid="partition nblocks=4 cap=1",
+        solver="greedy",
+        strategies=("top:2",),
+        opt_method="greedy-bound",
+        trials=2,
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def test_greedy_claims_no_bound_on_a_non_monotone_objective(tmp_path):
+    # the greedy's factor 2 is proven for monotone objectives only
+    report = run_experiment(_cut_experiment(tmp_path))
+    assert all(s.bound is None and s.bound_ok is None for s in report.strategies)
+    text = report.text_path.read_text()
+    assert "  bound=n/a (solver carries no proven factor)\n" in text
+    assert "check=" not in text
+
+
+def test_monotone_mode_on_a_non_monotone_objective_is_rejected(tmp_path):
+    with pytest.raises(ValueError) as raised:
+        run_experiment(_cut_experiment(tmp_path, monotone=True))
+    assert str(raised.value) == "monotone = true needs a monotone objective; graph-cut is not"
+    assert not (tmp_path / "cut").exists()

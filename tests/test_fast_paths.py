@@ -4,6 +4,8 @@ Each builder and the phase-2 greedy run once with the library's oracles and
 once with ``helpers.plain_oracle`` copies, whose ``value``, ``gains``,
 ``fits``, ``fits_each`` and ``circuit`` are the scalar calls they must equal;
 the outputs must agree byte for byte, and so must the query tallies.
+``stream_summary`` also runs against ``helpers.literal_stream_summary``,
+which re-derives the weights, the window and the capped buckets it reuses.
 """
 
 import numpy as np
@@ -20,8 +22,9 @@ from robust_summary import (
     make_modular,
     stream_summary,
 )
+from robust_summary.streaming import DRAIN_ORDERS
 
-from helpers import plain_oracle
+from helpers import literal_stream_summary, plain_oracle
 
 SEEDS = range(10)
 
@@ -82,6 +85,29 @@ def test_stream_summary_matches_plain_reference(case):
         drained += fast.counters["drained"]
         swapped += fast.counters["swapped_out"] + fast.counters["swap_failed"]
     assert drained and swapped  # rebuckets, feasibility checks and circuits all ran
+
+
+@pytest.mark.parametrize("drain_order", DRAIN_ORDERS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stream_summary_matches_literal_loop(case, drain_order):
+    drained = 0
+    for seed in SEEDS:
+        objective, matroid, monotone = CASES[case](seed)
+        config = StreamingConfig(
+            epsilon=EPSILON, d=D, monotone_mode=monotone, seed=seed,
+            drain_order=drain_order, audit=True,
+        )
+        order = np.random.default_rng(seed + 100).permutation(objective.n)
+        fast, literal = objective.clone(), objective.clone()
+        summary = stream_summary(fast, matroid, config, order)
+        expected = literal_stream_summary(literal, matroid, config, order)
+        assert format_summary(summary, include_audit=True) == format_summary(
+            expected, include_audit=True
+        )
+        # the literal loop spends one marginal, two queries, per drained element
+        assert literal.queries - fast.queries == 2 * summary.counters["drained"]
+        drained += summary.counters["drained"]
+    assert drained
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

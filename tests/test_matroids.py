@@ -17,6 +17,8 @@ from helpers import (
     independence_table,
     mask_to_ids,
     minimal_dependent_supersets,
+    outcome,
+    set_forms,
 )
 
 
@@ -355,3 +357,26 @@ def test_fits_each_rejects_out_of_range_ids_as_the_loop_does(m):
             m.fits_each(iter(candidates), iter(ids))
     with pytest.raises(ValueError, match=r"element id 4 outside range \[0, 4\)"):
         m.fits_each([], [4])  # S is checked even with no candidates
+
+
+@pytest.mark.parametrize("kind", ["uniform", "partition", "graphic"])
+@pytest.mark.parametrize("seed", range(8))
+def test_frozenset_arguments_act_as_their_list_form(kind, seed):
+    rng = np.random.default_rng(seed)
+    m = _random_matroid(rng, kind)
+    fast, plain = copy.copy(m), copy.copy(m)
+    calls = (
+        lambda o, s: o.is_independent(s),
+        lambda o, s: o.fits(0, s),
+        lambda o, s: o.fits_each(range(o.n), s),
+        lambda o, s: [outcome(lambda: o.circuit(s, g)) for g in range(o.n)],
+        lambda o, s: o.rank_of(s),
+    )
+    base = set()  # independent, so the native circuits are exercised
+    for e in rng.permutation(m.n):
+        if rng.random() < 0.8 and m.is_independent(base | {int(e)}):
+            base.add(int(e))
+    for subset in (base, _random_subset(rng, m.n)):
+        for ids, listed in set_forms(subset, m.n):
+            for call in calls:
+                assert outcome(lambda: call(fast, ids)) == outcome(lambda: call(plain, listed))

@@ -11,7 +11,7 @@ from robust_summary import (
     make_weighted_coverage,
 )
 
-from helpers import coverage_value_by_union, cut_value_by_enumeration
+from helpers import coverage_value_by_union, cut_value_by_enumeration, outcome, set_forms
 
 
 def test_modular_values():
@@ -438,3 +438,21 @@ def test_singleton_value_queries_count_one_each():
     with pytest.raises(ValueError, match=r"element id -1 outside range \[0, 4\)"):
         obj.value([-1])
     assert obj.queries == 6
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", range(5))
+def test_frozenset_arguments_act_as_their_list_form(kind, seed):
+    rng = np.random.default_rng(seed)
+    obj = _wide_objective(rng, kind)
+    fast, plain = obj.clone(), obj.clone()
+    calls = (
+        lambda o, s: o.value(s),
+        lambda o, s: o.marginal(0, s),
+        lambda o, s: o.marginal(o.n - 1, s),
+        lambda o, s: o.gains(range(o.n), s),
+    )
+    for ids, listed in set_forms(_random_subset(rng, obj.n), obj.n):
+        for call in calls:
+            assert outcome(lambda: call(fast, ids)) == outcome(lambda: call(plain, listed))
+    assert fast.queries == plain.queries

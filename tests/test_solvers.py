@@ -199,9 +199,11 @@ def test_local_search_evaluates_each_trial_once():
 
 
 def test_solver_kind_validation_and_beta():
-    assert SolverKind("exhaustive").beta == 1.0
-    assert SolverKind("greedy").beta == 2.0
-    assert SolverKind("localsearch").beta is None
+    assert SolverKind("exhaustive").beta(monotone=False) == 1.0
+    assert SolverKind("greedy").beta(monotone=True) == 2.0
+    # the greedy's factor 2 is proven for monotone objectives only
+    assert SolverKind("greedy").beta(monotone=False) is None
+    assert SolverKind("localsearch").beta(monotone=True) is None
     with pytest.raises(ValueError):
         SolverKind("annealing")
     with pytest.raises(ValueError):

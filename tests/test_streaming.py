@@ -98,7 +98,7 @@ def test_hand_trace_swap_chain():
     cfg = StreamingConfig(epsilon=0.5, d=0, monotone_mode=True, seed=0)
     summary = stream_summary(obj, make_uniform(5, 1), cfg, [0, 1, 2, 3, 4])
     assert summary.solution == [2]
-    assert summary.weight_of() == {2: 3.0}
+    assert [(entry.element, entry.gain) for entry in summary.entries] == [(2, 3.0)]
     assert summary.audit.swapped_out == [(0, 1.0)]
     assert summary.audit.swap_failed == [1, 3, 4]
     assert summary.audit.sample_rejected == []
