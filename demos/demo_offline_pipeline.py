@@ -15,7 +15,6 @@ from robust_summary import (
     build_summary,
     generate_instance,
     solve_after_deletions,
-    summary_size,
     theoretical_bound,
 )
 
@@ -27,7 +26,7 @@ config = CentralizedConfig(epsilon=0.2, d=d, monotone_mode=True, seed=7)
 summary = build_summary(instance.objective.clone(), instance.matroid, config)
 
 kept = sorted(set(summary.solution) | set(summary.reservoir))
-print("summary keeps:", kept, f" (size {summary_size(summary)})")
+print("summary keeps:", kept, f" (size {summary.size()})")
 print("candidate solution:", summary.solution, " protected buffer:", summary.top_buffer)
 
 # phase two: whatever d valuable elements vanish, k survivors remain

@@ -45,7 +45,7 @@ print("low-value discards:", audit.low_value)
 # weight-function sanity against a deletion set
 report = check_weight_properties(summary, instance.objective.clone(), deleted=order[:2])
 for check in report.checks:
-    print(f"  {check.name}: {check.lhs:.4f} <= {check.rhs:.4f}  ok={check.ok}")
+    print(f"  {check.name}: {check.detail}  ok={check.ok}")
 
 # a non-monotone run subsamples: some drained elements are dropped by the coin
 cut_instance = generate_instance("cut n=30 p=0.2", matroid="uniform k=4", seed=5)

@@ -13,8 +13,6 @@ from .experiment import (
     ExperimentReport,
     load_experiment_config,
     run_experiment,
-    streaming_memory_limit,
-    verify_summary,
 )
 from .generators import generate_instance
 from .instance import (
@@ -57,8 +55,6 @@ from .solvers import (
 from .streaming import (
     StreamingConfig,
     StreamState,
-    WeightReport,
-    check_weight_properties,
     drain_buckets,
     finalize,
     ingest,
@@ -72,9 +68,14 @@ from .summary import (
     format_summary,
     parse_summary,
     read_summary,
-    summary_size,
     write_summary,
 )
 from .thresholds import PowerLadder, ThresholdLattice, lattice_size_limit, threshold_lattice
+from .verify import (
+    VerifyReport,
+    check_weight_properties,
+    streaming_memory_limit,
+    verify_summary,
+)
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ from .objectives import Objective
 from .solvers import exhaustive_opt, greedy_matroid
 
 STRATEGY_KINDS = ("top-value", "random", "block-concentrated", "max-damage", "explicit-list")
+OPT_METHODS = ("exhaustive", "greedy-bound")
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,13 @@ import numpy as np
 from .adversary import parse_strategy, choose_deletions
 from .bounds import bound_warnings, theoretical_bound
 from .centralized import CentralizedConfig, build_summary
-from .experiment import load_experiment_config, run_experiment, verify_summary
+from .experiment import load_experiment_config, run_experiment
 from .generators import generate_instance
 from .instance import read_instance, write_instance
 from .solvers import SolverKind, solve_after_deletions
 from .streaming import StreamingConfig, stream_summary
 from .summary import read_summary, write_summary
+from .verify import verify_summary
 
 
 def _parse_order(spec: str, n: int) -> list[int]:
@@ -61,7 +62,6 @@ def cmd_summarize(args) -> int:
             gamma=args.gamma,
             sample_prob=args.p,
             seed=args.seed,
-            drain_order=args.drain_order,
             audit=args.audit,
         )
         order = _parse_order(args.order, instance.n)
@@ -161,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", default="identity", help="arrival order file | shuffle:<seed> | identity")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--drain-order", choices=("highest", "lowest", "arrival"), default="highest")
     p.add_argument("--audit", action="store_true", help="dump the audit trail into the summary file")
     p.set_defaults(func=cmd_summarize)
 

@@ -1,4 +1,4 @@
-"""Experiment runner, summary verification and report emission.
+"""Experiment configuration, runner and report emission.
 
 The runner executes seeded two-phase pipelines against obliviously drawn
 deletion sets, aggregates the seed ensemble per strategy, compares the
@@ -16,218 +16,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .adversary import choose_deletions, opt_value, parse_strategy
+from .adversary import OPT_METHODS, choose_deletions, opt_value, parse_strategy
 from .bounds import bound_warnings, theoretical_bound
-from .centralized import CentralizedConfig, bucket_cap, build_summary, compute_delta
+from .centralized import CentralizedConfig, build_summary
 from .generators import generate_instance
 from .instance import Instance, read_instance, write_instance
-from .solvers import SolverKind, solve_after_deletions
-from .streaming import StreamingConfig, check_weight_properties, drain_cap, stream_summary
+from .solvers import SOLVER_NAMES, SolverKind, solve_after_deletions
+from .streaming import StreamingConfig, stream_summary
 from .summary import Summary
-from .thresholds import PowerLadder, lattice_size_limit
+from .verify import check_weight_properties, structural_checks
 
 CSV_HEADER = "# robust-summary csv v1"
 CSV_COLUMNS = (
     "strategy,seed,fS,fAprime,opt,method,ratio_ensemble,"
     "summary_size,peak_mem,oracle_calls,invariants_ok"
 )
-
-# ---------------------------------------------------------------------------
-# summary verification
-
-
-@dataclass(frozen=True)
-class VerifyCheck:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    checks: tuple[VerifyCheck, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[VerifyCheck]:
-        return [c for c in self.checks if not c.ok]
-
-    def format_text(self) -> str:
-        lines = []
-        for c in self.checks:
-            status = "pass" if c.ok else "FAIL"
-            lines.append(f"{status:4}  {c.name}" + (f"  ({c.detail})" if c.detail else ""))
-        lines.append("result: " + ("pass" if self.all_ok else "FAIL"))
-        return "\n".join(lines) + "\n"
-
-
-def streaming_memory_limit(k: int, d: int, epsilon: float) -> int:
-    """k + d + (worst-case bucket count) * (per-bucket drain cap)."""
-    return k + d + lattice_size_limit(k, epsilon) * drain_cap(d, epsilon)
-
-
-def structural_checks(summary: Summary, instance: Instance) -> list[VerifyCheck]:
-    """Mode-aware invariants that need no audit trail."""
-    checks: list[VerifyCheck] = []
-    matroid = instance.matroid
-    solution = summary.solution_set
-    reservoir = set(summary.reservoir)
-    ladder = PowerLadder(1.0 + summary.epsilon)
-
-    checks.append(
-        VerifyCheck("solution_independent", matroid.is_independent(solution))
-    )
-    checks.append(
-        VerifyCheck(
-            "solution_within_rank",
-            len(solution) <= summary.k,
-            f"|solution|={len(solution)} k={summary.k}",
-        )
-    )
-    overlap = solution & reservoir
-    buckets_flat = [e for exp in summary.buckets for e in summary.buckets[exp]]
-    bucket_dupes = len(buckets_flat) != len(set(buckets_flat))
-    top_overlap = set(summary.top_buffer) & set(buckets_flat)
-    checks.append(
-        VerifyCheck(
-            "disjointness",
-            not overlap and not bucket_dupes and not top_overlap,
-            f"solution/reservoir overlap={sorted(overlap)}",
-        )
-    )
-    checks.append(
-        VerifyCheck(
-            "top_buffer_within_budget",
-            len(summary.top_buffer) <= summary.d,
-            f"|top|={len(summary.top_buffer)} d={summary.d}",
-        )
-    )
-
-    if summary.mode == "centralized":
-        cap = bucket_cap(summary.k, summary.d, summary.epsilon, summary.monotone)
-    else:
-        cap = drain_cap(summary.d, summary.epsilon)
-    checks.append(
-        VerifyCheck(
-            "bucket_caps",
-            all(len(b) < cap for b in summary.buckets.values()),
-            f"cap={cap}",
-        )
-    )
-
-    limit = lattice_size_limit(summary.k, summary.epsilon)
-    checks.append(
-        VerifyCheck(
-            "threshold_count",
-            len(summary.exponents) <= limit,
-            f"used={len(summary.exponents)} limit={limit}",
-        )
-    )
-
-    if summary.mode == "centralized":
-        size_limit = summary.k + summary.d + len(summary.exponents) * cap
-        checks.append(
-            VerifyCheck(
-                "size_bound",
-                summary.size() <= size_limit,
-                f"size={summary.size()} limit={size_limit}",
-            )
-        )
-        singles = [instance.objective.value((e,)) for e in range(instance.n)]
-        delta, top = compute_delta(singles, summary.d)
-        checks.append(
-            VerifyCheck(
-                "anchor_value",
-                delta == summary.delta and sorted(top) == sorted(summary.top_buffer),
-                f"expected delta={delta!r}",
-            )
-        )
-    else:
-        size_limit = streaming_memory_limit(summary.k, summary.d, summary.epsilon)
-        checks.append(
-            VerifyCheck(
-                "size_bound",
-                summary.size() <= size_limit,
-                f"size={summary.size()} limit={size_limit}",
-            )
-        )
-        peak = summary.peak_memory if summary.peak_memory is not None else 0
-        checks.append(
-            VerifyCheck(
-                "peak_memory_bound", peak <= size_limit, f"peak={peak} limit={size_limit}"
-            )
-        )
-        if summary.counters.get("arrivals") == instance.n:
-            singles = [instance.objective.value((e,)) for e in range(instance.n)]
-            delta, top = compute_delta(singles, summary.d)
-            checks.append(
-                VerifyCheck(
-                    "anchor_value",
-                    delta == summary.delta and sorted(top) == sorted(summary.top_buffer),
-                    f"expected delta={delta!r}",
-                )
-            )
-
-    # insertion gains must sit in their threshold band and below the anchor
-    bracket_ok = True
-    detail = ""
-    top_exp = summary.exponents[0] if summary.exponents else None
-    for entry in summary.entries:
-        tau = ladder.power(entry.exponent)
-        if entry.gain < tau:
-            bracket_ok, detail = False, f"element {entry.element} gain below its threshold"
-            break
-        if entry.gain > summary.delta + 1e-9:
-            bracket_ok, detail = False, f"element {entry.element} gain above the anchor"
-            break
-        if summary.mode == "centralized" and top_exp is not None and entry.exponent < top_exp:
-            if entry.gain > ladder.power(entry.exponent + 1) + 1e-9:
-                bracket_ok, detail = False, f"element {entry.element} gain above its band"
-                break
-        if summary.mode == "streaming":
-            if entry.gain > ladder.power(entry.exponent + 1):
-                bracket_ok, detail = False, f"element {entry.element} gain above its band"
-                break
-    checks.append(VerifyCheck("gain_brackets", bracket_ok, detail))
-    return checks
-
-
-def verify_summary(
-    summary: Summary,
-    instance: Instance,
-    deletion_trials: int = 50,
-    deletion_seed: int = 0,
-) -> VerifyReport:
-    """Re-check a (possibly re-read) summary against its instance.
-
-    For streaming summaries carrying an audit trail, the weight-function
-    inequalities are re-evaluated for the empty deletion and a seeded batch
-    of random deletion sets.
-    """
-    checks = structural_checks(summary, instance)
-    if summary.mode == "streaming" and summary.audit is not None:
-        rng = np.random.default_rng(deletion_seed)
-        deletion_sets: list[list[int]] = [[]]
-        if summary.d > 0 and instance.n >= summary.d:
-            for _ in range(deletion_trials):
-                picks = rng.choice(instance.n, size=summary.d, replace=False)
-                deletion_sets.append(sorted(int(e) for e in picks))
-        for idx, removed in enumerate(deletion_sets):
-            report = check_weight_properties(summary, instance.objective, removed)
-            for check in report.failures():
-                checks.append(
-                    VerifyCheck(
-                        f"weights_{check.name}",
-                        False,
-                        f"deletion set #{idx} {removed}: {check.lhs!r} > {check.rhs!r}",
-                    )
-                )
-        if not any(c.name.startswith("weights_") for c in checks):
-            checks.append(VerifyCheck("weights_all", True, f"{len(deletion_sets)} deletion sets"))
-    return VerifyReport(tuple(checks))
-
 
 # ---------------------------------------------------------------------------
 # experiment configuration
@@ -242,7 +45,6 @@ class ExperimentConfig:
     monotone: bool = False
     gamma: float | None = None
     sample_prob: float | None = None
-    drain_order: str = "highest"
     order: str = "shuffle"  # streaming arrival order: identity | shuffle
     instance_file: str | None = None
     gen_spec: str | None = None
@@ -250,8 +52,6 @@ class ExperimentConfig:
     gen_seed: int = 0
     solver: str = "greedy"
     exhaustive_cap: int = 22
-    ls_improve: float = 0.01
-    ls_max_moves: int = 10_000
     strategies: tuple[str, ...] = ()
     opt_method: str = "exhaustive"
     trials: int = 1
@@ -264,6 +64,12 @@ class ExperimentConfig:
             raise ValueError("trial count must be at least 1")
         if self.mode not in ("centralized", "streaming"):
             raise ValueError("mode must be centralized or streaming")
+        if self.order not in ("identity", "shuffle"):
+            raise ValueError("order must be identity or shuffle")
+        if self.solver not in SOLVER_NAMES:
+            raise ValueError(f"solver must be one of {SOLVER_NAMES}")
+        if self.opt_method not in OPT_METHODS:
+            raise ValueError(f"opt_method must be one of {OPT_METHODS}")
         if not self.strategies:
             raise ValueError("at least one deletion strategy is required")
         if (self.instance_file is None) == (self.gen_spec is None):
@@ -312,7 +118,6 @@ def load_experiment_config(path) -> ExperimentConfig:
             monotone=convert(boolean, "algorithm", "monotone", "false"),
             gamma=convert(float, "algorithm", "gamma"),
             sample_prob=convert(float, "algorithm", "p"),
-            drain_order=get("algorithm", "drain_order", "highest"),
             order=get("algorithm", "order", "shuffle"),
             instance_file=get("instance", "file"),
             gen_spec=get("instance", "generator"),
@@ -320,8 +125,6 @@ def load_experiment_config(path) -> ExperimentConfig:
             gen_seed=convert(int, "instance", "gen_seed", "0"),
             solver=get("phase2", "solver", "greedy"),
             exhaustive_cap=convert(int, "phase2", "exhaustive_cap", "22"),
-            ls_improve=convert(float, "phase2", "ls_improve", "0.01"),
-            ls_max_moves=convert(int, "phase2", "ls_max_moves", "10000"),
             strategies=strategies,
             opt_method=get("deletions", "opt_method", "exhaustive"),
             trials=convert(int, "trials", "count", "1"),
@@ -428,7 +231,6 @@ def _phase_one(config: ExperimentConfig, instance: Instance, seed: int) -> tuple
                 gamma=config.gamma,
                 sample_prob=config.sample_prob,
                 seed=seed,
-                drain_order=config.drain_order,
             ),
             order,
         )
@@ -454,12 +256,7 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
     write_instance(instance, out_dir / "instance.txt")
 
-    solver = SolverKind(
-        config.solver,
-        exhaustive_cap=config.exhaustive_cap,
-        ls_improve=config.ls_improve,
-        ls_max_moves=config.ls_max_moves,
-    )
+    solver = SolverKind(config.solver, exhaustive_cap=config.exhaustive_cap)
     strategies = [parse_strategy(spec) for spec in config.strategies]
     deletion_sets = {
         s.spec: tuple(choose_deletions(instance, s, exhaustive_cap=config.exhaustive_cap))

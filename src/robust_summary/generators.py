@@ -20,22 +20,40 @@ from .instance import Instance, parse_matroid_spec
 from .matroids import UniformMatroid
 from .objectives import GraphCut, Modular, FacilityLocation, WeightedCoverage
 
-GENERATOR_KINDS = ("coverage", "facility", "cut", "lowerbound")
+# every key each generator reads, with its default; None marks a required key
+GENERATOR_KEYS = {
+    "coverage": {"n": None, "universe": None, "density": None},
+    "facility": {"n": None, "clients": None},
+    "cut": {"n": None, "p": None, "wmin": "0.5", "wmax": "1.5"},
+    "lowerbound": {"k": None, "d": None, "nzero": "0"},
+}
 
 
 def _parse_spec(spec: str) -> tuple[str, dict[str, str]]:
+    """The generator kind and every key it reads, defaults filled in.
+
+    A key the generator does not read, or a missing required key, is an error.
+    """
     tokens = spec.split()
     if not tokens:
         raise ValueError("empty generator spec")
     kind = tokens[0]
-    if kind not in GENERATOR_KINDS:
-        raise ValueError(f"unknown generator {kind!r}; expected one of {GENERATOR_KINDS}")
+    if kind not in GENERATOR_KEYS:
+        raise ValueError(f"unknown generator {kind!r}; expected one of {tuple(GENERATOR_KEYS)}")
+    keys = GENERATOR_KEYS[kind]
     args = {}
     for tok in tokens[1:]:
         key, sep, value = tok.partition("=")
         if not sep:
             raise ValueError(f"malformed generator argument {tok!r}")
+        if key not in keys:
+            raise ValueError(f"generator {kind!r} has no key {key!r}; expected {tuple(keys)}")
         args[key] = value
+    for key, default in keys.items():
+        if key not in args:
+            if default is None:
+                raise ValueError(f"generator {kind!r} is missing key {key!r}")
+            args[key] = default
     return kind, args
 
 
@@ -47,7 +65,7 @@ def generate_instance(spec: str, matroid: str | None = None, seed: int = 0) -> I
     if kind == "lowerbound":
         k = int(args["k"])
         d = int(args["d"])
-        nzero = int(args.get("nzero", "0"))
+        nzero = int(args["nzero"])
         weights = [1.0] * (k + d) + [0.0] * nzero
         return Instance(Modular(weights), UniformMatroid(len(weights), k))
 
@@ -69,8 +87,8 @@ def generate_instance(spec: str, matroid: str | None = None, seed: int = 0) -> I
         objective = FacilityLocation(rng.random((clients, n)))
     else:  # cut
         p = float(args["p"])
-        wmin = float(args.get("wmin", "0.5"))
-        wmax = float(args.get("wmax", "1.5"))
+        wmin = float(args["wmin"])
+        wmax = float(args["wmax"])
         edges = []
         for u in range(n):
             for v in range(u + 1, n):

@@ -136,6 +136,13 @@ class Objective(GroundSet):
         return [self._value_with(state, e, s) for e in es]
 
 
+def _check_weights(weights: np.ndarray, what: str) -> None:
+    """Raise unless every entry is finite and non-negative; NaN and inf are rejected."""
+    bad = weights[~np.isfinite(weights) | (weights < 0.0)]
+    if bad.size:
+        raise ValueError(f"{what} must be finite and non-negative, got {float(bad[0])!r}")
+
+
 def _masked_row_sums(weights: np.ndarray, masks: np.ndarray) -> list[float]:
     """``weights[mask].sum()`` for each row of a boolean matrix, bit for bit.
 
@@ -155,8 +162,7 @@ class WeightedCoverage(Objective):
 
     def __init__(self, universe_weights: Sequence[float], covers: Sequence[Iterable[int]]):
         weights = np.asarray(list(universe_weights), dtype=float)
-        if weights.size and float(weights.min()) < 0.0:
-            raise ValueError("universe weights must be non-negative")
+        _check_weights(weights, "universe weights")
         cover_sets = []
         for cover in covers:
             c = frozenset(int(u) for u in cover)
@@ -205,8 +211,7 @@ class FacilityLocation(Objective):
         sim = np.asarray(similarity, dtype=float)
         if sim.ndim != 2:
             raise ValueError("similarity must be a 2-D clients x elements matrix")
-        if sim.size and float(sim.min()) < 0.0:
-            raise ValueError("similarity entries must be non-negative")
+        _check_weights(sim, "similarity entries")
         super().__init__(sim.shape[1], monotone=True)
         self.similarity = sim
 
@@ -256,15 +261,15 @@ class GraphCut(Objective):
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
             if not (0 <= u < n_vertices and 0 <= v < n_vertices):
                 raise ValueError(f"edge ({u},{v}) references a vertex outside range")
-            if w < 0.0:
-                raise ValueError("edge weights must be non-negative")
             us.append(u)
             vs.append(v)
             ws.append(w)
+        weights = np.asarray(ws, dtype=float)
+        _check_weights(weights, "edge weights")
         super().__init__(n_vertices, monotone=False)
         self.edge_u = np.asarray(us, dtype=int)
         self.edge_v = np.asarray(vs, dtype=int)
-        self.edge_w = np.asarray(ws, dtype=float)
+        self.edge_w = weights
         incident: list[list[int]] = [[] for _ in range(n_vertices)]
         for i, (u, v) in enumerate(zip(us, vs)):
             incident[u].append(i)
@@ -309,8 +314,7 @@ class Modular(Objective):
 
     def __init__(self, weights: Sequence[float]):
         w = np.asarray(list(weights), dtype=float)
-        if w.size and float(w.min()) < 0.0:
-            raise ValueError("element weights must be non-negative")
+        _check_weights(w, "element weights")
         super().__init__(w.size, monotone=True)
         self.weights = w
 

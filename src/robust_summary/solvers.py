@@ -16,11 +16,14 @@ from .objectives import Objective
 from .summary import Summary
 
 SOLVER_NAMES = ("greedy", "exhaustive", "localsearch")
+# local search: a move must raise the value by this factor; at most this many moves
+LS_IMPROVE = 0.01
+LS_MAX_MOVES = 10_000
 
 
 @dataclass(frozen=True)
 class SolverKind:
-    """Which routine runs in the post-deletion phase, with its knobs.
+    """Which routine runs in the post-deletion phase, and the exhaustive search's cap.
 
     ``beta(monotone)`` is the routine's proven approximation factor on an
     objective of that kind, used by bound checks, or None where it has none.
@@ -28,14 +31,10 @@ class SolverKind:
 
     name: str
     exhaustive_cap: int = 22
-    ls_improve: float = 0.01
-    ls_max_moves: int = 10_000
 
     def __post_init__(self):
         if self.name not in SOLVER_NAMES:
             raise ValueError(f"solver must be one of {SOLVER_NAMES}")
-        if self.ls_improve <= 0.0:
-            raise ValueError("local-search improvement factor must be positive")
 
     def beta(self, monotone: bool) -> float | None:
         """1 for the exact search; 2 for the greedy, proven for monotone objectives only."""
@@ -50,9 +49,7 @@ class SolverKind:
             return greedy_matroid(ground, objective, matroid)
         if self.name == "exhaustive":
             return exhaustive_opt(ground, objective, matroid, cap=self.exhaustive_cap)
-        return local_search(
-            ground, objective, matroid, improve=self.ls_improve, max_moves=self.ls_max_moves
-        )
+        return local_search(ground, objective, matroid)
 
 
 def greedy_matroid(ground: Iterable[int], objective: Objective, matroid: Matroid) -> list[int]:
@@ -140,25 +137,19 @@ def exhaustive_opt(
     return list(best)
 
 
-def local_search(
-    ground: Iterable[int],
-    objective: Objective,
-    matroid: Matroid,
-    improve: float = 0.01,
-    max_moves: int = 10_000,
-) -> list[int]:
+def local_search(ground: Iterable[int], objective: Objective, matroid: Matroid) -> list[int]:
     """Add/drop/swap local search for non-monotone objectives.
 
-    Accepts the first move that multiplies the value by at least (1+improve)
+    Accepts the first move that multiplies the value by at least (1+LS_IMPROVE)
     (any strictly positive value counts from 0); runs once from the greedy
     solution and once from scratch, returns the better endpoint.  Each
     accepted move is a multiplicative gain, so the search terminates well
-    before ``max_moves`` on bounded objectives.
+    before ``LS_MAX_MOVES`` on bounded objectives.
     """
     elements = sorted(set(int(e) for e in ground))
 
     def improves(new_value: float, value: float) -> bool:
-        return new_value > value and new_value >= value * (1.0 + improve)
+        return new_value > value and new_value >= value * (1.0 + LS_IMPROVE)
 
     def refine(start: Iterable[int]) -> tuple[set[int], float]:
         current = set(start)
@@ -176,7 +167,7 @@ def local_search(
                     if inn not in current:
                         yield (current - {out}) | {inn}, True
 
-        for _ in range(max_moves):
+        for _ in range(LS_MAX_MOVES):
             for trial, check in moves():
                 if check and not matroid.is_independent(trial):
                     continue

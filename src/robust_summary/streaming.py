@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from .matroids import Matroid
 from .objectives import Objective
 from .summary import StreamAudit, Summary, SummaryEntry
 from .thresholds import PowerLadder
-
-DRAIN_ORDERS = ("highest", "lowest", "arrival")
 
 
 def drain_cap(d: int, epsilon: float) -> int:
@@ -53,7 +51,6 @@ class StreamingConfig:
     gamma: float | None = None
     sample_prob: float | None = None
     seed: int = 0
-    drain_order: str = "highest"
     audit: bool = False
 
     def __post_init__(self):
@@ -65,8 +62,6 @@ class StreamingConfig:
             raise ValueError("gamma must be positive")
         if self.sample_prob is not None and not 0.0 < self.sample_prob <= 1.0:
             raise ValueError("sample_prob must lie in (0, 1]")
-        if self.drain_order not in DRAIN_ORDERS:
-            raise ValueError(f"drain_order must be one of {DRAIN_ORDERS}")
 
     @property
     def gamma_value(self) -> float:
@@ -200,11 +195,11 @@ def drain_buckets(
     """Pull elements out of capped buckets until none is at the cap.
 
     Called when bucket ``capped`` has just reached the cap while no other
-    bucket is at it.  Per drained element the draw order is fixed:
-    bucket-index draw first, Bernoulli coin second, so traces replay
-    exactly.  Between rebuckets a drain only shrinks its own bucket, so the
-    capped buckets are listed in bucket-map order again only after a
-    rebucket.
+    bucket is at it; the highest capped bucket drains first.  Per drained
+    element the draw order is fixed: bucket-index draw first, Bernoulli coin
+    second, so traces replay exactly.  Between rebuckets a drain only
+    shrinks its own bucket, so the capped buckets are listed again only
+    after a rebucket.
 
     A drained element's weight is the gain it is filed by.  That is its
     marginal against the current candidate: it was computed against the
@@ -215,12 +210,7 @@ def drain_buckets(
     cap = cfg.drain_cap
     over = [capped]
     while over:
-        if cfg.drain_order == "highest":
-            exponent = max(over)
-        elif cfg.drain_order == "lowest":
-            exponent = min(over)
-        else:  # bucket-map insertion order
-            exponent = over[0]
+        exponent = max(over)
         bucket = state.buckets[exponent]
         g = bucket.pop(int(rng.integers(len(bucket))))
         weight = state.gains.pop(g)
@@ -337,7 +327,6 @@ def finalize(state: StreamState) -> Summary:
         counters=counters,
         gamma=cfg.gamma_value,
         sample_prob=cfg.sample_prob_value,
-        drain_order=cfg.drain_order,
         peak_memory=state.peak_memory,
         audit=state.audit,
     )
@@ -359,72 +348,3 @@ def stream_summary(
     for element in order:
         ingest(state, element, objective, matroid, rng)
     return finalize(state)
-
-
-# ---------------------------------------------------------------------------
-# weight-function invariants
-
-
-@dataclass(frozen=True)
-class WeightCheck:
-    name: str
-    lhs: float
-    rhs: float
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs <= self.rhs + 1e-9
-
-
-@dataclass(frozen=True)
-class WeightReport:
-    checks: tuple[WeightCheck, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[WeightCheck]:
-        return [c for c in self.checks if not c.ok]
-
-
-def check_weight_properties(
-    summary: Summary, objective: Objective, deleted: Sequence[int] = ()
-) -> WeightReport:
-    """Post-run weight sanity for a streaming summary against a deleted set.
-
-    Verifies that the swap margin keeps the kicked-out weight dominated, that
-    weights underestimate the value of the candidate and of its survivors,
-    and that they overestimate the value of candidate plus kicked elements.
-    """
-    if summary.mode != "streaming" or summary.audit is None:
-        raise ValueError("weight checks need a streaming summary with its audit trail")
-    gamma = summary.gamma if summary.gamma is not None else 1.0
-    removed = set(int(e) for e in deleted)
-
-    solution = summary.solution
-    weight_solution = sum(entry.gain for entry in summary.entries)
-    weight_kicked = sum(w for _, w in summary.audit.swapped_out)
-    value_solution = objective.value(solution)
-
-    survivors = [e for e in solution if e not in removed]
-    weight_survivors = sum(
-        entry.gain for entry in summary.entries if entry.element not in removed
-    )
-    value_survivors = objective.value(survivors)
-
-    union = sorted(set(solution) | {e for e, _ in summary.audit.swapped_out})
-    value_union = objective.value(union)
-    weight_union = weight_solution + weight_kicked
-
-    checks = (
-        WeightCheck("swap_balance", gamma * weight_kicked, weight_solution),
-        WeightCheck("solution_weight_vs_value", weight_solution, value_solution),
-        WeightCheck("survivor_weight_vs_value", weight_survivors, value_survivors),
-        WeightCheck("union_value_vs_weight", value_union, weight_union),
-    )
-    return WeightReport(checks)

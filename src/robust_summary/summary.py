@@ -63,7 +63,6 @@ class Summary:
     counters: dict[str, int]
     gamma: float | None = None
     sample_prob: float | None = None
-    drain_order: str | None = None
     peak_memory: int | None = None
     audit: StreamAudit | None = None
 
@@ -87,10 +86,6 @@ class Summary:
     def size(self) -> int:
         """|candidate| + |reservoir|, deduplicated against the candidate."""
         return len(self.entries) + len(set(self.reservoir) - self.solution_set)
-
-
-def summary_size(summary: Summary) -> int:
-    return summary.size()
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +114,6 @@ def format_summary(summary: Summary, include_audit: bool = False) -> str:
         lines.append(f"gamma={summary.gamma!r}")
     if summary.sample_prob is not None:
         lines.append(f"p={summary.sample_prob!r}")
-    if summary.drain_order is not None:
-        lines.append(f"drain_order={summary.drain_order}")
     lines.append(f"delta={summary.delta!r}")
     lines.append("exponents=" + ",".join(str(i) for i in summary.exponents))
     for entry in summary.entries:
@@ -172,6 +165,8 @@ _AUDIT_FIELDS = {
     "weight_log": "weight_log",
 }
 _PAIR_KEYS = ("audit_swapped_out", "weight_log")  # lists of id:weight pairs
+# keys older versions wrote, read and ignored: the scan mode and the drain order
+_IGNORED_KEYS = ("bucket_mode", "drain_order")
 
 
 def parse_summary(text: str) -> Summary:
@@ -187,7 +182,7 @@ def parse_summary(text: str) -> Summary:
     audit = StreamAudit()
     known = {
         "mode", "n", "k", "d", "epsilon", "monotone", "seed", "gamma", "p",
-        "drain_order", "delta", "exponents", "vd", "b", "peak_memory", "counters",
+        "delta", "exponents", "vd", "b", "peak_memory", "counters",
     }
     id_lists: list[tuple[str, list[int]]] = []  # (key, ids) of every id-bearing line
     for raw in text.splitlines():
@@ -218,7 +213,7 @@ def parse_summary(text: str) -> Summary:
             fields[key] = value
             if key in ("vd", "b"):
                 id_lists.append((key, _parse_ids(value)))
-        elif key != "bucket_mode":  # the scan mode older versions wrote; ignored
+        elif key not in _IGNORED_KEYS:
             raise ValueError(f"unknown summary key: {key!r}")
     for required in ("mode", "n", "k", "d", "epsilon", "monotone", "seed", "delta"):
         if required not in fields:
@@ -253,7 +248,6 @@ def parse_summary(text: str) -> Summary:
         counters=counters,
         gamma=float(fields["gamma"]) if "gamma" in fields else None,
         sample_prob=float(fields["p"]) if "p" in fields else None,
-        drain_order=fields.get("drain_order"),
         peak_memory=int(fields["peak_memory"]) if "peak_memory" in fields else None,
         audit=audit if audit_seen else None,
     )

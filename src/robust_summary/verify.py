@@ -1,0 +1,236 @@
+"""Checkable invariants of a summary, and the one report type they fill.
+
+Structural checks need only the summary and its instance: independence,
+disjointness, the bucket caps, the size and memory bounds, the anchor value
+and the gain brackets.  The weight checks re-evaluate, for a streaming
+summary with its audit trail, the inequalities behind the swap rule against
+a deleted set.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import Sequence
+
+import numpy as np
+
+from .centralized import bucket_cap, compute_delta
+from .instance import Instance
+from .objectives import Objective
+from .streaming import drain_cap
+from .summary import Summary
+from .thresholds import PowerLadder, lattice_size_limit
+
+
+@dataclass(frozen=True)
+class VerifyCheck:
+    name: str
+    ok: bool
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    checks: tuple[VerifyCheck, ...]
+
+    @property
+    def all_ok(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+    def failures(self) -> list[VerifyCheck]:
+        return [c for c in self.checks if not c.ok]
+
+    def format_text(self) -> str:
+        lines = []
+        for c in self.checks:
+            status = "pass" if c.ok else "FAIL"
+            lines.append(f"{status:4}  {c.name}" + (f"  ({c.detail})" if c.detail else ""))
+        lines.append("result: " + ("pass" if self.all_ok else "FAIL"))
+        return "\n".join(lines) + "\n"
+
+
+def streaming_memory_limit(k: int, d: int, epsilon: float) -> int:
+    """k + d + (worst-case bucket count) * (per-bucket drain cap)."""
+    return k + d + lattice_size_limit(k, epsilon) * drain_cap(d, epsilon)
+
+
+def structural_checks(summary: Summary, instance: Instance) -> list[VerifyCheck]:
+    """Mode-aware invariants that need no audit trail."""
+    checks: list[VerifyCheck] = []
+    matroid = instance.matroid
+    solution = summary.solution_set
+    reservoir = set(summary.reservoir)
+    ladder = PowerLadder(1.0 + summary.epsilon)
+
+    checks.append(
+        VerifyCheck("solution_independent", matroid.is_independent(solution))
+    )
+    checks.append(
+        VerifyCheck(
+            "solution_within_rank",
+            len(solution) <= summary.k,
+            f"|solution|={len(solution)} k={summary.k}",
+        )
+    )
+    overlap = solution & reservoir
+    buckets_flat = [e for exp in summary.buckets for e in summary.buckets[exp]]
+    bucket_dupes = len(buckets_flat) != len(set(buckets_flat))
+    top_overlap = set(summary.top_buffer) & set(buckets_flat)
+    checks.append(
+        VerifyCheck(
+            "disjointness",
+            not overlap and not bucket_dupes and not top_overlap,
+            f"solution/reservoir overlap={sorted(overlap)}",
+        )
+    )
+    checks.append(
+        VerifyCheck(
+            "top_buffer_within_budget",
+            len(summary.top_buffer) <= summary.d,
+            f"|top|={len(summary.top_buffer)} d={summary.d}",
+        )
+    )
+
+    if summary.mode == "centralized":
+        cap = bucket_cap(summary.k, summary.d, summary.epsilon, summary.monotone)
+        size_limit = summary.k + summary.d + len(summary.exponents) * cap
+    else:
+        cap = drain_cap(summary.d, summary.epsilon)
+        size_limit = streaming_memory_limit(summary.k, summary.d, summary.epsilon)
+    checks.append(
+        VerifyCheck(
+            "bucket_caps",
+            all(len(b) < cap for b in summary.buckets.values()),
+            f"cap={cap}",
+        )
+    )
+
+    limit = lattice_size_limit(summary.k, summary.epsilon)
+    checks.append(
+        VerifyCheck(
+            "threshold_count",
+            len(summary.exponents) <= limit,
+            f"used={len(summary.exponents)} limit={limit}",
+        )
+    )
+    checks.append(
+        VerifyCheck(
+            "size_bound",
+            summary.size() <= size_limit,
+            f"size={summary.size()} limit={size_limit}",
+        )
+    )
+    if summary.mode == "streaming":
+        peak = summary.peak_memory if summary.peak_memory is not None else 0
+        checks.append(
+            VerifyCheck(
+                "peak_memory_bound", peak <= size_limit, f"peak={peak} limit={size_limit}"
+            )
+        )
+    # a stream over part of the ground set anchors on the part it saw
+    if summary.mode == "centralized" or summary.counters.get("arrivals") == instance.n:
+        singles = [instance.objective.value((e,)) for e in range(instance.n)]
+        delta, top = compute_delta(singles, summary.d)
+        checks.append(
+            VerifyCheck(
+                "anchor_value",
+                delta == summary.delta and sorted(top) == sorted(summary.top_buffer),
+                f"expected delta={delta!r}",
+            )
+        )
+
+    # insertion gains must sit in their threshold band and below the anchor
+    bracket_ok = True
+    detail = ""
+    top_exp = summary.exponents[0] if summary.exponents else None
+    for entry in summary.entries:
+        tau = ladder.power(entry.exponent)
+        if entry.gain < tau:
+            bracket_ok, detail = False, f"element {entry.element} gain below its threshold"
+            break
+        if entry.gain > summary.delta + 1e-9:
+            bracket_ok, detail = False, f"element {entry.element} gain above the anchor"
+            break
+        if summary.mode == "centralized" and top_exp is not None and entry.exponent < top_exp:
+            if entry.gain > ladder.power(entry.exponent + 1) + 1e-9:
+                bracket_ok, detail = False, f"element {entry.element} gain above its band"
+                break
+        if summary.mode == "streaming":
+            if entry.gain > ladder.power(entry.exponent + 1):
+                bracket_ok, detail = False, f"element {entry.element} gain above its band"
+                break
+    checks.append(VerifyCheck("gain_brackets", bracket_ok, detail))
+    return checks
+
+
+def check_weight_properties(
+    summary: Summary, objective: Objective, deleted: Sequence[int] = ()
+) -> VerifyReport:
+    """Post-run weight sanity for a streaming summary against a deleted set.
+
+    Verifies that the swap margin keeps the kicked-out weight dominated, that
+    weights underestimate the value of the candidate and of its survivors,
+    and that they overestimate the value of candidate plus kicked elements.
+    Each ``weights_<name>`` check holds when lhs <= rhs + 1e-9; its detail
+    shows both sides.
+    """
+    if summary.mode != "streaming" or summary.audit is None:
+        raise ValueError("weight checks need a streaming summary with its audit trail")
+    gamma = summary.gamma if summary.gamma is not None else 1.0
+    removed = set(int(e) for e in deleted)
+
+    solution = summary.solution
+    weight_solution = sum((entry.gain for entry in summary.entries), 0.0)
+    weight_kicked = sum((w for _, w in summary.audit.swapped_out), 0.0)
+    value_solution = objective.value(solution)
+
+    survivors = [e for e in solution if e not in removed]
+    weight_survivors = sum(
+        (entry.gain for entry in summary.entries if entry.element not in removed), 0.0
+    )
+    value_survivors = objective.value(survivors)
+
+    union = sorted(set(solution) | {e for e, _ in summary.audit.swapped_out})
+    value_union = objective.value(union)
+    weight_union = weight_solution + weight_kicked
+
+    def check(name: str, lhs: float, rhs: float) -> VerifyCheck:
+        ok = lhs <= rhs + 1e-9
+        return VerifyCheck(f"weights_{name}", ok, f"{lhs!r} {'<=' if ok else '>'} {rhs!r}")
+
+    return VerifyReport((
+        check("swap_balance", gamma * weight_kicked, weight_solution),
+        check("solution_weight_vs_value", weight_solution, value_solution),
+        check("survivor_weight_vs_value", weight_survivors, value_survivors),
+        check("union_value_vs_weight", value_union, weight_union),
+    ))
+
+
+def verify_summary(
+    summary: Summary,
+    instance: Instance,
+    deletion_trials: int = 50,
+    deletion_seed: int = 0,
+) -> VerifyReport:
+    """Re-check a (possibly re-read) summary against its instance.
+
+    For streaming summaries carrying an audit trail, the weight-function
+    inequalities are re-evaluated for the empty deletion and a seeded batch
+    of random deletion sets.
+    """
+    checks = structural_checks(summary, instance)
+    if summary.mode == "streaming" and summary.audit is not None:
+        rng = np.random.default_rng(deletion_seed)
+        deletion_sets: list[list[int]] = [[]]
+        if summary.d > 0 and instance.n >= summary.d:
+            for _ in range(deletion_trials):
+                picks = rng.choice(instance.n, size=summary.d, replace=False)
+                deletion_sets.append(sorted(int(e) for e in picks))
+        for idx, removed in enumerate(deletion_sets):
+            report = check_weight_properties(summary, instance.objective, removed)
+            for check in report.failures():
+                where = f"deletion set #{idx} {removed}: "
+                checks.append(replace(check, detail=where + check.detail))
+        if not any(c.name.startswith("weights_") for c in checks):
+            checks.append(VerifyCheck("weights_all", True, f"{len(deletion_sets)} deletion sets"))
+    return VerifyReport(tuple(checks))

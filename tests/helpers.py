@@ -272,12 +272,7 @@ def literal_stream_summary(objective, matroid, config, order):
             over = [x for x in state.buckets if len(state.buckets[x]) >= cap]
             if not over:
                 return
-            if config.drain_order == "highest":
-                exponent = max(over)
-            elif config.drain_order == "lowest":
-                exponent = min(over)
-            else:
-                exponent = over[0]
+            exponent = max(over)
             bucket = state.buckets[exponent]
             g = bucket.pop(int(rng.integers(len(bucket))))
             if not bucket:

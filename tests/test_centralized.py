@@ -17,7 +17,6 @@ from robust_summary import (
     make_modular,
     make_uniform,
     make_weighted_coverage,
-    summary_size,
     threshold_lattice,
 )
 
@@ -109,14 +108,14 @@ def test_summary_size_accounting():
         mode="centralized", n=0, k=1, d=0, epsilon=0.1, monotone=False, seed=0,
         delta=0.0, entries=[], buckets={}, top_buffer=[], exponents=[], counters={},
     )
-    assert summary_size(empty) == 0
+    assert empty.size() == 0
     disjoint = Summary(
         mode="centralized", n=10, k=3, d=0, epsilon=0.1, monotone=False, seed=0,
         delta=1.0,
         entries=[SummaryEntry(e, 0, 1.0) for e in range(3)],
         buckets={0: [3, 4, 5, 6]}, top_buffer=[7, 8, 9], exponents=[0], counters={},
     )
-    assert summary_size(disjoint) == 10
+    assert disjoint.size() == 10
 
 
 def test_size_bound_small_sweep():

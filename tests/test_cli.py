@@ -251,6 +251,39 @@ def test_matroid_spec_missing_a_key_is_a_clean_error(tmp_path, capsys):
     assert err == "robust-summary: error: uniform matroid spec is missing key 'k'\n"
 
 
+def test_non_finite_instance_weight_is_a_clean_error(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    inst.write_text("n=3\nobjective=modular\nweights=1,nan,2\nmatroid=uniform k=2\n")
+    code = main([
+        "summarize", "--mode", "centralized", "--instance", str(inst),
+        "--epsilon", "0.1", "--d", "1", "--out", str(tmp_path / "summary.txt"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "robust-summary: error: element weights must be finite and non-negative, got nan\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("coverage universe=3 density=0.1", "generator 'coverage' is missing key 'n'"),
+        (
+            "coverage n=4 universe=3 densty=0.1",
+            "generator 'coverage' has no key 'densty'; expected ('n', 'universe', 'density')",
+        ),
+        ("cut n=5", "generator 'cut' is missing key 'p'"),
+        ("lowerbound d=2", "generator 'lowerbound' is missing key 'k'"),
+    ],
+    ids=["coverage-without-n", "coverage-densty", "cut-without-p", "lowerbound-without-k"],
+)
+def test_generator_spec_key_errors_are_clean(tmp_path, capsys, spec, message):
+    out = tmp_path / "inst.txt"
+    code = main(["gen", "--spec", spec, "--matroid", "uniform k=1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"robust-summary: error: {message}\n"
+    assert not out.exists()
+
+
 def test_monotone_experiment_on_a_cut_instance_exits_2(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

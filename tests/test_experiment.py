@@ -335,3 +335,19 @@ def test_monotone_mode_on_a_non_monotone_objective_is_rejected(tmp_path):
         run_experiment(_cut_experiment(tmp_path, monotone=True))
     assert str(raised.value) == "monotone = true needs a monotone objective; graph-cut is not"
     assert not (tmp_path / "cut").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("order", "shufle", "order must be identity or shuffle"),
+        ("solver", "gredy", "solver must be one of ('greedy', 'exhaustive', 'localsearch')"),
+        ("opt_method", "exact", "opt_method must be one of ('exhaustive', 'greedy-bound')"),
+    ],
+    ids=["order", "solver", "opt_method"],
+)
+def test_misspelled_choice_is_rejected_before_any_output(tmp_path, field, value, message):
+    with pytest.raises(ValueError) as raised:
+        run_experiment(_cut_experiment(tmp_path, **{field: value}))
+    assert str(raised.value) == message
+    assert not (tmp_path / "cut").exists()

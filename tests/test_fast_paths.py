@@ -22,8 +22,6 @@ from robust_summary import (
     make_modular,
     stream_summary,
 )
-from robust_summary.streaming import DRAIN_ORDERS
-
 from helpers import literal_stream_summary, plain_oracle
 
 SEEDS = range(10)
@@ -87,15 +85,13 @@ def test_stream_summary_matches_plain_reference(case):
     assert drained and swapped  # rebuckets, feasibility checks and circuits all ran
 
 
-@pytest.mark.parametrize("drain_order", DRAIN_ORDERS)
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_stream_summary_matches_literal_loop(case, drain_order):
+def test_stream_summary_matches_literal_loop(case):
     drained = 0
     for seed in SEEDS:
         objective, matroid, monotone = CASES[case](seed)
         config = StreamingConfig(
-            epsilon=EPSILON, d=D, monotone_mode=monotone, seed=seed,
-            drain_order=drain_order, audit=True,
+            epsilon=EPSILON, d=D, monotone_mode=monotone, seed=seed, audit=True
         )
         order = np.random.default_rng(seed + 100).permutation(objective.n)
         fast, literal = objective.clone(), objective.clone()

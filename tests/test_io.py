@@ -183,6 +183,20 @@ def test_old_summary_with_bucket_mode_parses():
     assert format_summary(rebuilt) == format_summary(summary)
 
 
+def test_old_streaming_summary_with_drain_order_parses():
+    # older versions recorded the streaming drain order; it is read and dropped
+    summary = stream_summary(
+        make_modular([3.0, 1.0, 2.0, 5.0, 4.0]),
+        make_uniform(5, 2),
+        StreamingConfig(epsilon=0.5, d=1, monotone_mode=True, seed=2),
+        range(5),
+    )
+    text = format_summary(summary)
+    assert "drain_order" not in text
+    old = text.replace("delta=", "drain_order=highest\ndelta=", 1)
+    assert format_summary(parse_summary(old)) == text
+
+
 def test_streaming_summary_roundtrip_with_audit():
     rng = np.random.default_rng(6)
     obj = make_modular(rng.uniform(0.0, 4.0, size=12))

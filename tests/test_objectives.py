@@ -97,6 +97,19 @@ def test_constructor_validation():
         make_cut_function(2, [(0, 1, -1.0)])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("kind", ["coverage", "cut", "facility", "modular"])
+def test_non_finite_weights_rejected(kind, bad):
+    make = {
+        "coverage": lambda w: make_weighted_coverage([1.0, w], [[0], [1]]),
+        "cut": lambda w: make_cut_function(3, [(0, 1, 1.0), (1, 2, w)]),
+        "facility": lambda w: make_facility_location([[1.0, w], [0.5, 0.5]]),
+        "modular": lambda w: make_modular([1.0, w, 2.0]),
+    }[kind]
+    with pytest.raises(ValueError, match=f"must be finite and non-negative, got {bad!r}"):
+        make(bad)
+
+
 def test_out_of_range_ids_rejected():
     obj = make_modular([1, 2])
     with pytest.raises(ValueError):

@@ -206,8 +206,6 @@ def test_solver_kind_validation_and_beta():
     assert SolverKind("localsearch").beta(monotone=True) is None
     with pytest.raises(ValueError):
         SolverKind("annealing")
-    with pytest.raises(ValueError):
-        SolverKind("localsearch", ls_improve=0.0)
 
 
 def _toy_summary(entries, buckets, top, k=2, d=1):

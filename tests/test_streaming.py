@@ -1,7 +1,5 @@
 """Single-pass builder: buffering, draining, swapping, rebucketing, audits."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,8 +54,6 @@ def test_config_validation():
         StreamingConfig(epsilon=0.2, d=1, gamma=0.0)
     with pytest.raises(ValueError):
         StreamingConfig(epsilon=0.2, d=1, sample_prob=0.0)
-    with pytest.raises(ValueError):
-        StreamingConfig(epsilon=0.2, d=1, drain_order="sideways")
 
 
 def test_drain_cap_floors_at_one():
@@ -127,13 +123,12 @@ def test_forced_rejection_keeps_solution_empty():
     assert summary.audit.sample_rejected == [0, 1, 2]
 
 
-@pytest.mark.parametrize("drain_order", ["highest", "lowest", "arrival"])
-def test_a_bucket_drained_below_the_cap_stops_draining(drain_order):
+def test_a_bucket_drained_below_the_cap_stops_draining():
     # d=2, eps=0.5: cap 4.  Equal weights share one bucket and every coin
     # rejects, so the candidate never changes and no rebucket runs: each
     # arrival that fills the bucket drains exactly one element.
     obj = make_modular([1.0] * 10)
-    cfg = StreamingConfig(epsilon=0.5, d=2, sample_prob=0.5, drain_order=drain_order)
+    cfg = StreamingConfig(epsilon=0.5, d=2, sample_prob=0.5)
     state = StreamState(cfg, k=3)
     rng = ScriptedRng(coin=0.9)
     matroid = make_uniform(10, 3)
@@ -287,12 +282,10 @@ def test_buckets_stay_under_cap_at_every_arrival_boundary():
         assert state.memory() <= streaming_memory_limit(matroid.k, cfg.d, cfg.epsilon)
 
 
-@pytest.mark.parametrize("drain_order", ["highest", "lowest", "arrival"])
-def test_memory_equals_a_full_recount_after_every_arrival(drain_order):
+def test_memory_equals_a_full_recount_after_every_arrival():
     drained = 0
     for seed in range(20):
         obj, matroid, cfg, order = _random_stream(seed, monotone=seed % 2 == 0)
-        cfg = dataclasses.replace(cfg, drain_order=drain_order)
         state = StreamState(cfg, matroid.k)
         stream_rng = np.random.default_rng(seed)
         for e in order:
@@ -329,7 +322,7 @@ def test_weight_properties_empty_state():
     summary = stream_summary(obj, make_uniform(1, 1), StreamingConfig(epsilon=0.5, d=1), [])
     report = check_weight_properties(summary, obj, [])
     assert report.all_ok
-    assert all(c.lhs == 0.0 and c.rhs == 0.0 for c in report.checks)
+    assert all(c.detail == "0.0 <= 0.0" for c in report.checks)
 
 
 def test_seed_determinism_with_audit():
@@ -337,18 +330,6 @@ def test_seed_determinism_with_audit():
     text_a = format_summary(stream_summary(obj, matroid, cfg, order), include_audit=True)
     text_b = format_summary(stream_summary(obj, matroid, cfg, order), include_audit=True)
     assert text_a == text_b
-
-
-def test_drain_order_variants_are_deterministic():
-    obj = make_modular([2.0, 2.1, 4.0, 4.1, 8.0, 8.1, 1.0, 1.1])
-    matroid = make_uniform(8, 2)
-    for order_rule in ("highest", "lowest", "arrival"):
-        cfg = StreamingConfig(
-            epsilon=0.5, d=1, monotone_mode=True, seed=1, drain_order=order_rule
-        )
-        a = stream_summary(obj, matroid, cfg, range(8))
-        b = stream_summary(obj, matroid, cfg, range(8))
-        assert format_summary(a) == format_summary(b)
 
 
 @settings(max_examples=40, deadline=None)
