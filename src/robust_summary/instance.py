@@ -63,6 +63,11 @@ def _ints(text: str) -> list[int]:
 
 
 def parse_matroid_spec(spec: str, n: int) -> Matroid:
+    """The matroid a spec names, over the ground set 0..n-1.
+
+    A missing required key is reported first; then any key the kind does
+    not read is an error, so a misspelled key cannot silently drop a setting.
+    """
     tokens = spec.split()
     if not tokens:
         raise ValueError("empty matroid spec")
@@ -76,15 +81,26 @@ def parse_matroid_spec(spec: str, n: int) -> Matroid:
             raise ValueError(f"{kind} matroid spec is missing key {key!r}")
         return args[key]
 
+    def only(*keys: str) -> None:
+        for key in args:
+            if key not in keys:
+                raise ValueError(f"{kind} matroid spec has no key {key!r}; expected {keys}")
+
     if kind == "uniform":
-        return UniformMatroid(n, int(arg("k")))
+        k = int(arg("k"))
+        only("k")
+        return UniformMatroid(n, k)
     if kind == "partition":
         if "blocks" in args:
             blocks = [_ints(b) for b in args["blocks"].split("|")]
             caps = _ints(arg("caps"))
+            if "nblocks" in args:
+                raise ValueError("partition matroid spec takes blocks= or nblocks=, not both")
+            only("blocks", "caps")
         else:  # round-robin shorthand
             nblocks = int(arg("nblocks"))
             cap = int(args.get("cap", "1"))
+            only("nblocks", "cap")
             blocks = [list(range(b, n, nblocks)) for b in range(nblocks)]
             caps = [cap] * nblocks
         return PartitionMatroid(blocks, caps)
@@ -93,9 +109,11 @@ def parse_matroid_spec(spec: str, n: int) -> Matroid:
         for tok in arg("edgemap").split(","):
             u, _, v = tok.partition("-")
             pairs.append((int(u), int(v)))
+        vertices = int(arg("vertices"))
+        only("vertices", "edgemap")
         if len(pairs) != n:
             raise ValueError("graphic edgemap must list one edge per element")
-        return GraphicMatroid(int(arg("vertices")), pairs)
+        return GraphicMatroid(vertices, pairs)
     raise ValueError(f"unknown matroid kind {kind!r}")
 
 

@@ -100,6 +100,18 @@ class Objective(GroundSet):
         other._memo = None
         return other
 
+    def dependents(self, x: int) -> frozenset[int] | None:
+        """Elements whose marginal can change when x joins or leaves a set.
+
+        For every S and every e outside the result and other than x, the
+        exact marginal of e is the same against S with x as without it.
+        None means "any element", which is always safe; a result that misses
+        such an element is a correctness bug, since the streaming refile
+        keeps every other filed gain as it is.
+        """
+        self._check_id(x)
+        return None
+
     def _singleton_values(self) -> list[float]:
         """f({e}) for every e, each equal to _f(frozenset({e})); computed once."""
         table = self._singletons[0]
@@ -174,6 +186,20 @@ class WeightedCoverage(Objective):
         self.universe_weights = weights
         self.covers = tuple(cover_sets)
         self._cover_items = tuple(np.fromiter(c, dtype=np.intp, count=len(c)) for c in cover_sets)
+        self._coverers: list = [None]  # one slot, shared by every clone
+
+    def dependents(self, x: int) -> frozenset[int]:
+        """The elements that share a universe item with x."""
+        x = self._check_id(x)
+        coverers = self._coverers[0]
+        if coverers is None:
+            # item -> the elements covering it, built on the first call
+            members = [[] for _ in range(self.universe_weights.size)]
+            for e, cover in enumerate(self.covers):
+                for u in cover:
+                    members[u].append(e)
+            coverers = self._coverers[0] = tuple(members)
+        return frozenset().union(*(coverers[u] for u in self.covers[x]))
 
     def _value(self, s: frozenset) -> float:
         covered: set[int] = set()
@@ -276,6 +302,12 @@ class GraphCut(Objective):
             incident[v].append(i)
         self._incident = tuple(np.asarray(edge_ids, dtype=np.intp) for edge_ids in incident)
 
+    def dependents(self, x: int) -> frozenset[int]:
+        """The neighbours of x."""
+        x = self._check_id(x)
+        at = self._incident[x]
+        return frozenset(self.edge_u[at].tolist() + self.edge_v[at].tolist()) - {x}
+
     @property
     def edges(self) -> list[tuple[int, int, float]]:
         return [
@@ -317,6 +349,11 @@ class Modular(Objective):
         _check_weights(w, "element weights")
         super().__init__(w.size, monotone=True)
         self.weights = w
+
+    def dependents(self, x: int) -> frozenset[int]:
+        """No element: a modular gain never depends on the set."""
+        self._check_id(x)
+        return frozenset()
 
     def _value(self, s: frozenset) -> float:
         return float(self.weights[sorted(s)].sum())

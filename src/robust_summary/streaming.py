@@ -6,20 +6,26 @@ its current marginal gain.  Whenever a bucket reaches the drain cap, elements
 are pulled out uniformly at random, gated by a Bernoulli coin, and either
 added to the candidate solution directly or swapped against the lightest
 element of the circuit they would close - provided their weight beats the
-swap margin.  Every change of the candidate triggers a full rebucketing.
+swap margin.  Every change of the candidate triggers a rebucketing.
 
-The state keeps the gain each element was filed by.  Since every change of
-the candidate refiles every bucket, each filed gain is the element's marginal
-against the current candidate, so a drained element's weight is read from
-its filed gain, bit for bit the marginal a fresh query would return.  The
-active window (``tau_min`` and the lowest live bucket) depends on the anchor
-delta alone and moves only when delta grows.
+The state keeps the gain each element was filed by.  A rebucketing refiles
+only what the change can move: the filed elements that depend on an element
+that entered or left the candidate (``Objective.dependents``), and those
+whose filed gain sits within a float slack of its bucket's edges.  Every
+other element keeps its bucket and its filed gain, which a full refile would
+give it too (see ``rebucket``).  The state also records which filed gains
+were computed against the current candidate: a drained element's weight is
+read from its filed gain when that is fresh, bit for bit the marginal a
+fresh query would return, and is a fresh marginal otherwise.  The active
+window (``tau_min`` and the lowest live bucket) depends on the anchor delta
+alone and moves only when delta grows.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -95,8 +101,12 @@ class StreamState:
         self.weights: dict[int, float] = {}  # fixed once per drained element
         self.entry_exponent: dict[int, int] = {}
         self.buckets: dict[int, list[int]] = {}  # exponent -> sorted ids
-        # filed element -> its marginal against the current candidate
+        # filed element -> its marginal against the candidate it was last
+        # filed against, which in exact arithmetic is its marginal now
         self.gains: dict[int, float] = {}
+        # elements filed or refiled since the last change of the candidate:
+        # their filed gain is their marginal now, bit for bit
+        self.fresh: set[int] = set()
         self.top_buffer: list[tuple[float, int]] = []  # (value, id), size <= d
         self.delta = 0.0
         self.tau_min = 0.0
@@ -179,6 +189,7 @@ def ingest(
     bucket = state.buckets.setdefault(exponent, [])
     bisect.insort(bucket, popped)
     state.gains[popped] = gain
+    state.fresh.add(popped)
     if len(bucket) >= cfg.drain_cap:
         drain_buckets(state, objective, matroid, rng, exponent)
     state._note_boundary()
@@ -201,10 +212,10 @@ def drain_buckets(
     shrinks its own bucket, so the capped buckets are listed again only
     after a rebucket.
 
-    A drained element's weight is the gain it is filed by.  That is its
-    marginal against the current candidate: it was computed against the
-    candidate of the moment at filing, and every change of the candidate is
-    followed by a rebucket, which refiles every bucket by fresh gains.
+    A drained element's weight is its marginal against the current
+    candidate.  When the element was filed or refiled since the last change
+    of the candidate, that is the gain it is filed by; otherwise one
+    marginal query computes it.
     """
     cfg = state.config
     cap = cfg.drain_cap
@@ -214,6 +225,8 @@ def drain_buckets(
         bucket = state.buckets[exponent]
         g = bucket.pop(int(rng.integers(len(bucket))))
         weight = state.gains.pop(g)
+        if g not in state.fresh:
+            weight = objective.marginal(g, state.candidate_set)
         if len(bucket) < cap:
             over.remove(exponent)
         if not bucket:
@@ -224,13 +237,13 @@ def drain_buckets(
         state.audit.weight_log.append((g, weight))
         accepted = bool(rng.random() < cfg.sample_prob_value)
 
-        changed = grew = False
+        changed = ()
         if matroid.fits(g, state.candidate_set):
             if accepted:
                 state.candidate.append(g)
                 state.candidate_set = state.candidate_set | {g}
                 state.entry_exponent[g] = exponent
-                changed = grew = True
+                changed = (g,)
             else:
                 state.audit.sample_rejected.append(g)
         else:
@@ -243,7 +256,7 @@ def drain_buckets(
                     state.candidate.append(g)
                     state.candidate_set = (state.candidate_set - {victim}) | {g}
                     state.entry_exponent[g] = exponent
-                    changed = True
+                    changed = (g, victim)
                 else:
                     state.audit.sample_rejected.append(g)
             else:
@@ -252,13 +265,32 @@ def drain_buckets(
         if changed:
             if cfg.audit and not matroid.is_independent(state.candidate_set):
                 raise AssertionError("candidate solution became dependent")
-            rebucket(state, objective, solution_grew=grew)
+            # a lone changed element entered: the candidate only grew
+            rebucket(state, objective, changed, solution_grew=len(changed) == 1)
             over = [x for x in state.buckets if len(state.buckets[x]) >= cap]
     return state
 
 
-def rebucket(state: StreamState, objective: Objective, solution_grew: bool = False) -> StreamState:
-    """Refile every buffered element by its marginal against the current candidate.
+def rebucket(
+    state: StreamState,
+    objective: Objective,
+    changed: Iterable[int] | None = None,
+    solution_grew: bool = False,
+) -> StreamState:
+    """Refile each filed element the candidate change can move, by its fresh marginal.
+
+    ``changed`` lists the elements that entered or left the candidate; None
+    refiles every element.  Otherwise an element is refiled when it depends
+    on a changed element (``Objective.dependents``; None there also means
+    every element) or when its filed gain lies within ``slack = 1e-9 *
+    (k+1) * delta`` of its bucket's edges ``[power(x), power(x+1))``.  Every
+    other element keeps its bucket and its filed gain, which is exactly what
+    a full refile would give it: its exact gain is unchanged since it was
+    filed, and every filed and candidate singleton is at most delta, so
+    f(S+e) <= (k+1) * delta and both float evaluations of the gain lie far
+    closer than the slack to the exact one.  They therefore fall in the same
+    bucket, pass the same window, and make no upward move.  When the slack
+    leaves the normal float range every element is refiled.
 
     The fresh marginals become the filed gains.  Elements falling under the
     active window are discarded.  When the candidate only grew, gains cannot
@@ -268,20 +300,45 @@ def rebucket(state: StreamState, objective: Objective, solution_grew: bool = Fal
     lattice point can come back an ulp higher after growth and move up one
     bucket, so ``upward_moves_after_growth`` counts float noise too.
     """
-    filed = [(x, e) for x in sorted(state.buckets, reverse=True) for e in state.buckets[x]]
-    gains = objective.gains([e for _, e in filed], state.candidate_set)
+    affected = None
+    if changed is not None:
+        affected = set()
+        for x in changed:
+            dependents = objective.dependents(x)
+            if dependents is None:
+                affected = None
+                break
+            affected |= dependents
+    slack = 1e-9 * (state.k + 1) * state.delta
+    everything = affected is None or not slack >= sys.float_info.min
+    moving = []  # (old exponent, element), by exponent descending, then id
+    for x in sorted(state.buckets, reverse=True):
+        bucket = state.buckets[x]
+        low = state.ladder.power(x) + slack
+        high = state.ladder.power(x + 1) - slack
+        picked = [
+            e for e in bucket if everything or e in affected or not low < state.gains[e] < high
+        ]
+        if not picked:
+            continue
+        moving.extend((x, e) for e in picked)
+        if len(picked) == len(bucket):
+            del state.buckets[x]
+        else:
+            gone = set(picked)
+            state.buckets[x] = [e for e in bucket if e not in gone]
+    gains = objective.gains([e for _, e in moving], state.candidate_set)
     live = [not (state.tau_min > gain or gain <= 0.0) for gain in gains]
     new_exponents = iter(
         state.ladder.floor_exponents([gain for gain, ok in zip(gains, live) if ok])
     )
-    state.buckets = {}
-    state.gains = {}
-    for (exponent, e), gain, ok in zip(filed, gains, live):
+    for (exponent, e), gain, ok in zip(moving, gains, live):
         new_exponent = next(new_exponents) if ok else None
         if new_exponent is None or (
             state.min_active_exponent is not None
             and new_exponent < state.min_active_exponent
         ):
+            del state.gains[e]
             state.audit.low_value.append(e)
             continue
         if new_exponent > exponent:
@@ -290,6 +347,7 @@ def rebucket(state: StreamState, objective: Objective, solution_grew: bool = Fal
                 state.upward_moves_after_growth += 1
         bisect.insort(state.buckets.setdefault(new_exponent, []), e)
         state.gains[e] = gain
+    state.fresh = {e for _, e in moving}
     return state
 
 

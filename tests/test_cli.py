@@ -251,6 +251,29 @@ def test_matroid_spec_missing_a_key_is_a_clean_error(tmp_path, capsys):
     assert err == "robust-summary: error: uniform matroid spec is missing key 'k'\n"
 
 
+@pytest.mark.parametrize(
+    "matroid, message",
+    [
+        (
+            "partition nblocks=2 cap=1 capp=3",
+            "partition matroid spec has no key 'capp'; expected ('nblocks', 'cap')",
+        ),
+        ("uniform k=2 kk=3", "uniform matroid spec has no key 'kk'; expected ('k',)"),
+        (
+            "partition blocks=0,1,2|3,4,5 caps=1,1 nblocks=2",
+            "partition matroid spec takes blocks= or nblocks=, not both",
+        ),
+    ],
+    ids=["partition-capp", "uniform-kk", "blocks-and-nblocks"],
+)
+def test_matroid_spec_key_it_does_not_read_exits_2(tmp_path, capsys, matroid, message):
+    out = tmp_path / "inst.txt"
+    code = main(["gen", "--spec", "cut n=6 p=0.5", "--matroid", matroid, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"robust-summary: error: {message}\n"
+    assert not out.exists()
+
+
 def test_non_finite_instance_weight_is_a_clean_error(tmp_path, capsys):
     inst = tmp_path / "inst.txt"
     inst.write_text("n=3\nobjective=modular\nweights=1,nan,2\nmatroid=uniform k=2\n")

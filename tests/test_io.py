@@ -1,5 +1,7 @@
 """Instance and summary files: round trips, grammar rejection, generators."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -312,6 +314,59 @@ def test_matroid_spec_missing_key_names_it(spec, key):
     text = f"n=3\nobjective=modular\nweights=1,2,3\nmatroid={spec}\n"
     with pytest.raises(ValueError, match=f"missing key '{key}'"):
         parse_instance_text(text)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("uniform k=2 kk=3", "uniform matroid spec has no key 'kk'; expected ('k',)"),
+        (
+            "partition nblocks=2 cap=1 capp=3",
+            "partition matroid spec has no key 'capp'; expected ('nblocks', 'cap')",
+        ),
+        (
+            "partition nblocks=2 caps=1,1",
+            "partition matroid spec has no key 'caps'; expected ('nblocks', 'cap')",
+        ),
+        (
+            "partition blocks=0,1|2 caps=1,1 cap=2",
+            "partition matroid spec has no key 'cap'; expected ('blocks', 'caps')",
+        ),
+        (
+            "partition blocks=0,1|2 caps=1,1 nblocks=2",
+            "partition matroid spec takes blocks= or nblocks=, not both",
+        ),
+        (
+            "graphic vertices=3 edgemap=0-1,1-2,0-2 k=1",
+            "graphic matroid spec has no key 'k'; expected ('vertices', 'edgemap')",
+        ),
+    ],
+)
+def test_matroid_spec_key_it_does_not_read_is_rejected(spec, message):
+    with pytest.raises(ValueError) as info:
+        parse_matroid_spec(spec, 3)
+    assert str(info.value) == message
+    text = f"n=3\nobjective=modular\nweights=1,2,3\nmatroid={spec}\n"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_instance_text(text)
+
+
+def test_matroid_spec_reports_a_missing_key_before_an_unread_one():
+    with pytest.raises(ValueError, match="is missing key 'k'"):
+        parse_matroid_spec("uniform kk=2", 3)
+    with pytest.raises(ValueError, match="is missing key 'nblocks'"):
+        parse_matroid_spec("partition nblock=2 capp=1", 3)
+
+
+def test_every_written_matroid_spec_reads_back():
+    for matroid in (
+        make_uniform(3, 2),
+        make_partition([[0, 2], [1]], [1, 1]),
+        make_graphic(3, [(0, 1), (1, 2), (0, 2)]),
+    ):
+        inst = Instance(make_modular([1.0, 2.0, 3.0]), matroid)
+        _roundtrip(inst)
+    assert parse_matroid_spec("partition nblocks=2", 3).capacities == (1, 1)
 
 
 def _random_instance(seed, objective_kind, matroid_kind):

@@ -10,6 +10,7 @@ from robust_summary import (
     make_modular,
     make_weighted_coverage,
 )
+from robust_summary.objectives import Objective
 
 from helpers import coverage_value_by_union, cut_value_by_enumeration, outcome, set_forms
 
@@ -469,3 +470,55 @@ def test_frozenset_arguments_act_as_their_list_form(kind, seed):
         for call in calls:
             assert outcome(lambda: call(fast, ids)) == outcome(lambda: call(plain, listed))
     assert fast.queries == plain.queries
+
+
+def _integer_objective(rng, kind):
+    """An objective with small integer weights: every float sum is exact."""
+    n = int(rng.integers(2, 14))
+    if kind == "modular":
+        return make_modular(rng.integers(0, 5, size=n).astype(float))
+    if kind == "coverage":
+        universe = int(rng.integers(1, 12))
+        covers = [np.flatnonzero(rng.random(universe) < rng.random()) for _ in range(n)]
+        return make_weighted_coverage(rng.integers(0, 5, size=universe).astype(float), covers)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    return make_cut_function(n, [(u, v, float(rng.integers(0, 5))) for u, v in pairs])
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["modular", "coverage", "cut"]), seed=st.integers(0, 2**32 - 1))
+def test_dependents_are_sound(kind, seed):
+    # an element outside dependents(x) has the same marginal with x as without it
+    rng = np.random.default_rng(seed)
+    obj = _integer_objective(rng, kind)
+    for x in range(obj.n):
+        dependents = obj.dependents(x)
+        assert isinstance(dependents, frozenset)
+        base = _random_subset(rng, obj.n)
+        for e in set(range(obj.n)) - dependents - {x}:
+            assert obj.marginal(e, base | {x}) == obj.marginal(e, base - {x})
+
+
+def test_dependents_of_each_kind():
+    assert make_modular([1.0, 2.0, 3.0]).dependents(1) == frozenset()
+    cut = make_cut_function(4, [(0, 1, 1.0), (2, 0, 2.0), (2, 3, 1.0)])
+    assert [cut.dependents(v) for v in range(4)] == [{1, 2}, {0}, {0, 3}, {2}]
+    cover = make_weighted_coverage([1.0] * 4, [[0, 1], [1], [2], [], [2, 3]])
+    assert cover.dependents(0) - {0} == {1}
+    assert cover.dependents(2) - {2} == {4}
+    assert cover.dependents(3) - {3} == frozenset()
+    assert cover.clone().dependents(1) - {1} == {0}
+    # None means "any element": the safe default of every objective without
+    # a dependency structure of its own
+    assert make_facility_location([[1.0, 2.0], [0.5, 0.0]]).dependents(0) is None
+    assert Objective(3, monotone=True).dependents(2) is None
+    with pytest.raises(ValueError, match="outside range"):
+        make_modular([1.0]).dependents(1)
+
+
+def test_coverage_dependents_index_is_built_on_first_use_and_shared():
+    obj = make_weighted_coverage([1.0, 2.0], [[0], [0, 1], [1]])
+    twin = obj.clone()
+    assert obj._coverers[0] is None
+    assert twin.dependents(2) - {2} == {1}
+    assert obj._coverers[0] is not None and obj._coverers is twin._coverers
