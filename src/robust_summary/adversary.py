@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
+from .grammar import read_ids
 from .instance import Instance
 from .matroids import Matroid, PartitionMatroid
 from .objectives import Objective
@@ -64,7 +64,7 @@ def parse_strategy(spec: str) -> DeletionStrategy:
     if head == "maxdmg":
         return DeletionStrategy("max-damage", d=int(rest))
     if head == "list":
-        ids = tuple(int(t) for t in Path(rest).read_text().replace(",", " ").split())
+        ids = tuple(read_ids(rest))
         return DeletionStrategy("explicit-list", d=len(ids), ids=ids)
     raise ValueError(f"cannot parse deletion strategy {spec!r}")
 

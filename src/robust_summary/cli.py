@@ -13,6 +13,7 @@ from .bounds import bound_warnings, theoretical_bound
 from .centralized import CentralizedConfig, build_summary
 from .experiment import load_experiment_config, run_experiment
 from .generators import generate_instance
+from .grammar import read_ids
 from .instance import read_instance, write_instance
 from .solvers import SolverKind, solve_after_deletions
 from .streaming import StreamingConfig, stream_summary
@@ -26,15 +27,14 @@ def _parse_order(spec: str, n: int) -> list[int]:
     if spec.startswith("shuffle:"):
         seed = int(spec.split(":", 1)[1])
         return [int(e) for e in np.random.default_rng(seed).permutation(n)]
-    ids = [int(t) for t in Path(spec).read_text().replace(",", " ").split()]
-    return ids
+    return read_ids(spec)
 
 
 def _parse_deletions(spec: str, instance) -> list[int]:
-    heads = ("top:", "rand:", "block:", "maxdmg:", "list:")
-    if spec.startswith(heads):
-        return choose_deletions(instance, parse_strategy(spec))
-    return sorted(int(t) for t in Path(spec).read_text().replace(",", " ").split())
+    """A strategy spec's deletions; any other spec names an id file, read as ``list:``."""
+    if not spec.startswith(("top:", "rand:", "block:", "maxdmg:", "list:")):
+        spec = "list:" + spec
+    return choose_deletions(instance, parse_strategy(spec))
 
 
 def cmd_gen(args) -> int:

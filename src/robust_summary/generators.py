@@ -14,8 +14,11 @@ factor summary must keep essentially all of them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .grammar import parse_spec
 from .instance import Instance, parse_matroid_spec
 from .matroids import UniformMatroid
 from .objectives import GraphCut, Modular, FacilityLocation, WeightedCoverage
@@ -34,21 +37,13 @@ def _parse_spec(spec: str) -> tuple[str, dict[str, str]]:
 
     A key the generator does not read, or a missing required key, is an error.
     """
-    tokens = spec.split()
-    if not tokens:
-        raise ValueError("empty generator spec")
-    kind = tokens[0]
+    kind, args = parse_spec(spec, "generator")
     if kind not in GENERATOR_KEYS:
         raise ValueError(f"unknown generator {kind!r}; expected one of {tuple(GENERATOR_KEYS)}")
     keys = GENERATOR_KEYS[kind]
-    args = {}
-    for tok in tokens[1:]:
-        key, sep, value = tok.partition("=")
-        if not sep:
-            raise ValueError(f"malformed generator argument {tok!r}")
+    for key in args:
         if key not in keys:
             raise ValueError(f"generator {kind!r} has no key {key!r}; expected {tuple(keys)}")
-        args[key] = value
     for key, default in keys.items():
         if key not in args:
             if default is None:
@@ -89,6 +84,8 @@ def generate_instance(spec: str, matroid: str | None = None, seed: int = 0) -> I
         p = float(args["p"])
         wmin = float(args["wmin"])
         wmax = float(args["wmax"])
+        if not 0.0 <= wmax - wmin < math.inf:  # numpy raises OverflowError otherwise
+            raise ValueError(f"cut generator needs finite wmin <= wmax, got {wmin!r} and {wmax!r}")
         edges = []
         for u in range(n):
             for v in range(u + 1, n):

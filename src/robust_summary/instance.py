@@ -1,7 +1,8 @@
 """Instance bundles and the line-oriented instance file format.
 
 Grammar (one ``key=value`` per line, ``#`` comments and blank lines allowed;
-unknown keys are rejected)::
+unknown keys are rejected, and so is a key given twice, except ``row`` and
+``edge``)::
 
     n=<int>                      ground-set size, must come first
     objective=<kind>             weighted-coverage | facility-location |
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .grammar import numbers, once, parse_lines, parse_spec
 from .matroids import GraphicMatroid, Matroid, PartitionMatroid, UniformMatroid
 from .objectives import (
     FacilityLocation,
@@ -52,29 +54,13 @@ class Instance:
         return self.objective.n
 
 
-def _floats(text: str) -> list[float]:
-    text = text.strip()
-    return [float(t) for t in text.split(",")] if text else []
-
-
-def _ints(text: str) -> list[int]:
-    text = text.strip()
-    return [int(t) for t in text.split(",")] if text else []
-
-
 def parse_matroid_spec(spec: str, n: int) -> Matroid:
     """The matroid a spec names, over the ground set 0..n-1.
 
     A missing required key is reported first; then any key the kind does
     not read is an error, so a misspelled key cannot silently drop a setting.
     """
-    tokens = spec.split()
-    if not tokens:
-        raise ValueError("empty matroid spec")
-    kind, args = tokens[0], {}
-    for tok in tokens[1:]:
-        key, _, value = tok.partition("=")
-        args[key] = value
+    kind, args = parse_spec(spec, "matroid")
 
     def arg(key: str) -> str:
         if key not in args:
@@ -92,8 +78,8 @@ def parse_matroid_spec(spec: str, n: int) -> Matroid:
         return UniformMatroid(n, k)
     if kind == "partition":
         if "blocks" in args:
-            blocks = [_ints(b) for b in args["blocks"].split("|")]
-            caps = _ints(arg("caps"))
+            blocks = [numbers(b) for b in args["blocks"].split("|")]
+            caps = numbers(arg("caps"))
             if "nblocks" in args:
                 raise ValueError("partition matroid spec takes blocks= or nblocks=, not both")
             only("blocks", "caps")
@@ -158,52 +144,32 @@ def write_instance(instance: Instance, path) -> None:
 
 
 def parse_instance_text(text: str) -> Instance:
-    n: int | None = None
-    kind: str | None = None
-    universe: list[float] | None = None
+    fields, lists = parse_lines(text, "instance file", repeatable=("row", "edge"))
     covers: dict[int, list[int]] = {}
-    rows: list[list[float]] = []
-    edges: list[tuple[int, int, float]] = []
-    weights: list[float] | None = None
-    matroid_spec: str | None = None
     tags: dict[int, str] = {}
-
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"malformed line (no '='): {line!r}")
-        key = key.strip()
-        value = value.strip()
-        if key == "n":
-            n = int(value)
-        elif key == "objective":
-            kind = value
-        elif key == "universe":
-            universe = _floats(value)
-        elif key.startswith("cover "):
-            covers[int(key.split()[1])] = _ints(value)
-        elif key == "row":
-            rows.append(_floats(value))
-        elif key == "edge":
-            u, v, w = value.split()
-            edges.append((int(u), int(v), float(w)))
-        elif key == "weights":
-            weights = _floats(value)
-        elif key == "matroid":
-            matroid_spec = value
-        elif key.startswith("tag "):
-            tags[int(key.split()[1])] = value
-        else:
+    for key, value in fields.items():
+        name, _, index = key.partition(" ")
+        if name == "cover" and index:
+            once(covers, int(index), numbers(value), "instance file: cover")
+        elif name == "tag" and index:
+            once(tags, int(index), value, "instance file: tag")
+        elif key not in ("n", "objective", "universe", "weights", "matroid"):
             raise ValueError(f"unknown instance key: {key!r}")
+    universe = numbers(fields["universe"], float) if "universe" in fields else None
+    weights = numbers(fields["weights"], float) if "weights" in fields else None
+    rows = [numbers(value, float) for value in lists["row"]]
+    edges = []
+    for value in lists["edge"]:
+        u, v, w = value.split()
+        edges.append((int(u), int(v), float(w)))
+    n = int(fields.get("n", 0))
+    kind = fields.get("objective")
 
-    if n is None or n < 1:
+    if n < 1:
         raise ValueError("instance needs a positive n")
     if kind is None:
         raise ValueError("instance needs an objective kind")
-    if matroid_spec is None:
+    if "matroid" not in fields:
         raise ValueError("instance needs a matroid")
 
     if kind == "weighted-coverage":
@@ -229,7 +195,7 @@ def parse_instance_text(text: str) -> Instance:
     if objective.n != n:
         raise ValueError("objective block does not match n")
 
-    return Instance(objective, parse_matroid_spec(matroid_spec, n), tags)
+    return Instance(objective, parse_matroid_spec(fields["matroid"], n), tags)
 
 
 def read_instance(path) -> Instance:

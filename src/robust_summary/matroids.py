@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .ground import GroundSet, Ids
 
@@ -211,35 +211,15 @@ class GraphicMatroid(Matroid):
         self.n_vertices = n_vertices
         self.edges = tuple(pairs)
         self.n = len(pairs)
-        self.k = sum(self._joins(range(self.n)))  # edges of a spanning forest
-
-    def _joins(self, edge_ids: Iterable[int]) -> Iterator[bool]:
-        """Union-find over the edges in turn: per edge, whether it joined two trees.
-
-        The scratch forest is per call; no state is shared across calls.
-        """
-        parent = list(range(self.n_vertices))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in edge_ids:
-            u, v = self.edges[e]
-            ru, rv = find(u), find(v)
-            parent[ru] = rv
-            yield ru != rv
+        self.k = self._forest(range(self.n))[0]  # edges of a spanning forest
 
     def _independent(self, s: frozenset) -> bool:
-        return all(self._joins(sorted(s)))
+        return self._remember(s)[0]
 
-    def _remember(self, s: frozenset):
-        """Independence of s and, for a forest s, its tree per vertex and its adjacency.
+    def _forest(self, s: Iterable[int]):
+        """The rank of the edges s, a tree label per vertex and the adjacency of s.
 
-        The edges of s touch some vertices in some trees; s is a forest iff it
-        has exactly one edge fewer than vertices in each tree.
+        The rank is the number of vertices s touches minus the trees it forms.
         """
         adjacent: dict[int, list[tuple[int, int]]] = {}
         for e in s:
@@ -261,9 +241,12 @@ class GraphicMatroid(Matroid):
                         labelled.add(y)
                         tree[y] = root
                         stack.append(y)
-        if len(s) != len(adjacent) - trees:
-            return False, None
-        return True, (tree, adjacent)
+        return len(adjacent) - trees, tree, adjacent
+
+    def _remember(self, s: frozenset):
+        """Whether s is a forest (as many edges as its rank) and, if so, its labels and adjacency."""
+        rank, tree, adjacent = self._forest(s)
+        return (True, (tree, adjacent)) if len(s) == rank else (False, None)
 
     def _fits(self, state, e: int, s: frozenset) -> bool:
         tree, _ = state

@@ -95,17 +95,16 @@ class StreamState:
         self.config = config
         self.k = k
         self.ladder = PowerLadder(1.0 + config.epsilon)
-        self.candidate: list[int] = []  # insertion order
+        # in insertion order; an entry's gain is its element's swap weight
+        self.candidate: dict[int, SummaryEntry] = {}
         # replaced on every change, never mutated: the oracles know it by identity
         self.candidate_set: frozenset[int] = frozenset()
-        self.weights: dict[int, float] = {}  # fixed once per drained element
-        self.entry_exponent: dict[int, int] = {}
         self.buckets: dict[int, list[int]] = {}  # exponent -> sorted ids
         # filed element -> its marginal against the candidate it was last
         # filed against, which in exact arithmetic is its marginal now
         self.gains: dict[int, float] = {}
-        # elements filed or refiled since the last change of the candidate:
-        # their filed gain is their marginal now, bit for bit
+        # filed elements filed or refiled since the last change of the
+        # candidate: their filed gain is their marginal now, bit for bit
         self.fresh: set[int] = set()
         self.top_buffer: list[tuple[float, int]] = []  # (value, id), size <= d
         self.delta = 0.0
@@ -172,6 +171,7 @@ def ingest(
                 dropped = state.buckets.pop(x)
                 for e in dropped:
                     del state.gains[e]
+                    state.fresh.discard(e)
                 state.audit.low_value.extend(dropped)
 
     gain = objective.marginal(popped, state.candidate_set)
@@ -227,35 +227,35 @@ def drain_buckets(
         weight = state.gains.pop(g)
         if g not in state.fresh:
             weight = objective.marginal(g, state.candidate_set)
+        state.fresh.discard(g)
         if len(bucket) < cap:
             over.remove(exponent)
         if not bucket:
             del state.buckets[exponent]
         state.audit.drained.append(g)
 
-        state.weights[g] = weight
         state.audit.weight_log.append((g, weight))
         accepted = bool(rng.random() < cfg.sample_prob_value)
 
         changed = ()
         if matroid.fits(g, state.candidate_set):
             if accepted:
-                state.candidate.append(g)
+                state.candidate[g] = SummaryEntry(g, exponent, weight)
                 state.candidate_set = state.candidate_set | {g}
-                state.entry_exponent[g] = exponent
                 changed = (g,)
             else:
                 state.audit.sample_rejected.append(g)
         else:
             cycle = matroid.circuit(state.candidate_set, g)
-            victim = min(cycle, key=lambda y: (state.weights[y], y))
-            if weight > (1.0 + cfg.gamma_value) * state.weights[victim]:
+            lightest, victim = min(
+                (weight if y == g else state.candidate[y].gain, y) for y in cycle
+            )
+            if weight > (1.0 + cfg.gamma_value) * lightest:
                 if accepted:
-                    state.candidate.remove(victim)
-                    state.audit.swapped_out.append((victim, state.weights[victim]))
-                    state.candidate.append(g)
+                    del state.candidate[victim]
+                    state.audit.swapped_out.append((victim, lightest))
+                    state.candidate[g] = SummaryEntry(g, exponent, weight)
                     state.candidate_set = (state.candidate_set - {victim}) | {g}
-                    state.entry_exponent[g] = exponent
                     changed = (g, victim)
                 else:
                     state.audit.sample_rejected.append(g)
@@ -347,17 +347,14 @@ def rebucket(
                 state.upward_moves_after_growth += 1
         bisect.insort(state.buckets.setdefault(new_exponent, []), e)
         state.gains[e] = gain
-    state.fresh = {e for _, e in moving}
+    state.fresh = {e for _, e in moving if e in state.gains}
     return state
 
 
 def finalize(state: StreamState) -> Summary:
     """Close the stream: reservoir = top buffer plus surviving buckets."""
     cfg = state.config
-    entries = [
-        SummaryEntry(e, state.entry_exponent[e], state.weights[e])
-        for e in state.candidate
-    ]
+    entries = list(state.candidate.values())
     buckets = {x: list(state.buckets[x]) for x in sorted(state.buckets, reverse=True)}
     counters = {
         "arrivals": state.arrivals,

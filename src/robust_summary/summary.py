@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .grammar import numbers, once, parse_lines
+
 
 @dataclass(frozen=True)
 class SummaryEntry:
@@ -96,11 +98,6 @@ def _ids(ids) -> str:
     return ",".join(str(int(e)) for e in ids)
 
 
-def _parse_ids(text: str) -> list[int]:
-    text = text.strip()
-    return [int(tok) for tok in text.split(",")] if text else []
-
-
 def format_summary(summary: Summary, include_audit: bool = False) -> str:
     lines = ["# robust-summary summary v1"]
     lines.append(f"mode={summary.mode}")
@@ -165,6 +162,10 @@ _AUDIT_FIELDS = {
     "weight_log": "weight_log",
 }
 _PAIR_KEYS = ("audit_swapped_out", "weight_log")  # lists of id:weight pairs
+_KNOWN_KEYS = {
+    "mode", "n", "k", "d", "epsilon", "monotone", "seed", "gamma", "p",
+    "delta", "exponents", "vd", "b", "peak_memory", "counters",
+}
 # keys older versions wrote, read and ignored: the scan mode and the drain order
 _IGNORED_KEYS = ("bucket_mode", "drain_order")
 
@@ -175,46 +176,32 @@ def parse_summary(text: str) -> Summary:
     Ids must be non-negative; in a centralized summary they must also be
     below n.
     """
-    fields: dict[str, str] = {}
-    entries: list[SummaryEntry] = []
-    buckets: dict[int, list[int]] = {}
-    audit_seen = False
-    audit = StreamAudit()
-    known = {
-        "mode", "n", "k", "d", "epsilon", "monotone", "seed", "gamma", "p",
-        "delta", "exponents", "vd", "b", "peak_memory", "counters",
-    }
-    id_lists: list[tuple[str, list[int]]] = []  # (key, ids) of every id-bearing line
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "a":
-            e, exp, gain = value.split(",")
-            entries.append(SummaryEntry(int(e), int(exp), float(gain)))
-            id_lists.append((key, [entries[-1].element]))
-        elif key == "bucket":
-            exp, _, ids = value.partition(":")
-            buckets[int(exp)] = _parse_ids(ids)
-            id_lists.append((key, buckets[int(exp)]))
-        elif key in _AUDIT_FIELDS:
-            audit_seen = True
-            if key in _PAIR_KEYS:
-                pairs = _parse_pairs(value)
-                setattr(audit, _AUDIT_FIELDS[key], pairs)
-                id_lists.append((key, [e for e, _ in pairs]))
-            else:
-                setattr(audit, _AUDIT_FIELDS[key], _parse_ids(value))
-                id_lists.append((key, getattr(audit, _AUDIT_FIELDS[key])))
-        elif key in known:
-            fields[key] = value
-            if key in ("vd", "b"):
-                id_lists.append((key, _parse_ids(value)))
-        elif key not in _IGNORED_KEYS:
+    fields, lists = parse_lines(text, "summary file", repeatable=("a", "bucket"))
+    for key in fields:
+        if key not in _KNOWN_KEYS and key not in _AUDIT_FIELDS and key not in _IGNORED_KEYS:
             raise ValueError(f"unknown summary key: {key!r}")
+    id_lists: list[tuple[str, list[int]]] = []  # (key, ids) of every id-bearing line
+    entries: list[SummaryEntry] = []
+    for value in lists["a"]:
+        e, exp, gain = value.split(",")
+        entries.append(SummaryEntry(int(e), int(exp), float(gain)))
+        id_lists.append(("a", [entries[-1].element]))
+    buckets: dict[int, list[int]] = {}
+    for value in lists["bucket"]:
+        exp, _, ids = value.partition(":")
+        once(buckets, int(exp), numbers(ids), "summary file: bucket exponent")
+        id_lists.append(("bucket", buckets[int(exp)]))
+    audit = StreamAudit()
+    for key, name in _AUDIT_FIELDS.items():
+        if key in _PAIR_KEYS:
+            pairs = _parse_pairs(fields.get(key, ""))
+            setattr(audit, name, pairs)
+            id_lists.append((key, [e for e, _ in pairs]))
+        else:
+            setattr(audit, name, numbers(fields.get(key, "")))
+            id_lists.append((key, getattr(audit, name)))
+    top_buffer = numbers(fields.get("vd", ""))
+    id_lists += [("vd", top_buffer), ("b", numbers(fields.get("b", "")))]
     for required in ("mode", "n", "k", "d", "epsilon", "monotone", "seed", "delta"):
         if required not in fields:
             raise ValueError(f"summary file is missing {required!r}")
@@ -231,7 +218,6 @@ def parse_summary(text: str) -> Summary:
         for tok in fields["counters"].split(","):
             name, _, count = tok.partition(":")
             counters[name] = int(count)
-    exponents = [int(t) for t in fields.get("exponents", "").split(",") if t.strip()]
     return Summary(
         mode=fields["mode"],
         n=int(fields["n"]),
@@ -243,13 +229,13 @@ def parse_summary(text: str) -> Summary:
         delta=float(fields["delta"]),
         entries=entries,
         buckets=buckets,
-        top_buffer=_parse_ids(fields.get("vd", "")),
-        exponents=exponents,
+        top_buffer=top_buffer,
+        exponents=numbers(fields.get("exponents", "")),
         counters=counters,
         gamma=float(fields["gamma"]) if "gamma" in fields else None,
         sample_prob=float(fields["p"]) if "p" in fields else None,
         peak_memory=int(fields["peak_memory"]) if "peak_memory" in fields else None,
-        audit=audit if audit_seen else None,
+        audit=audit if any(key in fields for key in _AUDIT_FIELDS) else None,
     )
 
 

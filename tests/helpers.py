@@ -279,7 +279,6 @@ def literal_stream_summary(objective, matroid, config, order):
                 del state.buckets[exponent]
             audit.drained.append(g)
             weight = objective.marginal(g, candidate)
-            state.weights[g] = weight
             audit.weight_log.append((g, weight))
             accepted = bool(rng.random() < config.sample_prob_value)
             changed = grew = False
@@ -290,21 +289,21 @@ def literal_stream_summary(objective, matroid, config, order):
                     audit.sample_rejected.append(g)
             else:
                 cycle = matroid.circuit(candidate, g)
-                victim = min(cycle, key=lambda y: (state.weights[y], y))
-                if weight > (1.0 + config.gamma_value) * state.weights[victim]:
+                weights = {y: state.candidate[y].gain for y in cycle - {g}} | {g: weight}
+                victim = min(cycle, key=lambda y: (weights[y], y))
+                if weight > (1.0 + config.gamma_value) * weights[victim]:
                     if accepted:
-                        state.candidate.remove(victim)
+                        del state.candidate[victim]
                         candidate.discard(victim)
-                        audit.swapped_out.append((victim, state.weights[victim]))
+                        audit.swapped_out.append((victim, weights[victim]))
                         changed = True
                     else:
                         audit.sample_rejected.append(g)
                 else:
                     audit.swap_failed.append(g)
             if changed:
-                state.candidate.append(g)
+                state.candidate[g] = SummaryEntry(g, exponent, weight)
                 candidate.add(g)
-                state.entry_exponent[g] = exponent
                 refile(grew)
 
     for element in order:

@@ -338,3 +338,111 @@ def test_greedy_solve_on_a_cut_instance_claims_no_beta(tmp_path):
     assert main(["solve", "--summary", str(summ), "--instance", str(inst), "--delete", "top:1",
                  "--solver", "greedy", "--out", str(sol)]) == 0
     assert "beta=unknown\n" in sol.read_text()
+
+
+def _clean_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"robust-summary: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "spec, matroid, message",
+    [
+        ("cut n=6 p=0.5", "uniform k", "uniform matroid spec: 'k' is not key=value"),
+        ("cut n=6 p", "uniform k=1", "cut generator spec: 'p' is not key=value"),
+        ("cut n=6 p=0.5", "uniform k=2 k=3", "uniform matroid spec: key 'k' given twice"),
+        ("cut n=6 p=0.5 p=0.9", "uniform k=2", "cut generator spec: key 'p' given twice"),
+        (
+            "cut n=6 p=0.5 wmax=inf",
+            "uniform k=2",
+            "cut generator needs finite wmin <= wmax, got 0.5 and inf",
+        ),
+    ],
+    ids=["matroid-token", "generator-token", "matroid-repeat", "generator-repeat", "wmax-inf"],
+)
+def test_malformed_spec_is_a_clean_error(tmp_path, capsys, spec, matroid, message):
+    out = tmp_path / "inst.txt"
+    _clean_error(capsys, ["gen", "--spec", spec, "--matroid", matroid, "--out", str(out)], message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("garbage", "instance file: line 'garbage' has no '='"),
+        ("n=3", "instance file: key 'n' given twice"),
+        ("matroid=uniform k=1", "instance file: key 'matroid' given twice"),
+        ("tag 02=b", "instance file: tag 2 given twice"),
+    ],
+)
+def test_malformed_instance_file_is_a_clean_error(tmp_path, capsys, line, message):
+    inst = tmp_path / "inst.txt"
+    inst.write_text("n=3\nobjective=modular\nweights=1,2,3\nmatroid=uniform k=2\ntag 2=a\n" + line)
+    _clean_error(capsys, [
+        "summarize", "--mode", "centralized", "--instance", str(inst),
+        "--epsilon", "0.1", "--d", "1", "--out", str(tmp_path / "summary.txt"),
+    ], message)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("garbage", "summary file: line 'garbage' has no '='"),
+        ("mode=centralized", "summary file: key 'mode' given twice"),
+        ("bucket=-1:4", "summary file: bucket exponent -1 given twice"),
+    ],
+)
+def test_malformed_summary_file_is_a_clean_error(tmp_path, capsys, line, message):
+    inst, summ = tmp_path / "inst.txt", tmp_path / "summary.txt"
+    inst.write_text("n=5\nobjective=modular\nweights=5,1,2,2,4\nmatroid=uniform k=2\n")
+    summ.write_text(
+        "mode=centralized\nn=5\nk=2\nd=1\nepsilon=0.3\nmonotone=1\nseed=5\ndelta=5.0\n"
+        "exponents=-1\nbucket=-1:1,2\nvd=0\nb=0,1,2\n" + line + "\n"
+    )
+    for command in (
+        ["verify", "--summary", str(summ), "--instance", str(inst)],
+        ["solve", "--summary", str(summ), "--instance", str(inst), "--delete", "top:1",
+         "--solver", "greedy", "--out", str(tmp_path / "solution.txt")],
+    ):
+        _clean_error(capsys, command, message)
+
+
+def _solve_with_deletions(tmp_path, delete):
+    inst, summ, sol = tmp_path / "inst.txt", tmp_path / "summary.txt", tmp_path / "sol.txt"
+    if not inst.exists():
+        main(["gen", "--spec", "lowerbound k=3 d=2 nzero=5", "--out", str(inst)])  # n=10
+        main(["summarize", "--mode", "centralized", "--instance", str(inst),
+              "--epsilon", "0.25", "--d", "2", "--seed", "1", "--out", str(summ)])
+    code = main(["solve", "--summary", str(summ), "--instance", str(inst), "--delete", delete,
+                 "--solver", "greedy", "--out", str(sol)])
+    return code, sol.read_bytes() if code == 0 else None
+
+
+@pytest.mark.parametrize(
+    "ids, bad", [("3,99,-4", -4), ("3 99\n", 99), ("-1", -1), ("10", 10)]
+)
+def test_deletion_file_ids_are_range_checked(tmp_path, capsys, ids, bad):
+    listing = tmp_path / "del.txt"
+    listing.write_text(ids)
+    for delete in (str(listing), f"list:{listing}"):
+        capsys.readouterr()
+        code, _ = _solve_with_deletions(tmp_path, delete)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"robust-summary: error: deletion id {bad} outside range [0, 10)\n"
+        )
+
+
+def test_deletion_file_duplicates_keep_the_solution(tmp_path):
+    listing = tmp_path / "del.txt"
+    solutions = set()
+    for ids in ("0,3", "3,0,3", "0 0\n3\n"):
+        listing.write_text(ids)
+        for delete in (str(listing), f"list:{listing}"):
+            code, solution = _solve_with_deletions(tmp_path, delete)
+            assert code == 0
+            solutions.add(solution)
+    (solution,) = solutions
+    assert b"deleted=0,3\n" in solution

@@ -1,6 +1,8 @@
 """Instance and summary files: round trips, grammar rejection, generators."""
 
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,11 +25,13 @@ from robust_summary import (
     make_weighted_coverage,
     parse_instance_text,
     parse_matroid_spec,
+    parse_strategy,
     parse_summary,
     read_instance,
     stream_summary,
     write_instance,
 )
+from robust_summary.grammar import read_ids
 
 
 def _roundtrip(instance):
@@ -241,6 +245,16 @@ counters=low_value:1
 """
 
 
+def _with_line(text, line):
+    """text plus line, which replaces the line of the same single key or bucket exponent."""
+    head = line.partition("=")[0] + "="
+    if head == "bucket=":
+        head = line[: line.find(":") + 1]
+    if head != "a=":
+        text = "".join(old for old in text.splitlines(True) if not old.startswith(head))
+    return text + line + "\n"
+
+
 @pytest.mark.parametrize(
     "line, key, bad",
     [
@@ -254,7 +268,7 @@ counters=low_value:1
 )
 def test_centralized_summary_ids_must_lie_in_the_ground_set(line, key, bad):
     assert parse_summary(SMALL_CENTRALIZED_SUMMARY).solution == [4]
-    text = SMALL_CENTRALIZED_SUMMARY + line + "\n"
+    text = _with_line(SMALL_CENTRALIZED_SUMMARY, line)
     with pytest.raises(ValueError, match=rf"summary key '{key}': element id {bad} \[0, 5\)"):
         parse_summary(text)
 
@@ -288,14 +302,14 @@ def _streaming_text(include_audit=True):
 def test_streaming_summary_rejects_negative_ids(line):
     key = line.partition("=")[0]
     with pytest.raises(ValueError, match=rf"summary key '{key}': element id -\d+ is negative"):
-        parse_summary(_streaming_text() + line + "\n")
+        parse_summary(_with_line(_streaming_text(), line))
 
 
 def test_streaming_summary_ids_are_not_bounded_by_arrivals():
     # a streaming n counts arrivals, and an order may cover part of the ground set
     text = _streaming_text().replace("n=12\n", "n=3\n")
     assert parse_summary(text).n == 3
-    assert parse_summary(text + "audit_low_value=40\n").audit.low_value == [40]
+    assert parse_summary(_with_line(text, "audit_low_value=40")).audit.low_value == [40]
 
 
 @pytest.mark.parametrize(
@@ -356,6 +370,90 @@ def test_matroid_spec_reports_a_missing_key_before_an_unread_one():
         parse_matroid_spec("uniform kk=2", 3)
     with pytest.raises(ValueError, match="is missing key 'nblocks'"):
         parse_matroid_spec("partition nblock=2 capp=1", 3)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("uniform k=2 k=3", "uniform matroid spec: key 'k' given twice"),
+        ("partition nblocks=2 cap=1 cap=2", "partition matroid spec: key 'cap' given twice"),
+        (
+            "graphic vertices=3 edgemap=0-1,1-2,0-2 vertices=4",
+            "graphic matroid spec: key 'vertices' given twice",
+        ),
+        ("uniform k", "uniform matroid spec: 'k' is not key=value"),
+        ("  ", "empty matroid spec"),
+    ],
+)
+def test_matroid_spec_grammar_errors(spec, message):
+    with pytest.raises(ValueError) as info:
+        parse_matroid_spec(spec, 3)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("cut n=6 p=0.5 p=0.9", "cut generator spec: key 'p' given twice"),
+        ("lowerbound k=2 d=1 k=3", "lowerbound generator spec: key 'k' given twice"),
+        ("cut n=6 p", "cut generator spec: 'p' is not key=value"),
+        ("", "empty generator spec"),
+        ("cut n=6 p=0.5 wmax=inf", "cut generator needs finite wmin <= wmax, got 0.5 and inf"),
+        ("cut n=6 p=0.5 wmin=nan", "cut generator needs finite wmin <= wmax, got nan and 1.5"),
+        ("cut n=6 p=0.5 wmin=2", "cut generator needs finite wmin <= wmax, got 2.0 and 1.5"),
+    ],
+)
+def test_generator_spec_grammar_errors(spec, message):
+    with pytest.raises(ValueError) as info:
+        generate_instance(spec, "uniform k=2")
+    assert str(info.value) == message
+
+
+COVERAGE_TEXT = (
+    "n=2\nobjective=weighted-coverage\nuniverse=1,2\ncover 0=0\ncover 1=1\n"
+    "matroid=uniform k=1\ntag 0=x\n"
+)
+MODULAR_TEXT = "n=2\nobjective=modular\nweights=1,2\nmatroid=uniform k=1\n"
+
+
+@pytest.mark.parametrize(
+    "base, line, message",
+    [
+        ("coverage", "n=2", "instance file: key 'n' given twice"),
+        ("coverage", "objective=modular", "instance file: key 'objective' given twice"),
+        ("coverage", "universe=3,4", "instance file: key 'universe' given twice"),
+        ("modular", "weights=1,2", "instance file: key 'weights' given twice"),
+        ("coverage", "matroid=uniform k=2", "instance file: key 'matroid' given twice"),
+        ("coverage", "cover 1=0", "instance file: key 'cover 1' given twice"),
+        ("coverage", "cover 01=0", "instance file: cover 1 given twice"),
+        ("coverage", "tag 0=y", "instance file: key 'tag 0' given twice"),
+        ("coverage", "tag 00=y", "instance file: tag 0 given twice"),
+        ("coverage", "garbage", "instance file: line 'garbage' has no '='"),
+    ],
+)
+def test_instance_file_refuses_a_repeated_key(base, line, message):
+    base = {"coverage": COVERAGE_TEXT, "modular": MODULAR_TEXT}[base]
+    assert parse_instance_text(base).n == 2
+    with pytest.raises(ValueError) as info:
+        parse_instance_text(base + line + "\n")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("mode=centralized", "summary file: key 'mode' given twice"),
+        ("vd=1", "summary file: key 'vd' given twice"),
+        ("counters=low_value:2", "summary file: key 'counters' given twice"),
+        ("audit_drained=1\naudit_drained=2", "summary file: key 'audit_drained' given twice"),
+        ("bucket=-1:4", "summary file: bucket exponent -1 given twice"),
+        ("garbage", "summary file: line 'garbage' has no '='"),
+    ],
+)
+def test_summary_file_refuses_a_repeated_key(line, message):
+    with pytest.raises(ValueError) as info:
+        parse_summary(SMALL_CENTRALIZED_SUMMARY + line + "\n")
+    assert str(info.value) == message
 
 
 def test_every_written_matroid_spec_reads_back():
@@ -512,3 +610,78 @@ def test_only_value_errors_escape_the_summary_parser(base, mutations):
         parse_summary(_mutate(base, mutations))
     except ValueError:
         pass
+
+
+# The one-line grammars.  Base numbers stay at one or two digits, so a mutant
+# asks for no large allocation.
+FUZZ_MATROID_SPECS = [
+    "uniform k=2",
+    "partition nblocks=2 cap=1",
+    "partition blocks=0,2|1 caps=1,1",
+    "graphic vertices=3 edgemap=0-1,1-2,0-2",
+]
+FUZZ_GENERATOR_SPECS = [
+    "coverage n=5 universe=4 density=0.5",
+    "facility n=4 clients=3",
+    "cut n=6 p=0.5 wmin=0.5 wmax=1.5",
+    "lowerbound k=2 d=1 nzero=3",
+]
+FUZZ_STRATEGIES = ["top:2", "rand:2:7", "block:1:0", "maxdmg:1", "list:ids.txt"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(base=st.sampled_from(FUZZ_MATROID_SPECS), mutations=_mutations)
+def test_only_value_errors_escape_the_matroid_spec_parser(base, mutations):
+    try:
+        parse_matroid_spec(_mutate(base, mutations), 3)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.sampled_from(FUZZ_GENERATOR_SPECS),
+    mutations=_mutations,
+    token=st.integers(0, 3),
+    value=st.sampled_from([None, "inf", "-inf", "nan", "1e308", "-1e308"]),
+)
+def test_only_value_errors_escape_the_generators(base, mutations, token, value):
+    # digits inserted by a mutation could make n large, so none are; a
+    # non-finite or huge number may replace one value instead
+    tokens = base.split()
+    if value is not None:
+        i = 1 + token % (len(tokens) - 1)
+        tokens[i] = tokens[i].partition("=")[0] + "=" + value
+    spec = _mutate(" ".join(tokens), [m for m in mutations if not m[3].isdigit()])
+    try:
+        generate_instance(spec, "uniform k=2", seed=1)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from(FUZZ_STRATEGIES), mutations=_mutations)
+def test_only_value_errors_escape_the_strategy_parser(base, mutations):
+    spec = _mutate(base, mutations)
+    try:
+        parse_strategy(spec)
+    except ValueError:
+        pass
+    except OSError:  # a list: spec names a file that may not exist
+        assert spec.strip().startswith("list:")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.sampled_from(["0,1,2\n", "4 3 2\n1 0\n", "7,\n8 ,9\n", ""]), mutations=_mutations
+)
+def test_only_value_errors_escape_the_id_file_reader(base, mutations):
+    text = _mutate(base, mutations)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ids.txt"
+        path.write_text(text)
+        try:
+            ids = read_ids(path)
+        except ValueError:
+            return
+    assert ids == [int(t) for t in re.split(r"[,\s]+", text.strip()) if t]
