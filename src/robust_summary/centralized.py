@@ -11,11 +11,12 @@ The scans are lazy (Minoux 1978): the solution only grows during the sweep,
 so by submodularity a gain computed earlier bounds every later gain from
 above, and by downward closure an element that once made the solution
 dependent never fits again.  Skipping such elements yields exactly the
-buckets of a full rescan with fewer oracle queries.  Float marginals are
-differences of float sums and so not exactly submodular: a gain can come
-back an ulp higher after the solution grows.  A cached gain therefore skips
-an element only when it sits below tau by more than a relative slack,
-orders of magnitude above rounding error.
+buckets of a full rescan with fewer oracle queries.  The bound holds bit
+for bit for an objective with ``exact_gains``; a gain that is a difference
+of two float values can come back an ulp higher after the solution grows,
+so for such an objective a cached gain skips an element only when it sits
+below tau by more than a relative slack, orders of magnitude above
+rounding error.
 """
 
 from __future__ import annotations
@@ -84,16 +85,16 @@ def compute_delta(values: Sequence[float], d: int) -> tuple[float, list[int]]:
 def _scan_bucket(pool, solution, tau, objective, matroid, gain_cache, infeasible, accepted):
     """Current bucket at threshold tau: feasible pool elements with gain >= tau.
 
-    Skips elements whose cached gain sits below tau by more than the slack
-    ``1e-9 * (accepted + tau)``, ``accepted`` being the sum of the gains
-    accepted so far, and elements already known to be infeasible; the rest
-    are rechecked, and their fresh gains refresh the cache.  Both skips are
-    exact because the solution only grows: gains only shrink
-    (submodularity, up to rounding far inside the slack) and feasibility
-    never returns once lost (downward closure), so a full rescan would
-    reject the skipped elements too.
+    Skips elements whose cached gain sits below tau, and elements already
+    known to be infeasible; the rest are rechecked, and their fresh gains
+    refresh the cache.  Both skips are exact because the solution only
+    grows: gains only shrink (submodularity) and feasibility never returns
+    once lost (downward closure), so a full rescan would reject the skipped
+    elements too.  Without ``exact_gains`` a cached gain must sit below tau
+    by more than the slack ``1e-9 * (accepted + tau)``, ``accepted`` being
+    the sum of the gains accepted so far.
     """
-    floor = tau - 1e-9 * (accepted + tau)
+    floor = tau if objective.exact_gains else tau - 1e-9 * (accepted + tau)
     checked = [e for e in pool if not (e in infeasible or gain_cache[e] < floor)]
     fresh: list[int] = []
     for e, fits in zip(checked, matroid.fits_each(checked, solution)):
@@ -164,8 +165,8 @@ def build_summary(
                 raise AssertionError("candidate solution became dependent")
         if bucket:
             leftover[exponent] = list(bucket)
-            for e in bucket:
-                pool.remove(e)
+            banked = set(bucket)
+            pool = [e for e in pool if e not in banked]
 
     return Summary(
         mode="centralized",

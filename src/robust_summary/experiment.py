@@ -335,10 +335,10 @@ def run_experiment(
         rows = sorted(by_strategy[spec], key=lambda r: r.seed)
         ordered_rows.extend(rows)
         values = [r.f_s for r in rows]
-        mean = sum(values) / len(values)
+        mean = math.fsum(values) / len(values)
         spread = max(values) - min(values)
         sem = (
-            math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1) / len(values))
+            math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1) / len(values))
             if len(values) > 1
             else 0.0
         )

@@ -53,7 +53,10 @@ def _parse_spec(spec: str) -> tuple[str, dict[str, str]]:
 
 
 def generate_instance(spec: str, matroid: str | None = None, seed: int = 0) -> Instance:
-    """Build an instance from a generator spec, deterministically per seed."""
+    """Build an instance from a generator spec, deterministically per seed.
+
+    A spec that yields no element is an error, as it is for the instance reader.
+    """
     kind, args = _parse_spec(spec)
     rng = np.random.default_rng(seed)
 
@@ -62,9 +65,16 @@ def generate_instance(spec: str, matroid: str | None = None, seed: int = 0) -> I
         d = int(args["d"])
         nzero = int(args["nzero"])
         weights = [1.0] * (k + d) + [0.0] * nzero
+        if not weights:
+            raise ValueError(
+                f"generator 'lowerbound' needs a positive n = k + d + nzero, "
+                f"got k={k} d={d} nzero={nzero}"
+            )
         return Instance(Modular(weights), UniformMatroid(len(weights), k))
 
     n = int(args["n"])
+    if n < 1:
+        raise ValueError(f"generator {kind!r} needs a positive n, got n={n}")
     if matroid is None:
         raise ValueError(f"generator {kind!r} needs a matroid spec")
 

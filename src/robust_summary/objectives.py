@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-import bisect
 import copy
+import math
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .ground import GroundSet, Ids
 
-# candidates gains() evaluates per _values_with call: bounds its temporaries
+# candidates gains() evaluates per _gains_with call: bounds its temporaries
 BATCH_ROWS = 256
 
 
@@ -20,18 +21,33 @@ class Objective(GroundSet):
     The ground set is the integers 0..n-1.  Every value() call bumps a query
     tally so experiment reports can account oracle cost; a singleton value
     counts as one query even when it comes from the table below, a marginal
-    counts as two even when f(S) comes from the memo, and gains() counts two
-    per candidate.  Parameters are frozen at construction.  The mutable state
-    is the tally, a one-slot memo ``(S, f(S), per-class state of S)`` of the
-    last set a marginal was asked against, so marginals against an unchanged
-    S cost one evaluation of f(S+e), and a table of every f({e}), filled in
-    batches on the first one-element value() query.  The memo is replaced
-    whole, never changed in place; clone() gives a copy with its own tally
-    and an empty memo that shares the table, so it is computed at most once
-    per objective.
+    counts as two, as the two value() calls of f(S+e) - f(S) would, and
+    gains() counts two per candidate.  Parameters are frozen at construction.
+    The mutable state is the tally, a one-slot memo ``(S, state of S)`` of
+    the last set a gain was asked against, and a table of every f({e}),
+    filled in batches on the first one-element value() query.  The memo is
+    replaced whole, never changed in place; clone() gives a copy with its
+    own tally and an empty memo that shares the table, so it is computed at
+    most once per objective.
+
+    Exact gains.  A class with ``exact_gains`` (every built-in one) computes
+    the gain of e against S as one ``math.fsum`` of e's own terms, such as
+    the weights of the items e would newly cover, and value(S) as the fsum
+    of the terms that make up S.  fsum is correctly rounded and rounding to
+    nearest is monotone, so every float gain is its exact gain rounded once:
+    a gain never rises as S grows (the gains are exactly submodular), a gain
+    whose exact value is unchanged is bit-identical, and value({e}) equals
+    the gain of e at the empty set.  The builders and the greedy rely on
+    this and keep no float slack.  A class that defines only ``_value``
+    (``exact_gains`` False) gets the gain f(S+e) - f(S) as a difference of
+    two float values, which may come back an ulp higher after S grows; the
+    builders and the greedy keep a float slack for it, and the stream
+    refiles every filed element at each change.  ``exact_gains`` is a fact
+    of the class, not an option.
     """
 
     kind = "abstract"
+    exact_gains = False
 
     def __init__(self, n: int, monotone: bool):
         if n < 0:
@@ -49,16 +65,13 @@ class Objective(GroundSet):
         return self._f(s)
 
     def marginal(self, e: int, ids: Ids) -> float:
-        """f(ids + e) - f(ids), equal to the difference of two value() calls.
-
-        Yields an exact 0.0 when e is already in the set.
-        """
+        """The gain f(ids + e) - f(ids); an exact 0.0 when e is already in the set."""
         e = self._check_id(e)
         s = self._as_set(ids)
         self._queries += 2
-        _, base, state = self._remembered(s)
-        with_e = base if e in s else float(self._value_with(state, e, s))
-        return with_e - base
+        if e in s:
+            return 0.0
+        return self._gains_with(self._remembered(s)[1], [e], s)[0]
 
     def gains(self, candidates: Ids, ids: Ids) -> list[float]:
         """``[marginal(e, ids) for e in candidates]``, evaluated in batches.
@@ -75,13 +88,13 @@ class Objective(GroundSet):
         self._queries += 2 * len(es)
         if not es:
             return []
-        _, base, state = self._remembered(s)
+        state = self._remembered(s)[1]
         outside = [e for e in es if e not in s]
-        with_e: list = []
+        fresh: list[float] = []
         for i in range(0, len(outside), BATCH_ROWS):
-            with_e.extend(self._values_with(state, outside[i : i + BATCH_ROWS], s))
-        fresh = iter(with_e)
-        return [(base if e in s else float(next(fresh))) - base for e in es]
+            fresh.extend(self._gains_with(state, outside[i : i + BATCH_ROWS], s))
+        gains = iter(fresh)
+        return [0.0 if e in s else next(gains) for e in es]
 
     @property
     def queries(self) -> int:
@@ -101,19 +114,19 @@ class Objective(GroundSet):
         return other
 
     def dependents(self, x: int) -> frozenset[int] | None:
-        """Elements whose marginal can change when x joins or leaves a set.
+        """Elements whose computed gain can change when x joins or leaves a set.
 
         For every S and every e outside the result and other than x, the
-        exact marginal of e is the same against S with x as without it.
-        None means "any element", which is always safe; a result that misses
-        such an element is a correctness bug, since the streaming refile
-        keeps every other filed gain as it is.
+        computed gain of e against S with x is bit for bit the one against S
+        without x.  None means "any element", which is always safe; a result
+        that misses such an element is a correctness bug, since the
+        streaming refile keeps every other filed gain as it is.
         """
         self._check_id(x)
         return None
 
     def _singleton_values(self) -> list[float]:
-        """f({e}) for every e, each equal to _f(frozenset({e})); computed once."""
+        """f({e}) for every e: the gains at the empty set, computed once."""
         table = self._singletons[0]
         if table is None:
             empty = frozenset()
@@ -121,12 +134,12 @@ class Objective(GroundSet):
             table = []
             for start in range(0, self.n, BATCH_ROWS):
                 es = list(range(start, min(start + BATCH_ROWS, self.n)))
-                table.extend(float(v) for v in self._values_with(state, es, empty))
+                table.extend(self._gains_with(state, es, empty))
             self._singletons[0] = table
         return table
 
     def _remember(self, s: frozenset) -> tuple:
-        return self._f(s), self._state(s)
+        return (self._state(s),)
 
     def _f(self, s: frozenset) -> float:
         """f(s) as value() returns it, without counting a query."""
@@ -136,16 +149,19 @@ class Objective(GroundSet):
         raise NotImplementedError
 
     def _state(self, s: frozenset):
-        """What _value_with needs to know of s; never modified after it is made."""
-        return None
+        """What _gains_with needs to know of s; never modified after it is made.
 
-    def _value_with(self, state, e: int, s: frozenset) -> float:
-        """f(s + e) for e not in s, by the same float arithmetic as _value."""
-        return self._value(s | {e})
+        Here f(s), for the difference of two values.
+        """
+        return self._f(s)
 
-    def _values_with(self, state, es: list[int], s: frozenset) -> Sequence[float]:
-        """f(s + e) for each e of a non-empty list of ids outside s, each equal to _value_with."""
-        return [self._value_with(state, e, s) for e in es]
+    def _gains_with(self, state, es: list[int], s: frozenset) -> list[float]:
+        """The gain of each e of a non-empty list of ids outside s, as floats.
+
+        Here f(s + e) - f(s), ``state`` being f(s); a class with
+        ``exact_gains`` overrides it with one fsum of e's own terms.
+        """
+        return [self._f(s | {e}) - state for e in es]
 
 
 def _check_weights(weights: np.ndarray, what: str) -> None:
@@ -155,22 +171,21 @@ def _check_weights(weights: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite and non-negative, got {float(bad[0])!r}")
 
 
-def _masked_row_sums(weights: np.ndarray, masks: np.ndarray) -> list[float]:
-    """``weights[mask].sum()`` for each row of a boolean matrix, bit for bit.
-
-    Each row's selected weights are summed on their own: np.add.reduceat
-    would add them left to right instead of pairwise, as sum() does, and so
-    round differently.
-    """
-    picked = np.broadcast_to(weights, masks.shape)[masks]
-    ends = np.cumsum(masks.sum(axis=1)).tolist()
-    return [picked[start:end].sum() for start, end in zip([0] + ends, ends)]
+def _fsums(terms: np.ndarray, counts: Iterable[int]) -> list[float]:
+    """math.fsum of each run of ``terms`` in turn, the runs being ``counts`` long."""
+    terms = terms.tolist()
+    ends = list(accumulate(counts))
+    return [math.fsum(terms[start:end]) for start, end in zip([0] + ends, ends)]
 
 
 class WeightedCoverage(Objective):
-    """f(S) = total weight of universe items covered by the sets of S."""
+    """f(S) = total weight of universe items covered by the sets of S.
+
+    The gain of e sums the weights of e's items that S leaves uncovered.
+    """
 
     kind = "weighted-coverage"
+    exact_gains = True
 
     def __init__(self, universe_weights: Sequence[float], covers: Sequence[Iterable[int]]):
         weights = np.asarray(list(universe_weights), dtype=float)
@@ -202,36 +217,31 @@ class WeightedCoverage(Objective):
         return frozenset().union(*(coverers[u] for u in self.covers[x]))
 
     def _value(self, s: frozenset) -> float:
-        covered: set[int] = set()
-        for e in s:
-            covered |= self.covers[e]
-        if not covered:
-            return 0.0
-        return float(self.universe_weights[sorted(covered)].sum())
+        return math.fsum(self.universe_weights[self._state(s)].tolist())
 
     def _state(self, s: frozenset) -> np.ndarray:
+        """Which universe items s covers."""
         covered = np.zeros(self.universe_weights.size, dtype=bool)
         for e in s:
             covered[self._cover_items[e]] = True
         return covered
 
-    def _value_with(self, covered: np.ndarray, e: int, s: frozenset) -> float:
-        # a mask selects the covered items in ascending order, as sorted() does
-        covered = covered.copy()
-        covered[self._cover_items[e]] = True
-        return self.universe_weights[covered].sum()
-
-    def _values_with(self, covered: np.ndarray, es: list[int], s: frozenset) -> list[float]:
+    def _gains_with(self, covered: np.ndarray, es: list[int], s: frozenset) -> list[float]:
         items = [self._cover_items[e] for e in es]
-        masks = np.repeat(covered[None, :], len(es), axis=0)
-        masks[np.repeat(np.arange(len(es)), [len(i) for i in items]), np.concatenate(items)] = True
-        return _masked_row_sums(self.universe_weights, masks)
+        at = np.concatenate(items)
+        terms = np.where(covered[at], 0.0, self.universe_weights[at])
+        return _fsums(terms, map(len, items))
 
 
 class FacilityLocation(Objective):
-    """f(S) = sum over clients of the best similarity to an element of S."""
+    """f(S) = sum over clients of the best similarity to an element of S.
+
+    The gain of e sums ``s - b`` over the clients where e's similarity s
+    beats the best b of S, as the pair of terms ``s, -b``.
+    """
 
     kind = "facility-location"
+    exact_gains = True
 
     def __init__(self, similarity: Sequence[Sequence[float]]):
         sim = np.asarray(similarity, dtype=float)
@@ -242,41 +252,35 @@ class FacilityLocation(Objective):
         self.similarity = sim
 
     def _value(self, s: frozenset) -> float:
-        if self.similarity.shape[0] == 0:
-            return 0.0
-        cols = sorted(s)
-        return float(self.similarity[:, cols].max(axis=1).sum())
+        return math.fsum(self._state(s).tolist())
 
-    def _state(self, s: frozenset) -> np.ndarray | None:
-        """Best similarity per client over s; None for the empty set."""
+    def _state(self, s: frozenset) -> np.ndarray:
+        """Best similarity per client over s; 0 for the empty set."""
         if not s:
-            return None
-        return self.similarity[:, sorted(s)].max(axis=1)
+            return np.zeros(self.similarity.shape[0])
+        return self.similarity[:, list(s)].max(axis=1)
 
-    def _value_with(self, best: np.ndarray | None, e: int, s: frozenset) -> float:
-        # max is exact, so the per-client bests equal those of _value(s + e)
-        column = self.similarity[:, e]
-        best = column.copy() if best is None else np.maximum(best, column)
-        return best.sum()
-
-    def _values_with(self, best: np.ndarray | None, es: list[int], s: frozenset) -> np.ndarray:
-        # one C-contiguous row per candidate: a row sum adds pairwise, as sum() does
-        columns = self.similarity[:, es].T
-        rows = np.empty(columns.shape)
-        if best is None:
-            rows[...] = columns
-        else:
-            np.maximum(best, columns, out=rows)
-        return rows.sum(axis=1)
+    def _gains_with(self, best: np.ndarray, es: list[int], s: frozenset) -> list[float]:
+        columns = self.similarity[:, es].T  # row j: the similarities of es[j]
+        beats = columns > best
+        rows, clients = np.nonzero(beats)  # row by row
+        terms = np.empty((rows.size, 2))
+        terms[:, 0] = columns[rows, clients]
+        terms[:, 1] = -best[clients]
+        return _fsums(terms.ravel(), (2 * beats.sum(axis=1)).tolist())
 
 
 class GraphCut(Objective):
     """f(S) = total weight of edges with exactly one endpoint in S.
 
     Non-monotone: f(V) = f(empty) = 0.  Elements are the graph vertices.
+    Adding e flips exactly the edges at e (there are no self-loops), so the
+    gain of e sums +w over its edges that start crossing and -w over those
+    that stop.
     """
 
     kind = "graph-cut"
+    exact_gains = True
 
     def __init__(self, n_vertices: int, edges: Sequence[tuple[int, int, float]]):
         n_vertices = int(n_vertices)
@@ -316,33 +320,28 @@ class GraphCut(Objective):
         ]
 
     def _value(self, s: frozenset) -> float:
-        if self.edge_w.size == 0:
-            return 0.0
-        return float(self.edge_w[self._state(s)].sum())
+        inside = self._state(s)
+        return math.fsum(self.edge_w[inside[self.edge_u] ^ inside[self.edge_v]].tolist())
 
     def _state(self, s: frozenset) -> np.ndarray:
-        """Which edges cross the cut of s."""
+        """Which vertices lie in s."""
         inside = np.zeros(self.n, dtype=bool)
         inside[np.fromiter(s, dtype=np.intp, count=len(s))] = True
-        return inside[self.edge_u] ^ inside[self.edge_v]
+        return inside
 
-    def _value_with(self, crossing: np.ndarray, e: int, s: frozenset) -> float:
-        # adding e (not in s, no self-loops) flips exactly the edges at e
-        crossing = crossing.copy()
-        crossing[self._incident[e]] ^= True
-        return self.edge_w[crossing].sum()
-
-    def _values_with(self, crossing: np.ndarray, es: list[int], s: frozenset) -> list[float]:
+    def _gains_with(self, inside: np.ndarray, es: list[int], s: frozenset) -> list[float]:
         incident = [self._incident[e] for e in es]
-        masks = np.repeat(crossing[None, :], len(es), axis=0)
-        masks[np.repeat(np.arange(len(es)), [len(i) for i in incident]), np.concatenate(incident)] ^= True
-        return _masked_row_sums(self.edge_w, masks)
+        at = np.concatenate(incident)
+        weights = self.edge_w[at]
+        crossing = inside[self.edge_u[at]] ^ inside[self.edge_v[at]]
+        return _fsums(np.where(crossing, -weights, weights), map(len, incident))
 
 
 class Modular(Objective):
-    """Additive f(S) = sum of per-element weights."""
+    """Additive f(S) = sum of per-element weights; the gain of e is its weight."""
 
     kind = "modular"
+    exact_gains = True
 
     def __init__(self, weights: Sequence[float]):
         w = np.asarray(list(weights), dtype=float)
@@ -356,26 +355,13 @@ class Modular(Objective):
         return frozenset()
 
     def _value(self, s: frozenset) -> float:
-        return float(self.weights[sorted(s)].sum())
+        return math.fsum(self.weights[list(s)].tolist())
 
-    def _state(self, s: frozenset) -> tuple[list[int], np.ndarray]:
-        ids = sorted(s)
-        return ids, self.weights[ids]
+    def _state(self, s: frozenset) -> None:
+        return None
 
-    def _value_with(self, state, e: int, s: frozenset) -> float:
-        ids, weights = state
-        i = bisect.bisect(ids, e)
-        return np.concatenate((weights[:i], self.weights[e : e + 1], weights[i:])).sum()
-
-    def _values_with(self, state, es: list[int], s: frozenset) -> np.ndarray:
-        # row j is _value_with's array for es[j]: one C-contiguous row per
-        # candidate, so a row sum adds pairwise, as sum() does
-        ids, weights = state
-        at = np.searchsorted(np.asarray(ids, dtype=np.intp), es, side="right")
-        cols = np.arange(len(ids) + 1)
-        rows = np.append(weights, 0.0)[cols - (cols > at[:, None])]
-        rows[np.arange(len(es)), at] = self.weights[es]
-        return rows.sum(axis=1)
+    def _gains_with(self, state: None, es: list[int], s: frozenset) -> list[float]:
+        return [math.fsum((w,)) for w in self.weights[es].tolist()]
 
 
 def make_weighted_coverage(universe_weights, covers) -> WeightedCoverage:

@@ -57,10 +57,12 @@ def greedy_matroid(ground: Iterable[int], objective: Objective, matroid: Matroid
 
     Ties break toward the smaller id; stops when nothing improves.  Lazy
     (Minoux 1978): a heap of ``(-gain, id, picks)`` entries, ``picks`` being
-    how many elements were chosen when the gain was computed.  Submodularity
-    makes an older gain an upper bound, so only entries that reach the top
-    are recomputed.  An element that stops being independent of the picks is
-    dropped for good: the picks only grow and independence is downward closed.
+    how many elements were chosen when the gain was computed.  With
+    ``exact_gains`` an older gain bounds its fresh gain bit for bit, so an
+    entry that reaches the top with a fresh gain beats every other entry's
+    fresh key, and only the entries that reach the top are recomputed.  An
+    element that stops being independent of the picks is dropped for good:
+    the picks only grow and independence is downward closed.
     """
     # replaced on every pick, never mutated: the oracles know it by identity
     chosen: frozenset[int] = frozenset()
@@ -77,30 +79,39 @@ def greedy_matroid(ground: Iterable[int], objective: Objective, matroid: Matroid
             if matroid.fits(e, chosen):
                 heapq.heappush(heap, (-objective.marginal(e, chosen), e, len(chosen)))
             continue
-        # Marginals are differences of float sums, so they are not exactly
-        # submodular: a stale bound can sit an ulp below its fresh gain and
-        # hide a tie the smaller id must win.  Refresh every entry within a
-        # relative slack of the top before picking; rounding error is many
-        # orders of magnitude below it.
-        top = -key
-        slack = 1e-9 * (accepted + top)
-        window = [(key, e)]
-        while heap and -heap[0][0] >= top - slack:
-            key, e, stamp = heapq.heappop(heap)
-            if stamp != len(chosen):
-                if not matroid.fits(e, chosen):
-                    continue
-                key = -objective.marginal(e, chosen)
-            window.append((key, e))
-        best_key, best = min(window)
-        if best_key >= 0.0:
-            return sorted(chosen)
-        for key, e in window:
-            if e != best:
-                heapq.heappush(heap, (key, e, len(chosen)))
-        chosen = chosen | {best}
-        accepted -= best_key
+        if not objective.exact_gains:
+            key, e = _settle_near_ties(heap, key, e, chosen, accepted, objective, matroid)
+        if key >= 0.0:
+            break
+        chosen = chosen | {e}
+        accepted -= key
     return sorted(chosen)
+
+
+def _settle_near_ties(heap, key, e, chosen, accepted, objective, matroid) -> tuple[float, int]:
+    """The best ``(-gain, id)`` among the fresh top entry and the entries near it.
+
+    A gain that is a difference of two float values is not exactly
+    submodular: a stale bound can sit an ulp below its fresh gain and hide
+    a tie the smaller id must win.  So every entry within a relative slack
+    of the top is refreshed; rounding error is many orders of magnitude
+    below it.  The entries not returned go back on the heap, fresh.
+    """
+    top = -key
+    slack = 1e-9 * (accepted + top)
+    window = [(key, e)]
+    while heap and -heap[0][0] >= top - slack:
+        key, e, stamp = heapq.heappop(heap)
+        if stamp != len(chosen):
+            if not matroid.fits(e, chosen):
+                continue
+            key = -objective.marginal(e, chosen)
+        window.append((key, e))
+    best = min(window)
+    for entry in window:
+        if entry != best:
+            heapq.heappush(heap, (*entry, len(chosen)))
+    return best
 
 
 def exhaustive_opt(

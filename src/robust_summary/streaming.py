@@ -10,22 +10,17 @@ swap margin.  Every change of the candidate triggers a rebucketing.
 
 The state keeps the gain each element was filed by.  A rebucketing refiles
 only what the change can move: the filed elements that depend on an element
-that entered or left the candidate (``Objective.dependents``), and those
-whose filed gain sits within a float slack of its bucket's edges.  Every
-other element keeps its bucket and its filed gain, which a full refile would
-give it too (see ``rebucket``).  The state also records which filed gains
-were computed against the current candidate: a drained element's weight is
-read from its filed gain when that is fresh, bit for bit the marginal a
-fresh query would return, and is a fresh marginal otherwise.  The active
-window (``tau_min`` and the lowest live bucket) depends on the anchor delta
-alone and moves only when delta grows.
+that entered or left the candidate (``Objective.dependents``).  With
+``exact_gains`` every other filed gain is bit for bit the gain a fresh query
+would return (see ``rebucket``), so a drained element's weight is read from
+its filed gain.  The active window (``tau_min`` and the lowest live bucket)
+depends on the anchor delta alone and moves only when delta grows.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -100,12 +95,9 @@ class StreamState:
         # replaced on every change, never mutated: the oracles know it by identity
         self.candidate_set: frozenset[int] = frozenset()
         self.buckets: dict[int, list[int]] = {}  # exponent -> sorted ids
-        # filed element -> its marginal against the candidate it was last
-        # filed against, which in exact arithmetic is its marginal now
+        # filed element -> the gain it was last filed by: its gain against
+        # the current candidate, bit for bit
         self.gains: dict[int, float] = {}
-        # filed elements filed or refiled since the last change of the
-        # candidate: their filed gain is their marginal now, bit for bit
-        self.fresh: set[int] = set()
         self.top_buffer: list[tuple[float, int]] = []  # (value, id), size <= d
         self.delta = 0.0
         self.tau_min = 0.0
@@ -171,7 +163,6 @@ def ingest(
                 dropped = state.buckets.pop(x)
                 for e in dropped:
                     del state.gains[e]
-                    state.fresh.discard(e)
                 state.audit.low_value.extend(dropped)
 
     gain = objective.marginal(popped, state.candidate_set)
@@ -189,7 +180,6 @@ def ingest(
     bucket = state.buckets.setdefault(exponent, [])
     bisect.insort(bucket, popped)
     state.gains[popped] = gain
-    state.fresh.add(popped)
     if len(bucket) >= cfg.drain_cap:
         drain_buckets(state, objective, matroid, rng, exponent)
     state._note_boundary()
@@ -213,9 +203,7 @@ def drain_buckets(
     after a rebucket.
 
     A drained element's weight is its marginal against the current
-    candidate.  When the element was filed or refiled since the last change
-    of the candidate, that is the gain it is filed by; otherwise one
-    marginal query computes it.
+    candidate: the gain it is filed by.
     """
     cfg = state.config
     cap = cfg.drain_cap
@@ -225,9 +213,6 @@ def drain_buckets(
         bucket = state.buckets[exponent]
         g = bucket.pop(int(rng.integers(len(bucket))))
         weight = state.gains.pop(g)
-        if g not in state.fresh:
-            weight = objective.marginal(g, state.candidate_set)
-        state.fresh.discard(g)
         if len(bucket) < cap:
             over.remove(exponent)
         if not bucket:
@@ -282,26 +267,20 @@ def rebucket(
     ``changed`` lists the elements that entered or left the candidate; None
     refiles every element.  Otherwise an element is refiled when it depends
     on a changed element (``Objective.dependents``; None there also means
-    every element) or when its filed gain lies within ``slack = 1e-9 *
-    (k+1) * delta`` of its bucket's edges ``[power(x), power(x+1))``.  Every
-    other element keeps its bucket and its filed gain, which is exactly what
-    a full refile would give it: its exact gain is unchanged since it was
-    filed, and every filed and candidate singleton is at most delta, so
-    f(S+e) <= (k+1) * delta and both float evaluations of the gain lie far
-    closer than the slack to the exact one.  They therefore fall in the same
-    bucket, pass the same window, and make no upward move.  When the slack
-    leaves the normal float range every element is refiled.
+    every element).  Every other element keeps its bucket and its filed
+    gain, which is exactly what a full refile would give it: with
+    ``exact_gains`` its computed gain is unchanged, bit for bit, since it
+    was filed.  An objective without exact gains has every element refiled,
+    since a difference of two float values can move by an ulp where the
+    exact gain did not.
 
     The fresh marginals become the filed gains.  Elements falling under the
     active window are discarded.  When the candidate only grew, gains cannot
-    rise in exact arithmetic, so upward moves are tracked separately from the
-    legitimate ones a swap can cause.
-    Float marginals are differences of float sums, though: a gain lying on a
-    lattice point can come back an ulp higher after growth and move up one
-    bucket, so ``upward_moves_after_growth`` counts float noise too.
+    rise, so upward moves are tracked separately from the legitimate ones a
+    swap can cause: with exact gains ``upward_moves_after_growth`` stays 0.
     """
     affected = None
-    if changed is not None:
+    if changed is not None and objective.exact_gains:
         affected = set()
         for x in changed:
             dependents = objective.dependents(x)
@@ -309,24 +288,17 @@ def rebucket(
                 affected = None
                 break
             affected |= dependents
-    slack = 1e-9 * (state.k + 1) * state.delta
-    everything = affected is None or not slack >= sys.float_info.min
     moving = []  # (old exponent, element), by exponent descending, then id
     for x in sorted(state.buckets, reverse=True):
         bucket = state.buckets[x]
-        low = state.ladder.power(x) + slack
-        high = state.ladder.power(x + 1) - slack
-        picked = [
-            e for e in bucket if everything or e in affected or not low < state.gains[e] < high
-        ]
+        picked = bucket if affected is None else [e for e in bucket if e in affected]
         if not picked:
             continue
         moving.extend((x, e) for e in picked)
         if len(picked) == len(bucket):
             del state.buckets[x]
         else:
-            gone = set(picked)
-            state.buckets[x] = [e for e in bucket if e not in gone]
+            state.buckets[x] = [e for e in bucket if e not in affected]
     gains = objective.gains([e for _, e in moving], state.candidate_set)
     live = [not (state.tau_min > gain or gain <= 0.0) for gain in gains]
     new_exponents = iter(
@@ -347,7 +319,6 @@ def rebucket(
                 state.upward_moves_after_growth += 1
         bisect.insort(state.buckets.setdefault(new_exponent, []), e)
         state.gains[e] = gain
-    state.fresh = {e for _, e in moving if e in state.gains}
     return state
 
 

@@ -181,11 +181,12 @@ def parse_summary(text: str) -> Summary:
         if key not in _KNOWN_KEYS and key not in _AUDIT_FIELDS and key not in _IGNORED_KEYS:
             raise ValueError(f"unknown summary key: {key!r}")
     id_lists: list[tuple[str, list[int]]] = []  # (key, ids) of every id-bearing line
-    entries: list[SummaryEntry] = []
+    candidate: dict[int, SummaryEntry] = {}
     for value in lists["a"]:
         e, exp, gain = value.split(",")
-        entries.append(SummaryEntry(int(e), int(exp), float(gain)))
-        id_lists.append(("a", [entries[-1].element]))
+        entry = SummaryEntry(int(e), int(exp), float(gain))
+        once(candidate, entry.element, entry, "summary key 'a': element")
+        id_lists.append(("a", [entry.element]))
     buckets: dict[int, list[int]] = {}
     for value in lists["bucket"]:
         exp, _, ids = value.partition(":")
@@ -217,7 +218,7 @@ def parse_summary(text: str) -> Summary:
     if fields.get("counters"):
         for tok in fields["counters"].split(","):
             name, _, count = tok.partition(":")
-            counters[name] = int(count)
+            once(counters, name, int(count), "summary key 'counters': counter")
     return Summary(
         mode=fields["mode"],
         n=int(fields["n"]),
@@ -227,7 +228,7 @@ def parse_summary(text: str) -> Summary:
         monotone=bool(int(fields["monotone"])),
         seed=int(fields["seed"]),
         delta=float(fields["delta"]),
-        entries=entries,
+        entries=list(candidate.values()),
         buckets=buckets,
         top_buffer=top_buffer,
         exponents=numbers(fields.get("exponents", "")),

@@ -13,10 +13,15 @@ class PowerLadder:
     """Evaluates base**i by repeated multiplication from a single base.
 
     Threshold membership decisions compare marginals against exact lattice
-    points; evaluating every power incrementally (and negative powers as the
-    reciprocal of the positive one) pins each lattice point to one specific
-    double, so decisions replay bit-for-bit.  math.pow could round the same
-    exponent differently from the products the sweep logic reasons about.
+    points; evaluating every power incrementally pins each lattice point to
+    one specific double, so decisions replay bit-for-bit.  math.pow could
+    round the same exponent differently from the products the sweep logic
+    reasons about.  A negative power is the reciprocal of the positive one
+    while that is finite; below it, where the reciprocal would be 0.0, each
+    power is the next one up divided by the base, down through the
+    subnormals until a division no longer falls; every power below that is
+    0.0.  Both steps are correctly rounded and monotone, so the powers never
+    rise as i falls, and the positive ones strictly fall.
     """
 
     def __init__(self, base: float):
@@ -25,10 +30,17 @@ class PowerLadder:
             raise ValueError("base of a threshold ladder must exceed 1")
         self.base = base
         self._pos = [1.0]
+        self._neg = [1.0]  # power(-i) at index i
 
     def power(self, i: int) -> float:
         if i < 0:
-            return 1.0 / self.power(-i)
+            neg = self._neg
+            while len(neg) <= -i:
+                above = self.power(len(neg))
+                step = 1.0 / above if above < math.inf else neg[-1] / self.base
+                # a subnormal too coarse to fall by a step ends the ladder at 0.0
+                neg.append(step if step < neg[-1] else 0.0)
+            return neg[-i]
         while len(self._pos) <= i:
             self._pos.append(self._pos[-1] * self.base)
         return self._pos[i]
@@ -49,9 +61,9 @@ class PowerLadder:
     def floor_exponents(self, xs: Sequence[float]) -> list[int]:
         """``[floor_exponent(x) for x in xs]`` by one search in a table of powers.
 
-        The evaluated powers never decrease with i (a product by base > 1 and
-        a correctly rounded reciprocal are both monotone), so counting the
-        table entries <= x finds the largest such i, as floor_exponent does.
+        The evaluated powers never decrease with i (see the class), so
+        counting the table entries <= x finds the largest such i, as
+        floor_exponent does.
         """
         if not len(xs):
             return []

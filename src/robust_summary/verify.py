@@ -9,6 +9,7 @@ a deleted set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -171,8 +172,9 @@ def check_weight_properties(
     Verifies that the swap margin keeps the kicked-out weight dominated, that
     weights underestimate the value of the candidate and of its survivors,
     and that they overestimate the value of candidate plus kicked elements.
-    Each ``weights_<name>`` check holds when lhs <= rhs + 1e-9; its detail
-    shows both sides.
+    Weights are summed by ``math.fsum``, as the values are.  Each
+    ``weights_<name>`` check holds when lhs <= rhs + 1e-9; its detail shows
+    both sides.
     """
     if summary.mode != "streaming" or summary.audit is None:
         raise ValueError("weight checks need a streaming summary with its audit trail")
@@ -180,19 +182,21 @@ def check_weight_properties(
     removed = set(int(e) for e in deleted)
 
     solution = summary.solution
-    weight_solution = sum((entry.gain for entry in summary.entries), 0.0)
-    weight_kicked = sum((w for _, w in summary.audit.swapped_out), 0.0)
+    weights = [entry.gain for entry in summary.entries]
+    kicked = [w for _, w in summary.audit.swapped_out]
+    weight_solution = math.fsum(weights)
+    weight_kicked = math.fsum(kicked)
     value_solution = objective.value(solution)
 
     survivors = [e for e in solution if e not in removed]
-    weight_survivors = sum(
-        (entry.gain for entry in summary.entries if entry.element not in removed), 0.0
+    weight_survivors = math.fsum(
+        entry.gain for entry in summary.entries if entry.element not in removed
     )
     value_survivors = objective.value(survivors)
 
     union = sorted(set(solution) | {e for e, _ in summary.audit.swapped_out})
     value_union = objective.value(union)
-    weight_union = weight_solution + weight_kicked
+    weight_union = math.fsum(weights + kicked)
 
     def check(name: str, lhs: float, rhs: float) -> VerifyCheck:
         ok = lhs <= rhs + 1e-9

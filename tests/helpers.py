@@ -7,12 +7,14 @@ bitmask truth tables, the centralized summary from a sweep that rescans
 the whole pool at every step, the streaming summary from a pass that
 re-derives every weight, window and capped bucket that ``stream_summary``
 reuses, the greedy from a loop that re-evaluates every element at every pick,
-and the batched, tabled and memo-backed oracle calls from the scalar calls
-they must equal (``plain_oracle``).
+the batched, tabled and memo-backed oracle calls from the scalar calls
+they must equal (``plain_oracle``), and every built-in objective's value
+in exact rational arithmetic (``exact_value``, ``exact_gains``).
 """
 
 import copy
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -56,6 +58,68 @@ def coverage_value_by_union(weights, covers, chosen):
     for e in chosen:
         covered |= set(covers[e])
     return sum(weights[u] for u in covered)
+
+
+def exact_sum(xs):
+    """The exact sum of some floats, as a Fraction: every double is a multiple of 2**-1074."""
+    total = 0
+    for x in xs:
+        num, den = float(x).as_integer_ratio()
+        total += num * (2**1074 // den)
+    return Fraction(total, 2**1074)
+
+
+def exact_value(objective, ids):
+    """f(ids) of a built-in objective as a Fraction, from its definition."""
+    s = sorted(set(int(e) for e in ids))
+    kind = objective.kind
+    if kind == "modular":
+        return exact_sum(objective.weights[e] for e in s)
+    if kind == "weighted-coverage":
+        covered = set().union(*(objective.covers[e] for e in s))
+        return exact_sum(objective.universe_weights[u] for u in covered)
+    if kind == "facility-location":
+        # a max of floats is exact
+        return exact_sum(max((row[e] for e in s), default=0.0)
+                         for row in objective.similarity.tolist())
+    if kind == "graph-cut":
+        return exact_sum(w for u, v, w in objective.edges if (u in s) != (v in s))
+    raise ValueError(f"no exact value for {kind}")
+
+
+def exact_gains(objective, candidates, ids):
+    """``[f(ids + e) - f(ids) for e in candidates]`` of a built-in objective, as Fractions."""
+    s = set(int(x) for x in ids)
+    base = exact_value(objective, s)
+    gains = {e: exact_value(objective, s | {e}) - base for e in set(candidates)}
+    return [gains[e] for e in candidates]
+
+
+class ConcaveOfModular(Objective):
+    """sqrt of a weight sum: a ``_value``-only objective whose every gain depends on the whole set."""
+
+    kind = "concave-of-modular"
+
+    def __init__(self, weights):
+        super().__init__(len(weights), monotone=True)
+        self.weights = np.asarray(weights, dtype=float)
+
+    def _value(self, s):
+        return float(np.sqrt(self.weights[sorted(s)].sum()))
+
+
+class SummedCoverage(Objective):
+    """Weighted coverage as a ``_value``-only objective: its gains are differences of numpy sums."""
+
+    kind = "summed-coverage"
+
+    def __init__(self, weights, covers):
+        super().__init__(len(covers), monotone=True)
+        self.weights = np.asarray(weights, dtype=float)
+        self.covers = [set(cover) for cover in covers]
+
+    def _value(self, s):
+        return float(self.weights[sorted(set().union(*(self.covers[e] for e in s)))].sum())
 
 
 def edge_subset_has_cycle(n_vertices, pairs, chosen):

@@ -296,8 +296,17 @@ def test_non_finite_instance_weight_is_a_clean_error(tmp_path, capsys):
         ),
         ("cut n=5", "generator 'cut' is missing key 'p'"),
         ("lowerbound d=2", "generator 'lowerbound' is missing key 'k'"),
+        # the instance reader refuses n=0, so the generator does too
+        ("coverage n=0 universe=3 density=0.5", "generator 'coverage' needs a positive n, got n=0"),
+        (
+            "lowerbound k=0 d=0",
+            "generator 'lowerbound' needs a positive n = k + d + nzero, got k=0 d=0 nzero=0",
+        ),
     ],
-    ids=["coverage-without-n", "coverage-densty", "cut-without-p", "lowerbound-without-k"],
+    ids=[
+        "coverage-without-n", "coverage-densty", "cut-without-p", "lowerbound-without-k",
+        "coverage-n0", "lowerbound-k0-d0",
+    ],
 )
 def test_generator_spec_key_errors_are_clean(tmp_path, capsys, spec, message):
     out = tmp_path / "inst.txt"
@@ -392,6 +401,8 @@ def test_malformed_instance_file_is_a_clean_error(tmp_path, capsys, line, messag
         ("garbage", "summary file: line 'garbage' has no '='"),
         ("mode=centralized", "summary file: key 'mode' given twice"),
         ("bucket=-1:4", "summary file: bucket exponent -1 given twice"),
+        ("a=3,-1,1.0\na=3,-1,1.0", "summary key 'a': element 3 given twice"),
+        ("counters=low_value:1,low_value:7", "summary key 'counters': counter 'low_value' given twice"),
     ],
 )
 def test_malformed_summary_file_is_a_clean_error(tmp_path, capsys, line, message):

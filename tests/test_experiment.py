@@ -14,6 +14,7 @@ from robust_summary import (
     StreamingConfig,
     SummaryEntry,
     build_summary,
+    check_weight_properties,
     load_experiment_config,
     make_modular,
     make_uniform,
@@ -351,3 +352,30 @@ def test_misspelled_choice_is_rejected_before_any_output(tmp_path, field, value,
         run_experiment(_cut_experiment(tmp_path, **{field: value}))
     assert str(raised.value) == message
     assert not (tmp_path / "cut").exists()
+
+
+def test_ensemble_mean_is_correctly_rounded(tmp_path):
+    # ten trials of fS = 0.1: a left-to-right float sum gives 0.9999999999999999
+    # on Python 3.11 (3.12's sum compensates); math.fsum gives 1.0 on both
+    inst_path = tmp_path / "tenths.txt"
+    write_instance(Instance(make_modular([0.1] * 6), make_uniform(6, 1)), inst_path)
+    config = _experiment_config(
+        tmp_path, instance_file=str(inst_path), strategies=("top:1",), trials=10, d=1
+    )
+    report = run_experiment(config)
+    assert [row.f_s for row in report.rows] == [0.1] * 10
+    (agg,) = report.strategies
+    assert agg.mean_f_s == 0.1 and agg.sem == 0.0
+    assert " mean_fS=0.1 " in report.text_path.read_text()
+
+
+def test_weight_sums_are_correctly_rounded():
+    # ten candidate gains of 0.1: the weight sum is 1.0, as the value is
+    obj, matroid = make_modular([0.1] * 10), make_uniform(10, 10)
+    summary = stream_summary(
+        obj, matroid, StreamingConfig(epsilon=0.5, d=0, monotone_mode=True, audit=True), range(10)
+    )
+    assert [entry.gain for entry in summary.entries] == [0.1] * 10
+    details = {c.name: c.detail for c in check_weight_properties(summary, obj).checks}
+    assert details["weights_solution_weight_vs_value"] == "1.0 <= 1.0"
+    assert details["weights_survivor_weight_vs_value"] == "1.0 <= 1.0"

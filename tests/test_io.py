@@ -138,6 +138,11 @@ def test_zero_density_coverage_is_null():
 def test_generator_validation():
     with pytest.raises(ValueError):
         generate_instance("mystery n=4")
+    for spec in ("coverage n=0 universe=3 density=0.5", "facility n=0 clients=2", "cut n=0 p=0.5"):
+        with pytest.raises(ValueError, match="needs a positive n, got n=0"):
+            generate_instance(spec, "uniform k=1")
+    with pytest.raises(ValueError, match="needs a positive n = k"):
+        generate_instance("lowerbound k=0 d=0 nzero=0")
     with pytest.raises(ValueError):
         generate_instance("coverage n=4 universe=3 density=0.5")  # matroid missing
 
@@ -448,11 +453,26 @@ def test_instance_file_refuses_a_repeated_key(base, line, message):
         ("audit_drained=1\naudit_drained=2", "summary file: key 'audit_drained' given twice"),
         ("bucket=-1:4", "summary file: bucket exponent -1 given twice"),
         ("garbage", "summary file: line 'garbage' has no '='"),
+        ("a=4,-1,0.5", "summary key 'a': element 4 given twice"),
     ],
 )
 def test_summary_file_refuses_a_repeated_key(line, message):
     with pytest.raises(ValueError) as info:
         parse_summary(SMALL_CENTRALIZED_SUMMARY + line + "\n")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "counters, message",
+    [
+        ("low_value:1,low_value:7", "summary key 'counters': counter 'low_value' given twice"),
+        ("drained:0,low_value:1,drained:0", "summary key 'counters': counter 'drained' given twice"),
+    ],
+)
+def test_summary_file_refuses_a_repeated_counter(counters, message):
+    assert parse_summary(SMALL_CENTRALIZED_SUMMARY).counters == {"low_value": 1}
+    with pytest.raises(ValueError) as info:
+        parse_summary(_with_line(SMALL_CENTRALIZED_SUMMARY, f"counters={counters}"))
     assert str(info.value) == message
 
 
@@ -654,9 +674,10 @@ def test_only_value_errors_escape_the_generators(base, mutations, token, value):
         tokens[i] = tokens[i].partition("=")[0] + "=" + value
     spec = _mutate(" ".join(tokens), [m for m in mutations if not m[3].isdigit()])
     try:
-        generate_instance(spec, "uniform k=2", seed=1)
+        instance = generate_instance(spec, "uniform k=2", seed=1)
     except ValueError:
-        pass
+        return
+    assert instance.n > 0  # the instance reader refuses n=0
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,8 +11,16 @@ from robust_summary import (
     make_weighted_coverage,
 )
 from robust_summary.objectives import Objective
+from robust_summary.thresholds import PowerLadder
 
-from helpers import coverage_value_by_union, cut_value_by_enumeration, outcome, set_forms
+from helpers import (
+    ConcaveOfModular,
+    coverage_value_by_union,
+    cut_value_by_enumeration,
+    exact_gains,
+    outcome,
+    set_forms,
+)
 
 
 def test_modular_values():
@@ -190,14 +198,16 @@ def test_marginal_matches_two_value_calls(weights, seed):
 
 
 KINDS = ["modular", "coverage", "facility", "cut"]
+# the built-in kinds, with exact gains, and a class that defines only _value
+ALL_KINDS = KINDS + ["concave"]
 
 
 def _wide_objective(rng, kind):
-    """An objective whose sums round differently in a different order.
+    """An objective whose float sums round.
 
     Weights span nine decades, and sizes reach past numpy's 8- and 128-term
-    summation blocks, so only the reference order of the terms reproduces
-    value() bit for bit.
+    summation blocks, so a gain rounded once differs in its last bits from a
+    difference of two rounded values.
     """
 
     def weights(size):
@@ -206,6 +216,8 @@ def _wide_objective(rng, kind):
     n = int(rng.integers(2, 40))
     if kind == "modular":
         return make_modular(weights(n))
+    if kind == "concave":
+        return ConcaveOfModular(weights(n))
     if kind == "coverage":
         universe = int(rng.integers(1, 300))
         density = float(rng.random())
@@ -222,24 +234,37 @@ def _random_subset(rng, n):
     return set(int(e) for e in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
 
 
+def _reference_gains(obj, candidates, ids):
+    """The gains the oracle must return, without touching its tally or memo.
+
+    With exact gains, each exact rational gain rounded once; otherwise the
+    difference of two values.
+    """
+    if obj.exact_gains:
+        return [float(g) for g in exact_gains(obj, candidates, ids)]
+    other = obj.clone()
+    return [other.value(set(ids) | {e}) - other.value(ids) for e in candidates]
+
+
 def _reference_marginal(obj, e, ids):
-    return obj.value(set(ids) | {e}) - obj.value(ids)
+    return _reference_gains(obj, [e], ids)[0]
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
-def test_marginal_equals_value_difference_exactly(kind, seed):
+@given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**32 - 1))
+def test_marginal_equals_the_exact_gain_rounded_once(kind, seed):
     rng = np.random.default_rng(seed)
     obj = _wide_objective(rng, kind)
     base = _random_subset(rng, obj.n)
-    for e in range(obj.n):  # members of base included: their marginal is 0.0
-        assert obj.marginal(e, base) == _reference_marginal(obj, e, base)
+    # members of base included: their marginal is 0.0
+    expected = _reference_gains(obj, range(obj.n), base)
+    assert [obj.marginal(e, base) for e in range(obj.n)] == expected
     for e in range(obj.n):
         assert obj.marginal(e, ()) == obj.value([e])
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+@given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**32 - 1))
 def test_marginal_exact_when_sets_alternate(kind, seed):
     rng = np.random.default_rng(seed)
     obj = _wide_objective(rng, kind)
@@ -251,7 +276,7 @@ def test_marginal_exact_when_sets_alternate(kind, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+@given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**32 - 1))
 def test_marginal_exact_when_caller_mutates_its_set(kind, seed):
     rng = np.random.default_rng(seed)
     obj = _wide_objective(rng, kind)
@@ -266,7 +291,7 @@ def test_marginal_exact_when_caller_mutates_its_set(kind, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+@given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**32 - 1))
 def test_marginal_exact_for_clone_and_original_in_turn(kind, seed):
     rng = np.random.default_rng(seed)
     obj = _wide_objective(rng, kind)
@@ -278,7 +303,7 @@ def test_marginal_exact_for_clone_and_original_in_turn(kind, seed):
         base = sets[int(rng.integers(2))]
         e = int(rng.integers(obj.n))
         assert oracle.marginal(e, base) == _reference_marginal(oracle, e, base)
-    assert obj.queries == 2 + 10 * 4 and other.queries == 10 * 4
+    assert obj.queries == 2 + 10 * 2 and other.queries == 10 * 2
 
 
 def test_marginal_accepts_a_one_shot_iterator():
@@ -296,8 +321,8 @@ def _loop_gains(obj, candidates, ids):
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
-def test_gains_equal_marginals_and_value_differences_exactly(kind, seed):
+@given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**32 - 1))
+def test_gains_equal_marginals_and_exact_gains(kind, seed):
     rng = np.random.default_rng(seed)
     obj = _wide_objective(rng, kind)
     reference = obj.clone()
@@ -309,12 +334,12 @@ def test_gains_equal_marginals_and_value_differences_exactly(kind, seed):
         got = obj.gains(iter(candidates), iter(sorted(base)))
         assert obj.queries == before + 2 * len(candidates)
         assert got == _loop_gains(reference, candidates, base)
-        assert got == [_reference_marginal(reference, e, base) for e in candidates]
+        assert got == _reference_gains(reference, candidates, base)
         assert all(type(g) is float for g in got)
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+@given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**32 - 1))
 def test_gains_and_marginals_share_the_memo_in_turn(kind, seed):
     rng = np.random.default_rng(seed)
     obj = _wide_objective(rng, kind)
@@ -326,9 +351,7 @@ def test_gains_and_marginals_share_the_memo_in_turn(kind, seed):
             assert obj.marginal(e, base) == _reference_marginal(obj, e, base)
         else:
             candidates = [int(e) for e in rng.integers(0, obj.n, size=5)]
-            assert obj.gains(candidates, base) == [
-                _reference_marginal(obj, e, base) for e in candidates
-            ]
+            assert obj.gains(candidates, base) == _reference_gains(obj, candidates, base)
 
 
 def test_gains_of_no_candidates():
@@ -379,6 +402,8 @@ def _singleton_objective(kind, n, seed):
 
     if kind == "modular":
         return make_modular(weights(n))
+    if kind == "concave":
+        return ConcaveOfModular(weights(n))
     if kind == "coverage":
         universe = int(rng.integers(1, 300))
         density = float(rng.random()) * 0.2
@@ -423,13 +448,13 @@ def test_singleton_values_are_bit_identical_to_a_fresh_evaluation(kind, n, seed,
 def test_singleton_table_is_computed_once_for_every_clone(monkeypatch):
     obj = make_facility_location(np.random.default_rng(5).random((6, 600)))
     batches = []
-    original = type(obj)._values_with
+    original = type(obj)._gains_with
 
     def counted(self, state, es, s):
         batches.append(len(es))
         return original(self, state, es, s)
 
-    monkeypatch.setattr(type(obj), "_values_with", counted)
+    monkeypatch.setattr(type(obj), "_gains_with", counted)
     clone = obj.clone()
     assert clone.value([599]) == obj._f(frozenset({599}))
     assert batches == [256, 256, 88]  # BATCH_ROWS at a time
@@ -437,6 +462,15 @@ def test_singleton_table_is_computed_once_for_every_clone(monkeypatch):
         obj.value([e])
         clone.clone().value([e])
     assert len(batches) == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_singleton_value_is_the_gain_at_the_empty_set(kind, n, seed):
+    obj = _singleton_objective(kind, n, seed)
+    values = [float.hex(obj.value([e])) for e in range(n)]
+    assert [float.hex(g) for g in obj.clone().gains(range(n), ())] == values
+    assert [float.hex(obj.clone().gains([e], frozenset())[0]) for e in range(n)] == values
 
 
 def test_singleton_value_queries_count_one_each():
@@ -522,3 +556,56 @@ def test_coverage_dependents_index_is_built_on_first_use_and_shared():
     assert obj._coverers[0] is None
     assert twin.dependents(2) - {2} == {1}
     assert obj._coverers[0] is not None and obj._coverers is twin._coverers
+
+
+def _lattice_objective(rng, kind):
+    """A coverage, cut or facility objective whose weights are lattice points."""
+    ladder = PowerLadder(1.0 + float(rng.choice([0.1, 0.2, 0.3])))
+
+    def weights(size):
+        return [ladder.power(int(i)) for i in rng.integers(-5, 9, size=size)]
+
+    n = int(rng.integers(16, 30))
+    if kind == "coverage":
+        universe = int(rng.integers(20, 60))
+        covers = [np.flatnonzero(rng.random(universe) < 0.15) for _ in range(n)]
+        return make_weighted_coverage(weights(universe), covers)
+    if kind == "facility":
+        similarity = np.reshape(weights(8 * n), (8, n))
+        similarity[rng.random((8, n)) < 0.5] = 0.0
+        return make_facility_location(similarity)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+    return make_cut_function(n, [(u, v, w) for (u, v), w in zip(pairs, weights(len(pairs)))])
+
+
+@pytest.mark.parametrize("kind", ["coverage", "cut", "facility"])
+def test_gains_are_exactly_submodular_on_lattice_weights(kind):
+    # gains taken as differences of two numpy sums rose from S to T on 495
+    # of these 6,894 coverage pairs, 620 of 6,586 cut and 139 of 6,709
+    # facility pairs
+    pairs = 0
+    for seed in range(120):
+        rng = np.random.default_rng([seed, 11])
+        obj = _lattice_objective(rng, kind)
+        for _ in range(5):
+            big = _random_subset(rng, obj.n)
+            small = {e for e in big if rng.random() < 0.5}
+            outside = [e for e in range(obj.n) if e not in big]
+            for e, at_small, at_big in zip(
+                outside, obj.gains(outside, small), obj.gains(outside, big)
+            ):
+                assert at_big <= at_small, (seed, e)
+            pairs += len(outside)
+    assert pairs >= 5000
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["modular", "coverage", "cut"]), seed=st.integers(0, 2**32 - 1))
+def test_gains_outside_dependents_are_bit_identical(kind, seed):
+    rng = np.random.default_rng(seed)
+    obj = _wide_objective(rng, kind)
+    base = _random_subset(rng, obj.n)
+    for x in rng.permutation(obj.n)[:5].tolist():
+        others = sorted(set(range(obj.n)) - obj.dependents(x) - {x})
+        with_x, without_x = obj.gains(others, base | {x}), obj.gains(others, base - {x})
+        assert [float.hex(g) for g in with_x] == [float.hex(g) for g in without_x]

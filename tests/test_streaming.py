@@ -297,8 +297,8 @@ def test_memory_equals_a_full_recount_after_every_arrival():
 
 
 def test_a_long_stream_keeps_per_element_records_only_for_what_it_holds():
-    # weights, exponents and fresh marks live only for the candidate, the
-    # filed elements and the buffer; the audit trail and ``seen`` are O(n)
+    # weights and exponents live only for the candidate, the filed elements
+    # and the buffer; the audit trail and ``seen`` are O(n)
     rng = np.random.default_rng(3)
     n = 4000
     obj, matroid = make_modular(rng.lognormal(0.0, 1.0, size=n)), make_uniform(n, 5)
@@ -310,21 +310,11 @@ def test_a_long_stream_keeps_per_element_records_only_for_what_it_holds():
     assert len(state.audit.drained) > 10 * (matroid.k + cfg.d)  # many drains and swaps
     filed = {e for bucket in state.buckets.values() for e in bucket}
     held = set(state.candidate) | filed | {e for _, e in state.top_buffer}
-    assert set(state.gains) == filed and state.fresh <= filed
+    assert set(state.gains) == filed
     for name, value in vars(state).items():
         if isinstance(value, (dict, set)) and name not in ("buckets", "seen"):
             assert set(value) <= held, name
     assert [entry.element for entry in state.candidate.values()] == finalize(state).solution
-
-
-def test_fresh_marks_stay_on_filed_elements_at_every_arrival():
-    for seed in range(30):
-        obj, matroid, cfg, order = _random_stream(seed, monotone=seed % 3 == 0)
-        state = StreamState(cfg, matroid.k)
-        stream_rng = np.random.default_rng(seed)
-        for e in order:
-            ingest(state, e, obj, matroid, stream_rng)
-            assert state.fresh <= state.gains.keys()
 
 
 def test_memory_limit_arithmetic():

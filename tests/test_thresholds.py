@@ -73,10 +73,44 @@ def test_tiny_deltas_never_crash_the_lattice():
     assert lattice.exponents
     assert lattice.power(lattice.exponents[0]) <= 1e-300
     assert lattice.power(lattice.exponents[-1]) > lattice.lower
-    # below the reciprocal floor of the ladder the evaluated powers saturate
-    # and the window is empty; the underflow clamp only has to avoid a crash
+    # below 1/DBL_MAX the ladder goes on down through the subnormals, so a
+    # subnormal delta keeps a window; at the smallest double none is left,
+    # and the underflow clamp only has to avoid a crash
     assert threshold_lattice(5e-324, 2, 0.4).exponents == ()
-    assert threshold_lattice(1e-320, 2, 0.4).exponents == ()
+    tiny = threshold_lattice(1e-320, 2, 0.4)
+    assert tiny.exponents
+    assert all(tiny.lower < tiny.power(i) <= 1e-320 for i in tiny.exponents)
+
+
+@pytest.mark.parametrize("base", [1.001, 1.05, 1.1, 1.2, 1.9])
+def test_powers_never_rise_as_the_exponent_falls(base):
+    ladder = PowerLadder(base)
+    # from above 1 down past the smallest double, where the powers reach 0.0
+    low = math.floor(math.log(5e-324) / math.log(base)) - 40
+    powers = [ladder.power(i) for i in range(8, low - 1, -1)]
+    assert all(a >= b for a, b in zip(powers, powers[1:]))
+    assert all(a > b for a, b in zip(powers, powers[1:]) if b > 0.0)
+    assert powers[-1] == 0.0
+    # the reciprocals of finite positive powers are kept as they were
+    for i in range(1, 2000):
+        if ladder.power(i) < math.inf:
+            assert ladder.power(-i) == 1.0 / ladder.power(i)
+
+
+@pytest.mark.parametrize("base", [1.001, 1.05, 1.1, 1.2, 1.9])
+def test_every_subnormal_has_a_lattice_point_at_or_below_it(base):
+    ladder = PowerLadder(base)
+    xs = [5e-324 * 2.0**j for j in range(0, 52)] + [1e-311 * 1.37**j for j in range(20)]
+    xs += [x * f for x in xs for f in (0.999, 1.001)]
+    xs = [x for x in xs if 0.0 < x < 2.2250738585072014e-308]
+    expected = [ladder.floor_exponent(x) for x in xs]
+    for x, i in zip(xs, expected):
+        assert ladder.power(i) <= x < ladder.power(i + 1)
+        # 1e-311 and the like sit above a positive lattice point
+        if x >= 1e-320:
+            assert ladder.power(i) > 0.0
+    assert ladder.floor_exponents(xs) == expected
+    assert ladder.floor_exponents(sorted(xs)) == sorted(expected)
 
 
 def test_lattice_rejects_bad_parameters():
