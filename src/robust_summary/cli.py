@@ -15,7 +15,7 @@ from .experiment import load_experiment_config, run_experiment
 from .generators import generate_instance
 from .grammar import read_ids
 from .instance import read_instance, write_instance
-from .solvers import SolverKind, solve_after_deletions
+from .solvers import SOLVER_NAMES, SolverKind, solve_after_deletions
 from .streaming import StreamingConfig, stream_summary
 from .summary import read_summary, write_summary
 from .verify import verify_summary
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", required=True)
     p.add_argument("--instance", required=True)
     p.add_argument("--delete", required=True, help="id-list file or strategy spec (top:d, rand:d:seed, block:d:blockid, maxdmg:d, list:path)")
-    p.add_argument("--solver", choices=("greedy", "exhaustive", "localsearch"), required=True)
+    p.add_argument("--solver", choices=SOLVER_NAMES, required=True)
     p.add_argument("--cap", type=int, default=22, help="exhaustive-solver element cap")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)

@@ -55,11 +55,18 @@ def _parse_spec(spec: str) -> tuple[str, dict[str, str]]:
 def generate_instance(spec: str, matroid: str | None = None, seed: int = 0) -> Instance:
     """Build an instance from a generator spec, deterministically per seed.
 
-    A spec that yields no element is an error, as it is for the instance reader.
+    A spec that yields no element is an error, as it is for the instance
+    reader, and so is a matroid of rank 0, which every summary builder refuses.
     """
     kind, args = _parse_spec(spec)
-    rng = np.random.default_rng(seed)
+    instance = _generate(kind, args, matroid, np.random.default_rng(seed))
+    rank = instance.matroid.k
+    if rank < 1:
+        raise ValueError(f"generator {kind!r} built a matroid of rank {rank}; a summary needs rank >= 1")
+    return instance
 
+
+def _generate(kind: str, args: dict[str, str], matroid: str | None, rng) -> Instance:
     if kind == "lowerbound":
         k = int(args["k"])
         d = int(args["d"])

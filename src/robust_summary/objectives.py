@@ -44,6 +44,16 @@ class Objective(GroundSet):
     builders and the greedy keep a float slack for it, and the stream
     refiles every filed element at each change.  ``exact_gains`` is a fact
     of the class, not an option.
+
+    One gain, one call.  marginal() asks the class's one-element ``_gain``,
+    which sums the same terms as the batched ``_gains_with`` without its
+    bookkeeping (joining the candidates' arrays and cutting the terms back
+    into runs); gains() batches ``BATCH_ROWS`` candidates per
+    ``_gains_with`` call.  fsum does not depend on the order of its terms,
+    so both give the same bits.  Against the empty set, once the table of
+    every f({e}) is filled, both read their gains from it, which is the
+    same bits again since value({e}) is the gain at the empty set; a gain
+    query never fills the table itself.
     """
 
     kind = "abstract"
@@ -71,7 +81,10 @@ class Objective(GroundSet):
         self._queries += 2
         if e in s:
             return 0.0
-        return self._gains_with(self._remembered(s)[1], [e], s)[0]
+        table = self._singletons[0]
+        if not s and table is not None:
+            return table[e]
+        return self._gain(self._remembered(s)[1], e, s)
 
     def gains(self, candidates: Ids, ids: Ids) -> list[float]:
         """``[marginal(e, ids) for e in candidates]``, evaluated in batches.
@@ -88,6 +101,9 @@ class Objective(GroundSet):
         self._queries += 2 * len(es)
         if not es:
             return []
+        table = self._singletons[0]
+        if not s and table is not None:
+            return [table[e] for e in es]
         state = self._remembered(s)[1]
         outside = [e for e in es if e not in s]
         fresh: list[float] = []
@@ -163,6 +179,13 @@ class Objective(GroundSet):
         """
         return [self._f(s | {e}) - state for e in es]
 
+    def _gain(self, state, e: int, s: frozenset) -> float:
+        """The gain of one id e outside s: ``_gains_with(state, [e], s)[0]``, bit for bit.
+
+        A class overrides it where one element can skip the batch bookkeeping.
+        """
+        return self._gains_with(state, [e], s)[0]
+
 
 def _check_weights(weights: np.ndarray, what: str) -> None:
     """Raise unless every entry is finite and non-negative; NaN and inf are rejected."""
@@ -232,6 +255,10 @@ class WeightedCoverage(Objective):
         terms = np.where(covered[at], 0.0, self.universe_weights[at])
         return _fsums(terms, map(len, items))
 
+    def _gain(self, covered: np.ndarray, e: int, s: frozenset) -> float:
+        items = self._cover_items[e]
+        return math.fsum(np.where(covered[items], 0.0, self.universe_weights[items]).tolist())
+
 
 class FacilityLocation(Objective):
     """f(S) = sum over clients of the best similarity to an element of S.
@@ -269,6 +296,11 @@ class FacilityLocation(Objective):
         terms[:, 1] = -best[clients]
         return _fsums(terms.ravel(), (2 * beats.sum(axis=1)).tolist())
 
+    def _gain(self, best: np.ndarray, e: int, s: frozenset) -> float:
+        column = self.similarity[:, e]
+        beats = column > best
+        return math.fsum(column[beats].tolist() + (-best[beats]).tolist())
+
 
 class GraphCut(Objective):
     """f(S) = total weight of edges with exactly one endpoint in S.
@@ -300,17 +332,17 @@ class GraphCut(Objective):
         self.edge_u = np.asarray(us, dtype=int)
         self.edge_v = np.asarray(vs, dtype=int)
         self.edge_w = weights
-        incident: list[list[int]] = [[] for _ in range(n_vertices)]
-        for i, (u, v) in enumerate(zip(us, vs)):
-            incident[u].append(i)
-            incident[v].append(i)
-        self._incident = tuple(np.asarray(edge_ids, dtype=np.intp) for edge_ids in incident)
+        # per vertex: the other endpoint and the weight of each edge at it
+        ends = np.concatenate((self.edge_u, self.edge_v))
+        order = np.argsort(ends, kind="stable")
+        cuts = np.cumsum(np.bincount(ends, minlength=n_vertices))[:-1]
+        self._others = tuple(np.split(np.concatenate((self.edge_v, self.edge_u))[order], cuts))
+        self._weights = tuple(np.split(np.concatenate((weights, weights))[order], cuts))
 
     def dependents(self, x: int) -> frozenset[int]:
         """The neighbours of x."""
         x = self._check_id(x)
-        at = self._incident[x]
-        return frozenset(self.edge_u[at].tolist() + self.edge_v[at].tolist()) - {x}
+        return frozenset(self._others[x].tolist())
 
     @property
     def edges(self) -> list[tuple[int, int, float]]:
@@ -330,11 +362,15 @@ class GraphCut(Objective):
         return inside
 
     def _gains_with(self, inside: np.ndarray, es: list[int], s: frozenset) -> list[float]:
-        incident = [self._incident[e] for e in es]
-        at = np.concatenate(incident)
-        weights = self.edge_w[at]
-        crossing = inside[self.edge_u[at]] ^ inside[self.edge_v[at]]
-        return _fsums(np.where(crossing, -weights, weights), map(len, incident))
+        others = [self._others[e] for e in es]
+        weights = np.concatenate([self._weights[e] for e in es])
+        # e lies outside s, so an edge at e crosses now exactly when its other end is inside
+        crossing = inside[np.concatenate(others)]
+        return _fsums(np.where(crossing, -weights, weights), map(len, others))
+
+    def _gain(self, inside: np.ndarray, e: int, s: frozenset) -> float:
+        weights = self._weights[e]
+        return math.fsum(np.where(inside[self._others[e]], -weights, weights).tolist())
 
 
 class Modular(Objective):
@@ -362,6 +398,9 @@ class Modular(Objective):
 
     def _gains_with(self, state: None, es: list[int], s: frozenset) -> list[float]:
         return [math.fsum((w,)) for w in self.weights[es].tolist()]
+
+    def _gain(self, state: None, e: int, s: frozenset) -> float:
+        return math.fsum((self.weights[e],))
 
 
 def make_weighted_coverage(universe_weights, covers) -> WeightedCoverage:

@@ -316,6 +316,26 @@ def test_generator_spec_key_errors_are_clean(tmp_path, capsys, spec, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spec, matroid",
+    [
+        ("lowerbound k=0 d=0 nzero=3", "uniform k=1"),  # lowerbound makes its own uniform k
+        ("coverage n=3 universe=4 density=0.5", "uniform k=0"),
+    ],
+    ids=["lowerbound-k0", "coverage-uniform-k0"],
+)
+def test_generator_of_a_rank_0_matroid_exits_2(tmp_path, capsys, spec, matroid):
+    # every summary builder refuses rank 0, so the generator writes no such file
+    out = tmp_path / "inst.txt"
+    assert main(["gen", "--spec", spec, "--matroid", matroid, "--out", str(out)]) == 2
+    kind = spec.split()[0]
+    assert capsys.readouterr().err == (
+        f"robust-summary: error: generator '{kind}' built a matroid of rank 0; "
+        "a summary needs rank >= 1\n"
+    )
+    assert not out.exists()
+
+
 def test_monotone_experiment_on_a_cut_instance_exits_2(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

@@ -143,6 +143,10 @@ def test_generator_validation():
             generate_instance(spec, "uniform k=1")
     with pytest.raises(ValueError, match="needs a positive n = k"):
         generate_instance("lowerbound k=0 d=0 nzero=0")
+    with pytest.raises(ValueError, match="built a matroid of rank 0"):
+        generate_instance("lowerbound k=0 d=0 nzero=3")
+    with pytest.raises(ValueError, match="built a matroid of rank 0"):
+        generate_instance("cut n=4 p=0.5", "partition nblocks=2 cap=0")
     with pytest.raises(ValueError):
         generate_instance("coverage n=4 universe=3 density=0.5")  # matroid missing
 

@@ -321,11 +321,25 @@ def _loop_gains(obj, candidates, ids):
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**32 - 1))
-def test_gains_equal_marginals_and_exact_gains(kind, seed):
-    rng = np.random.default_rng(seed)
-    obj = _wide_objective(rng, kind)
-    reference = obj.clone()
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    degenerate=st.booleans(),
+    filled=st.booleans(),
+)
+def test_gains_equal_marginals_and_exact_gains(kind, seed, degenerate, filled):
+    def make():
+        # degenerate: zero weights, empty covers, isolated vertices, parallel edges
+        rng = np.random.default_rng(seed)
+        if degenerate:
+            return _singleton_objective(kind, int(rng.integers(1, 40)), seed)
+        return _wide_objective(rng, kind)
+
+    # each its own singleton table: obj's is filled or not, unfilled's never is
+    obj, unfilled, reference = make(), make(), make()
+    if filled:
+        obj.value([0])
+    rng = np.random.default_rng([seed, 1])
     for base in (_random_subset(rng, obj.n), set(), _random_subset(rng, obj.n)):
         # members of base, duplicates and every id of the ground set
         candidates = [int(e) for e in rng.integers(0, obj.n, size=int(rng.integers(0, 3 * obj.n)))]
@@ -333,9 +347,18 @@ def test_gains_equal_marginals_and_exact_gains(kind, seed):
         before = obj.queries
         got = obj.gains(iter(candidates), iter(sorted(base)))
         assert obj.queries == before + 2 * len(candidates)
-        assert got == _loop_gains(reference, candidates, base)
+        # the batch, the one-element path and, at the empty set, the table
+        # give the same bits; float.hex tells -0.0 from 0.0, which == does not
+        bits = [float.hex(g) for g in got]
+        assert [float.hex(g) for g in _loop_gains(obj, candidates, base)] == bits
+        assert [float.hex(obj.gains([e], base)[0]) for e in candidates] == bits
+        assert obj.queries == before + 6 * len(candidates)
+        assert [float.hex(g) for g in _loop_gains(unfilled, candidates, base)] == bits
         assert got == _reference_gains(reference, candidates, base)
         assert all(type(g) is float for g in got)
+    # a gain query never fills the table
+    assert unfilled._singletons[0] is None
+    assert (obj._singletons[0] is not None) == filled
 
 
 @settings(max_examples=40, deadline=None)
@@ -390,7 +413,8 @@ def _singleton_objective(kind, n, seed):
     """An objective over n elements with weights spanning nine decades and signed zeros.
 
     Coverage gets empty covers, facility location may have no clients, and
-    the cut graph is sparse enough to leave isolated vertices.
+    the cut graph may repeat an edge and is sparse enough to leave isolated
+    vertices.
     """
     rng = np.random.default_rng(seed)
 
@@ -415,12 +439,11 @@ def _singleton_objective(kind, n, seed):
     if kind == "facility":
         clients = int(rng.integers(0, 40))
         return make_facility_location(weights(clients * n).reshape(clients, n))
-    edges = set()
+    edges = []
     for _ in range(int(rng.integers(0, 2 * n + 1))):
         u, v = (int(x) for x in rng.integers(0, n, size=2))
         if u != v:
-            edges.add((min(u, v), max(u, v)))
-    edges = sorted(edges)
+            edges += [(u, v)] * int(rng.integers(1, 3))  # parallel edges, either way round
     return make_cut_function(n, [(u, v, w) for (u, v), w in zip(edges, weights(len(edges)))])
 
 
@@ -469,8 +492,14 @@ def test_singleton_table_is_computed_once_for_every_clone(monkeypatch):
 def test_singleton_value_is_the_gain_at_the_empty_set(kind, n, seed):
     obj = _singleton_objective(kind, n, seed)
     values = [float.hex(obj.value([e])) for e in range(n)]
-    assert [float.hex(g) for g in obj.clone().gains(range(n), ())] == values
-    assert [float.hex(obj.clone().gains([e], frozenset())[0]) for e in range(n)] == values
+    fresh = _singleton_objective(kind, n, seed)  # its own table, which gains leave unfilled
+    assert [float.hex(g) for g in fresh.gains(range(n), ())] == values
+    assert [float.hex(fresh.gains([e], frozenset())[0]) for e in range(n)] == values
+    assert [float.hex(fresh.marginal(e, ())) for e in range(n)] == values
+    assert fresh._singletons[0] is None and fresh.queries == 6 * n
+    # with the table filled, a gain at the empty set is read from it
+    assert [float.hex(obj.marginal(e, ())) for e in range(n)] == values
+    assert [float.hex(g) for g in obj.gains(range(n), ())] == values
 
 
 def test_singleton_value_queries_count_one_each():
@@ -537,6 +566,8 @@ def test_dependents_of_each_kind():
     assert make_modular([1.0, 2.0, 3.0]).dependents(1) == frozenset()
     cut = make_cut_function(4, [(0, 1, 1.0), (2, 0, 2.0), (2, 3, 1.0)])
     assert [cut.dependents(v) for v in range(4)] == [{1, 2}, {0}, {0, 3}, {2}]
+    parallel = make_cut_function(4, [(0, 1, 1.0), (1, 0, 2.0), (0, 1, 0.0), (2, 0, 2.0)])
+    assert [parallel.dependents(v) for v in range(4)] == [{1, 2}, {0}, {0}, frozenset()]
     cover = make_weighted_coverage([1.0] * 4, [[0, 1], [1], [2], [], [2, 3]])
     assert cover.dependents(0) - {0} == {1}
     assert cover.dependents(2) - {2} == {4}
