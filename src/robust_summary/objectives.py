@@ -215,10 +215,10 @@ class WeightedCoverage(Objective):
         _check_weights(weights, "universe weights")
         cover_sets = []
         for cover in covers:
-            c = frozenset(int(u) for u in cover)
-            for u in c:
-                if not 0 <= u < weights.size:
-                    raise ValueError(f"cover references universe item {u} outside range")
+            c = frozenset(map(int, cover))
+            if c and not 0 <= min(c) <= max(c) < weights.size:
+                u = min(c) if min(c) < 0 else max(c)
+                raise ValueError(f"cover references universe item {u} outside range")
             cover_sets.append(c)
         super().__init__(len(cover_sets), monotone=True)
         self.universe_weights = weights

@@ -8,8 +8,10 @@ the whole pool at every step, the streaming summary from a pass that
 re-derives every weight, window and capped bucket that ``stream_summary``
 reuses, the greedy from a loop that re-evaluates every element at every pick,
 the batched, tabled and memo-backed oracle calls from the scalar calls
-they must equal (``plain_oracle``), and every built-in objective's value
-in exact rational arithmetic (``exact_value``, ``exact_gains``).
+they must equal (``plain_oracle``), every built-in objective's value
+in exact rational arithmetic (``exact_value``, ``exact_gains``), and the
+cut and coverage generators from one scalar draw at a time
+(``literal_generate_instance``).
 """
 
 import copy
@@ -27,8 +29,10 @@ from robust_summary import (
     finalize,
     threshold_lattice,
 )
+from robust_summary.generators import _parse_spec
+from robust_summary.instance import Instance, parse_matroid_spec
 from robust_summary.matroids import Matroid
-from robust_summary.objectives import Objective
+from robust_summary.objectives import GraphCut, Objective, WeightedCoverage
 
 
 def brute_force_opt(objective, matroid, ground):
@@ -287,6 +291,35 @@ def literal_build_summary(objective, matroid, config):
         exponents=list(lattice.exponents),
         counters={"low_value": len(pool)},
     )
+
+
+def literal_generate_instance(spec, matroid, seed):
+    """``generate_instance`` for cut and coverage specs, one scalar draw at a time.
+
+    The plain reference for the block draws: a ``random()`` coin per vertex
+    pair and a ``uniform(wmin, wmax)`` after each hit, or a ``random(universe)``
+    row per cover.
+    """
+    kind, args = _parse_spec(spec)
+    rng = np.random.default_rng(seed)
+    n = args["n"]
+    if kind == "coverage":
+        item_weights = rng.uniform(0.1, 1.0, size=args["universe"])
+        covers = []
+        for _ in range(n):
+            mask = rng.random(args["universe"]) < args["density"]
+            covers.append([int(u) for u in np.flatnonzero(mask)])
+        objective = WeightedCoverage(item_weights, covers)
+    elif kind == "cut":
+        edges = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < args["p"]:
+                    edges.append((u, v, float(rng.uniform(args["wmin"], args["wmax"]))))
+        objective = GraphCut(n, edges)
+    else:
+        raise ValueError(f"no literal {kind!r} generator")
+    return Instance(objective, parse_matroid_spec(matroid, n))
 
 
 def literal_stream_summary(objective, matroid, config, order):

@@ -317,6 +317,42 @@ def test_generator_spec_key_errors_are_clean(tmp_path, capsys, spec, message):
 
 
 @pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("cut n=5 p=nan", "generator 'cut' needs 0 <= p <= 1, got p=nan"),
+        ("cut n=5 p=-1", "generator 'cut' needs 0 <= p <= 1, got p=-1"),
+        ("cut n=5 p=7", "generator 'cut' needs 0 <= p <= 1, got p=7"),
+        ("cut n=5.0 p=0.5", "generator 'cut' needs a positive n, got n=5.0"),
+        ("cut n=5 p=0.5 wmin=low", "generator 'cut' needs a number for wmin, got wmin=low"),
+        (
+            "coverage n=3 universe=4 density=nan",
+            "generator 'coverage' needs 0 <= density <= 1, got density=nan",
+        ),
+        (
+            "coverage n=3 universe=4 density=-2",
+            "generator 'coverage' needs 0 <= density <= 1, got density=-2",
+        ),
+        (
+            "coverage n=3 universe=-1 density=0.5",
+            "generator 'coverage' needs universe >= 0, got universe=-1",
+        ),
+        ("facility n=3 clients=0", "generator 'facility' needs clients >= 1, got clients=0"),
+        ("facility n=3 clients=-2", "generator 'facility' needs clients >= 1, got clients=-2"),
+        ("lowerbound k=2 d=1 nzero=-3", "generator 'lowerbound' needs nzero >= 0, got nzero=-3"),
+    ],
+    ids=[
+        "cut-p-nan", "cut-p-negative", "cut-p-above-1", "cut-n-float", "cut-wmin-word",
+        "coverage-density-nan", "coverage-density-negative", "coverage-universe-negative",
+        "facility-clients-0", "facility-clients-negative", "lowerbound-nzero-negative",
+    ],
+)
+def test_generator_values_out_of_range_exit_2(tmp_path, capsys, spec, message):
+    out = tmp_path / "inst.txt"
+    _clean_error(capsys, ["gen", "--spec", spec, "--matroid", "uniform k=1", "--out", str(out)], message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "spec, matroid",
     [
         ("lowerbound k=0 d=0 nzero=3", "uniform k=1"),  # lowerbound makes its own uniform k
