@@ -25,10 +25,11 @@ class Objective(GroundSet):
     gains() counts two per candidate.  Parameters are frozen at construction.
     The mutable state is the tally, a one-slot memo ``(S, state of S)`` of
     the last set a gain was asked against, and a table of every f({e}),
-    filled in batches on the first one-element value() query.  The memo is
-    replaced whole, never changed in place; clone() gives a copy with its
-    own tally and an empty memo that shares the table, so it is computed at
-    most once per objective.
+    filled in batches on the first one-element value() query; a one-element
+    tuple, as the stream asks at each arrival, is read from it without
+    building a set.  The memo is replaced whole, never changed in place;
+    clone() gives a copy with its own tally and an empty memo that shares
+    the table, so it is computed at most once per objective.
 
     Exact gains.  A class with ``exact_gains`` (every built-in one) computes
     the gain of e against S as one ``math.fsum`` of e's own terms, such as
@@ -68,6 +69,10 @@ class Objective(GroundSet):
         self._singletons: list = [None]  # one slot, shared by every clone
 
     def value(self, ids: Ids) -> float:
+        if type(ids) is tuple and len(ids) == 1:
+            e = self._check_id(ids[0])
+            self._queries += 1
+            return self._singleton_values()[e]
         s = self._as_set(ids)
         self._queries += 1
         if len(s) == 1:

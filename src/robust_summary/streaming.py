@@ -6,7 +6,11 @@ its current marginal gain.  Whenever a bucket reaches the drain cap, elements
 are pulled out uniformly at random, gated by a Bernoulli coin, and either
 added to the candidate solution directly or swapped against the lightest
 element of the circuit they would close - provided their weight beats the
-swap margin.  Every change of the candidate triggers a rebucketing.
+swap margin.  Every change of the candidate triggers a rebucketing.  An
+element whose weight cannot beat the margin against the smaller of its own
+weight and the lightest candidate gain is refused before its circuit is
+built: no circuit member weighs less than that, so the refusal is exact
+(see ``drain_buckets``).
 
 The state keeps the gain each element was filed by.  A rebucketing refiles
 only what the change can move: the filed elements that depend on an element
@@ -20,6 +24,7 @@ depends on the anchor delta alone and moves only when delta grows.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -89,16 +94,24 @@ class StreamState:
             raise ValueError("matroid rank must be at least 1")
         self.config = config
         self.k = k
+        # read once per stream: the config derives them on every access
+        self.drain_cap = config.drain_cap
+        self.swap_factor = 1.0 + config.gamma_value
+        self.sample_prob = config.sample_prob_value
         self.ladder = PowerLadder(1.0 + config.epsilon)
         # in insertion order; an entry's gain is its element's swap weight
         self.candidate: dict[int, SummaryEntry] = {}
+        # the smallest gain in the candidate, inf while it is empty
+        self.lightest_gain = math.inf
         # replaced on every change, never mutated: the oracles know it by identity
         self.candidate_set: frozenset[int] = frozenset()
         self.buckets: dict[int, list[int]] = {}  # exponent -> sorted ids
         # filed element -> the gain it was last filed by: its gain against
         # the current candidate, bit for bit
         self.gains: dict[int, float] = {}
-        self.top_buffer: list[tuple[float, int]] = []  # (value, id), size <= d
+        # a heap of (value, -id, id), size <= d: its top is the entry that
+        # leaves next, the smallest value and on ties the larger id
+        self.top_buffer: list[tuple[float, int, int]] = []
         self.delta = 0.0
         self.tau_min = 0.0
         self.min_active_exponent: int | None = None
@@ -116,12 +129,6 @@ class StreamState:
         self.peak_memory = max(self.peak_memory, self.memory())
 
 
-def _pop_smallest(buffer: list[tuple[float, int]]) -> tuple[float, int]:
-    # smallest value leaves; on ties the larger id leaves first
-    j = min(range(len(buffer)), key=lambda t: (buffer[t][0], -buffer[t][1]))
-    return buffer.pop(j)
-
-
 def ingest(
     state: StreamState,
     element: int,
@@ -132,24 +139,26 @@ def ingest(
     """Process one arrival; drains buckets as a side effect when they fill.
 
     Outside a drain no bucket is at the cap, so only the bucket the arrival
-    is filed into can reach it, and only then is the drain called.
+    is filed into can reach it, and only then is the drain called.  A
+    refused arrival (a repeat, or an id outside the ground set) raises
+    before it changes any state.
     """
     element = int(element)
     if element in state.seen:
         raise ValueError(f"element {element} arrived twice")
+    value = objective.value((element,))  # raises for an id outside the ground set
     state.seen.add(element)
     state.arrivals += 1
     cfg = state.config
 
-    value = objective.value((element,))
+    entry = (value, -element, element)
     if len(state.top_buffer) < cfg.d:
         # warm-up: the first d arrivals are buffered wholesale
-        state.top_buffer.append((value, element))
+        heapq.heappush(state.top_buffer, entry)
         state._note_boundary()
         return state
 
-    state.top_buffer.append((value, element))
-    popped_value, popped = _pop_smallest(state.top_buffer)
+    popped_value, _, popped = heapq.heappushpop(state.top_buffer, entry)
 
     if popped_value > state.delta:
         # the window depends on delta alone, so it moves only when delta grows
@@ -180,7 +189,7 @@ def ingest(
     bucket = state.buckets.setdefault(exponent, [])
     bisect.insort(bucket, popped)
     state.gains[popped] = gain
-    if len(bucket) >= cfg.drain_cap:
+    if len(bucket) >= state.drain_cap:
         drain_buckets(state, objective, matroid, rng, exponent)
     state._note_boundary()
     return state
@@ -203,10 +212,15 @@ def drain_buckets(
     after a rebucket.
 
     A drained element's weight is its marginal against the current
-    candidate: the gain it is filed by.
+    candidate: the gain it is filed by.  An element that does not fit is
+    refused as ``swap_failed`` without asking for its circuit when its
+    weight does not beat ``(1+gamma)`` times the smaller of its own weight
+    and the lightest candidate gain.  That refusal is exact: every member of
+    the circuit is g or a candidate member, so the lightest one weighs at
+    least that much, and ``(1+gamma) * x`` rounds monotonically in x.
     """
-    cfg = state.config
-    cap = cfg.drain_cap
+    cap = state.drain_cap
+    candidate = state.candidate
     over = [capped]
     while over:
         exponent = max(over)
@@ -220,26 +234,29 @@ def drain_buckets(
         state.audit.drained.append(g)
 
         state.audit.weight_log.append((g, weight))
-        accepted = bool(rng.random() < cfg.sample_prob_value)
+        accepted = bool(rng.random() < state.sample_prob)
 
         changed = ()
         if matroid.fits(g, state.candidate_set):
             if accepted:
-                state.candidate[g] = SummaryEntry(g, exponent, weight)
+                candidate[g] = SummaryEntry(g, exponent, weight)
                 state.candidate_set = state.candidate_set | {g}
                 changed = (g,)
             else:
                 state.audit.sample_rejected.append(g)
+        elif not weight > state.swap_factor * min(weight, state.lightest_gain):
+            # no member of g's circuit can weigh less: the swap cannot clear the margin
+            state.audit.swap_failed.append(g)
         else:
             cycle = matroid.circuit(state.candidate_set, g)
-            lightest, victim = min(
-                (weight if y == g else state.candidate[y].gain, y) for y in cycle
+            victim_gain, victim = min(
+                (weight if y == g else candidate[y].gain, y) for y in cycle
             )
-            if weight > (1.0 + cfg.gamma_value) * lightest:
+            if weight > state.swap_factor * victim_gain:
                 if accepted:
-                    del state.candidate[victim]
-                    state.audit.swapped_out.append((victim, lightest))
-                    state.candidate[g] = SummaryEntry(g, exponent, weight)
+                    del candidate[victim]
+                    state.audit.swapped_out.append((victim, victim_gain))
+                    candidate[g] = SummaryEntry(g, exponent, weight)
                     state.candidate_set = (state.candidate_set - {victim}) | {g}
                     changed = (g, victim)
                 else:
@@ -248,7 +265,8 @@ def drain_buckets(
                 state.audit.swap_failed.append(g)
 
         if changed:
-            if cfg.audit and not matroid.is_independent(state.candidate_set):
+            state.lightest_gain = min(entry.gain for entry in candidate.values())
+            if state.config.audit and not matroid.is_independent(state.candidate_set):
                 raise AssertionError("candidate solution became dependent")
             # a lone changed element entered: the candidate only grew
             rebucket(state, objective, changed, solution_grew=len(changed) == 1)
@@ -348,7 +366,7 @@ def finalize(state: StreamState) -> Summary:
         delta=state.delta,
         entries=entries,
         buckets=buckets,
-        top_buffer=sorted(e for _, e in state.top_buffer),
+        top_buffer=sorted(entry[-1] for entry in state.top_buffer),
         exponents=sorted(buckets, reverse=True),
         counters=counters,
         gamma=cfg.gamma_value,

@@ -29,6 +29,7 @@ class PowerLadder:
         if not base > 1.0:
             raise ValueError("base of a threshold ladder must exceed 1")
         self.base = base
+        self._log_base = math.log(base)
         self._pos = [1.0]
         self._neg = [1.0]  # power(-i) at index i
 
@@ -49,7 +50,7 @@ class PowerLadder:
         """Largest i with power(i) <= x.  Requires x > 0."""
         if not x > 0.0:
             raise ValueError("floor_exponent needs a positive argument")
-        guess = int(math.floor(math.log(x) / math.log(self.base)))
+        guess = int(math.floor(math.log(x) / self._log_base))
         # the log guess can be off by a step or two; settle it against the
         # exact evaluated powers
         while self.power(guess + 1) <= x:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robust_summary import (
+    Objective,
     StreamingConfig,
     StreamState,
     check_weight_properties,
@@ -12,13 +13,17 @@ from robust_summary import (
     format_summary,
     ingest,
     make_cut_function,
+    make_graphic,
     make_modular,
+    make_partition,
     make_uniform,
     make_weighted_coverage,
     rebucket,
     stream_summary,
     streaming_memory_limit,
 )
+from robust_summary.thresholds import PowerLadder
+from helpers import literal_stream_summary
 
 
 class ScriptedRng:
@@ -86,19 +91,183 @@ def test_zero_value_arrival_discarded_after_anchor_rises():
     assert summary.audit.low_value == [1]
 
 
+def _count_circuits(matroid):
+    """The element of each circuit() call made on ``matroid`` from now on, in order."""
+    calls = []
+    circuit = matroid.circuit
+
+    def counted(a, g):
+        calls.append(g)
+        return circuit(a, g)
+
+    matroid.circuit = counted
+    return calls
+
+
 def test_hand_trace_swap_chain():
     # d=0, eps=0.5, gamma=1, p=1, rank-1: marginals 1..5 arrive in order;
     # only the 1 -> 3 step clears the (1+gamma) margin, ties and lesser
     # ratios fall into the swap-failed bin
     obj = make_modular([1.0, 2.0, 3.0, 4.0, 5.0])
     cfg = StreamingConfig(epsilon=0.5, d=0, monotone_mode=True, seed=0)
-    summary = stream_summary(obj, make_uniform(5, 1), cfg, [0, 1, 2, 3, 4])
+    matroid = make_uniform(5, 1)
+    circuits = _count_circuits(matroid)
+    summary = stream_summary(obj, matroid, cfg, [0, 1, 2, 3, 4])
     assert summary.solution == [2]
     assert [(entry.element, entry.gain) for entry in summary.entries] == [(2, 3.0)]
     assert summary.audit.swapped_out == [(0, 1.0)]
     assert summary.audit.swap_failed == [1, 3, 4]
     assert summary.audit.sample_rejected == []
     assert summary.audit.drained == [0, 1, 2, 3, 4]
+    # 1, 3 and 4 cannot beat twice the lightest candidate gain, so only 2
+    # has its circuit built
+    assert circuits == [2]
+
+
+def test_circuit_decides_when_the_lightest_candidate_sits_in_another_block():
+    # blocks {0,1,2} and {3,4}, one slot each; d=0, eps=0.5: every filed
+    # element drains at once, gamma=1, p=1
+    obj = make_modular([1.0, 2.5, 4.9, 5.0, 4.0])
+    matroid = make_partition([[0, 1, 2], [3, 4]], [1, 1])
+    circuits = _count_circuits(matroid)
+    cfg = StreamingConfig(epsilon=0.5, d=0, monotone_mode=True, seed=0)
+    order = [0, 3, 4, 1, 2]
+    summary = stream_summary(obj, matroid, cfg, order)
+    # 4 beats twice the lightest candidate gain (element 0, weight 1.0), but
+    # its circuit {3, 4} lies in the other block and holds nothing lighter
+    # than 4 itself; 1 swaps 0 out, and then 2 (4.9 against 2 * 2.5) is
+    # refused without a circuit
+    assert circuits == [4, 1]
+    assert summary.solution == [3, 1]  # in insertion order
+    assert summary.audit.swapped_out == [(0, 1.0)]
+    assert summary.audit.swap_failed == [4, 2]
+    expected = literal_stream_summary(obj.clone(), matroid, cfg, order)
+    assert format_summary(summary, include_audit=True) == format_summary(
+        expected, include_audit=True
+    )
+
+
+def test_an_element_that_entered_in_a_drain_can_be_swapped_out_in_the_same_drain():
+    # coverage items a=5, b=11, c=4, e=8, f=100; elements 0:{a} 1:{a,b} 2:{c}
+    # 3:{e} 4:{f}; blocks {0,1} {2} {3} {4}, one slot each; d=1, eps=0.5:
+    # cap 2, and 4 stays in the top buffer.  Bucket 3 fills with 0 and 2 and
+    # drains 0 into the empty candidate; 1 then refiles from gain 16 (bucket
+    # 6) to 11 (bucket 5), which fills bucket 5 with 1 and 3, so the same
+    # drain pulls 1: 11 beats twice the gain 0 entered with
+    obj = make_weighted_coverage([5.0, 11.0, 4.0, 8.0, 100.0], [[0], [0, 1], [2], [3], [4]])
+    matroid = make_partition([[0, 1], [2], [3], [4]], [1, 1, 1, 1])
+    circuits = _count_circuits(matroid)
+    cfg = StreamingConfig(epsilon=0.5, d=1, monotone_mode=True)
+    summary = stream_summary(obj, matroid, cfg, [4, 1, 3, 0, 2], rng=ScriptedRng())
+    assert summary.audit.drained == [0, 1]
+    assert summary.audit.swapped_out == [(0, 5.0)]
+    assert [(entry.element, entry.gain) for entry in summary.entries] == [(1, 11.0)]
+    assert circuits == [1]
+
+
+def _swap_instance(objective_kind, matroid_kind, rng):
+    n = 30
+    if matroid_kind == "partition":
+        block_of = rng.integers(0, 4, size=n)
+        capacities = rng.integers(0, 3, size=4)  # a 0 makes its block's elements loops
+        capacities[block_of[0]] = max(1, capacities[block_of[0]])
+        matroid = make_partition([np.flatnonzero(block_of == b) for b in range(4)], capacities)
+    else:
+        pairs = [(u, v) for u in range(9) for v in range(u + 1, 9)]
+        matroid = make_graphic(9, [pairs[i] for i in rng.choice(len(pairs), size=n, replace=False)])
+    if objective_kind == "modular":
+        objective = make_modular(rng.lognormal(0.0, 1.0, size=n))
+    else:
+        edges = [(u, v, float(rng.lognormal(0.0, 0.5))) for u in range(n)
+                 for v in range(u + 1, n) if rng.random() < 0.15]
+        objective = make_cut_function(n, edges)
+    return objective, matroid
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    objective_kind=st.sampled_from(["modular", "cut"]),
+    matroid_kind=st.sampled_from(["partition", "graphic"]),
+    gamma=st.floats(0.0, 3.0, exclude_min=True),
+    sample_prob=st.floats(0.0, 1.0, exclude_min=True),
+    epsilon=st.sampled_from([0.1, 0.3, 0.5]),
+    d=st.integers(0, 3),
+)
+def test_swap_prefilter_matches_literal_loop(
+    seed, objective_kind, matroid_kind, gamma, sample_prob, epsilon, d
+):
+    rng = np.random.default_rng(seed)
+    objective, matroid = _swap_instance(objective_kind, matroid_kind, rng)
+    cfg = StreamingConfig(
+        epsilon=epsilon, d=d, monotone_mode=objective.monotone and bool(rng.random() < 0.5),
+        gamma=gamma, sample_prob=sample_prob, seed=seed, audit=True,
+    )
+    order = rng.permutation(objective.n)
+    fast, literal = objective.clone(), objective.clone()
+    summary = stream_summary(fast, matroid, cfg, order)
+    expected = literal_stream_summary(literal, matroid, cfg, order)
+    assert format_summary(summary, include_audit=True) == format_summary(
+        expected, include_audit=True
+    )
+    assert fast.queries <= literal.queries
+
+
+class _Listed(Objective):
+    """Additive objective whose singleton values are its weights as given, -0.0 included."""
+
+    kind = "listed"
+
+    def __init__(self, weights):
+        super().__init__(len(weights), monotone=True)
+        self.weights = list(weights)
+
+    def _value(self, s):
+        values = [self.weights[e] for e in sorted(s)]
+        total = values[0]  # sum() would start from the int 0 and turn -0.0 into 0.0
+        for value in values[1:]:
+            total += value
+        return total
+
+
+def _tied_weights(family, rng, n):
+    if family == "equal":
+        return [1.0] * n
+    if family == "lattice":
+        ladder = PowerLadder(1.3)
+        return [ladder.power(int(i)) for i in rng.integers(-1, 2, size=n)]
+    return [float(w) for w in rng.choice([0.0, -0.0, 1.0, 2.0], size=n)]
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 5])
+@pytest.mark.parametrize("family", ["equal", "lattice", "signed-zeros"])
+def test_top_buffer_ties_match_literal_loop(family, d):
+    for seed in range(10):
+        rng = np.random.default_rng([seed, d])
+        n = 24
+        objective = _Listed(_tied_weights(family, rng, n))
+        matroid = make_uniform(n, 3) if seed % 2 else make_partition([range(0, n, 2), range(1, n, 2)], [1, 2])
+        cfg = StreamingConfig(epsilon=0.3, d=d, monotone_mode=True, seed=seed, audit=True)
+        order = rng.permutation(n)
+        summary = stream_summary(objective.clone(), matroid, cfg, order)
+        expected = literal_stream_summary(objective.clone(), matroid, cfg, order)
+        assert format_summary(summary, include_audit=True) == format_summary(
+            expected, include_audit=True
+        )
+        assert len(summary.top_buffer) == d
+
+
+def test_top_buffer_lets_the_larger_id_leave_on_ties():
+    # d=2, equal values: whichever arrived first, the larger id leaves first
+    obj = make_modular([1.0, 1.0, 1.0, 0.5])
+    cfg = StreamingConfig(epsilon=0.5, d=2, monotone_mode=True)
+    assert stream_summary(obj, make_uniform(4, 2), cfg, [2, 1, 0]).top_buffer == [0, 1]
+    # -0.0 ties with 0.0
+    zeros = _Listed([-0.0, 0.0, 0.0])
+    assert zeros.value((0,)) == 0.0 and str(zeros.value((0,))) == "-0.0"
+    for order in ([0, 1, 2], [2, 1, 0], [1, 0, 2]):
+        summary = stream_summary(zeros, make_uniform(3, 1), cfg, order)
+        assert summary.top_buffer == [0, 1]
 
 
 def test_exact_swap_margin_tie_goes_to_failed():
@@ -205,6 +374,21 @@ def test_duplicate_arrival_rejected():
         ingest(state, 0, obj, make_uniform(2, 1), rng)
 
 
+def test_refused_arrival_changes_no_state():
+    obj = make_modular([1.0, 2.0])
+    matroid = make_uniform(2, 1)
+    state = StreamState(StreamingConfig(epsilon=0.5, d=1), k=1)
+    rng = np.random.default_rng(0)
+    ingest(state, 0, obj, matroid, rng)
+    before = (state.arrivals, set(state.seen), list(state.top_buffer), obj.queries)
+    for refused in (7, -1, 0):
+        with pytest.raises(ValueError):
+            ingest(state, refused, obj, matroid, rng)
+        assert (state.arrivals, state.seen, state.top_buffer, obj.queries) == before
+    ingest(state, 1, obj, matroid, rng)
+    assert state.arrivals == 2 and state.seen == {0, 1}
+
+
 def _random_stream(seed, monotone=True):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 20))
@@ -309,7 +493,7 @@ def test_a_long_stream_keeps_per_element_records_only_for_what_it_holds():
         ingest(state, e, obj, matroid, stream_rng)
     assert len(state.audit.drained) > 10 * (matroid.k + cfg.d)  # many drains and swaps
     filed = {e for bucket in state.buckets.values() for e in bucket}
-    held = set(state.candidate) | filed | {e for _, e in state.top_buffer}
+    held = set(state.candidate) | filed | {entry[-1] for entry in state.top_buffer}
     assert set(state.gains) == filed
     for name, value in vars(state).items():
         if isinstance(value, (dict, set)) and name not in ("buckets", "seen"):
