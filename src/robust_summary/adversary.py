@@ -50,23 +50,46 @@ class DeletionStrategy:
         return "list:" + ",".join(str(e) for e in self.ids)
 
 
+# spec head -> the strategy kind and the fields after the head, in order
+SPEC_FORMS = {
+    "top": ("top-value", ("d",)),
+    "rand": ("random", ("d", "seed")),
+    "block": ("block-concentrated", ("d", "block")),
+    "maxdmg": ("max-damage", ("d",)),
+}
+
+
+def _count(text: str) -> int | None:
+    """The non-negative integer ``text`` spells, or None."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if value >= 0 else None
+
+
 def parse_strategy(spec: str) -> DeletionStrategy:
-    """Parse strategy spec strings: top:d, rand:d:seed, block:d:blockid, maxdmg:d, list:path."""
+    """Parse strategy spec strings: top:d, rand:d:seed, block:d:blockid, maxdmg:d, list:path.
+
+    Every number is a non-negative integer; a spec with a field missing,
+    extra or malformed is refused with the form it needs.
+    """
     head, _, rest = spec.strip().partition(":")
-    if head == "top":
-        return DeletionStrategy("top-value", d=int(rest))
-    if head == "rand":
-        d, _, seed = rest.partition(":")
-        return DeletionStrategy("random", d=int(d), seed=int(seed))
-    if head == "block":
-        d, _, block = rest.partition(":")
-        return DeletionStrategy("block-concentrated", d=int(d), block=int(block))
-    if head == "maxdmg":
-        return DeletionStrategy("max-damage", d=int(rest))
     if head == "list":
+        if not rest:
+            raise ValueError(f"deletion strategy {spec!r} needs list:<path>")
         ids = tuple(read_ids(rest))
         return DeletionStrategy("explicit-list", d=len(ids), ids=ids)
-    raise ValueError(f"cannot parse deletion strategy {spec!r}")
+    if head not in SPEC_FORMS:
+        raise ValueError(f"cannot parse deletion strategy {spec!r}")
+    kind, names = SPEC_FORMS[head]
+    values = [_count(text) for text in rest.split(":")]
+    if len(values) != len(names) or None in values:
+        form = ":".join([head] + [f"<{name}>" for name in names])
+        raise ValueError(
+            f"deletion strategy {spec!r} needs {form}, each a non-negative integer"
+        )
+    return DeletionStrategy(kind, **dict(zip(names, values)))
 
 
 def _singleton_order(objective: Objective) -> list[int]:

@@ -120,17 +120,17 @@ def format_instance(instance: Instance) -> str:
     obj = instance.objective
     lines = ["# robust-summary instance v1", f"n={obj.n}", f"objective={obj.kind}"]
     if isinstance(obj, WeightedCoverage):
-        lines.append("universe=" + ",".join(repr(float(w)) for w in obj.universe_weights))
+        lines.append("universe=" + ",".join(map(repr, obj.universe_weights.tolist())))
         for e, cover in enumerate(obj.covers):
             lines.append(f"cover {e}=" + ",".join(str(u) for u in sorted(cover)))
     elif isinstance(obj, FacilityLocation):
-        for row in obj.similarity:
-            lines.append("row=" + ",".join(repr(float(x)) for x in row))
+        for row in obj.similarity.tolist():
+            lines.append("row=" + ",".join(map(repr, row)))
     elif isinstance(obj, GraphCut):
         for u, v, w in obj.edges:
             lines.append(f"edge={u} {v} {w!r}")
     elif isinstance(obj, Modular):
-        lines.append("weights=" + ",".join(repr(float(w)) for w in obj.weights))
+        lines.append("weights=" + ",".join(map(repr, obj.weights.tolist())))
     else:
         raise ValueError(f"cannot serialize objective kind {obj.kind!r}")
     lines.append("matroid=" + format_matroid(instance.matroid))

@@ -20,10 +20,15 @@ class Matroid(GroundSet):
     The only mutable state is a one-slot memo ``(S, independent(S), per-class
     state of S)`` of the last set fits() or a native circuit() was asked
     against: the concrete matroids keep S's size, its count per block, or
-    its forest, so each candidate against an unchanged S costs O(1) beyond
-    validating S.  fits_each() validates S once for a whole list of
-    candidates.  The memo is replaced whole, never changed in place, so a
-    copy of the oracle may share it.
+    the tree labels of its forest, so each candidate against an unchanged S
+    costs O(1) beyond validating S.  fits_each() validates S once for a
+    whole list of candidates.  The memo is replaced whole, never changed in
+    place, so a copy of the oracle may share it.  The graphic matroid
+    derives the labels of S from the memo's when S is the memo's set plus
+    one edge, or one edge swapped along the last circuit it found, as the
+    builders' and the greedy's solutions change; any other S is searched
+    afresh.  It keeps that last circuit, with the adjacency of its base, in
+    a second one-slot memo, replaced whole in the same way.
     """
 
     kind = "abstract"
@@ -192,6 +197,8 @@ class GraphicMatroid(Matroid):
     """Elements are edges of a simple graph; independent = acyclic subset."""
 
     kind = "graphic"
+    # (base, g, circuit, adjacency of base) of the last circuit() call
+    _circuit_memo: tuple | None = None
 
     def __init__(self, n_vertices: int, edges: Sequence[tuple[int, int]]):
         n_vertices = int(n_vertices)
@@ -216,37 +223,87 @@ class GraphicMatroid(Matroid):
     def _independent(self, s: frozenset) -> bool:
         return self._remember(s)[0]
 
-    def _forest(self, s: Iterable[int]):
-        """The rank of the edges s, a tree label per vertex and the adjacency of s.
-
-        The rank is the number of vertices s touches minus the trees it forms.
-        """
+    def _adjacency(self, s: Iterable[int]) -> dict[int, list[tuple[int, int]]]:
+        """Each vertex an edge of s touches -> (neighbour, edge) per edge of s at it."""
         adjacent: dict[int, list[tuple[int, int]]] = {}
         for e in s:
             u, v = self.edges[e]
             adjacent.setdefault(u, []).append((v, e))
             adjacent.setdefault(v, []).append((u, e))
-        tree = list(range(self.n_vertices))  # a vertex no edge touches is its own tree
-        labelled: set[int] = set()
-        trees = 0
+        return adjacent
+
+    def _forest(self, s: Iterable[int]):
+        """The rank of the edges s, a tree label per vertex and the vertices of each tree.
+
+        A tree is labelled by one of its vertices and listed by its label; a
+        vertex no edge touches is its own tree and is not listed.  The rank
+        is the number of vertices s touches minus the trees it forms.
+        """
+        adjacent = self._adjacency(s)
+        tree = list(range(self.n_vertices))
+        trees: dict[int, list[int]] = {}
         for root in adjacent:
-            if root in labelled:
+            if tree[root] != root or root in trees:
                 continue
-            trees += 1
-            labelled.add(root)
+            members = trees[root] = [root]
             stack = [root]
             while stack:
                 for y, _ in adjacent[stack.pop()]:
-                    if y not in labelled:
-                        labelled.add(y)
+                    if tree[y] == y and y not in trees:
                         tree[y] = root
+                        members.append(y)
                         stack.append(y)
-        return len(adjacent) - trees, tree, adjacent
+        return len(adjacent) - len(trees), tree, trees
 
     def _remember(self, s: frozenset):
-        """Whether s is a forest (as many edges as its rank) and, if so, its labels and adjacency."""
-        rank, tree, adjacent = self._forest(s)
-        return (True, (tree, adjacent)) if len(s) == rank else (False, None)
+        """Whether s is a forest and, if so, its tree labels and the vertices of each tree.
+
+        When s is the memo's forest plus one edge, its labels are the memo's
+        with the smaller of the two trees that edge joins relabelled, in new
+        lists.  When s is the memo's forest with an edge x swapped for an
+        edge g whose circuit, as the last circuit() found it, holds x, the
+        trees span the same vertices, so s keeps the memo's labels.
+        Otherwise they come from a fresh search of s.
+        """
+        memo = self._memo
+        if memo is None:
+            return self._search(s)
+        key = memo[0]
+        if len(s) == len(key) + 1 and key < s:
+            if not memo[1]:
+                return False, None
+            tree, trees = memo[2]
+            (e,) = s - key
+            u, v = self.edges[e]
+            a, b = tree[u], tree[v]
+            if a == b:
+                return False, None
+            into, moved = trees.get(a, [a]), trees.get(b, [b])
+            if len(into) < len(moved):
+                a, b, into, moved = b, a, moved, into
+            tree = tree.copy()
+            for y in moved:
+                tree[y] = a
+            trees = trees.copy()
+            trees.pop(b, None)
+            trees[a] = into + moved
+            return True, (tree, trees)
+        last = self._circuit_memo
+        if (
+            last is not None
+            and len(s) == len(key)
+            and last[1] in s
+            and (last[0] is key or last[0] == key)
+        ):
+            gone = key - s
+            if len(gone) == 1 and gone <= last[2]:
+                return True, memo[2]
+        return self._search(s)
+
+    def _search(self, s: frozenset):
+        """``_remember(s)`` from a fresh search of s, without the memo."""
+        rank, tree, trees = self._forest(s)
+        return (True, (tree, trees)) if len(s) == rank else (False, None)
 
     def _fits(self, state, e: int, s: frozenset) -> bool:
         tree, _ = state
@@ -254,11 +311,20 @@ class GraphicMatroid(Matroid):
         return tree[u] != tree[v]
 
     def circuit(self, a: Ids, g: int) -> frozenset:
-        """g plus the path joining g's endpoints in the forest of the base."""
-        base, g, (tree, adjacent) = self._circuit_args(a, g)
+        """g plus the path joining g's endpoints in the forest of the base.
+
+        The base's adjacency is built once per base and kept in a one-slot
+        memo of its own, replaced whole like the other.
+        """
+        base, g, (tree, _) = self._circuit_args(a, g)
         start, goal = self.edges[g]
         if g in base or tree[start] != tree[goal]:
             raise ValueError(NOT_DEPENDENT)
+        last = self._circuit_memo
+        if last is not None and (last[0] is base or last[0] == base):
+            adjacent = last[3]
+        else:
+            adjacent = self._adjacency(base)
         via = {start: -1}  # vertex -> the forest edge it was reached by
         stack = [start]
         while goal not in via:
@@ -274,7 +340,9 @@ class GraphicMatroid(Matroid):
             members.add(e)
             u, v = self.edges[e]
             x = u if x == v else v
-        return frozenset(members)
+        members = frozenset(members)
+        self._circuit_memo = (base, g, members, adjacent)
+        return members
 
 
 def make_uniform(n: int, k: int) -> UniformMatroid:

@@ -141,7 +141,9 @@ class Objective(GroundSet):
         computed gain of e against S with x is bit for bit the one against S
         without x.  None means "any element", which is always safe; a result
         that misses such an element is a correctness bug, since the
-        streaming refile keeps every other filed gain as it is.
+        streaming refile keeps every other filed gain as it is, and the
+        stream files an arrival that no candidate member lists by its
+        singleton value without asking its marginal.
         """
         self._check_id(x)
         return None
@@ -351,10 +353,7 @@ class GraphCut(Objective):
 
     @property
     def edges(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(u), int(v), float(w))
-            for u, v, w in zip(self.edge_u, self.edge_v, self.edge_w)
-        ]
+        return list(zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist()))
 
     def _value(self, s: frozenset) -> float:
         inside = self._state(s)

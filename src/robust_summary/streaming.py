@@ -19,6 +19,14 @@ that entered or left the candidate (``Objective.dependents``).  With
 would return (see ``rebucket``), so a drained element's weight is read from
 its filed gain.  The active window (``tau_min`` and the lowest live bucket)
 depends on the anchor delta alone and moves only when delta grows.
+
+An arrival's gain is asked only when a candidate member can move it.  The
+state counts, per element, the candidate members that list it in their
+dependents; an element popped from the top buffer with count 0 has, with
+``exact_gains``, bit for bit its gain at the empty set against the
+candidate, which is the singleton value the buffer was keyed by (see
+``ingest``).  A dependents call that answers None stops the counts, and
+every later arrival asks its marginal.
 """
 
 from __future__ import annotations
@@ -109,6 +117,9 @@ class StreamState:
         # filed element -> the gain it was last filed by: its gain against
         # the current candidate, bit for bit
         self.gains: dict[int, float] = {}
+        # element -> how many candidate members list it in their dependents;
+        # None once a dependents call answered "any element"
+        self.depended: dict[int, int] | None = {}
         # a heap of (value, -id, id), size <= d: its top is the entry that
         # leaves next, the smallest value and on ties the larger id
         self.top_buffer: list[tuple[float, int, int]] = []
@@ -142,6 +153,13 @@ def ingest(
     is filed into can reach it, and only then is the drain called.  A
     refused arrival (a repeat, or an id outside the ground set) raises
     before it changes any state.
+
+    The popped element is filed by its singleton value, without a marginal,
+    when the objective has exact gains and no candidate member lists it in
+    its dependents: removing the members one by one never changes its
+    computed gain, and the gain at the empty set is the singleton value.
+    The popped element never was a member, since each element arrives once
+    and only filed elements enter the candidate.
     """
     element = int(element)
     if element in state.seen:
@@ -174,7 +192,12 @@ def ingest(
                     del state.gains[e]
                 state.audit.low_value.extend(dropped)
 
-    gain = objective.marginal(popped, state.candidate_set)
+    depended = state.depended
+    if objective.exact_gains and depended is not None and popped not in depended:
+        # no candidate member can move the gain: it is the gain at the empty set
+        gain = popped_value
+    else:
+        gain = objective.marginal(popped, state.candidate_set)
     exponent = None
     if not state.tau_min > gain and gain > 0.0:
         exponent = state.ladder.floor_exponent(gain)
@@ -236,12 +259,13 @@ def drain_buckets(
         state.audit.weight_log.append((g, weight))
         accepted = bool(rng.random() < state.sample_prob)
 
-        changed = ()
+        changed = False
+        victim = None
         if matroid.fits(g, state.candidate_set):
             if accepted:
                 candidate[g] = SummaryEntry(g, exponent, weight)
                 state.candidate_set = state.candidate_set | {g}
-                changed = (g,)
+                changed = True
             else:
                 state.audit.sample_rejected.append(g)
         elif not weight > state.swap_factor * min(weight, state.lightest_gain):
@@ -249,16 +273,17 @@ def drain_buckets(
             state.audit.swap_failed.append(g)
         else:
             cycle = matroid.circuit(state.candidate_set, g)
-            victim_gain, victim = min(
+            victim_gain, loser = min(
                 (weight if y == g else candidate[y].gain, y) for y in cycle
             )
             if weight > state.swap_factor * victim_gain:
                 if accepted:
+                    victim = loser
                     del candidate[victim]
                     state.audit.swapped_out.append((victim, victim_gain))
                     candidate[g] = SummaryEntry(g, exponent, weight)
                     state.candidate_set = (state.candidate_set - {victim}) | {g}
-                    changed = (g, victim)
+                    changed = True
                 else:
                     state.audit.sample_rejected.append(g)
             else:
@@ -268,55 +293,77 @@ def drain_buckets(
             state.lightest_gain = min(entry.gain for entry in candidate.values())
             if state.config.audit and not matroid.is_independent(state.candidate_set):
                 raise AssertionError("candidate solution became dependent")
-            # a lone changed element entered: the candidate only grew
-            rebucket(state, objective, changed, solution_grew=len(changed) == 1)
+            moved = _note_change(state, objective, g, victim)
+            rebucket(state, objective, moved, solution_grew=victim is None)
             over = [x for x in state.buckets if len(state.buckets[x]) >= cap]
     return state
+
+
+def _note_change(
+    state: StreamState, objective: Objective, entered: int, left: int | None
+) -> frozenset[int] | None:
+    """Count the dependents of a candidate change; return the elements it can move.
+
+    ``entered`` joined the candidate and ``left``, if not None, was swapped
+    out.  Each element's count in ``state.depended`` goes up by one for the
+    entered element that lists it and down by one for the one that left.
+    None (every element can move) for an objective without exact gains or
+    when a dependents call answers None; the counts then stop for the rest
+    of the stream.
+    """
+    if not objective.exact_gains:
+        return None
+    entering = objective.dependents(entered)
+    leaving = frozenset() if left is None else objective.dependents(left)
+    if entering is None or leaving is None:
+        state.depended = None
+        return None
+    depended = state.depended
+    if depended is not None:
+        for e in entering:
+            depended[e] = depended.get(e, 0) + 1
+        for e in leaving:
+            if depended[e] == 1:
+                del depended[e]
+            else:
+                depended[e] -= 1
+    return entering | leaving
 
 
 def rebucket(
     state: StreamState,
     objective: Objective,
-    changed: Iterable[int] | None = None,
+    moved: frozenset[int] | None = None,
     solution_grew: bool = False,
 ) -> StreamState:
     """Refile each filed element the candidate change can move, by its fresh marginal.
 
-    ``changed`` lists the elements that entered or left the candidate; None
-    refiles every element.  Otherwise an element is refiled when it depends
-    on a changed element (``Objective.dependents``; None there also means
-    every element).  Every other element keeps its bucket and its filed
-    gain, which is exactly what a full refile would give it: with
+    ``moved`` holds the elements whose gain the change can move: those that
+    depend on an element that entered or left the candidate
+    (``Objective.dependents``, as ``_note_change`` collects them).  None
+    refiles every element.  Every other element keeps its bucket and its
+    filed gain, which is exactly what a full refile would give it: with
     ``exact_gains`` its computed gain is unchanged, bit for bit, since it
-    was filed.  An objective without exact gains has every element refiled,
-    since a difference of two float values can move by an ulp where the
-    exact gain did not.
+    was filed.  An objective without exact gains has every element refiled
+    (``_note_change`` gives None), since a difference of two float values
+    can move by an ulp where the exact gain did not.
 
     The fresh marginals become the filed gains.  Elements falling under the
     active window are discarded.  When the candidate only grew, gains cannot
     rise, so upward moves are tracked separately from the legitimate ones a
     swap can cause: with exact gains ``upward_moves_after_growth`` stays 0.
     """
-    affected = None
-    if changed is not None and objective.exact_gains:
-        affected = set()
-        for x in changed:
-            dependents = objective.dependents(x)
-            if dependents is None:
-                affected = None
-                break
-            affected |= dependents
     moving = []  # (old exponent, element), by exponent descending, then id
     for x in sorted(state.buckets, reverse=True):
         bucket = state.buckets[x]
-        picked = bucket if affected is None else [e for e in bucket if e in affected]
+        picked = bucket if moved is None else [e for e in bucket if e in moved]
         if not picked:
             continue
         moving.extend((x, e) for e in picked)
         if len(picked) == len(bucket):
             del state.buckets[x]
         else:
-            state.buckets[x] = [e for e in bucket if e not in affected]
+            state.buckets[x] = [e for e in bucket if e not in moved]
     gains = objective.gains([e for _, e in moving], state.candidate_set)
     live = [not (state.tau_min > gain or gain <= 0.0) for gain in gains]
     new_exponents = iter(

@@ -101,6 +101,13 @@ def test_parse_strategy_specs():
         assert parse_strategy(text).spec == text
 
 
+@pytest.mark.parametrize("spec", ["list", "list:", " list "])
+def test_list_spec_without_a_path_is_refused(spec):
+    # once it read the current directory and raised IsADirectoryError
+    with pytest.raises(ValueError, match="needs list:<path>"):
+        parse_strategy(spec)
+
+
 def test_budget_larger_than_ground_rejected():
     inst = _modular_instance([1.0, 2.0])
     with pytest.raises(ValueError):

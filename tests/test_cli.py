@@ -513,3 +513,24 @@ def test_deletion_file_duplicates_keep_the_solution(tmp_path):
             solutions.add(solution)
     (solution,) = solutions
     assert b"deleted=0,3\n" in solution
+
+
+@pytest.mark.parametrize(
+    "spec, needs",
+    [
+        ("rand:3", "rand:<d>:<seed>, each a non-negative integer"),
+        ("block:2", "block:<d>:<block>, each a non-negative integer"),
+        ("maxdmg:", "maxdmg:<d>, each a non-negative integer"),
+        ("top:3:9", "top:<d>, each a non-negative integer"),
+        ("rand:2:-1", "rand:<d>:<seed>, each a non-negative integer"),
+        ("top:-1", "top:<d>, each a non-negative integer"),
+        ("list:", "list:<path>"),
+    ],
+)
+def test_malformed_strategy_spec_names_its_form(tmp_path, capsys, spec, needs):
+    capsys.readouterr()
+    code, _ = _solve_with_deletions(tmp_path, spec)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"robust-summary: error: deletion strategy {spec!r} needs {needs}\n"
+    )

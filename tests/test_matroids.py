@@ -380,3 +380,60 @@ def test_frozenset_arguments_act_as_their_list_form(kind, seed):
         for ids, listed in set_forms(subset, m.n):
             for call in calls:
                 assert outcome(lambda: call(fast, ids)) == outcome(lambda: call(plain, listed))
+
+
+def _answers(m, s):
+    """Everything a graphic matroid says about s: independence, fits and circuits."""
+    return (
+        m.is_independent(s),
+        m.fits_each(range(m.n), s),
+        [outcome(lambda: m.circuit(s, g)) for g in range(m.n)],
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.lists(st.sampled_from("+-so"), max_size=24))
+def test_graphic_labels_grown_or_kept_answer_as_a_fresh_oracle(seed, steps):
+    # S+e relabels the memo's forest, S-x+g along the last circuit keeps its
+    # labels, anything else is searched afresh; each answer is checked
+    # against a fresh oracle, and a copy sharing the memo keeps its own
+    rng = np.random.default_rng(seed)
+    m = _random_matroid(rng, "graphic")
+    fresh = lambda: make_graphic(m.n_vertices, m.edges)
+    s, twin, twin_set = frozenset(), None, None
+    for step in steps:
+        outside = [e for e in range(m.n) if e not in s]
+        if step == "+" and outside:
+            s = s | {outside[int(rng.integers(len(outside)))]}
+        elif step == "-" and s:
+            s = s - {sorted(s)[int(rng.integers(len(s)))]}
+        elif step == "s" and m.is_independent(s):
+            closing = [g for g in outside if not m.fits(g, s)]
+            if closing:
+                g = closing[int(rng.integers(len(closing)))]
+                on_cycle = sorted(m.circuit(s, g) - {g})
+                s = s - {on_cycle[int(rng.integers(len(on_cycle)))]} | {g}
+        elif step == "o":
+            s = frozenset(_random_subset(rng, m.n))
+        if twin is None and rng.random() < 0.3:
+            twin, twin_set = copy.copy(m), s
+        assert _answers(m, s) == _answers(fresh(), s)
+        if twin is not None:
+            grown = twin_set | {int(rng.integers(m.n))}
+            assert _answers(twin, grown) == _answers(fresh(), grown)
+
+
+def test_graphic_swap_along_the_circuit_keeps_the_labels():
+    # path 0-1-2-3 plus the chord 0-3: swapping the chord for the middle
+    # edge keeps one tree over the same vertices
+    m = make_graphic(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+    base = frozenset({0, 1, 2})
+    assert not m.fits(3, base)
+    assert m.circuit(base, 3) == {0, 1, 2, 3}
+    swapped = frozenset({0, 2, 3})
+    labels = m._memo[2]
+    assert m.fits(4, swapped) and not m.fits(1, swapped)
+    assert m._memo[0] == swapped and m._memo[2] is labels
+    assert m.circuit(swapped, 1) == {0, 1, 2, 3}
+    # not a swap for the last circuit's g: searched afresh, two trees
+    assert m.fits(1, {0, 2, 4}) and m.fits(3, {0, 2, 4})

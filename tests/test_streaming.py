@@ -13,6 +13,7 @@ from robust_summary import (
     format_summary,
     ingest,
     make_cut_function,
+    make_facility_location,
     make_graphic,
     make_modular,
     make_partition,
@@ -23,7 +24,7 @@ from robust_summary import (
     streaming_memory_limit,
 )
 from robust_summary.thresholds import PowerLadder
-from helpers import literal_stream_summary
+from helpers import ConcaveOfModular, literal_stream_summary
 
 
 class ScriptedRng:
@@ -177,17 +178,27 @@ def _swap_instance(objective_kind, matroid_kind, rng):
         matroid = make_graphic(9, [pairs[i] for i in rng.choice(len(pairs), size=n, replace=False)])
     if objective_kind == "modular":
         objective = make_modular(rng.lognormal(0.0, 1.0, size=n))
-    else:
+    elif objective_kind == "cut":
         edges = [(u, v, float(rng.lognormal(0.0, 0.5))) for u in range(n)
                  for v in range(u + 1, n) if rng.random() < 0.15]
         objective = make_cut_function(n, edges)
+    elif objective_kind == "coverage":
+        covers = [np.flatnonzero(rng.random(40) < 0.08).tolist() for _ in range(n)]
+        objective = make_weighted_coverage(rng.lognormal(0.0, 0.5, size=40), covers)
+    elif objective_kind == "facility":
+        objective = make_facility_location(rng.lognormal(0.0, 0.5, size=(6, n)))
+    else:
+        objective = ConcaveOfModular(rng.lognormal(0.0, 0.5, size=n))
     return objective, matroid
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
-    objective_kind=st.sampled_from(["modular", "cut"]),
+    # facility location lists no dependents and the concave objective has
+    # no exact gains: both ask a marginal per arrival once the candidate is
+    # not empty, where the others reuse the singleton value when they can
+    objective_kind=st.sampled_from(["modular", "cut", "coverage", "facility", "concave"]),
     matroid_kind=st.sampled_from(["partition", "graphic"]),
     gamma=st.floats(0.0, 3.0, exclude_min=True),
     sample_prob=st.floats(0.0, 1.0, exclude_min=True),
@@ -211,6 +222,66 @@ def test_swap_prefilter_matches_literal_loop(
         expected, include_audit=True
     )
     assert fast.queries <= literal.queries
+
+
+def _record_marginals(objective):
+    """(element, set) of each marginal() call made on ``objective`` from now on."""
+    calls = []
+    marginal = objective.marginal
+
+    def recorded(e, ids):
+        calls.append((e, frozenset(ids)))
+        return marginal(e, ids)
+
+    objective.marginal = recorded
+    return calls
+
+
+def test_a_sparse_cut_asks_a_marginal_only_next_to_the_candidate():
+    # arrivals no candidate member neighbours are filed by their singleton
+    # value, so every marginal the stream asks is of a vertex adjacent to
+    # the candidate it is asked against
+    asked = 0
+    for seed in range(6):
+        rng = np.random.default_rng([seed, 41])
+        objective, matroid = _swap_instance("cut", "partition", rng)
+        cfg = StreamingConfig(epsilon=0.5, d=1, seed=seed, audit=True)
+        order = rng.permutation(objective.n)
+        fast, literal = objective.clone(), objective.clone()
+        calls = _record_marginals(fast)
+        summary = stream_summary(fast, matroid, cfg, order)
+        expected = literal_stream_summary(literal, matroid, cfg, order)
+        assert format_summary(summary, include_audit=True) == format_summary(
+            expected, include_audit=True
+        )
+        for e, s in calls:
+            assert any(e in objective.dependents(x) for x in s)
+        assert fast.queries < literal.queries
+        asked += len(calls)
+    assert asked  # the candidate did have neighbours arrive
+
+
+def test_an_element_whose_only_dependency_left_is_filed_by_its_singleton_value():
+    # cut edges 0-2 (4.0) and 1-3 (9.0); d=0, eps=0.5: every filed element
+    # drains at once; rank 1, gamma=1, p=1.  0 enters, 1 (9 > 2 * 4) swaps
+    # it out, so 2, whose only neighbour is 0, is filed by f({2}) = 4.0
+    # without a marginal; 3 neighbours the candidate 1 and is asked one
+    obj = make_cut_function(4, [(0, 2, 4.0), (1, 3, 9.0)])
+    cfg = StreamingConfig(epsilon=0.5, d=0, gamma=1.0, sample_prob=1.0)
+    state = StreamState(cfg, k=1)
+    matroid = make_uniform(4, 1)
+    calls = _record_marginals(obj)
+    for e in [0, 1]:
+        ingest(state, e, obj, matroid, ScriptedRng())
+    assert state.audit.swapped_out == [(0, 4.0)]
+    assert state.depended == {3: 1}
+    for e in [2, 3]:
+        ingest(state, e, obj, matroid, ScriptedRng())
+    assert calls == [(3, frozenset({1}))]
+    assert state.audit.weight_log == [(0, 4.0), (1, 9.0), (2, 4.0)]
+    assert state.audit.swap_failed == [2]
+    assert state.audit.low_value == [3]  # its gain against {1} is -9.0
+    assert obj.queries == 4 + 2  # four singleton values and one marginal
 
 
 class _Listed(Objective):
