@@ -37,13 +37,13 @@ print(f"greedy lower bound {greedy_floor:.3f} (within half of the optimum, monot
 # the guarantee formulas, in their exact finite-epsilon form
 beta_continuous = math.e / (math.e - 1)
 print("\napproximation factors as epsilon -> 0:")
-for label, mode, monotone, beta, gamma in [
-    ("centralized monotone, best-possible routine", "centralized", True, beta_continuous, None),
-    ("centralized non-monotone, state-of-the-art", "centralized", False, 2.597, None),
-    ("streaming non-monotone, tuned margin", "streaming", False, 2.597, 1.746),
-    ("streaming monotone", "streaming", True, beta_continuous, None),
+for label, mode, monotone, beta in [
+    ("centralized monotone, best-possible routine", "centralized", True, beta_continuous),
+    ("centralized non-monotone, state-of-the-art", "centralized", False, 2.597),
+    ("streaming non-monotone, tuned margin", "streaming", False, 2.597),
+    ("streaming monotone", "streaming", True, beta_continuous),
 ]:
-    value = theoretical_bound(mode, monotone, beta, 0.0, gamma=gamma)
+    value = theoretical_bound(mode, monotone, beta, 0.0)
     print(f"  {label:46} {value:.4f}")
 
 print("\nfinite-epsilon factors with an exact second phase (beta = 1):")

@@ -21,7 +21,7 @@ instance = generate_instance(
     "coverage n=30 universe=20 density=0.25", matroid="uniform k=4", seed=3
 )
 config = StreamingConfig(epsilon=0.4, d=2, monotone_mode=True, seed=11, audit=True)
-print(f"defaults resolved: swap margin gamma={config.gamma_value}, "
+print(f"fixed for a monotone objective: swap margin gamma={config.gamma_value}, "
       f"sampling probability p={config.sample_prob_value}, "
       f"drain cap {config.drain_cap}")
 

@@ -97,9 +97,7 @@ def _singleton_order(objective: Objective) -> list[int]:
     return sorted(range(objective.n), key=lambda e: (-values[e], e))
 
 
-def choose_deletions(
-    instance: Instance, strategy: DeletionStrategy, exhaustive_cap: int = 22
-) -> list[int]:
+def choose_deletions(instance: Instance, strategy: DeletionStrategy) -> list[int]:
     """Draw the deleted set: a function of (instance, strategy) only."""
     objective, matroid = instance.objective, instance.matroid
     n = objective.n
@@ -145,9 +143,7 @@ def choose_deletions(
     best_damage = None
     best: tuple[int, ...] | None = None
     for combo in itertools.combinations(pool, d):
-        surviving_opt = opt_value(
-            objective, matroid, combo, method="exhaustive", cap=exhaustive_cap
-        )
+        surviving_opt = opt_value(objective, matroid, combo, method="exhaustive")
         if best_damage is None or surviving_opt < best_damage:
             best_damage = surviving_opt
             best = combo
@@ -160,18 +156,17 @@ def opt_value(
     matroid: Matroid,
     deleted: Iterable[int],
     method: str = "exhaustive",
-    cap: int = 22,
 ) -> float:
     """Best independent-set value among survivors.
 
-    "exhaustive" is the true optimum (refused above the cap); "greedy-bound"
-    returns the greedy value, a lower bound on the optimum that is within a
-    factor 2 of it for monotone objectives.
+    "exhaustive" is the true optimum (refused above ``EXHAUSTIVE_CAP``
+    elements); "greedy-bound" returns the greedy value, a lower bound on the
+    optimum that is within a factor 2 of it for monotone objectives.
     """
     removed = set(int(e) for e in deleted)
     ground = [e for e in range(objective.n) if e not in removed]
     if method == "exhaustive":
-        return objective.value(exhaustive_opt(ground, objective, matroid, cap=cap))
+        return objective.value(exhaustive_opt(ground, objective, matroid))
     if method == "greedy-bound":
         return objective.value(greedy_matroid(ground, objective, matroid))
     raise ValueError(f"unknown optimum method {method!r}")

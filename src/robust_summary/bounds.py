@@ -3,23 +3,18 @@
 The finite-epsilon expressions are evaluated exactly as derived, not as the
 epsilon-absorbed headline constants, so bound checks at concrete epsilon are
 meaningful.  All formulas degrade to 2+beta (offline), 4+beta (streaming
-monotone) and the gamma-dependent streaming factor as epsilon -> 0.
+monotone) and the non-monotone streaming factor at the stream's swap margin
+(``streaming.swap_margin``) as epsilon -> 0.
 """
 
 from __future__ import annotations
 
+from .streaming import swap_margin
+
 MODES = ("centralized", "streaming")
 
-DEFAULT_GAMMA = 1.746
 
-
-def theoretical_bound(
-    mode: str,
-    monotone: bool,
-    beta: float,
-    epsilon: float,
-    gamma: float | None = None,
-) -> float:
+def theoretical_bound(mode: str, monotone: bool, beta: float, epsilon: float) -> float:
     """Approximation factor guaranteed by a beta-approximate second phase.
 
     The centralized formula covers monotone and non-monotone objectives
@@ -45,9 +40,7 @@ def theoretical_bound(
             raise ValueError("streaming bound formula needs epsilon < 1")
         return 2.0 * (1.0 + epsilon) / (1.0 - epsilon) ** 2 + (2.0 + beta) / (1.0 - epsilon)
 
-    g = DEFAULT_GAMMA if gamma is None else float(gamma)
-    if g <= 0.0:
-        raise ValueError("gamma must be positive")
+    g = swap_margin(False)
     denominator = g * (1.0 + g - epsilon * (g + 2.0))
     if denominator <= 0.0 or epsilon >= 1.0:
         raise ValueError("epsilon too large for the streaming bound formula")
@@ -60,7 +53,7 @@ def theoretical_bound(
     )
 
 
-def bound_warnings(mode: str, epsilon: float, gamma: float | None = None) -> list[str]:
+def bound_warnings(mode: str, epsilon: float) -> list[str]:
     """Flags raised when parameters leave the proven range of the formula."""
     warnings = []
     if mode == "centralized":
@@ -68,10 +61,6 @@ def bound_warnings(mode: str, epsilon: float, gamma: float | None = None) -> lis
             warnings.append(
                 f"epsilon={epsilon!r} outside (0, 1/5): centralized guarantee not proven"
             )
-    else:
-        if not 0.0 < epsilon < 1.0:
-            warnings.append(f"epsilon={epsilon!r} outside (0, 1): streaming guarantee not proven")
-        g = DEFAULT_GAMMA if gamma is None else gamma
-        if g is not None and 1.0 + g - epsilon * (g + 2.0) <= 0.0:
-            warnings.append("epsilon too large for the chosen gamma: bound degenerates")
+    elif not 0.0 < epsilon < 1.0:
+        warnings.append(f"epsilon={epsilon!r} outside (0, 1): streaming guarantee not proven")
     return warnings

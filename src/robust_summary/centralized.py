@@ -38,8 +38,8 @@ class CentralizedConfig:
     """Offline builder parameters.
 
     The approximation guarantee needs epsilon < 1/5; larger values up to 1
-    are accepted and only flagged in reports, since the size bounds remain
-    meaningful there (see ``epsilon_in_guarantee_range``).
+    are accepted and only flagged in reports (``bounds.bound_warnings``),
+    since the size bounds remain meaningful there.
     """
 
     epsilon: float
@@ -53,10 +53,6 @@ class CentralizedConfig:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.d < 0:
             raise ValueError("deletion budget d must be non-negative")
-
-    @property
-    def epsilon_in_guarantee_range(self) -> bool:
-        return 0.0 < self.epsilon < 0.2
 
 
 def bucket_cap(k: int, d: int, epsilon: float, monotone_mode: bool) -> int:

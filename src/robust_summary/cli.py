@@ -59,8 +59,6 @@ def cmd_summarize(args) -> int:
             epsilon=args.epsilon,
             d=args.d,
             monotone_mode=args.monotone,
-            gamma=args.gamma,
-            sample_prob=args.p,
             seed=args.seed,
             audit=args.audit,
         )
@@ -78,7 +76,7 @@ def cmd_solve(args) -> int:
     instance = read_instance(args.instance)
     summary = read_summary(args.summary)
     deleted = _parse_deletions(args.delete, instance)
-    solver = SolverKind(args.solver, exhaustive_cap=args.cap)
+    solver = SolverKind(args.solver)
     solution = solve_after_deletions(
         summary, deleted, instance.objective, instance.matroid, solver
     )
@@ -113,10 +111,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    value = theoretical_bound(
-        args.mode, args.monotone, args.beta, args.epsilon, gamma=args.gamma
-    )
-    for warning in bound_warnings(args.mode, args.epsilon, gamma=args.gamma):
+    value = theoretical_bound(args.mode, args.monotone, args.beta, args.epsilon)
+    for warning in bound_warnings(args.mode, args.epsilon):
         print(f"warning: {warning}", file=sys.stderr)
     print(repr(value))
     return 0
@@ -159,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--order", default="identity", help="arrival order file | shuffle:<seed> | identity")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
     p.add_argument("--audit", action="store_true", help="dump the audit trail into the summary file")
     p.set_defaults(func=cmd_summarize)
 
@@ -169,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--delete", required=True, help="id-list file or strategy spec (top:d, rand:d:seed, block:d:blockid, maxdmg:d, list:path)")
     p.add_argument("--solver", choices=SOLVER_NAMES, required=True)
-    p.add_argument("--cap", type=int, default=22, help="exhaustive-solver element cap")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 
@@ -185,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monotone", action="store_true")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=None)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("experiment", help="run a seeded experiment from a config file")

@@ -43,15 +43,12 @@ class ExperimentConfig:
     epsilon: float = 0.1
     d: int = 0
     monotone: bool = False
-    gamma: float | None = None
-    sample_prob: float | None = None
     order: str = "shuffle"  # streaming arrival order: identity | shuffle
     instance_file: str | None = None
     gen_spec: str | None = None
     gen_matroid: str | None = None
     gen_seed: int = 0
     solver: str = "greedy"
-    exhaustive_cap: int = 22
     strategies: tuple[str, ...] = ()
     opt_method: str = "exhaustive"
     trials: int = 1
@@ -90,11 +87,9 @@ def load_experiment_config(path) -> ExperimentConfig:
         read.add((section, option))
         return parser.get(section, option, fallback=fallback)
 
-    def convert(kind, section, option, fallback=None):
-        """The value converted by ``kind``; None for an unset or empty optional key."""
+    def convert(kind, section, option, fallback):
+        """The value converted by ``kind``, or the converted ``fallback`` when unset."""
         text = get(section, option, fallback)
-        if fallback is None and not text:
-            return None
         try:
             return kind(text)
         except ValueError as exc:
@@ -116,15 +111,12 @@ def load_experiment_config(path) -> ExperimentConfig:
             epsilon=convert(float, "algorithm", "epsilon", "0.1"),
             d=convert(int, "algorithm", "d", "0"),
             monotone=convert(boolean, "algorithm", "monotone", "false"),
-            gamma=convert(float, "algorithm", "gamma"),
-            sample_prob=convert(float, "algorithm", "p"),
             order=get("algorithm", "order", "shuffle"),
             instance_file=get("instance", "file"),
             gen_spec=get("instance", "generator"),
             gen_matroid=get("instance", "matroid"),
             gen_seed=convert(int, "instance", "gen_seed", "0"),
             solver=get("phase2", "solver", "greedy"),
-            exhaustive_cap=convert(int, "phase2", "exhaustive_cap", "22"),
             strategies=strategies,
             opt_method=get("deletions", "opt_method", "exhaustive"),
             trials=convert(int, "trials", "count", "1"),
@@ -228,8 +220,6 @@ def _phase_one(config: ExperimentConfig, instance: Instance, seed: int) -> tuple
                 epsilon=config.epsilon,
                 d=config.d,
                 monotone_mode=config.monotone,
-                gamma=config.gamma,
-                sample_prob=config.sample_prob,
                 seed=seed,
             ),
             order,
@@ -256,29 +246,21 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
     write_instance(instance, out_dir / "instance.txt")
 
-    solver = SolverKind(config.solver, exhaustive_cap=config.exhaustive_cap)
+    solver = SolverKind(config.solver)
     strategies = [parse_strategy(spec) for spec in config.strategies]
-    deletion_sets = {
-        s.spec: tuple(choose_deletions(instance, s, exhaustive_cap=config.exhaustive_cap))
-        for s in strategies
-    }
+    deletion_sets = {s.spec: tuple(choose_deletions(instance, s)) for s in strategies}
     opt_oracle = instance.objective.clone()
     opts = {
-        spec: opt_value(
-            opt_oracle, instance.matroid, removed, method=config.opt_method,
-            cap=config.exhaustive_cap,
-        )
+        spec: opt_value(opt_oracle, instance.matroid, removed, method=config.opt_method)
         for spec, removed in deletion_sets.items()
     }
 
-    warnings = bound_warnings(config.mode, config.epsilon, gamma=config.gamma)
+    warnings = bound_warnings(config.mode, config.epsilon)
     bound: float | None = None
     beta = solver.beta(instance.objective.monotone)
     if beta is not None:
         try:
-            bound = theoretical_bound(
-                config.mode, config.monotone, beta, config.epsilon, gamma=config.gamma
-            )
+            bound = theoretical_bound(config.mode, config.monotone, beta, config.epsilon)
         except ValueError as exc:
             warnings.append(f"bound formula unavailable: {exc}")
 

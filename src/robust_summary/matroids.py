@@ -65,18 +65,6 @@ class Matroid(GroundSet):
             return [False] * len(es)
         return [e in s or self._fits(state, e, s) for e in es]
 
-    def rank_of(self, ids: Ids) -> int:
-        """Size of a maximal independent subset, grown greedily.
-
-        Greedy is exact here by the matroid exchange property.
-        """
-        s = self._as_set(ids)
-        grown: set[int] = set()
-        for e in sorted(s):
-            if self._independent(frozenset(grown | {e})):
-                grown.add(e)
-        return len(grown)
-
     def circuit(self, a: Ids, g: int) -> frozenset:
         """The unique minimal dependent subset of a+g, for independent a.
 

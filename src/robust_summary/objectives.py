@@ -139,11 +139,13 @@ class Objective(GroundSet):
 
         For every S and every e outside the result and other than x, the
         computed gain of e against S with x is bit for bit the one against S
-        without x.  None means "any element", which is always safe; a result
-        that misses such an element is a correctness bug, since the
-        streaming refile keeps every other filed gain as it is, and the
-        stream files an arrival that no candidate member lists by its
-        singleton value without asking its marginal.
+        without x.  None means "any element", which is always safe.  Only
+        the stream asks, and only a class with ``exact_gains``: there a
+        result that misses such an element is a correctness bug, since the
+        refile keeps every other filed gain as it is, and an arrival that
+        no candidate member lists is filed by its singleton value without
+        its marginal.  A class without exact gains is refiled whole at
+        every change and never asked.
         """
         self._check_id(x)
         return None

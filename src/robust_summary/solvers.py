@@ -19,18 +19,19 @@ SOLVER_NAMES = ("greedy", "exhaustive", "localsearch")
 # local search: a move must raise the value by this factor; at most this many moves
 LS_IMPROVE = 0.01
 LS_MAX_MOVES = 10_000
+# the exhaustive search refuses larger ground sets: 2^22 subsets at most
+EXHAUSTIVE_CAP = 22
 
 
 @dataclass(frozen=True)
 class SolverKind:
-    """Which routine runs in the post-deletion phase, and the exhaustive search's cap.
+    """Which routine runs in the post-deletion phase.
 
     ``beta(monotone)`` is the routine's proven approximation factor on an
     objective of that kind, used by bound checks, or None where it has none.
     """
 
     name: str
-    exhaustive_cap: int = 22
 
     def __post_init__(self):
         if self.name not in SOLVER_NAMES:
@@ -48,7 +49,7 @@ class SolverKind:
         if self.name == "greedy":
             return greedy_matroid(ground, objective, matroid)
         if self.name == "exhaustive":
-            return exhaustive_opt(ground, objective, matroid, cap=self.exhaustive_cap)
+            return exhaustive_opt(ground, objective, matroid)
         return local_search(ground, objective, matroid)
 
 
@@ -114,19 +115,17 @@ def _settle_near_ties(heap, key, e, chosen, accepted, objective, matroid) -> tup
     return best
 
 
-def exhaustive_opt(
-    ground: Iterable[int], objective: Objective, matroid: Matroid, cap: int = 22
-) -> list[int]:
+def exhaustive_opt(ground: Iterable[int], objective: Objective, matroid: Matroid) -> list[int]:
     """True optimum by enumerating independent subsets (downward-closed DFS).
 
-    Refuses ground sets above ``cap``.  Ties break toward the set that is
-    lexicographically smallest as a sorted id tuple, which the pre-order DFS
-    visits first.
+    Refuses ground sets above ``EXHAUSTIVE_CAP``.  Ties break toward the set
+    that is lexicographically smallest as a sorted id tuple, which the
+    pre-order DFS visits first.
     """
     elements = sorted(set(int(e) for e in ground))
-    if len(elements) > cap:
+    if len(elements) > EXHAUSTIVE_CAP:
         raise ValueError(
-            f"exhaustive solve refused: {len(elements)} elements exceed the cap of {cap}"
+            f"exhaustive solve refused: {len(elements)} elements exceed the cap of {EXHAUSTIVE_CAP}"
         )
     best_value = 0.0  # the empty set is always independent and worth 0
     best: tuple[int, ...] = ()

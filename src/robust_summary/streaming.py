@@ -50,20 +50,26 @@ def drain_cap(d: int, epsilon: float) -> int:
     return max(1, math.ceil(d / epsilon))
 
 
+def swap_margin(monotone: bool) -> float:
+    """The swap margin gamma the analysis fixes for the objective class.
+
+    Non-monotone: 1.746, the minimiser of the streaming factor in ``bounds``
+    at beta = 2.597.  Monotone: 1; the monotone factor has no gamma term.
+    """
+    return 1.0 if monotone else 1.746
+
+
 @dataclass(frozen=True)
 class StreamingConfig:
     """Streaming builder parameters.
 
-    gamma (swap margin) and sample_prob default per objective class: the
-    non-monotone run uses gamma = 1.746 with sample_prob = 1/(gamma+2), the
-    monotone run disables subsampling (gamma = 1, sample_prob = 1).
+    The swap margin gamma and the coin probability p follow the objective
+    class: the reported bounds hold at those values only.
     """
 
     epsilon: float
     d: int
     monotone_mode: bool = False
-    gamma: float | None = None
-    sample_prob: float | None = None
     seed: int = 0
     audit: bool = False
 
@@ -72,21 +78,14 @@ class StreamingConfig:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.d < 0:
             raise ValueError("deletion budget d must be non-negative")
-        if self.gamma is not None and not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
-        if self.sample_prob is not None and not 0.0 < self.sample_prob <= 1.0:
-            raise ValueError("sample_prob must lie in (0, 1]")
 
     @property
     def gamma_value(self) -> float:
-        if self.gamma is not None:
-            return self.gamma
-        return 1.0 if self.monotone_mode else 1.746
+        return swap_margin(self.monotone_mode)
 
     @property
     def sample_prob_value(self) -> float:
-        if self.sample_prob is not None:
-            return self.sample_prob
+        """p = 1/(gamma+2) for a non-monotone run; 1, no subsampling, for a monotone one."""
         return 1.0 if self.monotone_mode else 1.0 / (self.gamma_value + 2.0)
 
     @property

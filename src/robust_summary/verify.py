@@ -18,7 +18,7 @@ import numpy as np
 from .centralized import bucket_cap, compute_delta
 from .instance import Instance
 from .objectives import Objective
-from .streaming import drain_cap
+from .streaming import drain_cap, swap_margin
 from .summary import Summary
 from .thresholds import PowerLadder, lattice_size_limit
 
@@ -174,11 +174,12 @@ def check_weight_properties(
     and that they overestimate the value of candidate plus kicked elements.
     Weights are summed by ``math.fsum``, as the values are.  Each
     ``weights_<name>`` check holds when lhs <= rhs + 1e-9; its detail shows
-    both sides.
+    both sides.  The swap margin is the one the summary records, or the
+    class margin (``swap_margin``) for a summary without a ``gamma=`` line.
     """
     if summary.mode != "streaming" or summary.audit is None:
         raise ValueError("weight checks need a streaming summary with its audit trail")
-    gamma = summary.gamma if summary.gamma is not None else 1.0
+    gamma = summary.gamma if summary.gamma is not None else swap_margin(summary.monotone)
     removed = set(int(e) for e in deleted)
 
     solution = summary.solution

@@ -11,16 +11,20 @@ the batched, tabled and memo-backed oracle calls from the scalar calls
 they must equal (``plain_oracle``), every built-in objective's value
 in exact rational arithmetic (``exact_value``, ``exact_gains``), and the
 cut and coverage generators from one scalar draw at a time
-(``literal_generate_instance``).
+(``literal_generate_instance``).  ``LeverConfig`` sets the stream's swap
+margin and coin probability by hand, and ``rank_of`` grows a maximal
+independent subset greedily.
 """
 
 import copy
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from robust_summary import (
+    StreamingConfig,
     StreamState,
     Summary,
     SummaryEntry,
@@ -149,6 +153,19 @@ def edge_subset_has_cycle(n_vertices, pairs, chosen):
                 visited.add(nxt)
                 stack.append((nxt, idx))
     return False
+
+
+def rank_of(matroid, ids):
+    """Size of a maximal independent subset of ids, grown greedily.
+
+    Greedy is exact here by the matroid exchange property.
+    """
+    s = matroid._as_set(ids)
+    grown = set()
+    for e in sorted(s):
+        if matroid._independent(frozenset(grown | {e})):
+            grown.add(e)
+    return len(grown)
 
 
 def independence_table(matroid):
@@ -320,6 +337,28 @@ def literal_generate_instance(spec, matroid, seed):
     else:
         raise ValueError(f"no literal {kind!r} generator")
     return Instance(objective, parse_matroid_spec(matroid, n))
+
+
+@dataclass(frozen=True)
+class LeverConfig(StreamingConfig):
+    """A streaming config with the swap margin and coin probability set by hand.
+
+    The library fixes both per objective class; tests move them to reach
+    swaps, refusals and coin outcomes that the fixed values rarely give.
+    ``gamma`` None keeps the class margin; ``sample_prob`` None derives p
+    from gamma as the library does.
+    """
+
+    gamma: float | None = None
+    sample_prob: float | None = None
+
+    @property
+    def gamma_value(self) -> float:
+        return super().gamma_value if self.gamma is None else self.gamma
+
+    @property
+    def sample_prob_value(self) -> float:
+        return super().sample_prob_value if self.sample_prob is None else self.sample_prob
 
 
 def literal_stream_summary(objective, matroid, config, order):

@@ -185,7 +185,7 @@ def test_criterion_3_streaming_bounds():
             summaries.append(summary)
         _ensemble_assert(instance, _collapse(summaries), all_deletions, mono_bound)
 
-    nonmono_bound = theoretical_bound("streaming", False, 1.0, 0.1, gamma=1.746)
+    nonmono_bound = theoretical_bound("streaming", False, 1.0, 0.1)
     for instance in _cut_instances():
         deletion_sets = _five_strategies(instance, d=2)
         summaries = []
@@ -463,13 +463,13 @@ def test_criterion_10_headline_constants():
     # decimal; exact equality at three decimals is checked via that rounding
     e = math.e
     cases = [
-        ("centralized", True, e / (e - 1), None, 3.582),
-        ("centralized", False, 2.597, None, 4.597),
-        ("streaming", False, 2.597, 1.746, 9.435),
-        ("streaming", True, e / (e - 1), None, 5.582),
+        ("centralized", True, e / (e - 1), 3.582),
+        ("centralized", False, 2.597, 4.597),
+        ("streaming", False, 2.597, 9.435),
+        ("streaming", True, e / (e - 1), 5.582),
     ]
-    for mode, monotone, beta, gamma, headline in cases:
-        value = theoretical_bound(mode, monotone, beta, 0.0, gamma=gamma)
+    for mode, monotone, beta, headline in cases:
+        value = theoretical_bound(mode, monotone, beta, 0.0)
         assert value <= headline + 1e-9, (mode, monotone, value, headline)
         assert headline - value < 1e-3, (mode, monotone, value, headline)
     print("criterion 10 PASS: limit formulas reproduce headline constants "

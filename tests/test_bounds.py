@@ -32,7 +32,7 @@ def test_streaming_nonmonotone_formula_transcription():
         * (1 + eps)
         / (1 - eps)
     )
-    assert theoretical_bound("streaming", False, beta, eps, gamma=gamma) == expected
+    assert theoretical_bound("streaming", False, beta, eps) == expected
 
 
 def test_streaming_monotone_formula_transcription():
@@ -40,12 +40,6 @@ def test_streaming_monotone_formula_transcription():
     expected = 2 * (1 + eps) / (1 - eps) ** 2 + (2 + beta) / (1 - eps)
     assert theoretical_bound("streaming", True, beta, eps) == expected
     assert theoretical_bound("streaming", True, 1.0, 0.0) == 5.0
-
-
-def test_streaming_default_gamma():
-    explicit = theoretical_bound("streaming", False, 2.597, 0.05, gamma=1.746)
-    defaulted = theoretical_bound("streaming", False, 2.597, 0.05)
-    assert explicit == defaulted
 
 
 def test_bounds_grow_with_epsilon():
@@ -61,15 +55,20 @@ def test_bounds_grow_with_epsilon():
 def test_range_warnings():
     assert bound_warnings("centralized", 0.1) == []
     assert bound_warnings("centralized", 0.3)
-    assert bound_warnings("streaming", 0.1, gamma=1.746) == []
-    assert bound_warnings("streaming", 0.95, gamma=1.746)
+    assert bound_warnings("streaming", 0.1) == []
+    # inside (0, 1) but past the non-monotone formula's range: the formula
+    # refuses it, and the monotone formula, which has no gamma, still holds
+    assert bound_warnings("streaming", 0.95) == []
+    with pytest.raises(ValueError, match="epsilon too large for the streaming bound formula"):
+        theoretical_bound("streaming", False, 1.0, 0.95)
+    assert theoretical_bound("streaming", True, 1.0, 0.95) > 0.0
 
 
 def test_invalid_parameters_raise():
     with pytest.raises(ValueError):
         theoretical_bound("centralized", False, 1.0, 0.5)
     with pytest.raises(ValueError):
-        theoretical_bound("streaming", False, 1.0, 0.99, gamma=1.746)
+        theoretical_bound("streaming", False, 1.0, 0.99)
     with pytest.raises(ValueError):
         theoretical_bound("centralized", False, 0.5, 0.1)  # beta below 1
     with pytest.raises(ValueError):

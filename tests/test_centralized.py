@@ -55,8 +55,6 @@ def test_config_validation():
         CentralizedConfig(epsilon=1.2, d=1)
     with pytest.raises(ValueError):
         CentralizedConfig(epsilon=0.1, d=-1)
-    assert CentralizedConfig(epsilon=0.1, d=0).epsilon_in_guarantee_range
-    assert not CentralizedConfig(epsilon=0.3, d=0).epsilon_in_guarantee_range
 
 
 def test_all_zero_objective():

@@ -190,6 +190,47 @@ def test_removed_config_key_is_rejected(tmp_path, capsys):
     assert "unknown key [trials] threads" in err
 
 
+@pytest.mark.parametrize(
+    "section, line",
+    [("algorithm", "gamma = 5.0"), ("algorithm", "p = 0.9"), ("phase2", "exhaustive_cap = 22")],
+)
+def test_fixed_parameter_in_config_is_rejected_before_any_output(tmp_path, capsys, section, line):
+    # gamma, p and the exhaustive cap are fixed: the bounds hold at those values only
+    out_dir = tmp_path / "out"
+    text = _VALID_CONFIG + f"[report]\nout_dir = {out_dir}\n[{section}]\n{line}\n"
+    err = _experiment_error(tmp_path, capsys, text)
+    assert f"unknown key [{section}] {line.split()[0]}" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["summarize", "--mode", "streaming", "--instance", "i", "--epsilon", "0.2", "--d", "1",
+          "--out", "s"], ["--gamma", "2"]),
+        (["summarize", "--mode", "streaming", "--instance", "i", "--epsilon", "0.2", "--d", "1",
+          "--out", "s"], ["--p", "0.5"]),
+        (["solve", "--summary", "s", "--instance", "i", "--delete", "top:1",
+          "--solver", "exhaustive", "--out", "o"], ["--cap", "5"]),
+        (["bound", "--mode", "streaming", "--beta", "2", "--epsilon", "0.1"], ["--gamma", "2"]),
+    ],
+    ids=["summarize-gamma", "summarize-p", "solve-cap", "bound-gamma"],
+)
+def test_fixed_parameter_flag_is_a_usage_error(capsys, command, flag):
+    with pytest.raises(SystemExit) as raised:
+        main(command + flag)
+    assert raised.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_monotone_streaming_bound_has_no_gamma_warning(capsys):
+    # the monotone formula has no gamma term, so no epsilon below 1 degenerates it
+    assert main(["bound", "--mode", "streaming", "--monotone", "--beta", "2", "--epsilon", "0.8"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert float(captured.out) == pytest.approx(2 * 1.8 / 0.2**2 + 4 / 0.2)
+
+
 def test_unknown_config_section_is_rejected(tmp_path, capsys):
     err = _experiment_error(tmp_path, capsys, _VALID_CONFIG + "[phase3]\n")
     assert "unknown section [phase3]" in err
@@ -201,8 +242,6 @@ def test_unknown_config_section_is_rejected(tmp_path, capsys):
         ("algorithm", "epsilon = 0,2", "[algorithm] epsilon: could not convert string to float: '0,2'"),
         ("trials", "count = 3.5", "[trials] count: invalid literal for int()"),
         ("report", "bound_check = maybe", "[report] bound_check: not a boolean: 'maybe'"),
-        ("algorithm", "gamma = 1.2.3", "[algorithm] gamma: could not convert"),
-        ("phase2", "exhaustive_cap =", "[phase2] exhaustive_cap: invalid literal for int()"),
     ],
 )
 def test_malformed_config_number_names_the_key(tmp_path, capsys, section, line, named):

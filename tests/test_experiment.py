@@ -15,9 +15,11 @@ from robust_summary import (
     SummaryEntry,
     build_summary,
     check_weight_properties,
+    format_summary,
     load_experiment_config,
     make_modular,
     make_uniform,
+    parse_summary,
     run_experiment,
     stream_summary,
     verify_summary,
@@ -292,6 +294,26 @@ def test_verify_flags_corrupted_swap_weights():
     assert any(c.name == "weights_swap_balance" for c in report.failures())
 
 
+def test_weight_checks_without_a_recorded_gamma_use_the_class_margin():
+    # non-monotone: a summary file without its gamma= line is checked at 1.746
+    inst = Instance(make_modular([4.0**i for i in range(8)]), make_uniform(8, 2))
+    summary = stream_summary(
+        inst.objective.clone(), inst.matroid,
+        StreamingConfig(epsilon=0.5, d=0, seed=2, audit=True), range(8),
+    )
+    assert summary.gamma == 1.746 and summary.audit.swapped_out
+    text = format_summary(summary, include_audit=True)
+    unrecorded = parse_summary("".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith("gamma=")
+    ))
+    assert unrecorded.gamma is None
+
+    def details(s):
+        return [c.detail for c in check_weight_properties(s, inst.objective.clone()).checks]
+
+    assert details(unrecorded) == details(summary)
+
+
 def test_verify_flags_inflated_gain():
     inst = _busy_instance()
     summary = build_summary(
@@ -329,6 +351,22 @@ def test_greedy_claims_no_bound_on_a_non_monotone_objective(tmp_path):
     text = report.text_path.read_text()
     assert "  bound=n/a (solver carries no proven factor)\n" in text
     assert "check=" not in text
+
+
+def test_epsilon_past_the_non_monotone_formula_gives_one_bound_warning(tmp_path):
+    # epsilon = 0.8 lies in (0, 1), but the formula at the fixed gamma refuses it
+    config = _cut_experiment(
+        tmp_path, epsilon=0.8, gen_spec="cut n=14 p=0.3", solver="exhaustive",
+        opt_method="exhaustive",
+    )
+    report = run_experiment(config)
+    warnings = [
+        line for line in report.text_path.read_text().splitlines() if line.startswith("warning:")
+    ]
+    assert warnings == [
+        "warning: bound formula unavailable: epsilon too large for the streaming bound formula"
+    ]
+    assert all(s.bound is None for s in report.strategies)
 
 
 def test_monotone_mode_on_a_non_monotone_objective_is_rejected(tmp_path):

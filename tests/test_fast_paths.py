@@ -32,6 +32,7 @@ from robust_summary import (
 from robust_summary.thresholds import PowerLadder
 from helpers import (
     ConcaveOfModular,
+    LeverConfig,
     SummedCoverage,
     literal_build_summary,
     literal_stream_summary,
@@ -247,7 +248,7 @@ def test_sparse_refile_matches_literal_loop_on_float_adversarial_streams(family)
         epsilon = float(rng.choice([0.1, 0.2, 0.3]))
         objective, matroid = FLOAT_ADVERSARIAL[family](rng, epsilon)
         monotone = objective.monotone and bool(rng.random() < 0.5)
-        config = StreamingConfig(
+        config = LeverConfig(
             epsilon=epsilon, d=int(rng.integers(0, 3)), monotone_mode=monotone,
             gamma=0.05 if seed % 2 else None, seed=seed, audit=True,
         )

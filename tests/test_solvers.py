@@ -124,10 +124,9 @@ def test_exhaustive_matches_plain_enumeration():
 
 def test_exhaustive_refuses_above_cap():
     obj = make_modular([1.0] * 30)
-    with pytest.raises(ValueError):
-        exhaustive_opt(range(30), obj, make_uniform(30, 2))
-    # explicit cap override
-    assert exhaustive_opt(range(5), obj, make_uniform(30, 2), cap=5) == [0, 1]
+    with pytest.raises(ValueError, match="23 elements exceed the cap of 22"):
+        exhaustive_opt(range(23), obj, make_uniform(30, 2))
+    assert exhaustive_opt(range(22), obj, make_uniform(30, 2)) == [0, 1]
 
 
 def test_greedy_within_half_of_optimum():

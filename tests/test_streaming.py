@@ -24,7 +24,7 @@ from robust_summary import (
     streaming_memory_limit,
 )
 from robust_summary.thresholds import PowerLadder
-from helpers import ConcaveOfModular, literal_stream_summary
+from helpers import ConcaveOfModular, LeverConfig, literal_stream_summary
 
 
 class ScriptedRng:
@@ -47,8 +47,6 @@ def test_config_defaults():
     assert nonmono.sample_prob_value == 1.0 / (1.746 + 2.0)
     mono = StreamingConfig(epsilon=0.2, d=1, monotone_mode=True)
     assert mono.gamma_value == 1.0 and mono.sample_prob_value == 1.0
-    custom = StreamingConfig(epsilon=0.2, d=1, gamma=3.0)
-    assert custom.sample_prob_value == 1.0 / 5.0  # follows the chosen gamma
 
 
 def test_config_validation():
@@ -56,10 +54,11 @@ def test_config_validation():
         StreamingConfig(epsilon=0.0, d=1)
     with pytest.raises(ValueError):
         StreamingConfig(epsilon=0.2, d=-1)
-    with pytest.raises(ValueError):
-        StreamingConfig(epsilon=0.2, d=1, gamma=0.0)
-    with pytest.raises(ValueError):
-        StreamingConfig(epsilon=0.2, d=1, sample_prob=0.0)
+    # the bounds hold at the class values only, so neither is a parameter
+    with pytest.raises(TypeError):
+        StreamingConfig(epsilon=0.2, d=1, gamma=3.0)
+    with pytest.raises(TypeError):
+        StreamingConfig(epsilon=0.2, d=1, sample_prob=0.5)
 
 
 def test_drain_cap_floors_at_one():
@@ -210,7 +209,7 @@ def test_swap_prefilter_matches_literal_loop(
 ):
     rng = np.random.default_rng(seed)
     objective, matroid = _swap_instance(objective_kind, matroid_kind, rng)
-    cfg = StreamingConfig(
+    cfg = LeverConfig(
         epsilon=epsilon, d=d, monotone_mode=objective.monotone and bool(rng.random() < 0.5),
         gamma=gamma, sample_prob=sample_prob, seed=seed, audit=True,
     )
@@ -267,7 +266,7 @@ def test_an_element_whose_only_dependency_left_is_filed_by_its_singleton_value()
     # it out, so 2, whose only neighbour is 0, is filed by f({2}) = 4.0
     # without a marginal; 3 neighbours the candidate 1 and is asked one
     obj = make_cut_function(4, [(0, 2, 4.0), (1, 3, 9.0)])
-    cfg = StreamingConfig(epsilon=0.5, d=0, gamma=1.0, sample_prob=1.0)
+    cfg = LeverConfig(epsilon=0.5, d=0, gamma=1.0, sample_prob=1.0)
     state = StreamState(cfg, k=1)
     matroid = make_uniform(4, 1)
     calls = _record_marginals(obj)
@@ -368,7 +367,7 @@ def test_a_bucket_drained_below_the_cap_stops_draining():
     # rejects, so the candidate never changes and no rebucket runs: each
     # arrival that fills the bucket drains exactly one element.
     obj = make_modular([1.0] * 10)
-    cfg = StreamingConfig(epsilon=0.5, d=2, sample_prob=0.5)
+    cfg = LeverConfig(epsilon=0.5, d=2, sample_prob=0.5)
     state = StreamState(cfg, k=3)
     rng = ScriptedRng(coin=0.9)
     matroid = make_uniform(10, 3)
