@@ -93,7 +93,8 @@ def parse_strategy(spec: str) -> DeletionStrategy:
 
 
 def _singleton_order(objective: Objective) -> list[int]:
-    values = [objective.value((e,)) for e in range(objective.n)]
+    """Every id by falling singleton value, ties toward the smaller id."""
+    values = objective.singleton_values()
     return sorted(range(objective.n), key=lambda e: (-values[e], e))
 
 
@@ -124,13 +125,14 @@ def choose_deletions(instance: Instance, strategy: DeletionStrategy) -> list[int
 
     if strategy.kind == "block-concentrated":
         chosen: list[int] = []
+        order = _singleton_order(objective)
         if isinstance(matroid, PartitionMatroid) and strategy.block is not None:
             if not 0 <= strategy.block < len(matroid.blocks):
                 raise ValueError(f"block {strategy.block} does not exist")
             block = set(matroid.blocks[strategy.block])
-            chosen = [e for e in _singleton_order(objective) if e in block][:d]
+            chosen = [e for e in order if e in block][:d]
         # pad from the global top-value order when the block runs short
-        for e in _singleton_order(objective):
+        for e in order:
             if len(chosen) >= d:
                 break
             if e not in chosen:

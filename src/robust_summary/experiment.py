@@ -20,7 +20,7 @@ from .adversary import OPT_METHODS, choose_deletions, opt_value, parse_strategy
 from .bounds import bound_warnings, theoretical_bound
 from .centralized import CentralizedConfig, build_summary
 from .generators import generate_instance
-from .instance import Instance, read_instance, write_instance
+from .instance import Instance, format_instance, read_instance
 from .solvers import SOLVER_NAMES, SolverKind, solve_after_deletions
 from .streaming import StreamingConfig, stream_summary
 from .summary import Summary
@@ -234,17 +234,23 @@ def run_experiment(
 
     ``instance`` overrides the configured source (a testing hook).  If a
     trial fails, the rows completed so far are flushed to
-    ``results.partial.csv`` before the error propagates.
+    ``results.partial.csv`` before the error propagates.  ``instance.txt``
+    holds the bytes of the configured instance file as read, or
+    ``format_instance`` of a generated or passed-in instance.
     """
+    text = None
     if instance is None:
         instance = _load_instance(config)
+        text = instance.text  # None for a generated instance
     if config.monotone and not instance.objective.monotone:
         raise ValueError(
             f"monotone = true needs a monotone objective; {instance.objective.kind} is not"
         )
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_instance(instance, out_dir / "instance.txt")
+    if text is None:
+        text = format_instance(instance)
+    (out_dir / "instance.txt").write_bytes(text.encode())
 
     solver = SolverKind(config.solver)
     strategies = [parse_strategy(spec) for spec in config.strategies]

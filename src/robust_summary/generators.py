@@ -142,18 +142,19 @@ def _generate(kind: str, args: dict, matroid: str | None, rng) -> Instance:
     elif kind == "facility":
         objective = FacilityLocation(rng.random((args["clients"], n)))
     else:  # cut
-        objective = GraphCut(n, _cut_edges(n, args["p"], args["wmin"], args["wmax"], rng))
+        objective = GraphCut(n, columns=_cut_edges(n, args["p"], args["wmin"], args["wmax"], rng))
 
     return Instance(objective, parse_matroid_spec(matroid, n))
 
 
-def _cut_edges(n: int, p: float, wmin: float, wmax: float, rng) -> list[tuple[int, int, float]]:
+def _cut_edges(n: int, p: float, wmin: float, wmax: float, rng) -> tuple[np.ndarray, ...]:
     """The weighted edges of G(n, p), read off the draw stream a block at a time.
 
     A draw is a pair's coin unless the draw before it was a coin that hit;
     then it is that edge's weight.  After a miss, whether coin or weight, a
     coin follows, so inside each run of draws that starts after a miss the
-    coins and weights alternate.
+    coins and weights alternate.  The edges come back as the columns
+    ``GraphCut`` takes: first endpoints, second endpoints, weights.
     """
     width = wmax - wmin
     pairs = n * (n - 1) // 2
@@ -181,11 +182,11 @@ def _cut_edges(n: int, p: float, wmin: float, wmax: float, rng) -> list[tuple[in
         weights.append(wmin + width * draws[edge_draws + 1])
         drawn += coins.size
     if not pairs:
-        return []
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     hit_pairs = np.concatenate(hits)
     # offsets[u] is the index of pair (u, u + 1), the first pair of row u
     rows = np.arange(n, dtype=np.int64)
     offsets = rows * (n - 1) - rows * (rows - 1) // 2
     us = np.searchsorted(offsets, hit_pairs, side="right") - 1
     vs = hit_pairs - offsets[us] + us + 1
-    return list(zip(us.tolist(), vs.tolist(), np.concatenate(weights).tolist()))
+    return us, vs, np.concatenate(weights)

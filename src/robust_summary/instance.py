@@ -19,6 +19,9 @@ unknown keys are rejected, and so is a key given twice, except ``row`` and
     tag <i>=<text>               optional display tag for reports
 
 Lists are comma-separated; floats round-trip exactly (written with repr).
+``n`` may be at most ``MAX_N``, and every count a line gives is checked
+against the lines or against n before anything of that size is built, so a
+file takes memory in proportion to its lines and n.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ from .objectives import (
     WeightedCoverage,
 )
 
+# the largest ground set an instance file may declare; a run keeps several
+# tables of one entry per element, a few hundred MB at this size
+MAX_N = 10**7
+
 
 @dataclass
 class Instance:
@@ -44,6 +51,8 @@ class Instance:
     objective: Objective
     matroid: Matroid
     tags: dict[int, str] = field(default_factory=dict)
+    # the instance-file text it was parsed from; None for one built in memory
+    text: str | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.objective.n != self.matroid.n:
@@ -87,6 +96,8 @@ def parse_matroid_spec(spec: str, n: int) -> Matroid:
             nblocks = int(arg("nblocks"))
             cap = int(args.get("cap", "1"))
             only("nblocks", "cap")
+            if nblocks > n:
+                raise ValueError(f"partition nblocks={nblocks} exceeds the {n} elements")
             blocks = [list(range(b, n, nblocks)) for b in range(nblocks)]
             caps = [cap] * nblocks
         return PartitionMatroid(blocks, caps)
@@ -97,6 +108,8 @@ def parse_matroid_spec(spec: str, n: int) -> Matroid:
             pairs.append((int(u), int(v)))
         vertices = int(arg("vertices"))
         only("vertices", "edgemap")
+        if vertices > MAX_N:
+            raise ValueError(f"graphic vertices={vertices} is above the limit of {MAX_N}")
         if len(pairs) != n:
             raise ValueError("graphic edgemap must list one edge per element")
         return GraphicMatroid(vertices, pairs)
@@ -158,15 +171,19 @@ def parse_instance_text(text: str) -> Instance:
     universe = numbers(fields["universe"], float) if "universe" in fields else None
     weights = numbers(fields["weights"], float) if "weights" in fields else None
     rows = [numbers(value, float) for value in lists["row"]]
-    edges = []
+    us, vs, ws = [], [], []
     for value in lists["edge"]:
         u, v, w = value.split()
-        edges.append((int(u), int(v), float(w)))
+        us.append(int(u))
+        vs.append(int(v))
+        ws.append(float(w))
     n = int(fields.get("n", 0))
     kind = fields.get("objective")
 
     if n < 1:
         raise ValueError("instance needs a positive n")
+    if n > MAX_N:
+        raise ValueError(f"instance n={n} is above the limit of {MAX_N} elements")
     if kind is None:
         raise ValueError("instance needs an objective kind")
     if "matroid" not in fields:
@@ -175,7 +192,8 @@ def parse_instance_text(text: str) -> Instance:
     if kind == "weighted-coverage":
         if universe is None:
             raise ValueError("weighted-coverage needs a universe line")
-        if sorted(covers) != list(range(n)):
+        # n distinct indices cover 0..n-1 exactly when none lies outside it
+        if len(covers) != n or not all(0 <= e < n for e in covers):
             raise ValueError("weighted-coverage needs one cover line per element")
         objective: Objective = WeightedCoverage(universe, [covers[e] for e in range(n)])
     elif kind == "facility-location":
@@ -185,7 +203,7 @@ def parse_instance_text(text: str) -> Instance:
             raise ValueError("every similarity row needs one entry per element")
         objective = FacilityLocation(rows)
     elif kind == "graph-cut":
-        objective = GraphCut(n, edges)
+        objective = GraphCut(n, columns=(us, vs, ws))
     elif kind == "modular":
         if weights is None or len(weights) != n:
             raise ValueError("modular needs a weights line with n entries")
@@ -195,8 +213,9 @@ def parse_instance_text(text: str) -> Instance:
     if objective.n != n:
         raise ValueError("objective block does not match n")
 
-    return Instance(objective, parse_matroid_spec(fields["matroid"], n), tags)
+    return Instance(objective, parse_matroid_spec(fields["matroid"], n), tags, text)
 
 
 def read_instance(path) -> Instance:
-    return parse_instance_text(Path(path).read_text())
+    """The instance a file holds; its ``text`` is the file's bytes, decoded as UTF-8."""
+    return parse_instance_text(Path(path).read_bytes().decode())

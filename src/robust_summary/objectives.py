@@ -25,9 +25,12 @@ class Objective(GroundSet):
     gains() counts two per candidate.  Parameters are frozen at construction.
     The mutable state is the tally, a one-slot memo ``(S, state of S)`` of
     the last set a gain was asked against, and a table of every f({e}),
-    filled in batches on the first one-element value() query; a one-element
-    tuple, as the stream asks at each arrival, is read from it without
-    building a set.  The memo is replaced whole, never changed in place;
+    filled in batches on the first one-element value() query or
+    singleton_values() call; a one-element tuple, as the stream asks at each
+    arrival, is read from it without building a set.  singleton_values()
+    hands out the whole table and counts no query, for callers outside the
+    algorithms, whose reads no report counts (deletion strategies and
+    checks).  The memo is replaced whole, never changed in place;
     clone() gives a copy with its own tally and an empty memo that shares
     the table, so it is computed at most once per objective.
 
@@ -72,11 +75,11 @@ class Objective(GroundSet):
         if type(ids) is tuple and len(ids) == 1:
             e = self._check_id(ids[0])
             self._queries += 1
-            return self._singleton_values()[e]
+            return self.singleton_values()[e]
         s = self._as_set(ids)
         self._queries += 1
         if len(s) == 1:
-            return self._singleton_values()[next(iter(s))]
+            return self.singleton_values()[next(iter(s))]
         return self._f(s)
 
     def marginal(self, e: int, ids: Ids) -> float:
@@ -150,8 +153,11 @@ class Objective(GroundSet):
         self._check_id(x)
         return None
 
-    def _singleton_values(self) -> list[float]:
-        """f({e}) for every e: the gains at the empty set, computed once."""
+    def singleton_values(self) -> list[float]:
+        """f({e}) for every e: the gains at the empty set, computed once; not a query.
+
+        The list is the shared table itself: read it, never change it.
+        """
         table = self._singletons[0]
         if table is None:
             empty = frozenset()
@@ -318,35 +324,64 @@ class GraphCut(Objective):
     Adding e flips exactly the edges at e (there are no self-loops), so the
     gain of e sums +w over its edges that start crossing and -w over those
     that stop.
+
+    The edges come as ``(u, v, w)`` triples, or as ``columns=(us, vs, ws)``,
+    three equal-length sequences or arrays, as the instance reader and the
+    generator build them.  Either way they are checked as numpy columns: the
+    error names the first bad edge in order, a self-loop before a vertex out
+    of range, and then the first weight that is negative or not finite.
+    Each vertex's edges are a run of two arrays sorted by vertex (the other
+    endpoints and the weights), cut by slicing at the vertex's offset; the
+    vertices with no edge share one empty run, so a graph costs an array
+    view per vertex with edges and a list slot per vertex.
     """
 
     kind = "graph-cut"
     exact_gains = True
 
-    def __init__(self, n_vertices: int, edges: Sequence[tuple[int, int, float]]):
+    def __init__(
+        self,
+        n_vertices: int,
+        edges: Iterable[tuple[int, int, float]] = (),
+        *,
+        columns: tuple[Sequence[int], Sequence[int], Sequence[float]] | None = None,
+    ):
         n_vertices = int(n_vertices)
-        us, vs, ws = [], [], []
-        for u, v, w in edges:
-            u, v, w = int(u), int(v), float(w)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u} is not allowed")
-            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-                raise ValueError(f"edge ({u},{v}) references a vertex outside range")
-            us.append(u)
-            vs.append(v)
-            ws.append(w)
+        if columns is None:
+            triples = [(int(u), int(v), float(w)) for u, v, w in edges]
+            columns = tuple(zip(*triples)) if triples else ((), (), ())
+        us, vs, ws = columns
+        if not len(us) == len(vs) == len(ws):
+            raise ValueError("edge columns must have one entry per edge each")
+        try:
+            us, vs = np.asarray(us, dtype=int), np.asarray(vs, dtype=int)
+        except OverflowError:  # a vertex id no int64 holds lies out of range
+            raise ValueError(_first_bad_edge(n_vertices, us, vs)) from None
+        bad = (us == vs) | (np.minimum(us, vs) < 0) | (np.maximum(us, vs) >= n_vertices)
+        if bad.any():
+            at = int(bad.argmax())
+            raise ValueError(_first_bad_edge(n_vertices, us[at : at + 1], vs[at : at + 1]))
         weights = np.asarray(ws, dtype=float)
         _check_weights(weights, "edge weights")
         super().__init__(n_vertices, monotone=False)
-        self.edge_u = np.asarray(us, dtype=int)
-        self.edge_v = np.asarray(vs, dtype=int)
+        self.edge_u = us
+        self.edge_v = vs
         self.edge_w = weights
-        # per vertex: the other endpoint and the weight of each edge at it
-        ends = np.concatenate((self.edge_u, self.edge_v))
+        # per vertex: the other endpoint and the weight of each edge at it, as
+        # views of two arrays sorted by vertex; isolated vertices share one empty view
+        ends = np.concatenate((us, vs))
         order = np.argsort(ends, kind="stable")
-        cuts = np.cumsum(np.bincount(ends, minlength=n_vertices))[:-1]
-        self._others = tuple(np.split(np.concatenate((self.edge_v, self.edge_u))[order], cuts))
-        self._weights = tuple(np.split(np.concatenate((weights, weights))[order], cuts))
+        others = np.concatenate((vs, us))[order]
+        both = np.concatenate((weights, weights))[order]
+        counts = np.bincount(ends, minlength=n_vertices)
+        touched = np.flatnonzero(counts)
+        self._others = [others[:0]] * n_vertices
+        self._weights = [both[:0]] * n_vertices
+        stop = 0
+        for x, count in zip(touched.tolist(), counts[touched].tolist()):
+            start, stop = stop, stop + count
+            self._others[x] = others[start:stop]
+            self._weights[x] = both[start:stop]
 
     def dependents(self, x: int) -> frozenset[int]:
         """The neighbours of x."""
@@ -377,6 +412,17 @@ class GraphCut(Objective):
     def _gain(self, inside: np.ndarray, e: int, s: frozenset) -> float:
         weights = self._weights[e]
         return math.fsum(np.where(inside[self._others[e]], -weights, weights).tolist())
+
+
+def _first_bad_edge(n_vertices: int, us, vs) -> str:
+    """What is wrong with the first edge of the columns that is wrong."""
+    for u, v in zip(us, vs):
+        u, v = int(u), int(v)
+        if u == v:
+            return f"self-loop at vertex {u} is not allowed"
+        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+            return f"edge ({u},{v}) references a vertex outside range"
+    return "edge vertex ids must fit in 64 bits"
 
 
 class Modular(Objective):

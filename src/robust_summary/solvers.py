@@ -56,14 +56,17 @@ class SolverKind:
 def greedy_matroid(ground: Iterable[int], objective: Objective, matroid: Matroid) -> list[int]:
     """Classic greedy: keep adding the feasible element of best positive gain.
 
-    Ties break toward the smaller id; stops when nothing improves.  Lazy
+    Ties break toward the smaller id; stops when nothing improves, or at a
+    basis (``matroid.k`` picks), where no element fits any more.  Lazy
     (Minoux 1978): a heap of ``(-gain, id, picks)`` entries, ``picks`` being
     how many elements were chosen when the gain was computed.  With
     ``exact_gains`` an older gain bounds its fresh gain bit for bit, so an
     entry that reaches the top with a fresh gain beats every other entry's
     fresh key, and only the entries that reach the top are recomputed.  An
     element that stops being independent of the picks is dropped for good:
-    the picks only grow and independence is downward closed.
+    the picks only grow and independence is downward closed.  So stopping
+    at a basis returns the same picks and asks the same queries as draining
+    the heap, whose remaining entries would all be dropped unasked.
     """
     # replaced on every pick, never mutated: the oracles know it by identity
     chosen: frozenset[int] = frozenset()
@@ -86,6 +89,8 @@ def greedy_matroid(ground: Iterable[int], objective: Objective, matroid: Matroid
             break
         chosen = chosen | {e}
         accepted -= key
+        if len(chosen) == matroid.k:
+            break
     return sorted(chosen)
 
 

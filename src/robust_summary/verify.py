@@ -130,8 +130,7 @@ def structural_checks(summary: Summary, instance: Instance) -> list[VerifyCheck]
         )
     # a stream over part of the ground set anchors on the part it saw
     if summary.mode == "centralized" or summary.counters.get("arrivals") == instance.n:
-        singles = [instance.objective.value((e,)) for e in range(instance.n)]
-        delta, top = compute_delta(singles, summary.d)
+        delta, top = compute_delta(instance.objective.singleton_values(), summary.d)
         checks.append(
             VerifyCheck(
                 "anchor_value",

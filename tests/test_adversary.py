@@ -1,19 +1,29 @@
 """Oblivious deletion strategies and the surviving-optimum oracle."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from robust_summary import (
+    CentralizedConfig,
     DeletionStrategy,
     Instance,
+    StreamingConfig,
+    build_summary,
     choose_deletions,
+    generate_instance,
     make_modular,
     make_partition,
     make_uniform,
     make_weighted_coverage,
     opt_value,
     parse_strategy,
+    stream_summary,
 )
+from robust_summary import adversary
+from robust_summary.centralized import compute_delta
+from robust_summary.verify import structural_checks
 
 from helpers import brute_force_opt
 
@@ -159,3 +169,63 @@ def test_opt_value_refuses_oversized_exhaustive():
     with pytest.raises(ValueError):
         opt_value(obj, make_uniform(40, 2), [], method="exhaustive")
     assert opt_value(obj, make_uniform(40, 2), [], method="greedy-bound") == 2.0
+
+
+def _value_order(objective):
+    """Ids by falling ``value((e,))``, ties toward the smaller id: the counted reference."""
+    values = [objective.value((e,)) for e in range(objective.n)]
+    return sorted(range(objective.n), key=lambda e: (-values[e], e))
+
+
+# n <= 22 + d, so that max-damage can ask its exhaustive optimum
+SINGLETON_CASES = [
+    ("cut n=20 p=0.2", "partition nblocks=4 cap=1"),
+    ("coverage n=20 universe=30 density=0.1", "partition nblocks=5 cap=1"),
+    ("coverage n=20 universe=4 density=0.3", "partition nblocks=3 cap=1"),  # many ties
+]
+
+
+@pytest.mark.parametrize("spec, matroid", SINGLETON_CASES)
+def test_strategies_read_the_singleton_table_as_value_calls_would(monkeypatch, spec, matroid):
+    specs = ["top:3", "block:3:1", "block:9:0", "maxdmg:2"]
+    for seed in range(3):
+        table = generate_instance(spec, matroid=matroid, seed=seed)
+        fast = [choose_deletions(table, parse_strategy(s)) for s in specs[:3]]
+        assert table.objective.queries == 0  # the table is read, not queried
+        fast.append(choose_deletions(table, parse_strategy(specs[3])))
+        with monkeypatch.context() as patched:
+            patched.setattr(adversary, "_singleton_order", _value_order)
+            counted = generate_instance(spec, matroid=matroid, seed=seed)
+            assert fast == [choose_deletions(counted, parse_strategy(s)) for s in specs], seed
+
+
+@pytest.mark.parametrize("spec, matroid", SINGLETON_CASES)
+def test_anchor_check_reads_the_singleton_table_as_value_calls_would(spec, matroid):
+    for seed in range(3):
+        instance = generate_instance(spec, matroid=matroid, seed=seed)
+        summaries = [
+            build_summary(
+                instance.objective.clone(), instance.matroid,
+                CentralizedConfig(epsilon=0.3, d=2, seed=seed),
+            ),
+            stream_summary(
+                instance.objective.clone(), instance.matroid,
+                StreamingConfig(epsilon=0.3, d=2, seed=seed), range(instance.n),
+            ),
+        ]
+        for summary in list(summaries):
+            moved = copy.deepcopy(summary)
+            moved.delta = float(np.nextafter(summary.delta, np.inf))
+            swapped = copy.deepcopy(summary)
+            swapped.top_buffer = [min(set(range(instance.n)) - set(summary.top_buffer))]
+            summaries += [moved, swapped]
+        verdicts = []
+        for summary in summaries:
+            checks = structural_checks(summary, instance)
+            (anchor,) = [c for c in checks if c.name == "anchor_value"]
+            singles = [instance.objective.value((e,)) for e in range(instance.n)]
+            delta, top = compute_delta(singles, summary.d)
+            expected = delta == summary.delta and sorted(top) == sorted(summary.top_buffer)
+            assert (anchor.ok, anchor.detail) == (expected, f"expected delta={delta!r}")
+            verdicts.append(anchor.ok)
+        assert verdicts == [True, True] + [False] * 4

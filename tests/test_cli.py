@@ -313,6 +313,21 @@ def test_matroid_spec_key_it_does_not_read_exits_2(tmp_path, capsys, matroid, me
     assert not out.exists()
 
 
+def test_instance_above_the_ground_set_limit_exits_2(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    inst.write_text("n=10000000000\nobjective=graph-cut\nedge=0 1 1.5\nmatroid=uniform k=1\n")
+    summary = tmp_path / "summary.txt"
+    code = main([
+        "summarize", "--mode", "streaming", "--instance", str(inst),
+        "--epsilon", "0.1", "--d", "1", "--out", str(summary),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    limit = "instance n=10000000000 is above the limit of 10000000 elements"
+    assert err == f"robust-summary: error: {limit}\n"
+    assert not summary.exists()
+
+
 def test_non_finite_instance_weight_is_a_clean_error(tmp_path, capsys):
     inst = tmp_path / "inst.txt"
     inst.write_text("n=3\nobjective=modular\nweights=1,nan,2\nmatroid=uniform k=2\n")

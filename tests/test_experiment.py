@@ -1,6 +1,7 @@
 """Experiment runner, summary verification and report determinism."""
 
 import copy
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,14 @@ from robust_summary import (
     SummaryEntry,
     build_summary,
     check_weight_properties,
+    format_instance,
     format_summary,
+    generate_instance,
     load_experiment_config,
     make_modular,
     make_uniform,
     parse_summary,
+    read_instance,
     run_experiment,
     stream_summary,
     verify_summary,
@@ -417,3 +421,85 @@ def test_weight_sums_are_correctly_rounded():
     details = {c.name: c.detail for c in check_weight_properties(summary, obj).checks}
     assert details["weights_solution_weight_vs_value"] == "1.0 <= 1.0"
     assert details["weights_survivor_weight_vs_value"] == "1.0 <= 1.0"
+
+
+# ---------------------------------------------------------------------------
+# instance.txt and the output bytes of a run read from an instance file
+
+
+def test_instance_txt_of_a_canonical_file_is_its_bytes(tmp_path):
+    config = _experiment_config(tmp_path)
+    run_experiment(config)
+    written = (tmp_path / "run" / "instance.txt").read_bytes()
+    assert written == Path(config.instance_file).read_bytes()
+    assert written.decode() == format_instance(read_instance(config.instance_file))
+
+
+def test_instance_txt_of_a_generated_or_passed_in_instance_is_formatted(tmp_path):
+    config = _cut_experiment(tmp_path)
+    run_experiment(config)
+    generated = generate_instance(config.gen_spec, matroid=config.gen_matroid, seed=config.gen_seed)
+    assert (tmp_path / "cut" / "instance.txt").read_text() == format_instance(generated)
+    # a passed-in instance is formatted, even one read from a file with comments
+    source = tmp_path / "commented.txt"
+    source.write_text("# weights\n" + format_instance(_busy_instance()))
+    run_experiment(_experiment_config(tmp_path), instance=read_instance(source))
+    assert (tmp_path / "run" / "instance.txt").read_text() == format_instance(_busy_instance())
+
+
+NON_CANONICAL_INSTANCE = (
+    "# a hand-written instance\r\n"
+    "n=6\r\n"
+    "objective=modular   \r\n"
+    "\r\n"
+    "weights = 3, 1.5,2,0.25,4,1\r\n"
+    "matroid=partition nblocks=2 cap=1\r\n"
+    "tag 4=heavy\r\n"
+)
+
+
+def test_instance_txt_of_a_non_canonical_file_is_its_bytes_and_reads_back(tmp_path):
+    # comments, blank lines, spaces, CRLF line ends and the nblocks shorthand
+    # are kept as written; the file once held format_instance of what was read
+    source = tmp_path / "hand.txt"
+    source.write_bytes(NON_CANONICAL_INSTANCE.encode())
+    config = _experiment_config(tmp_path, instance_file=str(source), strategies=("top:1",), d=1)
+    run_experiment(config)
+    written = tmp_path / "run" / "instance.txt"
+    assert written.read_bytes() == NON_CANONICAL_INSTANCE.encode()
+    again, first = read_instance(written), read_instance(source)
+    assert format_instance(again) == format_instance(first)
+    assert format_instance(first) != NON_CANONICAL_INSTANCE
+    assert again.tags == {4: "heavy"} and again.matroid.blocks == ((0, 2, 4), (1, 3, 5))
+
+
+# sha256 of results.csv and report.txt of a streaming non-monotone cut run
+# read from an instance file (greedy-bound, three strategies), taken before
+# the runner read instance.txt as bytes, the singleton table uncounted and the
+# greedy stopped at a basis; a change to any output byte fails here
+PINNED_CUT_RUN = {
+    "results.csv": "6e6fe851b23d0cd26f382a2b4be6d5251dd94f3f9cddb14bdbac4af0041967b1",
+    "report.txt": "2f788ac22584a958d272219fec0f8bcf765292264f1c0dd37468fcf1202f30e4",
+}
+
+
+def test_cut_experiment_from_a_file_keeps_its_output_bytes(tmp_path):
+    path = tmp_path / "cut.txt"
+    instance = generate_instance("cut n=150 p=0.05", matroid="partition nblocks=5 cap=1", seed=17)
+    write_instance(instance, path)
+    config = ExperimentConfig(
+        out_dir=str(tmp_path / "run"),
+        mode="streaming",
+        epsilon=0.2,
+        d=3,
+        instance_file=str(path),
+        solver="greedy",
+        strategies=("top:3", "rand:3:5", "block:3:0"),
+        opt_method="greedy-bound",
+        trials=3,
+        seed_base=40,
+    )
+    run_experiment(config)
+    for name, digest in PINNED_CUT_RUN.items():
+        assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == digest, name
+    assert (tmp_path / "run" / "instance.txt").read_bytes() == path.read_bytes()

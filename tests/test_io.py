@@ -2,6 +2,7 @@
 
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from robust_summary import (
     write_instance,
 )
 from robust_summary.grammar import read_ids
+from robust_summary.instance import MAX_N
 
 
 def _roundtrip(instance):
@@ -489,6 +491,74 @@ def test_every_written_matroid_spec_reads_back():
         inst = Instance(make_modular([1.0, 2.0, 3.0]), matroid)
         _roundtrip(inst)
     assert parse_matroid_spec("partition nblocks=2", 3).capacities == (1, 1)
+
+
+def _traced_peak(parse, text):
+    """Traced memory peak in bytes while ``parse(text)`` runs, and what it returned or raised."""
+    tracemalloc.start()
+    try:
+        try:
+            result = parse(text)
+        except ValueError as exc:
+            result = exc
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def _cut_file(n, matroid="uniform k=1"):
+    return f"n={n}\nobjective=graph-cut\nedge=0 1 1.5\nmatroid={matroid}\n"
+
+
+# Files of a few lines whose counts ask for O(n) or O(nblocks) objects.  Each
+# once took 40 MB to 200 MB of traced memory to parse.
+@pytest.mark.parametrize(
+    "text, limit",
+    [
+        (_cut_file(10**6), 40 * 2**20),
+        ("n=3\nobjective=modular\nweights=1,2,3\nmatroid=partition nblocks=1000000 cap=1\n", 2**20),
+        ("n=1000000\nobjective=weighted-coverage\nuniverse=1\ncover 0=0\nmatroid=uniform k=1\n",
+         2**20),
+    ],
+    ids=["cut-vertices", "round-robin-blocks", "coverage-lines"],
+)
+def test_memory_to_parse_a_file_is_bounded_by_its_lines_and_the_vertices(text, limit):
+    peak, result = _traced_peak(parse_instance_text, text)
+    assert peak < limit, result
+
+
+def test_a_ground_set_above_the_limit_is_refused_before_any_allocation():
+    peak, error = _traced_peak(parse_instance_text, _cut_file(10**10))
+    assert isinstance(error, ValueError)
+    assert str(error) == f"instance n=10000000000 is above the limit of {MAX_N} elements"
+    assert peak < 2**20
+    with pytest.raises(ValueError, match="above the limit"):
+        parse_instance_text(_cut_file(MAX_N + 1))
+    assert parse_instance_text(_cut_file(2)).n == 2
+
+
+@pytest.mark.parametrize(
+    "matroid, message",
+    [
+        ("partition nblocks=4 cap=1", "partition nblocks=4 exceeds the 3 elements"),
+        (f"graphic vertices={MAX_N + 1} edgemap=0-1,1-2,2-3",
+         f"graphic vertices={MAX_N + 1} is above the limit of {MAX_N}"),
+    ],
+)
+def test_matroid_counts_beyond_the_ground_set_are_refused(matroid, message):
+    with pytest.raises(ValueError) as info:
+        parse_matroid_spec(matroid, 3)
+    assert str(info.value) == message
+    assert len(parse_matroid_spec("partition nblocks=3 cap=1", 3).blocks) == 3
+
+
+def test_coverage_cover_lines_must_be_numbered_0_to_n_minus_1():
+    # two cover lines for n=2, but numbered 0 and 2
+    shifted = (
+        "n=2\nobjective=weighted-coverage\nuniverse=1\ncover 0=0\ncover 2=0\nmatroid=uniform k=1\n"
+    )
+    with pytest.raises(ValueError, match="one cover line per element"):
+        parse_instance_text(shifted)
 
 
 def _random_instance(seed, objective_kind, matroid_kind):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robust_summary import (
+    generate_instance,
     make_cut_function,
     make_facility_location,
     make_modular,
     make_weighted_coverage,
+    parse_instance_text,
 )
-from robust_summary.objectives import Objective
+from robust_summary.objectives import GraphCut, Objective
 from robust_summary.thresholds import PowerLadder
 
 from helpers import (
@@ -104,6 +106,81 @@ def test_constructor_validation():
         make_cut_function(2, [(0, 0, 1.0)])  # self-loop
     with pytest.raises(ValueError):
         make_cut_function(2, [(0, 1, -1.0)])
+
+
+def _cut_edge_lines(edges):
+    return "".join(f"edge={u} {v} {w!r}\n" for u, v, w in edges)
+
+
+# (edges on 5 vertices, the error): the first bad edge in order is named, a
+# self-loop before a vertex out of range, and edges before weights
+BAD_CUT_EDGES = [
+    ([(0, 1, 1.0), (0, 9, 1.0), (2, 2, 1.0)], "edge (0,9) references a vertex outside range"),
+    ([(0, 1, 1.0), (3, 3, 1.0), (-1, 2, 1.0)], "self-loop at vertex 3 is not allowed"),
+    ([(7, 7, 1.0), (0, 9, 1.0)], "self-loop at vertex 7 is not allowed"),
+    ([(4, 5, 1.0)], "edge (4,5) references a vertex outside range"),
+    ([(2**70, 1, 1.0), (1, 1, 1.0)], f"edge ({2**70},1) references a vertex outside range"),
+    ([(0, 1, -1.0), (2, 2, 1.0)], "self-loop at vertex 2 is not allowed"),
+    ([(0, 1, 1.0), (1, 2, float("nan")), (2, 3, -1.0)],
+     "edge weights must be finite and non-negative, got nan"),
+    ([(0, 1, 1.0), (1, 2, -0.5), (2, 3, float("nan"))],
+     "edge weights must be finite and non-negative, got -0.5"),
+]
+
+
+@pytest.mark.parametrize("edges, message", BAD_CUT_EDGES)
+@pytest.mark.parametrize("form", ["triples", "columns", "file"])
+def test_graph_cut_names_the_first_bad_edge(edges, message, form):
+    with pytest.raises(ValueError) as info:
+        if form == "triples":
+            make_cut_function(5, edges)
+        elif form == "columns":
+            GraphCut(5, columns=tuple(map(list, zip(*edges))))
+        else:
+            parse_instance_text(
+                "n=5\nobjective=graph-cut\n" + _cut_edge_lines(edges) + "matroid=uniform k=1\n"
+            )
+    assert str(info.value) == message
+
+
+def test_graph_cut_columns_must_agree_in_length():
+    with pytest.raises(ValueError, match="one entry per edge"):
+        GraphCut(3, columns=([0, 1], [1, 2], [1.0]))
+
+
+@pytest.mark.parametrize("form", ["triples", "columns", "file", "generator"])
+def test_graph_cut_without_edges_is_zero_everywhere(form):
+    if form == "triples":
+        obj = make_cut_function(4, [])
+    elif form == "columns":
+        obj = GraphCut(4, columns=([], [], []))
+    elif form == "file":
+        obj = parse_instance_text("n=4\nobjective=graph-cut\nmatroid=uniform k=2\n").objective
+    else:
+        obj = generate_instance("cut n=4 p=0", matroid="uniform k=2").objective
+    assert obj.n == 4 and obj.edges == []
+    assert obj.value([0, 2]) == 0.0 and obj.marginal(1, [0]) == 0.0
+    assert obj.gains(range(4), [3]) == [0.0, 0.0, 0.0, 0.0]
+    assert obj.singleton_values() == [0.0] * 4
+    assert obj.dependents(2) == frozenset()
+
+
+def test_graph_cut_columns_and_triples_build_the_same_oracle():
+    rng = np.random.default_rng(4)
+    pairs = [(u, v) for u in range(9) for v in range(u + 1, 9) if rng.random() < 0.4]
+    edges = [(u, v, float(rng.random())) for u, v in pairs]
+    edges += [(v, u, 0.25) for u, v, _ in edges[:3]]  # parallel edges, either way round
+    columns = (
+        np.array([u for u, _, _ in edges]), np.array([v for _, v, _ in edges]),
+        np.array([w for _, _, w in edges]),
+    )
+    a, b = make_cut_function(11, edges), GraphCut(11, columns=columns)
+    assert a.edges == b.edges == edges
+    for s in ([], [0, 3], [1, 2, 5, 10], list(range(11))):
+        assert a.value(s) == b.value(s)
+        assert a.gains(range(11), s) == b.gains(range(11), s)
+    assert [a.dependents(x) for x in range(11)] == [b.dependents(x) for x in range(11)]
+    assert a.dependents(10) == frozenset()  # isolated
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

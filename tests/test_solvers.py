@@ -1,5 +1,7 @@
 """Post-deletion solvers and the second-phase driver."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,42 @@ def test_lazy_greedy_saves_queries():
         assert lazy_obj.queries <= plain_obj.queries, name
         saved[name] = plain_obj.queries - lazy_obj.queries
     assert saved["coverage-tie-6"] > 0
+
+
+def _fits_logged(matroid):
+    """A copy of ``matroid`` and the list of the set sizes its fits calls ask against."""
+    asked = []
+
+    class Logged(type(matroid)):
+        def fits(self, e, ids):
+            asked.append(len(ids))
+            return super().fits(e, ids)
+
+        def fits_each(self, candidates, ids):
+            asked.append(len(ids))
+            return super().fits_each(candidates, ids)
+
+    logged = copy.copy(matroid)
+    logged.__class__ = Logged
+    return logged, asked
+
+
+def test_greedy_stops_at_a_basis_with_the_same_picks_and_queries():
+    reached = set()
+    for name, obj, matroid, ground in _greedy_corpus():
+        logged, asked = _fits_logged(matroid)
+        stopping = obj.clone()
+        picks = greedy_matroid(ground, stopping, logged)
+        assert picks == plain_greedy_matroid(ground, obj.clone(), matroid), name
+        if len(picks) == matroid.k:
+            reached.add(matroid.kind)
+            assert max(asked) < matroid.k, name  # no fits call after the k-th pick
+        # with the stop out of reach the greedy drains its heap: nothing changes
+        draining, unreachable = obj.clone(), copy.copy(matroid)
+        unreachable.k = matroid.n + 1
+        assert greedy_matroid(ground, draining, unreachable) == picks, name
+        assert draining.queries == stopping.queries, name
+    assert reached == {"uniform", "partition", "graphic"}
 
 
 def test_exhaustive_examples():
