@@ -92,7 +92,7 @@ def cmd_solve(args) -> int:
         f"a_prime_value={solution.a_prime_value!r}",
         "s=" + ",".join(str(e) for e in solution.ids),
     ]
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"solution value={solution.value!r} source={solution.source} -> {args.out}")
     return 0
 

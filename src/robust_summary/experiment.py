@@ -101,7 +101,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         return parser.BOOLEAN_STATES[text.lower()]
 
     try:
-        parser.read_string(Path(path).read_text(), source=str(path))
+        parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
         strategies = tuple(
             s.strip() for s in get("deletions", "strategies", "").split(",") if s.strip()
         )
@@ -360,9 +360,9 @@ def run_experiment(
     )
     ratio_by_strategy = {s.spec: s.ratio for s in results}
     report.csv_path = out_dir / "results.csv"
-    report.csv_path.write_text(_format_csv(ordered_rows, ratio_by_strategy))
+    report.csv_path.write_text(_format_csv(ordered_rows, ratio_by_strategy), encoding="utf-8")
     report.text_path = out_dir / "report.txt"
-    report.text_path.write_text(_format_report(report))
+    report.text_path.write_text(_format_report(report), encoding="utf-8")
     return report
 
 
@@ -372,7 +372,7 @@ def _flush_partial(out_dir: Path, strategies, completed: dict[int, list[TrialRow
         for seed in sorted(completed):
             rows.extend(r for r in completed[seed] if r.strategy == spec)
     ratios = {s.spec: "partial" for s in strategies}
-    (out_dir / "results.partial.csv").write_text(_format_csv(rows, ratios))
+    (out_dir / "results.partial.csv").write_text(_format_csv(rows, ratios), encoding="utf-8")
 
 
 def _format_csv(rows: list[TrialRow], ratios: dict) -> str:

@@ -22,7 +22,7 @@ def numbers(text: str, convert=int) -> list:
 
 
 def read_ids(path) -> list[int]:
-    return [int(t) for t in Path(path).read_text().replace(",", " ").split()]
+    return [int(t) for t in Path(path).read_text(encoding="utf-8").replace(",", " ").split()]
 
 
 def once(table: dict, key, value, where: str) -> None:

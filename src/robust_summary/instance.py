@@ -153,7 +153,7 @@ def format_instance(instance: Instance) -> str:
 
 
 def write_instance(instance: Instance, path) -> None:
-    Path(path).write_text(format_instance(instance))
+    Path(path).write_text(format_instance(instance), encoding="utf-8")
 
 
 def parse_instance_text(text: str) -> Instance:

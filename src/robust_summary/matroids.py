@@ -182,7 +182,12 @@ class PartitionMatroid(Matroid):
 
 
 class GraphicMatroid(Matroid):
-    """Elements are edges of a simple graph; independent = acyclic subset."""
+    """Elements are edges of a simple graph; independent = acyclic subset.
+
+    The vertices that some edge touches are numbered 0.. in order of first
+    touch, and every search works on those numbers (``_ends``), so a vertex
+    no edge touches costs nothing, however many ``n_vertices`` declares.
+    """
 
     kind = "graphic"
     # (base, g, circuit, adjacency of base) of the last circuit() call
@@ -205,6 +210,12 @@ class GraphicMatroid(Matroid):
             pairs.append((u, v))
         self.n_vertices = n_vertices
         self.edges = tuple(pairs)
+        touched: dict[int, int] = {}  # vertex -> its number among the touched ones
+        self._ends = tuple(
+            (touched.setdefault(u, len(touched)), touched.setdefault(v, len(touched)))
+            for u, v in pairs
+        )
+        self._touched = len(touched)
         self.n = len(pairs)
         self.k = self._forest(range(self.n))[0]  # edges of a spanning forest
 
@@ -212,23 +223,26 @@ class GraphicMatroid(Matroid):
         return self._remember(s)[0]
 
     def _adjacency(self, s: Iterable[int]) -> dict[int, list[tuple[int, int]]]:
-        """Each vertex an edge of s touches -> (neighbour, edge) per edge of s at it."""
+        """Each vertex an edge of s touches -> (neighbour, edge) per edge of s at it.
+
+        Vertices are numbered as in ``_ends``.
+        """
         adjacent: dict[int, list[tuple[int, int]]] = {}
         for e in s:
-            u, v = self.edges[e]
+            u, v = self._ends[e]
             adjacent.setdefault(u, []).append((v, e))
             adjacent.setdefault(v, []).append((u, e))
         return adjacent
 
     def _forest(self, s: Iterable[int]):
-        """The rank of the edges s, a tree label per vertex and the vertices of each tree.
+        """The rank of the edges s, a label per touched vertex and the vertices of each tree.
 
         A tree is labelled by one of its vertices and listed by its label; a
-        vertex no edge touches is its own tree and is not listed.  The rank
-        is the number of vertices s touches minus the trees it forms.
+        vertex no edge of s touches is its own tree and is not listed.  The
+        rank is the number of vertices s touches minus the trees it forms.
         """
         adjacent = self._adjacency(s)
-        tree = list(range(self.n_vertices))
+        tree = list(range(self._touched))
         trees: dict[int, list[int]] = {}
         for root in adjacent:
             if tree[root] != root or root in trees:
@@ -262,7 +276,7 @@ class GraphicMatroid(Matroid):
                 return False, None
             tree, trees = memo[2]
             (e,) = s - key
-            u, v = self.edges[e]
+            u, v = self._ends[e]
             a, b = tree[u], tree[v]
             if a == b:
                 return False, None
@@ -295,7 +309,7 @@ class GraphicMatroid(Matroid):
 
     def _fits(self, state, e: int, s: frozenset) -> bool:
         tree, _ = state
-        u, v = self.edges[e]
+        u, v = self._ends[e]
         return tree[u] != tree[v]
 
     def circuit(self, a: Ids, g: int) -> frozenset:
@@ -305,7 +319,7 @@ class GraphicMatroid(Matroid):
         memo of its own, replaced whole like the other.
         """
         base, g, (tree, _) = self._circuit_args(a, g)
-        start, goal = self.edges[g]
+        start, goal = self._ends[g]
         if g in base or tree[start] != tree[goal]:
             raise ValueError(NOT_DEPENDENT)
         last = self._circuit_memo
@@ -326,7 +340,7 @@ class GraphicMatroid(Matroid):
         while x != start:
             e = via[x]
             members.add(e)
-            u, v = self.edges[e]
+            u, v = self._ends[e]
             x = u if x == v else v
         members = frozenset(members)
         self._circuit_memo = (base, g, members, adjacent)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import copy
 import math
 from itertools import accumulate
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -50,14 +51,15 @@ class Objective(GroundSet):
     of the class, not an option.
 
     One gain, one call.  marginal() asks the class's one-element ``_gain``,
-    which sums the same terms as the batched ``_gains_with`` without its
-    bookkeeping (joining the candidates' arrays and cutting the terms back
-    into runs); gains() batches ``BATCH_ROWS`` candidates per
-    ``_gains_with`` call.  fsum does not depend on the order of its terms,
-    so both give the same bits.  Against the empty set, once the table of
-    every f({e}) is filled, both read their gains from it, which is the
-    same bits again since value({e}) is the gain at the empty set; a gain
-    query never fills the table itself.
+    which sums the same terms as the batched ``_gains_with``; gains() asks
+    ``_gains_with`` for ``BATCH_ROWS`` candidates at a time.  Coverage sums
+    one C-level gather per candidate either way; facility location and
+    cuts batch by joining the candidates' arrays and cutting the terms back
+    into runs, a bookkeeping their ``_gain`` skips.  fsum does not depend
+    on the order of its terms, so both give the same bits.  Against the
+    empty set, once the table of every f({e}) is filled, both read their
+    gains from it, which is the same bits again since value({e}) is the
+    gain at the empty set; a gain query never fills the table itself.
     """
 
     kind = "abstract"
@@ -219,7 +221,15 @@ def _fsums(terms: np.ndarray, counts: Iterable[int]) -> list[float]:
 class WeightedCoverage(Objective):
     """f(S) = total weight of universe items covered by the sets of S.
 
-    The gain of e sums the weights of e's items that S leaves uncovered.
+    The gain of e sums the weights of e's items that S leaves uncovered.  The
+    memo state of S is a plain list of open weights, each item's weight or
+    0.0 where S covers it, never changed once made; the list of S + e is a
+    copy of the memo's with e's items zeroed.  Each element has one
+    gatherer, a C-level ``itemgetter`` over its items made at construction
+    and shared by every clone, so a gain is one ``math.fsum`` of what the
+    gatherer picks from the list: the uncovered weights plus a 0.0 per
+    covered item, which fsum adds exactly.  value(S) is the fsum of the
+    weights of the union of S's items.
     """
 
     kind = "weighted-coverage"
@@ -238,7 +248,8 @@ class WeightedCoverage(Objective):
         super().__init__(len(cover_sets), monotone=True)
         self.universe_weights = weights
         self.covers = tuple(cover_sets)
-        self._cover_items = tuple(np.fromiter(c, dtype=np.intp, count=len(c)) for c in cover_sets)
+        self._weights = weights.tolist()
+        self._gather = tuple(map(_gatherer, cover_sets))
         self._coverers: list = [None]  # one slot, shared by every clone
 
     def dependents(self, x: int) -> frozenset[int]:
@@ -255,24 +266,46 @@ class WeightedCoverage(Objective):
         return frozenset().union(*(coverers[u] for u in self.covers[x]))
 
     def _value(self, s: frozenset) -> float:
-        return math.fsum(self.universe_weights[self._state(s)].tolist())
+        covered = frozenset().union(*map(self.covers.__getitem__, s))
+        return math.fsum(map(self._weights.__getitem__, covered))
 
-    def _state(self, s: frozenset) -> np.ndarray:
-        """Which universe items s covers."""
-        covered = np.zeros(self.universe_weights.size, dtype=bool)
-        for e in s:
-            covered[self._cover_items[e]] = True
-        return covered
+    def _remember(self, s: frozenset) -> tuple[list[float]]:
+        """The open weights of s; grown from the memo's, in a new list, when s adds one element."""
+        memo = self._memo
+        if memo is not None and len(s) == len(memo[0]) + 1 and memo[0] < s:
+            (e,) = s - memo[0]
+            return (self._closed(memo[1].copy(), (e,)),)
+        return (self._state(s),)
 
-    def _gains_with(self, covered: np.ndarray, es: list[int], s: frozenset) -> list[float]:
-        items = [self._cover_items[e] for e in es]
-        at = np.concatenate(items)
-        terms = np.where(covered[at], 0.0, self.universe_weights[at])
-        return _fsums(terms, map(len, items))
+    def _state(self, s: frozenset) -> list[float]:
+        """The open weights of s: each item's weight, or 0.0 where s covers it."""
+        return self._closed(self._weights.copy(), s)
 
-    def _gain(self, covered: np.ndarray, e: int, s: frozenset) -> float:
-        items = self._cover_items[e]
-        return math.fsum(np.where(covered[items], 0.0, self.universe_weights[items]).tolist())
+    def _closed(self, open_weights: list[float], es: Iterable[int]) -> list[float]:
+        """``open_weights`` with the items of each e of es set to 0.0, in place."""
+        for e in es:
+            for u in self.covers[e]:
+                open_weights[u] = 0.0
+        return open_weights
+
+    def _gains_with(self, open_weights: list[float], es: list[int], s: frozenset) -> list[float]:
+        gather = self._gather
+        return [math.fsum(gather[e](open_weights)) for e in es]
+
+    def _gain(self, open_weights: list[float], e: int, s: frozenset) -> float:
+        return math.fsum(self._gather[e](open_weights))
+
+
+def _gatherer(items: frozenset[int]) -> Callable[[list], Sequence]:
+    """A C-level callable taking a list to its entries at ``items``, in a tuple or list.
+
+    ``itemgetter`` of one item returns the entry itself, and of no item is
+    not allowed, so those covers get a slice instead.
+    """
+    if len(items) > 1:
+        return itemgetter(*items)
+    u = next(iter(items), 0)
+    return itemgetter(slice(u, u + len(items)))
 
 
 class FacilityLocation(Objective):

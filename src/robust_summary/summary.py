@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -138,7 +139,7 @@ def format_summary(summary: Summary, include_audit: bool = False) -> str:
 
 
 def write_summary(summary: Summary, path, include_audit: bool = False) -> None:
-    Path(path).write_text(format_summary(summary, include_audit=include_audit))
+    Path(path).write_text(format_summary(summary, include_audit=include_audit), encoding="utf-8")
 
 
 def _parse_pairs(text: str) -> list[tuple[int, float]]:
@@ -174,7 +175,10 @@ def parse_summary(text: str) -> Summary:
     """Read a summary file's text; raises ValueError on a malformed or out-of-range line.
 
     Ids must be non-negative; in a centralized summary they must also be
-    below n.
+    below n.  As every builder writes them, k is at least 1, d is
+    non-negative, epsilon lies in (0, 1), monotone is 0 or 1, delta and
+    every gain are finite, an ``a`` line has three fields and a ``bucket``
+    line a ``:``.
     """
     fields, lists = parse_lines(text, "summary file", repeatable=("a", "bucket"))
     for key in fields:
@@ -183,13 +187,18 @@ def parse_summary(text: str) -> Summary:
     id_lists: list[tuple[str, list[int]]] = []  # (key, ids) of every id-bearing line
     candidate: dict[int, SummaryEntry] = {}
     for value in lists["a"]:
-        e, exp, gain = value.split(",")
-        entry = SummaryEntry(int(e), int(exp), float(gain))
+        parts = value.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"summary key 'a': {value!r} is not element,exponent,gain")
+        e, exp, gain = parts
+        entry = SummaryEntry(int(e), int(exp), _checked("a", gain, float, math.isfinite, "finite"))
         once(candidate, entry.element, entry, "summary key 'a': element")
         id_lists.append(("a", [entry.element]))
     buckets: dict[int, list[int]] = {}
     for value in lists["bucket"]:
-        exp, _, ids = value.partition(":")
+        exp, sep, ids = value.partition(":")
+        if not sep:
+            raise ValueError(f"summary key 'bucket': {value!r} has no ':'")
         once(buckets, int(exp), numbers(ids), "summary file: bucket exponent")
         id_lists.append(("bucket", buckets[int(exp)]))
     audit = StreamAudit()
@@ -206,6 +215,11 @@ def parse_summary(text: str) -> Summary:
     for required in ("mode", "n", "k", "d", "epsilon", "monotone", "seed", "delta"):
         if required not in fields:
             raise ValueError(f"summary file is missing {required!r}")
+    k = _checked("k", fields["k"], int, lambda k: k >= 1, "at least 1")
+    d = _checked("d", fields["d"], int, lambda d: d >= 0, "non-negative")
+    epsilon = _checked("epsilon", fields["epsilon"], float, lambda x: 0.0 < x < 1.0, "in (0, 1)")
+    monotone = _checked("monotone", fields["monotone"], int, lambda m: m in (0, 1), "0 or 1")
+    delta = _checked("delta", fields["delta"], float, math.isfinite, "finite")
     # a streaming n counts arrivals, and an arrival order may cover part of
     # the ground set, so streaming ids are only checked for sign
     limit = int(fields["n"]) if fields["mode"] == "centralized" else None
@@ -222,12 +236,12 @@ def parse_summary(text: str) -> Summary:
     return Summary(
         mode=fields["mode"],
         n=int(fields["n"]),
-        k=int(fields["k"]),
-        d=int(fields["d"]),
-        epsilon=float(fields["epsilon"]),
-        monotone=bool(int(fields["monotone"])),
+        k=k,
+        d=d,
+        epsilon=epsilon,
+        monotone=bool(monotone),
         seed=int(fields["seed"]),
-        delta=float(fields["delta"]),
+        delta=delta,
         entries=list(candidate.values()),
         buckets=buckets,
         top_buffer=top_buffer,
@@ -240,5 +254,13 @@ def parse_summary(text: str) -> Summary:
     )
 
 
+def _checked(key: str, text: str, convert, ok, want: str):
+    """``convert(text)``, the value of summary key ``key``; an error unless it is ``want``."""
+    value = convert(text)
+    if not ok(value):
+        raise ValueError(f"summary key {key!r} must be {want}, got {text!r}")
+    return value
+
+
 def read_summary(path) -> Summary:
-    return parse_summary(Path(path).read_text())
+    return parse_summary(Path(path).read_text(encoding="utf-8"))

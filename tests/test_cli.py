@@ -513,6 +513,11 @@ def test_malformed_instance_file_is_a_clean_error(tmp_path, capsys, line, messag
         ("bucket=-1:4", "summary file: bucket exponent -1 given twice"),
         ("a=3,-1,1.0\na=3,-1,1.0", "summary key 'a': element 3 given twice"),
         ("counters=low_value:1,low_value:7", "summary key 'counters': counter 'low_value' given twice"),
+        ("bucket=3", "summary key 'bucket': '3' has no ':'"),
+        ("a=1,2", "summary key 'a': '1,2' is not element,exponent,gain"),
+        ("a=1,0,2.0,5", "summary key 'a': '1,0,2.0,5' is not element,exponent,gain"),
+        ("a=1,0,nan", "summary key 'a' must be finite, got 'nan'"),
+        ("a=1,0,-inf", "summary key 'a' must be finite, got '-inf'"),
     ],
 )
 def test_malformed_summary_file_is_a_clean_error(tmp_path, capsys, line, message):
@@ -521,6 +526,39 @@ def test_malformed_summary_file_is_a_clean_error(tmp_path, capsys, line, message
     summ.write_text(
         "mode=centralized\nn=5\nk=2\nd=1\nepsilon=0.3\nmonotone=1\nseed=5\ndelta=5.0\n"
         "exponents=-1\nbucket=-1:1,2\nvd=0\nb=0,1,2\n" + line + "\n"
+    )
+    for command in (
+        ["verify", "--summary", str(summ), "--instance", str(inst)],
+        ["solve", "--summary", str(summ), "--instance", str(inst), "--delete", "top:1",
+         "--solver", "greedy", "--out", str(tmp_path / "solution.txt")],
+    ):
+        _clean_error(capsys, command, message)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("monotone=7", "summary key 'monotone' must be 0 or 1, got '7'"),
+        ("epsilon=nan", "summary key 'epsilon' must be in (0, 1), got 'nan'"),
+        ("epsilon=1.0", "summary key 'epsilon' must be in (0, 1), got '1.0'"),
+        ("epsilon=0", "summary key 'epsilon' must be in (0, 1), got '0'"),
+        ("k=0", "summary key 'k' must be at least 1, got '0'"),
+        ("d=-1", "summary key 'd' must be non-negative, got '-1'"),
+        ("delta=inf", "summary key 'delta' must be finite, got 'inf'"),
+        ("delta=nan", "summary key 'delta' must be finite, got 'nan'"),
+    ],
+)
+def test_summary_value_out_of_its_range_is_a_clean_error(tmp_path, capsys, line, message):
+    # the line replaces the summary's own line for its key
+    inst, summ = tmp_path / "inst.txt", tmp_path / "summary.txt"
+    inst.write_text("n=5\nobjective=modular\nweights=5,1,2,2,4\nmatroid=uniform k=2\n")
+    key = line.split("=")[0]
+    header = {"mode": "centralized", "n": "5", "k": "2", "d": "1", "epsilon": "0.3",
+              "monotone": "1", "seed": "5", "delta": "5.0"}
+    header[key] = line.split("=")[1]
+    summ.write_text(
+        "".join(f"{name}={value}\n" for name, value in header.items())
+        + "exponents=-1\nbucket=-1:1,2\nvd=0\nb=0,1,2\n"
     )
     for command in (
         ["verify", "--summary", str(summ), "--instance", str(inst)],

@@ -154,10 +154,10 @@ slack = 0.1
 
 
 def test_readme_example_config_loads(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "readme.cfg"
-    path.write_text(block)
+    path.write_text(block, encoding="utf-8")
     config = load_experiment_config(path)
     # the inline "; a | b" comments are not part of the values
     assert config.mode == "streaming"

@@ -1,6 +1,9 @@
 """Instance and summary files: round trips, grammar rejection, generators."""
 
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -62,6 +65,38 @@ def test_facility_instance_roundtrip():
     inst = Instance(make_facility_location([[0.2, 0.9], [0.4, 0.1]]), make_uniform(2, 1))
     again = _roundtrip(inst)
     assert again.objective.value([1]) == 1.0
+
+
+# a locale whose default encoding is ASCII, with Python's UTF-8 overrides off
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+# run under that locale; each file it reads holds an "e" with an acute accent
+UTF8_FILES = r"""
+import codecs, locale
+from pathlib import Path
+from robust_summary import load_experiment_config, read_instance, write_instance
+
+assert codecs.lookup(locale.getpreferredencoding(False)).name == "ascii"
+write_instance(read_instance("tagged.txt"), "again.txt")
+assert "\ntag 3=caf\u00e9\n" in Path("again.txt").read_text(encoding="utf-8")
+config = load_experiment_config("experiment.cfg")
+assert config.d == 1 and config.instance_file == "tagged.txt"
+"""
+
+
+def test_text_files_are_utf8_under_an_ascii_locale(tmp_path):
+    (tmp_path / "tagged.txt").write_bytes(
+        "n=4\nobjective=modular\nweights=1,2,3,4\nmatroid=uniform k=2\ntag 3=caf\u00e9\n".encode()
+    )
+    (tmp_path / "experiment.cfg").write_bytes(
+        "# r\u00e9sum\u00e9\n[instance]\nfile = tagged.txt\n[algorithm]\nd = 1\n"
+        "[deletions]\nstrategies = top:1\n".encode()
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), **ASCII_LOCALE)
+    done = subprocess.run(
+        [sys.executable, "-c", UTF8_FILES], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_cut_instance_roundtrip_with_tags():

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,6 +423,20 @@ def test_graphic_labels_grown_or_kept_answer_as_a_fresh_oracle(seed, steps):
         if twin is not None:
             grown = twin_set | {int(rng.integers(m.n))}
             assert _answers(twin, grown) == _answers(fresh(), grown)
+
+
+def test_graphic_labels_cost_the_touched_vertices_not_the_graph():
+    # a million vertices, three edges: the forest labels cover the 4 touched
+    # vertices, so neither the build nor the calls allocate per vertex
+    tracemalloc.start()
+    try:
+        m = make_graphic(10**6, [(0, 1), (1, 2), (2, 3)])
+        answers = [m.is_independent(s) for s in ([0, 1], [1, 2], [0, 2], [0, 1, 2])]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answers == [True] * 4 and m.k == 3
+    assert peak < 2 * 2**20
 
 
 def test_graphic_swap_along_the_circuit_keeps_the_labels():

@@ -1,5 +1,7 @@
 """Objective oracle behaviour: values, marginals, validation, counters."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -717,3 +719,50 @@ def test_gains_outside_dependents_are_bit_identical(kind, seed):
         others = sorted(set(range(obj.n)) - obj.dependents(x) - {x})
         with_x, without_x = obj.gains(others, base | {x}), obj.gains(others, base - {x})
         assert [float.hex(g) for g in with_x] == [float.hex(g) for g in without_x]
+
+
+# every float from the smallest subnormal to 1e300, and zero
+_universe_weight = st.one_of(st.just(0.0), st.floats(5e-324, 1e300))
+
+
+@st.composite
+def _coverage_and_order(draw):
+    """Weights, covers with no item, one item and many items, and an order of some elements."""
+    weights = draw(st.lists(_universe_weight, min_size=1, max_size=12))
+    items = st.lists(st.integers(0, len(weights) - 1), max_size=len(weights), unique=True)
+    covers = draw(st.lists(items, max_size=8)) + [[], [len(weights) - 1], list(range(len(weights)))]
+    covers = draw(st.permutations(covers))
+    order = draw(st.lists(st.integers(0, len(covers) - 1), unique=True))
+    return weights, covers, order
+
+
+def _open_weights_reference(weights, covers, e, s):
+    """math.fsum of the weights of e's items that s leaves uncovered, as float.hex."""
+    covered = set().union(*(covers[x] for x in s))
+    return float.hex(math.fsum(weights[u] for u in set(covers[e]) - covered))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_coverage_and_order())
+def test_coverage_gains_are_the_fsum_of_the_open_weights(case):
+    # S grows one element at a time in the drawn order, so each new S is a
+    # memo miss grown from the memo's open weights; asking it again is a
+    # hit, a fresh clone's first call a miss built from nothing, and the
+    # drawn order backwards a miss that is no growth
+    weights, covers, order = case
+    obj = make_weighted_coverage(weights, covers)
+    everything = list(range(obj.n))
+    prefixes = [order[:size] for size in range(len(order) + 1)]
+    for prefix in prefixes + prefixes[::-1]:
+        s = frozenset(prefix)
+        expected = [
+            float.hex(0.0) if e in s else _open_weights_reference(weights, covers, e, s)
+            for e in everything
+        ]
+        assert [float.hex(g) for g in obj.gains(everything, s)] == expected
+        assert [float.hex(obj.marginal(e, prefix[::-1])) for e in everything] == expected
+        fresh = obj.clone()
+        assert fresh._gather is obj._gather
+        assert [float.hex(fresh.marginal(e, s)) for e in everything] == expected
+        union = set().union(*(covers[x] for x in s))
+        assert float.hex(obj.value(prefix)) == float.hex(math.fsum(weights[u] for u in union))
