@@ -18,6 +18,7 @@ from .instance import Instance
 from .matroids import Matroid, PartitionMatroid
 from .objectives import Objective
 from .solvers import exhaustive_opt, greedy_matroid
+from .thresholds import check_parameter
 
 STRATEGY_KINDS = ("top-value", "random", "block-concentrated", "max-damage", "explicit-list")
 OPT_METHODS = ("exhaustive", "greedy-bound")
@@ -34,8 +35,7 @@ class DeletionStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown deletion strategy {self.kind!r}")
-        if self.d < 0:
-            raise ValueError("deletion budget must be non-negative")
+        check_parameter("d", self.d, "deletion budget")
 
     @property
     def spec(self) -> str:

@@ -30,7 +30,7 @@ import numpy as np
 from .matroids import Matroid
 from .objectives import Objective
 from .summary import Summary, SummaryEntry
-from .thresholds import threshold_lattice
+from .thresholds import check_parameter, threshold_lattice
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,8 @@ class CentralizedConfig:
     audit: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.d < 0:
-            raise ValueError("deletion budget d must be non-negative")
+        check_parameter("epsilon", self.epsilon)
+        check_parameter("d", self.d, "deletion budget d")
 
 
 def bucket_cap(k: int, d: int, epsilon: float, monotone_mode: bool) -> int:

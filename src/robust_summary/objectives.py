@@ -223,8 +223,7 @@ class WeightedCoverage(Objective):
 
     The gain of e sums the weights of e's items that S leaves uncovered.  The
     memo state of S is a plain list of open weights, each item's weight or
-    0.0 where S covers it, never changed once made; the list of S + e is a
-    copy of the memo's with e's items zeroed.  Each element has one
+    0.0 where S covers it, never changed once made.  Each element has one
     gatherer, a C-level ``itemgetter`` over its items made at construction
     and shared by every clone, so a gain is one ``math.fsum`` of what the
     gatherer picks from the list: the uncovered weights plus a 0.0 per
@@ -269,21 +268,10 @@ class WeightedCoverage(Objective):
         covered = frozenset().union(*map(self.covers.__getitem__, s))
         return math.fsum(map(self._weights.__getitem__, covered))
 
-    def _remember(self, s: frozenset) -> tuple[list[float]]:
-        """The open weights of s; grown from the memo's, in a new list, when s adds one element."""
-        memo = self._memo
-        if memo is not None and len(s) == len(memo[0]) + 1 and memo[0] < s:
-            (e,) = s - memo[0]
-            return (self._closed(memo[1].copy(), (e,)),)
-        return (self._state(s),)
-
     def _state(self, s: frozenset) -> list[float]:
         """The open weights of s: each item's weight, or 0.0 where s covers it."""
-        return self._closed(self._weights.copy(), s)
-
-    def _closed(self, open_weights: list[float], es: Iterable[int]) -> list[float]:
-        """``open_weights`` with the items of each e of es set to 0.0, in place."""
-        for e in es:
+        open_weights = self._weights.copy()
+        for e in s:
             for u in self.covers[e]:
                 open_weights[u] = 0.0
         return open_weights

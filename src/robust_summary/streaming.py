@@ -42,7 +42,7 @@ import numpy as np
 from .matroids import Matroid
 from .objectives import Objective
 from .summary import StreamAudit, Summary, SummaryEntry
-from .thresholds import PowerLadder
+from .thresholds import PowerLadder, check_parameter
 
 
 def drain_cap(d: int, epsilon: float) -> int:
@@ -74,10 +74,8 @@ class StreamingConfig:
     audit: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.d < 0:
-            raise ValueError("deletion budget d must be non-negative")
+        check_parameter("epsilon", self.epsilon)
+        check_parameter("d", self.d, "deletion budget d")
 
     @property
     def gamma_value(self) -> float:
@@ -97,8 +95,7 @@ class StreamState:
     """Mutable state of one streaming run.  Strictly sequential per stream."""
 
     def __init__(self, config: StreamingConfig, k: int):
-        if k < 1:
-            raise ValueError("matroid rank must be at least 1")
+        check_parameter("k", k, "matroid rank")
         self.config = config
         self.k = k
         # read once per stream: the config derives them on every access

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .grammar import numbers, once, parse_lines
+from .thresholds import check_parameter
 
 
 @dataclass(frozen=True)
@@ -215,9 +216,9 @@ def parse_summary(text: str) -> Summary:
     for required in ("mode", "n", "k", "d", "epsilon", "monotone", "seed", "delta"):
         if required not in fields:
             raise ValueError(f"summary file is missing {required!r}")
-    k = _checked("k", fields["k"], int, lambda k: k >= 1, "at least 1")
-    d = _checked("d", fields["d"], int, lambda d: d >= 0, "non-negative")
-    epsilon = _checked("epsilon", fields["epsilon"], float, lambda x: 0.0 < x < 1.0, "in (0, 1)")
+    k = check_parameter("k", int(fields["k"]), "summary key 'k'", fields["k"])
+    d = check_parameter("d", int(fields["d"]), "summary key 'd'", fields["d"])
+    epsilon = check_parameter("epsilon", float(fields["epsilon"]), "summary key 'epsilon'", fields["epsilon"])
     monotone = _checked("monotone", fields["monotone"], int, lambda m: m in (0, 1), "0 or 1")
     delta = _checked("delta", fields["delta"], float, math.isfinite, "finite")
     # a streaming n counts arrivals, and an arrival order may cover part of

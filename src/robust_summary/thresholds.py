@@ -99,16 +99,36 @@ class ThresholdLattice:
         return len(self.exponents)
 
 
+# The range each builder parameter must lie in, and its wording in errors.
+# NaN fails every comparison, so it is outside every range.
+_PARAMETER_RULES = {
+    "k": (lambda k: k >= 1, "at least 1"),
+    "d": (lambda d: d >= 0, "non-negative"),
+    "epsilon": (lambda x: 0.0 < x < 1.0, "in (0, 1)"),
+}
+
+
+def check_parameter(name: str, value, label: str | None = None, text: str | None = None):
+    """``value`` of builder parameter ``name`` ("k", "d" or "epsilon") if it lies in its range.
+
+    Otherwise a ValueError "<label> must be <range>, got <text>", ``label``
+    defaulting to ``name`` and ``text`` to the value itself.
+    """
+    ok, want = _PARAMETER_RULES[name]
+    if not ok(value):
+        shown = value if text is None else text
+        raise ValueError(f"{label or name} must be {want}, got {shown!r}")
+    return value
+
+
 def threshold_lattice(delta: float, k: int, epsilon: float) -> ThresholdLattice:
     """Exponents i with epsilon*delta/((1+epsilon)*k) < (1+epsilon)**i <= delta.
 
     Membership is decided on the exactly evaluated powers, never on a pure
     float-log test, so the lattice is reproducible.
     """
-    if k < 1:
-        raise ValueError("matroid rank must be at least 1")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    check_parameter("k", k, "matroid rank")
+    check_parameter("epsilon", epsilon)
     ladder = PowerLadder(1.0 + epsilon)
     if not delta > 0.0:
         return ThresholdLattice(epsilon, float(delta), 0.0, (), ladder)

@@ -745,10 +745,9 @@ def _open_weights_reference(weights, covers, e, s):
 @settings(max_examples=150, deadline=None)
 @given(case=_coverage_and_order())
 def test_coverage_gains_are_the_fsum_of_the_open_weights(case):
-    # S grows one element at a time in the drawn order, so each new S is a
-    # memo miss grown from the memo's open weights; asking it again is a
-    # hit, a fresh clone's first call a miss built from nothing, and the
-    # drawn order backwards a miss that is no growth
+    # S grows one element at a time in the drawn order, then shrinks back:
+    # each new S is a memo miss, asking it again a hit, and a fresh clone's
+    # first call a miss in an empty memo
     weights, covers, order = case
     obj = make_weighted_coverage(weights, covers)
     everything = list(range(obj.n))

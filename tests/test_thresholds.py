@@ -4,7 +4,15 @@ import math
 
 import pytest
 
-from robust_summary import PowerLadder, lattice_size_limit, threshold_lattice
+from robust_summary import (
+    CentralizedConfig,
+    DeletionStrategy,
+    PowerLadder,
+    StreamingConfig,
+    StreamState,
+    lattice_size_limit,
+    threshold_lattice,
+)
 
 
 def _direct_power(base, i):
@@ -144,3 +152,30 @@ def test_floor_exponents_reject_non_positive_values():
     for xs in ([1.0, 0.0], [-2.0], [3.0, -0.0]):
         with pytest.raises(ValueError, match="positive argument"):
             ladder.floor_exponents(xs)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, 2.0, math.nan, math.inf])
+def test_every_builder_refuses_the_same_epsilon_in_the_same_words(epsilon):
+    for build in (
+        lambda: CentralizedConfig(epsilon=epsilon, d=1),
+        lambda: StreamingConfig(epsilon=epsilon, d=1),
+        lambda: threshold_lattice(1.0, 2, epsilon),
+    ):
+        with pytest.raises(ValueError, match=rf"^epsilon must be in \(0, 1\), got {epsilon!r}$"):
+            build()
+
+
+def test_every_builder_refuses_the_same_d_and_k_in_the_same_words():
+    for build in (
+        lambda: CentralizedConfig(epsilon=0.1, d=-1),
+        lambda: StreamingConfig(epsilon=0.1, d=-1),
+        lambda: DeletionStrategy("top-value", d=-1),
+    ):
+        with pytest.raises(ValueError, match=r"deletion budget( d)? must be non-negative, got -1$"):
+            build()
+    for build in (
+        lambda: threshold_lattice(1.0, 0, 0.1),
+        lambda: StreamState(StreamingConfig(epsilon=0.1, d=1), 0),
+    ):
+        with pytest.raises(ValueError, match=r"^matroid rank must be at least 1, got 0$"):
+            build()
