@@ -12,20 +12,30 @@ weight and the lightest candidate gain is refused before its circuit is
 built: no circuit member weighs less than that, so the refusal is exact
 (see ``drain_buckets``).
 
+One loop does the arrivals: ``stream_summary`` hands it the whole order,
+and ``ingest`` is the same loop run over one element.  It holds the stream's
+containers and constants in locals and calls out only to file an element,
+to drain a capped bucket, and to move the window when delta grows.
+
 The state keeps the gain each element was filed by.  A rebucketing refiles
-only what the change can move: the filed elements that depend on an element
-that entered or left the candidate (``Objective.dependents``).  With
-``exact_gains`` every other filed gain is bit for bit the gain a fresh query
-would return (see ``rebucket``), so a drained element's weight is read from
-its filed gain.  The active window (``tau_min`` and the lowest live bucket)
-depends on the anchor delta alone and moves only when delta grows.
+only what the change can move: it visits the filed elements that depend on
+an element that entered or left the candidate (``Objective.dependents``),
+and no other.  With ``exact_gains`` every other filed gain is bit for bit
+the gain a fresh query would return (see ``rebucket``), so a drained
+element's weight is read from its filed gain.  The active window
+(``tau_min`` and the lowest live bucket) depends on the anchor delta alone
+and moves only when delta grows.  So does the window table, the lattice
+points from the lowest live bucket to one step above delta: a gain is filed
+by a bisection of that table, and the ladder's ``floor_exponent`` is asked
+only when there is no window or for a gain above its top
+(``StreamState.filing_exponent``, the one filing rule of the stream).
 
 An arrival's gain is asked only when a candidate member can move it.  The
 state counts, per element, the candidate members that list it in their
 dependents; an element popped from the top buffer with count 0 has, with
 ``exact_gains``, bit for bit its gain at the empty set against the
 candidate, which is the singleton value the buffer was keyed by (see
-``ingest``).  A dependents call that answers None stops the counts, and
+``_arrive``).  A dependents call that answers None stops the counts, and
 every later arrival asks its marginal.
 """
 
@@ -122,6 +132,9 @@ class StreamState:
         self.delta = 0.0
         self.tau_min = 0.0
         self.min_active_exponent: int | None = None
+        # power(min_active_exponent) .. power(floor_exponent(delta) + 1),
+        # empty while there is no window
+        self.window: list[float] = []
         self.audit = StreamAudit()
         self.upward_moves = 0
         self.upward_moves_after_growth = 0
@@ -132,8 +145,48 @@ class StreamState:
     def memory(self) -> int:
         return len(self.candidate) + len(self.top_buffer) + len(self.gains)
 
-    def _note_boundary(self) -> None:
-        self.peak_memory = max(self.peak_memory, self.memory())
+    def raise_delta(self, delta: float) -> None:
+        """Anchor the window at a larger delta and drop the buckets under it.
+
+        The window depends on delta alone, so it moves only here.  tau_min
+        can underflow to 0 on a subnormal anchor; the window then stays open
+        and the table empty.
+        """
+        cfg = self.config
+        self.delta = delta
+        self.tau_min = cfg.epsilon / (1.0 + cfg.epsilon) * delta / self.k
+        if not self.tau_min > 0.0:
+            return
+        ladder = self.ladder
+        low = self.min_active_exponent = ladder.ceil_exponent(self.tau_min)
+        top = ladder.floor_exponent(delta) + 1
+        self.window = [ladder.power(i) for i in range(low, top + 1)]
+        for x in sorted(x for x in self.buckets if x < low):
+            dropped = self.buckets.pop(x)
+            for e in dropped:
+                del self.gains[e]
+            self.audit.low_value.extend(dropped)
+
+    def filing_exponent(self, gain: float) -> int | None:
+        """The exponent a gain is filed at, or None when it falls out of the window.
+
+        The rule: a gain that is positive and at least tau_min is filed at
+        ``ladder.floor_exponent(gain)``, unless that lies under
+        ``min_active_exponent``.  The lattice points strictly rise with the
+        exponent, so counting the window's powers at or below the gain finds
+        that exponent; the ladder is asked only when there is no window, or
+        for a gain at or above the window's top power (a gain above delta,
+        which an objective without exact gains can give).
+        """
+        if not gain > 0.0 or self.tau_min > gain:
+            return None
+        window = self.window
+        if window:
+            i = bisect.bisect_right(window, gain)
+            if i < len(window):
+                # i == 0: the window leaves no lattice point at or below the gain
+                return self.min_active_exponent + i - 1 if i else None
+        return self.ladder.floor_exponent(gain)
 
 
 def ingest(
@@ -145,9 +198,29 @@ def ingest(
 ) -> StreamState:
     """Process one arrival; drains buckets as a side effect when they fill.
 
-    Outside a drain no bucket is at the cap, so only the bucket the arrival
-    is filed into can reach it, and only then is the drain called.  A
-    refused arrival (a repeat, or an id outside the ground set) raises
+    This is the one arrival loop of ``stream_summary`` (``_arrive``) run
+    over one element, so feeding a stream one arrival at a time gives the
+    bytes and the queries of ``stream_summary``.  The popped element is
+    filed through the window table (``StreamState.filing_exponent``), and a
+    drain that changes the candidate refiles only the filed elements the
+    change can move (``rebucket``).
+    """
+    _arrive(state, (element,), objective, matroid, rng)
+    return state
+
+
+def _arrive(
+    state: StreamState,
+    elements: Iterable[int],
+    objective: Objective,
+    matroid: Matroid,
+    rng: np.random.Generator,
+) -> None:
+    """The arrival loop: buffer each element, file what the buffer pops, drain at the cap.
+
+    Outside a drain no bucket is at the cap, so only the bucket the popped
+    element is filed into can reach it, and only then is the drain called.
+    A refused arrival (a repeat, or an id outside the ground set) raises
     before it changes any state.
 
     The popped element is filed by its singleton value, without a marginal,
@@ -157,61 +230,43 @@ def ingest(
     The popped element never was a member, since each element arrives once
     and only filed elements enter the candidate.
     """
-    element = int(element)
-    if element in state.seen:
-        raise ValueError(f"element {element} arrived twice")
-    value = objective.value((element,))  # raises for an id outside the ground set
-    state.seen.add(element)
-    state.arrivals += 1
-    cfg = state.config
-
-    entry = (value, -element, element)
-    if len(state.top_buffer) < cfg.d:
-        # warm-up: the first d arrivals are buffered wholesale
-        heapq.heappush(state.top_buffer, entry)
-        state._note_boundary()
-        return state
-
-    popped_value, _, popped = heapq.heappushpop(state.top_buffer, entry)
-
-    if popped_value > state.delta:
-        # the window depends on delta alone, so it moves only when delta grows
-        state.delta = popped_value
-        state.tau_min = cfg.epsilon / (1.0 + cfg.epsilon) * state.delta / state.k
-        # tau_min can underflow to 0 on subnormal anchors; the window then stays open
-        if state.tau_min > 0.0:
-            state.min_active_exponent = state.ladder.ceil_exponent(state.tau_min)
-            stale = sorted(x for x in state.buckets if x < state.min_active_exponent)
-            for x in stale:
-                dropped = state.buckets.pop(x)
-                for e in dropped:
-                    del state.gains[e]
-                state.audit.low_value.extend(dropped)
-
-    depended = state.depended
-    if objective.exact_gains and depended is not None and popped not in depended:
-        # no candidate member can move the gain: it is the gain at the empty set
-        gain = popped_value
-    else:
-        gain = objective.marginal(popped, state.candidate_set)
-    exponent = None
-    if not state.tau_min > gain and gain > 0.0:
-        exponent = state.ladder.floor_exponent(gain)
-        # the window may leave no lattice point at or below the gain
-        if state.min_active_exponent is not None and exponent < state.min_active_exponent:
-            exponent = None
-    if exponent is None:
-        state.audit.low_value.append(popped)
-        state._note_boundary()
-        return state
-
-    bucket = state.buckets.setdefault(exponent, [])
-    bisect.insort(bucket, popped)
-    state.gains[popped] = gain
-    if len(bucket) >= state.drain_cap:
-        drain_buckets(state, objective, matroid, rng, exponent)
-    state._note_boundary()
-    return state
+    d, cap, exact = state.config.d, state.drain_cap, objective.exact_gains
+    value_of, marginal = objective.value, objective.marginal
+    seen, top_buffer, buckets, gains = state.seen, state.top_buffer, state.buckets, state.gains
+    candidate, low_value = state.candidate, state.audit.low_value
+    filing_exponent = state.filing_exponent
+    for element in elements:
+        element = int(element)
+        if element in seen:
+            raise ValueError(f"element {element} arrived twice")
+        value = value_of((element,))  # raises for an id outside the ground set
+        seen.add(element)
+        state.arrivals += 1
+        if len(top_buffer) < d:
+            # warm-up: the first d arrivals are buffered wholesale
+            heapq.heappush(top_buffer, (value, -element, element))
+        else:
+            popped_value, _, popped = heapq.heappushpop(top_buffer, (value, -element, element))
+            if popped_value > state.delta:
+                state.raise_delta(popped_value)
+            depended = state.depended
+            if exact and depended is not None and popped not in depended:
+                # no candidate member can move the gain: it is the gain at the empty set
+                gain = popped_value
+            else:
+                gain = marginal(popped, state.candidate_set)
+            exponent = filing_exponent(gain)
+            if exponent is None:
+                low_value.append(popped)
+            else:
+                bucket = buckets.setdefault(exponent, [])
+                bisect.insort(bucket, popped)
+                gains[popped] = gain
+                if len(bucket) >= cap:
+                    drain_buckets(state, objective, matroid, rng, exponent)
+        memory = len(candidate) + len(top_buffer) + len(gains)
+        if memory > state.peak_memory:
+            state.peak_memory = memory
 
 
 def drain_buckets(
@@ -336,50 +391,49 @@ def rebucket(
 
     ``moved`` holds the elements whose gain the change can move: those that
     depend on an element that entered or left the candidate
-    (``Objective.dependents``, as ``_note_change`` collects them).  None
-    refiles every element.  Every other element keeps its bucket and its
-    filed gain, which is exactly what a full refile would give it: with
+    (``Objective.dependents``, as ``_note_change`` collects them).  Only the
+    filed elements in it are visited; an empty ``moved`` returns at once.
+    None refiles every element.  Every other element keeps its bucket and
+    its filed gain, which is exactly what a full refile would give it: with
     ``exact_gains`` its computed gain is unchanged, bit for bit, since it
     was filed.  An objective without exact gains has every element refiled
     (``_note_change`` gives None), since a difference of two float values
     can move by an ulp where the exact gain did not.
 
-    The fresh marginals become the filed gains.  Elements falling under the
-    active window are discarded.  When the candidate only grew, gains cannot
-    rise, so upward moves are tracked separately from the legitimate ones a
-    swap can cause: with exact gains ``upward_moves_after_growth`` stays 0.
+    A visited element's old exponent is the one its filed gain is filed at
+    (``StreamState.filing_exponent``); the window only rose since, and an
+    element under it was dropped.  Elements are refiled by old exponent
+    descending, then id.  The fresh marginals become the filed gains.
+    Elements falling under the active window are discarded.  When the
+    candidate only grew, gains cannot rise, so upward moves are tracked
+    separately from the legitimate ones a swap can cause: with exact gains
+    ``upward_moves_after_growth`` stays 0.
     """
-    moving = []  # (old exponent, element), by exponent descending, then id
-    for x in sorted(state.buckets, reverse=True):
-        bucket = state.buckets[x]
-        picked = bucket if moved is None else [e for e in bucket if e in moved]
-        if not picked:
-            continue
-        moving.extend((x, e) for e in picked)
-        if len(picked) == len(bucket):
-            del state.buckets[x]
-        else:
-            state.buckets[x] = [e for e in bucket if e not in moved]
-    gains = objective.gains([e for _, e in moving], state.candidate_set)
-    live = [not (state.tau_min > gain or gain <= 0.0) for gain in gains]
-    new_exponents = iter(
-        state.ladder.floor_exponents([gain for gain, ok in zip(gains, live) if ok])
-    )
-    for (exponent, e), gain, ok in zip(moving, gains, live):
-        new_exponent = next(new_exponents) if ok else None
-        if new_exponent is None or (
-            state.min_active_exponent is not None
-            and new_exponent < state.min_active_exponent
-        ):
-            del state.gains[e]
+    buckets, gains = state.buckets, state.gains
+    filed = gains if moved is None else [e for e in moved if e in gains]
+    if not filed:
+        return state
+    filing_exponent = state.filing_exponent
+    # (old exponent, element), by exponent descending, then id
+    moving = sorted(((filing_exponent(gains[e]), e) for e in filed), key=lambda m: (-m[0], m[1]))
+    for old, e in moving:
+        bucket = buckets[old]
+        bucket.remove(e)
+        if not bucket:
+            del buckets[old]
+    fresh = objective.gains([e for _, e in moving], state.candidate_set)
+    for (old, e), gain in zip(moving, fresh):
+        exponent = filing_exponent(gain)
+        if exponent is None:
+            del gains[e]
             state.audit.low_value.append(e)
             continue
-        if new_exponent > exponent:
+        if exponent > old:
             state.upward_moves += 1
             if solution_grew:
                 state.upward_moves_after_growth += 1
-        bisect.insort(state.buckets.setdefault(new_exponent, []), e)
-        state.gains[e] = gain
+        bisect.insort(buckets.setdefault(exponent, []), e)
+        gains[e] = gain
     return state
 
 
@@ -432,6 +486,5 @@ def stream_summary(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     state = StreamState(config, matroid.k)
-    for element in order:
-        ingest(state, element, objective, matroid, rng)
+    _arrive(state, order, objective, matroid, rng)
     return finalize(state)

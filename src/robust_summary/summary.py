@@ -143,14 +143,18 @@ def write_summary(summary: Summary, path, include_audit: bool = False) -> None:
     Path(path).write_text(format_summary(summary, include_audit=include_audit), encoding="utf-8")
 
 
-def _parse_pairs(text: str) -> list[tuple[int, float]]:
+def _parse_pairs(key: str, text: str) -> list[tuple[int, float]]:
+    """The ``id:weight`` pairs of summary key ``key``; every weight must be finite."""
     text = text.strip()
     if not text:
         return []
     out = []
     for tok in text.split(","):
-        e, w = tok.split(":")
-        out.append((int(e), float(w)))
+        parts = tok.split(":")
+        if len(parts) != 2:
+            raise ValueError(f"summary key {key!r}: {tok!r} is not id:weight")
+        e, w = parts
+        out.append((int(e), _checked(key, w, float, math.isfinite, "finite")))
     return out
 
 
@@ -176,10 +180,12 @@ def parse_summary(text: str) -> Summary:
     """Read a summary file's text; raises ValueError on a malformed or out-of-range line.
 
     Ids must be non-negative; in a centralized summary they must also be
-    below n.  As every builder writes them, k is at least 1, d is
-    non-negative, epsilon lies in (0, 1), monotone is 0 or 1, delta and
-    every gain are finite, an ``a`` line has three fields and a ``bucket``
-    line a ``:``.
+    below n.  As every builder writes them, k is at least 1, n, d,
+    peak_memory and every counter are non-negative, epsilon lies in (0, 1),
+    p in (0, 1], gamma is finite and positive, monotone is 0 or 1, delta,
+    every gain and every weight are finite, an ``a`` line has three fields,
+    a ``bucket`` line a ``:``, a counter is ``name:count`` and a weight
+    pair ``id:weight``.
     """
     fields, lists = parse_lines(text, "summary file", repeatable=("a", "bucket"))
     for key in fields:
@@ -205,7 +211,7 @@ def parse_summary(text: str) -> Summary:
     audit = StreamAudit()
     for key, name in _AUDIT_FIELDS.items():
         if key in _PAIR_KEYS:
-            pairs = _parse_pairs(fields.get(key, ""))
+            pairs = _parse_pairs(key, fields.get(key, ""))
             setattr(audit, name, pairs)
             id_lists.append((key, [e for e, _ in pairs]))
         else:
@@ -221,9 +227,17 @@ def parse_summary(text: str) -> Summary:
     epsilon = check_parameter("epsilon", float(fields["epsilon"]), "summary key 'epsilon'", fields["epsilon"])
     monotone = _checked("monotone", fields["monotone"], int, lambda m: m in (0, 1), "0 or 1")
     delta = _checked("delta", fields["delta"], float, math.isfinite, "finite")
+    n = _checked("n", fields["n"], int, lambda n: n >= 0, "non-negative")
+    gamma = sample_prob = peak_memory = None  # the streaming keys
+    if "gamma" in fields:
+        gamma = _checked("gamma", fields["gamma"], float, lambda g: 0.0 < g < math.inf, "finite and positive")
+    if "p" in fields:
+        sample_prob = _checked("p", fields["p"], float, lambda p: 0.0 < p <= 1.0, "in (0, 1]")
+    if "peak_memory" in fields:
+        peak_memory = _checked("peak_memory", fields["peak_memory"], int, lambda m: m >= 0, "non-negative")
     # a streaming n counts arrivals, and an arrival order may cover part of
     # the ground set, so streaming ids are only checked for sign
-    limit = int(fields["n"]) if fields["mode"] == "centralized" else None
+    limit = n if fields["mode"] == "centralized" else None
     for key, ids in id_lists:
         for e in ids:
             if e < 0 or (limit is not None and e >= limit):
@@ -232,11 +246,14 @@ def parse_summary(text: str) -> Summary:
     counters: dict[str, int] = {}
     if fields.get("counters"):
         for tok in fields["counters"].split(","):
-            name, _, count = tok.partition(":")
-            once(counters, name, int(count), "summary key 'counters': counter")
+            name, sep, count = tok.partition(":")
+            if not sep:
+                raise ValueError(f"summary key 'counters': {tok!r} is not name:count")
+            count = _checked("counters", count, int, lambda c: c >= 0, "non-negative")
+            once(counters, name, count, "summary key 'counters': counter")
     return Summary(
         mode=fields["mode"],
-        n=int(fields["n"]),
+        n=n,
         k=k,
         d=d,
         epsilon=epsilon,
@@ -248,9 +265,9 @@ def parse_summary(text: str) -> Summary:
         top_buffer=top_buffer,
         exponents=numbers(fields.get("exponents", "")),
         counters=counters,
-        gamma=float(fields["gamma"]) if "gamma" in fields else None,
-        sample_prob=float(fields["p"]) if "p" in fields else None,
-        peak_memory=int(fields["peak_memory"]) if "peak_memory" in fields else None,
+        gamma=gamma,
+        sample_prob=sample_prob,
+        peak_memory=peak_memory,
         audit=audit if any(key in fields for key in _AUDIT_FIELDS) else None,
     )
 

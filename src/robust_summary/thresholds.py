@@ -4,9 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
 
 
 class PowerLadder:
@@ -58,19 +55,6 @@ class PowerLadder:
         while self.power(guess) > x:
             guess -= 1
         return guess
-
-    def floor_exponents(self, xs: Sequence[float]) -> list[int]:
-        """``[floor_exponent(x) for x in xs]`` by one search in a table of powers.
-
-        The evaluated powers never decrease with i (see the class), so
-        counting the table entries <= x finds the largest such i, as
-        floor_exponent does.
-        """
-        if not len(xs):
-            return []
-        low, high = self.floor_exponent(min(xs)), self.floor_exponent(max(xs))
-        table = [self.power(i) for i in range(low, high + 2)]
-        return (np.searchsorted(table, xs, side="right") + (low - 1)).tolist()
 
     def ceil_exponent(self, x: float) -> int:
         """Smallest i with power(i) >= x.  Requires x > 0."""

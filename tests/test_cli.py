@@ -518,6 +518,10 @@ def test_malformed_instance_file_is_a_clean_error(tmp_path, capsys, line, messag
         ("a=1,0,2.0,5", "summary key 'a': '1,0,2.0,5' is not element,exponent,gain"),
         ("a=1,0,nan", "summary key 'a' must be finite, got 'nan'"),
         ("a=1,0,-inf", "summary key 'a' must be finite, got '-inf'"),
+        ("weight_log=1:2:3", "summary key 'weight_log': '1:2:3' is not id:weight"),
+        ("weight_log=1", "summary key 'weight_log': '1' is not id:weight"),
+        ("audit_swapped_out=1:2:3", "summary key 'audit_swapped_out': '1:2:3' is not id:weight"),
+        ("counters=x", "summary key 'counters': 'x' is not name:count"),
     ],
 )
 def test_malformed_summary_file_is_a_clean_error(tmp_path, capsys, line, message):
@@ -546,6 +550,18 @@ def test_malformed_summary_file_is_a_clean_error(tmp_path, capsys, line, message
         ("d=-1", "summary key 'd' must be non-negative, got '-1'"),
         ("delta=inf", "summary key 'delta' must be finite, got 'inf'"),
         ("delta=nan", "summary key 'delta' must be finite, got 'nan'"),
+        ("gamma=nan", "summary key 'gamma' must be finite and positive, got 'nan'"),
+        ("gamma=inf", "summary key 'gamma' must be finite and positive, got 'inf'"),
+        ("gamma=0", "summary key 'gamma' must be finite and positive, got '0'"),
+        ("p=-2", "summary key 'p' must be in (0, 1], got '-2'"),
+        ("p=0", "summary key 'p' must be in (0, 1], got '0'"),
+        ("p=inf", "summary key 'p' must be in (0, 1], got 'inf'"),
+        ("p=nan", "summary key 'p' must be in (0, 1], got 'nan'"),
+        ("n=-3", "summary key 'n' must be non-negative, got '-3'"),
+        ("peak_memory=-4", "summary key 'peak_memory' must be non-negative, got '-4'"),
+        ("counters=x:-1", "summary key 'counters' must be non-negative, got '-1'"),
+        ("weight_log=1:nan", "summary key 'weight_log' must be finite, got 'nan'"),
+        ("audit_swapped_out=1:-inf", "summary key 'audit_swapped_out' must be finite, got '-inf'"),
     ],
 )
 def test_summary_value_out_of_its_range_is_a_clean_error(tmp_path, capsys, line, message):

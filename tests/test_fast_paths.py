@@ -7,7 +7,8 @@ the outputs must agree byte for byte, and so must the query tallies.
 ``stream_summary`` also runs against ``helpers.literal_stream_summary``,
 which re-derives the weights, the window and the capped buckets it reuses
 and refiles every element at every change of the candidate, also on
-float-adversarial streams whose gains sit on bucket edges or below 1/DBL_MAX.
+float-adversarial streams whose gains sit on bucket edges or below 1/DBL_MAX,
+and ``ingest``, fed one arrival at a time, must give its bytes and queries.
 """
 
 import numpy as np
@@ -16,10 +17,13 @@ import pytest
 from robust_summary import (
     CentralizedConfig,
     StreamingConfig,
+    StreamState,
     build_summary,
+    finalize,
     format_summary,
     generate_instance,
     greedy_matroid,
+    ingest,
     make_cut_function,
     make_facility_location,
     make_graphic,
@@ -131,6 +135,26 @@ def test_stream_summary_matches_literal_loop(case):
             assert fast.queries < literal.queries
         drained += summary.counters["drained"]
     assert drained
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_ingest_one_arrival_at_a_time_matches_stream_summary(case):
+    for seed in SEEDS:
+        objective, matroid, monotone = CASES[case](seed)
+        config = StreamingConfig(
+            epsilon=EPSILON, d=D, monotone_mode=monotone, seed=seed, audit=True
+        )
+        order = np.random.default_rng(seed + 100).permutation(objective.n)
+        whole, single = objective.clone(), objective.clone()
+        summary = stream_summary(whole, matroid, config, order)
+        state = StreamState(config, matroid.k)
+        rng = np.random.default_rng(config.seed)
+        for element in order:
+            ingest(state, element, single, matroid, rng)
+        assert format_summary(finalize(state), include_audit=True) == format_summary(
+            summary, include_audit=True
+        )
+        assert single.queries == whole.queries
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -359,6 +359,20 @@ def test_streaming_summary_ids_are_not_bounded_by_arrivals():
 
 
 @pytest.mark.parametrize(
+    "line",
+    ["gamma=nan", "p=-2", "p=0", "n=-3", "peak_memory=-4", "counters=drained:-1",
+     "weight_log=3:nan", "audit_swapped_out=3:inf", "weight_log=3:1.0:2"],
+)
+def test_streaming_summary_refuses_a_value_out_of_its_range(line):
+    # each of these once parsed, and verify then passed the summary
+    text = _streaming_text()
+    assert parse_summary(text).sample_prob == 1.0
+    key = line.partition("=")[0]
+    with pytest.raises(ValueError, match=rf"^summary key '{key}'"):
+        parse_summary(_with_line(text, line))
+
+
+@pytest.mark.parametrize(
     "spec, key",
     [
         ("uniform kk=2", "k"),

@@ -117,8 +117,15 @@ def test_every_subnormal_has_a_lattice_point_at_or_below_it(base):
         # 1e-311 and the like sit above a positive lattice point
         if x >= 1e-320:
             assert ladder.power(i) > 0.0
-    assert ladder.floor_exponents(xs) == expected
-    assert ladder.floor_exponents(sorted(xs)) == sorted(expected)
+    # a window over the subnormals files each gain as the literal rule does
+    state = _state(base - 1.0)
+    for delta in (1e-309, 2.2250738585072014e-308):
+        state.raise_delta(delta)
+        assert state.tau_min > 0.0 and state.window
+        for x, i in zip(xs, expected):
+            assert state.filing_exponent(x) == _literal_filing_exponent(state, x)
+            if x >= state.ladder.power(state.min_active_exponent):
+                assert state.filing_exponent(x) == i
 
 
 def test_lattice_rejects_bad_parameters():
@@ -128,30 +135,95 @@ def test_lattice_rejects_bad_parameters():
         threshold_lattice(1.0, 3, 1.5)
 
 
-@pytest.mark.parametrize("base", [1.001, 1.05, 1.1, 1.2, 1.9])
-def test_floor_exponents_match_floor_exponent(base):
-    ladder = PowerLadder(base)
-    xs = []
-    for i in list(range(-60, 61)) + [-400, -700, 500]:
-        p = ladder.power(i)
-        xs += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
-    # subnormals, down to the smallest positive double
-    xs += [5e-324, 1e-320, 2.2e-308, math.nextafter(2.2250738585072014e-308, 0.0)]
-    xs = [x for x in xs if x > 0.0]
-    expected = [ladder.floor_exponent(x) for x in xs]
-    assert ladder.floor_exponents(xs) == expected
-    assert all(type(i) is int for i in ladder.floor_exponents(xs))
-    assert ladder.floor_exponents(xs[::-1]) == expected[::-1]
-    for x in xs[:30]:
-        assert ladder.floor_exponents([x]) == [ladder.floor_exponent(x)]
-    assert ladder.floor_exponents([]) == []
+def _state(epsilon, k=3):
+    return StreamState(StreamingConfig(epsilon=epsilon, d=1), k)
 
 
-def test_floor_exponents_reject_non_positive_values():
-    ladder = PowerLadder(1.1)
-    for xs in ([1.0, 0.0], [-2.0], [3.0, -0.0]):
-        with pytest.raises(ValueError, match="positive argument"):
-            ladder.floor_exponents(xs)
+def _literal_filing_exponent(state, gain):
+    """The filing rule as written: floor_exponent and the two window checks."""
+    if not gain > 0.0 or state.tau_min > gain:
+        return None
+    exponent = state.ladder.floor_exponent(gain)
+    low = state.min_active_exponent
+    return None if low is not None and exponent < low else exponent
+
+
+def _probes(state, low, high):
+    """Each lattice point from ``low`` to ``high``, and one step either side of it."""
+    gains = []
+    for i in range(low, high + 1):
+        p = state.ladder.power(i)
+        gains += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    return [g for g in gains if 0.0 < g < math.inf]
+
+
+class _CountingLadder(PowerLadder):
+    calls = 0
+
+    def floor_exponent(self, x):
+        _CountingLadder.calls += 1
+        return super().floor_exponent(x)
+
+
+@pytest.mark.parametrize("epsilon", [0.001, 0.05, 0.1, 0.2, 0.9])
+def test_filing_exponent_matches_the_literal_rule(epsilon):
+    state = _state(epsilon)
+    # no window yet: every positive gain is filed by floor_exponent
+    for gain in _probes(state, -40, 40) + [5e-324, 1e-320, 1e300]:
+        assert state.filing_exponent(gain) == state.ladder.floor_exponent(gain)
+    # delta grows between calls, and the window with it
+    for delta in (1e-300, 0.37, 1.0, 2.5e3, 1e200):
+        state.raise_delta(delta)
+        low, top = state.min_active_exponent, state.ladder.floor_exponent(delta) + 1
+        assert state.window == [state.ladder.power(i) for i in range(low, top + 1)]
+        gains = _probes(state, low - 3, top + 3)
+        # under tau_min, between tau_min and the lowest lattice point, above the top
+        gains += [state.tau_min, math.nextafter(state.tau_min, 0.0), delta, 10.0 * delta]
+        gains += [state.ladder.power(top + 5) * 1.5, 1e300]
+        for gain in gains:
+            exponent = state.filing_exponent(gain)
+            assert exponent == _literal_filing_exponent(state, gain), (delta, gain)
+            assert exponent is None or type(exponent) is int
+        # the gains above the window are filed, each above the table's top
+        assert state.filing_exponent(10.0 * delta) > top >= state.filing_exponent(delta)
+
+
+def test_filing_exponent_asks_the_ladder_only_outside_the_window():
+    state = _state(0.2)
+    state.ladder.__class__ = _CountingLadder
+    state.raise_delta(7.0)
+    top = state.ladder.floor_exponent(7.0) + 1
+    before = _CountingLadder.calls
+    for gain in _probes(state, state.min_active_exponent - 2, top - 1) + [7.0]:
+        state.filing_exponent(gain)
+    assert _CountingLadder.calls == before
+    assert state.filing_exponent(state.ladder.power(top)) == top
+    assert _CountingLadder.calls == before + 1
+
+
+def test_filing_exponent_files_no_zero_negative_or_nan_gain():
+    state = _state(0.1)
+    # no anchor, a subnormal anchor with no window, then a window
+    for delta in (None, 5e-324, 1.0):
+        if delta is not None:
+            state.raise_delta(delta)
+        for gain in (0.0, -0.0, -5e-324, -1.0, -math.inf, math.nan):
+            assert state.filing_exponent(gain) is None
+            assert _literal_filing_exponent(state, gain) is None
+
+
+def test_a_subnormal_anchor_leaves_no_window():
+    state = _state(0.4, k=1)
+    state.raise_delta(5e-324)
+    # tau_min underflows to 0: the window stays open and its table empty
+    assert state.tau_min == 0.0 and state.min_active_exponent is None and state.window == []
+    for gain in [5e-324, 1e-320, 2.2e-308, 0.5, 3.0, 1e300]:
+        assert state.filing_exponent(gain) == state.ladder.floor_exponent(gain)
+        assert state.filing_exponent(gain) == _literal_filing_exponent(state, gain)
+    # the first anchor with a positive tau_min opens the window
+    state.raise_delta(1.0)
+    assert state.min_active_exponent is not None and state.window
+    assert state.filing_exponent(1e-320) is None
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, 2.0, math.nan, math.inf])
