@@ -10,8 +10,7 @@ monotone) and the non-monotone streaming factor at the stream's swap margin
 from __future__ import annotations
 
 from .streaming import swap_margin
-
-MODES = ("centralized", "streaming")
+from .summary import MODES
 
 
 def theoretical_bound(mode: str, monotone: bool, beta: float, epsilon: float) -> float:

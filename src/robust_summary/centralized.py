@@ -11,12 +11,12 @@ The scans are lazy (Minoux 1978): the solution only grows during the sweep,
 so by submodularity a gain computed earlier bounds every later gain from
 above, and by downward closure an element that once made the solution
 dependent never fits again.  Skipping such elements yields exactly the
-buckets of a full rescan with fewer oracle queries.  The bound holds bit
-for bit for an objective with ``exact_gains``; a gain that is a difference
-of two float values can come back an ulp higher after the solution grows,
-so for such an objective a cached gain skips an element only when it sits
-below tau by more than a relative slack, orders of magnitude above
-rounding error.
+buckets of a full rescan with fewer oracle queries.  The gain skip needs
+``exact_gains``, where the bound holds bit for bit; a gain that is a
+difference of two float values can come back an ulp higher after the
+solution grows, so an objective without exact gains has every feasible
+pool element asked at every scan, as the plain sweep does.  The
+infeasible skip holds for every objective.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .matroids import Matroid
-from .objectives import Objective
+from .objectives import Objective, check_monotone_mode
 from .summary import Summary, SummaryEntry
 from .thresholds import check_parameter, threshold_lattice
 
@@ -76,20 +76,19 @@ def compute_delta(values: Sequence[float], d: int) -> tuple[float, list[int]]:
     return delta, top
 
 
-def _scan_bucket(pool, solution, tau, objective, matroid, gain_cache, infeasible, accepted):
+def _scan_bucket(pool, solution, tau, objective, matroid, gain_cache, infeasible):
     """Current bucket at threshold tau: feasible pool elements with gain >= tau.
 
-    Skips elements whose cached gain sits below tau, and elements already
-    known to be infeasible; the rest are rechecked, and their fresh gains
-    refresh the cache.  Both skips are exact because the solution only
-    grows: gains only shrink (submodularity) and feasibility never returns
-    once lost (downward closure), so a full rescan would reject the skipped
-    elements too.  Without ``exact_gains`` a cached gain must sit below tau
-    by more than the slack ``1e-9 * (accepted + tau)``, ``accepted`` being
-    the sum of the gains accepted so far.
+    Skips elements already known to be infeasible and, with ``exact_gains``,
+    elements whose cached gain sits below tau; the rest are rechecked, and
+    their fresh gains refresh the cache.  Both skips are exact because the
+    solution only grows: feasibility never returns once lost (downward
+    closure), and exact gains only shrink (submodularity), so a full rescan
+    would reject the skipped elements too.  Without exact gains a cached
+    gain bounds nothing, and every feasible element is asked.
     """
-    floor = tau if objective.exact_gains else tau - 1e-9 * (accepted + tau)
-    checked = [e for e in pool if not (e in infeasible or gain_cache[e] < floor)]
+    exact = objective.exact_gains
+    checked = [e for e in pool if not (e in infeasible or exact and gain_cache[e] < tau)]
     fresh: list[int] = []
     for e, fits in zip(checked, matroid.fits_each(checked, solution)):
         if fits:
@@ -121,6 +120,7 @@ def build_summary(
         raise ValueError("instance is empty")
     if matroid.n != objective.n:
         raise ValueError("objective and matroid ground sets differ")
+    check_monotone_mode(objective, config.monotone_mode)
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
@@ -139,21 +139,17 @@ def build_summary(
     entries: list[SummaryEntry] = []
     # replaced on every pick, never mutated: the oracles know it by identity
     solution: frozenset[int] = frozenset()
-    accepted = 0.0
     leftover: dict[int, list[int]] = {}
 
     for exponent in lattice.exponents:
         tau = lattice.power(exponent)
         while True:
-            bucket, gains = _scan_bucket(
-                pool, solution, tau, objective, matroid, gain_cache, infeasible, accepted
-            )
+            bucket, gains = _scan_bucket(pool, solution, tau, objective, matroid, gain_cache, infeasible)
             if len(bucket) < cap:
                 break
             pick = bucket[int(rng.integers(len(bucket)))]
             entries.append(SummaryEntry(pick, exponent, gains[pick]))
             solution = solution | {pick}
-            accepted += gains[pick]
             pool.remove(pick)
             if config.audit and not matroid.is_independent(solution):
                 raise AssertionError("candidate solution became dependent")

@@ -17,7 +17,7 @@ from .grammar import read_ids
 from .instance import read_instance, write_instance
 from .solvers import SOLVER_NAMES, SolverKind, solve_after_deletions
 from .streaming import StreamingConfig, stream_summary
-from .summary import read_summary, write_summary
+from .summary import MODES, read_summary, write_summary
 from .verify import verify_summary
 
 
@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("summarize", help="run the first phase and write a summary file")
-    p.add_argument("--mode", choices=("centralized", "streaming"), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--instance", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bound", help="evaluate the approximation-factor formula")
-    p.add_argument("--mode", choices=("centralized", "streaming"), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--monotone", action="store_true")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)

@@ -23,7 +23,7 @@ from .generators import generate_instance
 from .instance import Instance, format_instance, read_instance
 from .solvers import SOLVER_NAMES, SolverKind, solve_after_deletions
 from .streaming import StreamingConfig, stream_summary
-from .summary import Summary
+from .summary import MODES, Summary
 from .verify import check_weight_properties, structural_checks
 
 CSV_HEADER = "# robust-summary csv v1"
@@ -59,7 +59,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trial count must be at least 1")
-        if self.mode not in ("centralized", "streaming"):
+        if self.mode not in MODES:
             raise ValueError("mode must be centralized or streaming")
         if self.order not in ("identity", "shuffle"):
             raise ValueError("order must be identity or shuffle")

@@ -42,13 +42,19 @@ class Objective(GroundSet):
     nearest is monotone, so every float gain is its exact gain rounded once:
     a gain never rises as S grows (the gains are exactly submodular), a gain
     whose exact value is unchanged is bit-identical, and value({e}) equals
-    the gain of e at the empty set.  The builders and the greedy rely on
-    this and keep no float slack.  A class that defines only ``_value``
+    the gain of e at the empty set.  The lazy paths rely on this: the
+    centralized scan skips an element by its cached gain, the greedy
+    recomputes only the entries that reach the top of its heap, and the
+    stream reuses filed gains.  A class that defines only ``_value``
     (``exact_gains`` False) gets the gain f(S+e) - f(S) as a difference of
-    two float values, which may come back an ulp higher after S grows; the
-    builders and the greedy keep a float slack for it, and the stream
-    refiles every filed element at each change.  ``exact_gains`` is a fact
-    of the class, not an option.
+    two float values, which may come back an ulp higher after S grows, so
+    a remembered gain bounds nothing: the scan and the greedy ask every
+    feasible element after each pick, as their plain forms do, and the
+    stream refiles every filed element at each change.  A class opts into
+    the lazy paths by giving exact gains, as the built-ins do: ``_gain``
+    and ``_gains_with`` as one ``math.fsum`` of e's own terms, ``_value``
+    as the fsum of the terms of S, and ``exact_gains = True``.
+    ``exact_gains`` is a fact of the class, not an option.
 
     One gain, one call.  marginal() asks the class's one-element ``_gain``,
     which sums the same terms as the batched ``_gains_with``; gains() asks
@@ -202,6 +208,16 @@ class Objective(GroundSet):
         A class overrides it where one element can skip the batch bookkeeping.
         """
         return self._gains_with(state, [e], s)[0]
+
+
+def check_monotone_mode(objective: Objective, monotone_mode: bool) -> None:
+    """Raise when monotone mode is asked of an objective that is not monotone.
+
+    Monotone mode uses the monotone bucket cap and swap margin, whose
+    guarantee holds for monotone objectives only.
+    """
+    if monotone_mode and not objective.monotone:
+        raise ValueError(f"monotone mode needs a monotone objective; {objective.kind} is not")
 
 
 def _check_weights(weights: np.ndarray, what: str) -> None:

@@ -58,66 +58,48 @@ def greedy_matroid(ground: Iterable[int], objective: Objective, matroid: Matroid
 
     Ties break toward the smaller id; stops when nothing improves, or at a
     basis (``matroid.k`` picks), where no element fits any more.  Lazy
-    (Minoux 1978): a heap of ``(-gain, id, picks)`` entries, ``picks`` being
-    how many elements were chosen when the gain was computed.  With
-    ``exact_gains`` an older gain bounds its fresh gain bit for bit, so an
+    (Minoux 1978) with ``exact_gains``: a heap of ``(-gain, id, picks)``
+    entries, ``picks`` being how many elements were chosen when the gain was
+    computed.  An older exact gain bounds its fresh gain bit for bit, so an
     entry that reaches the top with a fresh gain beats every other entry's
-    fresh key, and only the entries that reach the top are recomputed.  An
-    element that stops being independent of the picks is dropped for good:
-    the picks only grow and independence is downward closed.  So stopping
-    at a basis returns the same picks and asks the same queries as draining
-    the heap, whose remaining entries would all be dropped unasked.
+    fresh key, and only the entries that reach the top are recomputed.
+    Without exact gains an older gain bounds nothing, so every element still
+    on the heap is asked afresh after each pick: the plain greedy's queries.
+    An element that stops being independent of the picks is dropped for
+    good: the picks only grow and independence is downward closed.  So
+    stopping at a basis returns the same picks and asks the same queries as
+    draining the heap, whose remaining entries would all be dropped unasked.
     """
     # replaced on every pick, never mutated: the oracles know it by identity
     chosen: frozenset[int] = frozenset()
-    elements = sorted(set(int(e) for e in ground))
-    feasible = [e for e, fits in zip(elements, matroid.fits_each(elements, chosen)) if fits]
-    heap = [(-gain, e, 0) for e, gain in zip(feasible, objective.gains(feasible, chosen))]
-    # the first round, all at once; the (gain, id) pairs are unique, so the
-    # pops follow from the entries alone, however the heap arranges them
-    heapq.heapify(heap)
-    accepted = 0.0
+    heap = _fresh_heap(sorted(set(int(e) for e in ground)), objective, matroid, chosen)
     while heap:
         key, e, stamp = heapq.heappop(heap)
         if stamp != len(chosen):
             if matroid.fits(e, chosen):
                 heapq.heappush(heap, (-objective.marginal(e, chosen), e, len(chosen)))
             continue
-        if not objective.exact_gains:
-            key, e = _settle_near_ties(heap, key, e, chosen, accepted, objective, matroid)
         if key >= 0.0:
             break
         chosen = chosen | {e}
-        accepted -= key
         if len(chosen) == matroid.k:
             break
+        if not objective.exact_gains:
+            heap = _fresh_heap([x for _, x, _ in heap], objective, matroid, chosen)
     return sorted(chosen)
 
 
-def _settle_near_ties(heap, key, e, chosen, accepted, objective, matroid) -> tuple[float, int]:
-    """The best ``(-gain, id)`` among the fresh top entry and the entries near it.
+def _fresh_heap(elements, objective, matroid, chosen) -> list[tuple[float, int, int]]:
+    """A heap of ``(-gain, id, len(chosen))`` over the elements that fit ``chosen``.
 
-    A gain that is a difference of two float values is not exactly
-    submodular: a stale bound can sit an ulp below its fresh gain and hide
-    a tie the smaller id must win.  So every entry within a relative slack
-    of the top is refreshed; rounding error is many orders of magnitude
-    below it.  The entries not returned go back on the heap, fresh.
+    One ``fits_each`` and one ``gains`` call.  The (gain, id) pairs are
+    unique, so the pops follow from the entries alone, however the heap
+    arranges them.
     """
-    top = -key
-    slack = 1e-9 * (accepted + top)
-    window = [(key, e)]
-    while heap and -heap[0][0] >= top - slack:
-        key, e, stamp = heapq.heappop(heap)
-        if stamp != len(chosen):
-            if not matroid.fits(e, chosen):
-                continue
-            key = -objective.marginal(e, chosen)
-        window.append((key, e))
-    best = min(window)
-    for entry in window:
-        if entry != best:
-            heapq.heappush(heap, (*entry, len(chosen)))
-    return best
+    feasible = [e for e, fits in zip(elements, matroid.fits_each(elements, chosen)) if fits]
+    heap = [(-gain, e, len(chosen)) for e, gain in zip(feasible, objective.gains(feasible, chosen))]
+    heapq.heapify(heap)
+    return heap
 
 
 def exhaustive_opt(ground: Iterable[int], objective: Objective, matroid: Matroid) -> list[int]:

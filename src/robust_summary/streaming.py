@@ -50,7 +50,7 @@ from typing import Iterable
 import numpy as np
 
 from .matroids import Matroid
-from .objectives import Objective
+from .objectives import Objective, check_monotone_mode
 from .summary import StreamAudit, Summary, SummaryEntry
 from .thresholds import PowerLadder, check_parameter
 
@@ -221,7 +221,8 @@ def _arrive(
     Outside a drain no bucket is at the cap, so only the bucket the popped
     element is filed into can reach it, and only then is the drain called.
     A refused arrival (a repeat, or an id outside the ground set) raises
-    before it changes any state.
+    before it changes any state, and so does monotone mode on an objective
+    that is not monotone.
 
     The popped element is filed by its singleton value, without a marginal,
     when the objective has exact gains and no candidate member lists it in
@@ -230,6 +231,7 @@ def _arrive(
     The popped element never was a member, since each element arrives once
     and only filed elements enter the candidate.
     """
+    check_monotone_mode(objective, state.config.monotone_mode)
     d, cap, exact = state.config.d, state.drain_cap, objective.exact_gains
     value_of, marginal = objective.value, objective.marginal
     seen, top_buffer, buckets, gains = state.seen, state.top_buffer, state.buckets, state.gains

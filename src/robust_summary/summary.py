@@ -10,6 +10,10 @@ from .grammar import numbers, once, parse_lines
 from .thresholds import check_parameter
 
 
+# the two builders, as a summary file names them
+MODES = ("centralized", "streaming")
+
+
 @dataclass(frozen=True)
 class SummaryEntry:
     """One candidate-solution insertion: element, threshold exponent, gain.
@@ -143,7 +147,7 @@ def write_summary(summary: Summary, path, include_audit: bool = False) -> None:
     Path(path).write_text(format_summary(summary, include_audit=include_audit), encoding="utf-8")
 
 
-def _parse_pairs(key: str, text: str) -> list[tuple[int, float]]:
+def _parse_pairs(key: str, text: str, limit: int | None) -> list[tuple[int, float]]:
     """The ``id:weight`` pairs of summary key ``key``; every weight must be finite."""
     text = text.strip()
     if not text:
@@ -154,7 +158,7 @@ def _parse_pairs(key: str, text: str) -> list[tuple[int, float]]:
         if len(parts) != 2:
             raise ValueError(f"summary key {key!r}: {tok!r} is not id:weight")
         e, w = parts
-        out.append((int(e), _checked(key, w, float, math.isfinite, "finite")))
+        out.append((_read_id(key, e, limit), _checked(key, w, float, math.isfinite, "finite")))
     return out
 
 
@@ -179,8 +183,10 @@ _IGNORED_KEYS = ("bucket_mode", "drain_order")
 def parse_summary(text: str) -> Summary:
     """Read a summary file's text; raises ValueError on a malformed or out-of-range line.
 
-    Ids must be non-negative; in a centralized summary they must also be
-    below n.  As every builder writes them, k is at least 1, n, d,
+    Every error names its key.  The mode is centralized or streaming, an
+    integer key holds an integer and a float key a number.  Ids must be
+    non-negative; in a centralized summary they must also be below n.  As
+    every builder writes them, k is at least 1, n, d,
     peak_memory and every counter are non-negative, epsilon lies in (0, 1),
     p in (0, 1], gamma is finite and positive, monotone is 0 or 1, delta,
     every gain and every weight are finite, an ``a`` line has three fields,
@@ -191,40 +197,14 @@ def parse_summary(text: str) -> Summary:
     for key in fields:
         if key not in _KNOWN_KEYS and key not in _AUDIT_FIELDS and key not in _IGNORED_KEYS:
             raise ValueError(f"unknown summary key: {key!r}")
-    id_lists: list[tuple[str, list[int]]] = []  # (key, ids) of every id-bearing line
-    candidate: dict[int, SummaryEntry] = {}
-    for value in lists["a"]:
-        parts = value.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"summary key 'a': {value!r} is not element,exponent,gain")
-        e, exp, gain = parts
-        entry = SummaryEntry(int(e), int(exp), _checked("a", gain, float, math.isfinite, "finite"))
-        once(candidate, entry.element, entry, "summary key 'a': element")
-        id_lists.append(("a", [entry.element]))
-    buckets: dict[int, list[int]] = {}
-    for value in lists["bucket"]:
-        exp, sep, ids = value.partition(":")
-        if not sep:
-            raise ValueError(f"summary key 'bucket': {value!r} has no ':'")
-        once(buckets, int(exp), numbers(ids), "summary file: bucket exponent")
-        id_lists.append(("bucket", buckets[int(exp)]))
-    audit = StreamAudit()
-    for key, name in _AUDIT_FIELDS.items():
-        if key in _PAIR_KEYS:
-            pairs = _parse_pairs(key, fields.get(key, ""))
-            setattr(audit, name, pairs)
-            id_lists.append((key, [e for e, _ in pairs]))
-        else:
-            setattr(audit, name, numbers(fields.get(key, "")))
-            id_lists.append((key, getattr(audit, name)))
-    top_buffer = numbers(fields.get("vd", ""))
-    id_lists += [("vd", top_buffer), ("b", numbers(fields.get("b", "")))]
     for required in ("mode", "n", "k", "d", "epsilon", "monotone", "seed", "delta"):
         if required not in fields:
             raise ValueError(f"summary file is missing {required!r}")
-    k = check_parameter("k", int(fields["k"]), "summary key 'k'", fields["k"])
-    d = check_parameter("d", int(fields["d"]), "summary key 'd'", fields["d"])
-    epsilon = check_parameter("epsilon", float(fields["epsilon"]), "summary key 'epsilon'", fields["epsilon"])
+    mode = _checked("mode", fields["mode"], str, lambda m: m in MODES, "centralized or streaming")
+    k = check_parameter("k", _checked("k", fields["k"], int), "summary key 'k'", fields["k"])
+    d = check_parameter("d", _checked("d", fields["d"], int), "summary key 'd'", fields["d"])
+    epsilon = _checked("epsilon", fields["epsilon"], float)
+    epsilon = check_parameter("epsilon", epsilon, "summary key 'epsilon'", fields["epsilon"])
     monotone = _checked("monotone", fields["monotone"], int, lambda m: m in (0, 1), "0 or 1")
     delta = _checked("delta", fields["delta"], float, math.isfinite, "finite")
     n = _checked("n", fields["n"], int, lambda n: n >= 0, "non-negative")
@@ -237,12 +217,28 @@ def parse_summary(text: str) -> Summary:
         peak_memory = _checked("peak_memory", fields["peak_memory"], int, lambda m: m >= 0, "non-negative")
     # a streaming n counts arrivals, and an arrival order may cover part of
     # the ground set, so streaming ids are only checked for sign
-    limit = n if fields["mode"] == "centralized" else None
-    for key, ids in id_lists:
-        for e in ids:
-            if e < 0 or (limit is not None and e >= limit):
-                where = f"outside range [0, {limit})" if limit is not None else "is negative"
-                raise ValueError(f"summary key {key!r}: element id {e} {where}")
+    limit = n if mode == "centralized" else None
+    candidate: dict[int, SummaryEntry] = {}
+    for value in lists["a"]:
+        parts = value.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"summary key 'a': {value!r} is not element,exponent,gain")
+        e, exp, gain = parts
+        gain = _checked("a", gain, float, math.isfinite, "finite")
+        entry = SummaryEntry(_read_id("a", e, limit), _checked("a", exp, int), gain)
+        once(candidate, entry.element, entry, "summary key 'a': element")
+    buckets: dict[int, list[int]] = {}
+    for value in lists["bucket"]:
+        exp, sep, ids = value.partition(":")
+        if not sep:
+            raise ValueError(f"summary key 'bucket': {value!r} has no ':'")
+        once(buckets, _checked("bucket", exp, int), _read_ids("bucket", ids, limit),
+             "summary file: bucket exponent")
+    audit = StreamAudit()
+    for key, name in _AUDIT_FIELDS.items():
+        read = _parse_pairs if key in _PAIR_KEYS else _read_ids
+        setattr(audit, name, read(key, fields.get(key, ""), limit))
+    _read_ids("b", fields.get("b", ""), limit)  # the reservoir: derived, only checked
     counters: dict[str, int] = {}
     if fields.get("counters"):
         for tok in fields["counters"].split(","):
@@ -252,18 +248,18 @@ def parse_summary(text: str) -> Summary:
             count = _checked("counters", count, int, lambda c: c >= 0, "non-negative")
             once(counters, name, count, "summary key 'counters': counter")
     return Summary(
-        mode=fields["mode"],
+        mode=mode,
         n=n,
         k=k,
         d=d,
         epsilon=epsilon,
         monotone=bool(monotone),
-        seed=int(fields["seed"]),
+        seed=_checked("seed", fields["seed"], int),
         delta=delta,
         entries=list(candidate.values()),
         buckets=buckets,
-        top_buffer=top_buffer,
-        exponents=numbers(fields.get("exponents", "")),
+        top_buffer=_read_ids("vd", fields.get("vd", ""), limit),
+        exponents=numbers(fields.get("exponents", ""), lambda t: _checked("exponents", t, int)),
         counters=counters,
         gamma=gamma,
         sample_prob=sample_prob,
@@ -272,12 +268,34 @@ def parse_summary(text: str) -> Summary:
     )
 
 
-def _checked(key: str, text: str, convert, ok, want: str):
-    """``convert(text)``, the value of summary key ``key``; an error unless it is ``want``."""
-    value = convert(text)
-    if not ok(value):
+def _checked(key: str, text: str, convert, ok=None, want: str = ""):
+    """``convert(text)``, the value of summary key ``key``; an error unless it is ``want``.
+
+    A text that ``convert`` (int or float) refuses is an error that names
+    the key too.
+    """
+    try:
+        value = convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise ValueError(f"summary key {key!r} must be {kind}, got {text!r}") from None
+    if ok is not None and not ok(value):
         raise ValueError(f"summary key {key!r} must be {want}, got {text!r}")
     return value
+
+
+def _read_id(key: str, text: str, limit: int | None) -> int:
+    """An element id of summary key ``key``: non-negative, and below ``limit`` unless None."""
+    e = _checked(key, text, int)
+    if e < 0 or (limit is not None and e >= limit):
+        where = f"outside range [0, {limit})" if limit is not None else "is negative"
+        raise ValueError(f"summary key {key!r}: element id {e} {where}")
+    return e
+
+
+def _read_ids(key: str, text: str, limit: int | None) -> list[int]:
+    """The comma list of element ids of summary key ``key``; blank text is []."""
+    return numbers(text, lambda t: _read_id(key, t, limit))
 
 
 def read_summary(path) -> Summary:

@@ -130,6 +130,20 @@ class SummedCoverage(Objective):
         return float(self.weights[sorted(set().union(*(self.covers[e] for e in s)))].sum())
 
 
+class Float32Coverage(SummedCoverage):
+    """Weighted coverage as a ``_value``-only objective summed in float32: gains far from exact.
+
+    A gain is a difference of two float32 sums, so it can rise as S grows
+    and can tie or cross a threshold that its exact value does not.
+    """
+
+    kind = "float32-coverage"
+
+    def _value(self, s):
+        covered = sorted(set().union(*(self.covers[e] for e in s)))
+        return float(self.weights[covered].sum(dtype=np.float32))
+
+
 def edge_subset_has_cycle(n_vertices, pairs, chosen):
     """DFS cycle detection over the chosen edge ids."""
     adjacency = {v: [] for v in range(n_vertices)}

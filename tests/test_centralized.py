@@ -14,6 +14,7 @@ from robust_summary import (
     format_summary,
     generate_instance,
     lattice_size_limit,
+    make_cut_function,
     make_modular,
     make_uniform,
     make_weighted_coverage,
@@ -247,3 +248,11 @@ def test_lazy_mode_saves_queries():
 def test_empty_instance_rejected():
     with pytest.raises(ValueError):
         build_summary(make_modular([]), make_uniform(0, 1), _config())
+
+
+def test_monotone_mode_on_a_non_monotone_objective_is_refused():
+    cut = make_cut_function(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.5)])
+    with pytest.raises(ValueError) as raised:
+        build_summary(cut, make_uniform(4, 2), _config(monotone_mode=True))
+    assert str(raised.value) == "monotone mode needs a monotone objective; graph-cut is not"
+    assert cut.queries == 0

@@ -448,6 +448,31 @@ def test_monotone_experiment_on_a_cut_instance_exits_2(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("mode", ["centralized", "streaming"])
+def test_monotone_summarize_on_a_cut_instance_exits_2(tmp_path, capsys, mode):
+    inst, summ = tmp_path / "inst.txt", tmp_path / "summary.txt"
+    main(["gen", "--spec", "cut n=20 p=0.3", "--matroid", "uniform k=3", "--out", str(inst)])
+    capsys.readouterr()
+    _clean_error(capsys, ["summarize", "--mode", mode, "--instance", str(inst), "--epsilon",
+                          "0.2", "--d", "1", "--monotone", "--out", str(summ)],
+                 "monotone mode needs a monotone objective; graph-cut is not")
+    assert not summ.exists()
+
+
+def test_solve_warns_when_more_than_d_elements_are_deleted(tmp_path, capsys):
+    inst, summ, sol = tmp_path / "inst.txt", tmp_path / "summary.txt", tmp_path / "sol.txt"
+    main(["gen", "--spec", "lowerbound k=3 d=2 nzero=5", "--out", str(inst)])  # n=10
+    main(["summarize", "--mode", "centralized", "--instance", str(inst), "--epsilon", "0.25",
+          "--d", "1", "--seed", "1", "--out", str(summ)])
+    capsys.readouterr()
+    assert main(["solve", "--summary", str(summ), "--instance", str(inst), "--delete", "top:3",
+                 "--solver", "greedy", "--out", str(sol)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: deleted set has 3 elements, summary was built for d=1; guarantee void\n"
+    )
+    assert "deleted=" in sol.read_text()
+
+
 def test_greedy_solve_on_a_cut_instance_claims_no_beta(tmp_path):
     inst, summ, sol = tmp_path / "inst.txt", tmp_path / "summary.txt", tmp_path / "sol.txt"
     main(["gen", "--spec", "cut n=20 p=0.3", "--matroid", "uniform k=3", "--seed", "2",
@@ -562,6 +587,21 @@ def test_malformed_summary_file_is_a_clean_error(tmp_path, capsys, line, message
         ("counters=x:-1", "summary key 'counters' must be non-negative, got '-1'"),
         ("weight_log=1:nan", "summary key 'weight_log' must be finite, got 'nan'"),
         ("audit_swapped_out=1:-inf", "summary key 'audit_swapped_out' must be finite, got '-inf'"),
+        ("mode=weird", "summary key 'mode' must be centralized or streaming, got 'weird'"),
+        ("n=abc", "summary key 'n' must be an integer, got 'abc'"),
+        ("seed=x", "summary key 'seed' must be an integer, got 'x'"),
+        ("k=2.5", "summary key 'k' must be an integer, got '2.5'"),
+        ("d=x", "summary key 'd' must be an integer, got 'x'"),
+        ("peak_memory=1e3", "summary key 'peak_memory' must be an integer, got '1e3'"),
+        ("epsilon=x", "summary key 'epsilon' must be a number, got 'x'"),
+        ("delta=x", "summary key 'delta' must be a number, got 'x'"),
+        ("a=x,0,1.0", "summary key 'a' must be an integer, got 'x'"),
+        ("a=1,x,1.0", "summary key 'a' must be an integer, got 'x'"),
+        ("bucket=x:3", "summary key 'bucket' must be an integer, got 'x'"),
+        ("bucket=-2:z", "summary key 'bucket' must be an integer, got 'z'"),
+        ("audit_drained=q", "summary key 'audit_drained' must be an integer, got 'q'"),
+        ("weight_log=x:1.0", "summary key 'weight_log' must be an integer, got 'x'"),
+        ("counters=drained:x", "summary key 'counters' must be an integer, got 'x'"),
     ],
 )
 def test_summary_value_out_of_its_range_is_a_clean_error(tmp_path, capsys, line, message):
@@ -575,6 +615,34 @@ def test_summary_value_out_of_its_range_is_a_clean_error(tmp_path, capsys, line,
     summ.write_text(
         "".join(f"{name}={value}\n" for name, value in header.items())
         + "exponents=-1\nbucket=-1:1,2\nvd=0\nb=0,1,2\n"
+    )
+    for command in (
+        ["verify", "--summary", str(summ), "--instance", str(inst)],
+        ["solve", "--summary", str(summ), "--instance", str(inst), "--delete", "top:1",
+         "--solver", "greedy", "--out", str(tmp_path / "solution.txt")],
+    ):
+        _clean_error(capsys, command, message)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("exponents=a", "summary key 'exponents' must be an integer, got 'a'"),
+        ("exponents=-1,", "summary key 'exponents' must be an integer, got ''"),
+        ("vd=x", "summary key 'vd' must be an integer, got 'x'"),
+        ("b=0,1.5", "summary key 'b' must be an integer, got '1.5'"),
+    ],
+)
+def test_summary_list_of_integers_names_its_key(tmp_path, capsys, line, message):
+    # the line replaces the summary's own line for its key
+    inst, summ = tmp_path / "inst.txt", tmp_path / "summary.txt"
+    inst.write_text("n=5\nobjective=modular\nweights=5,1,2,2,4\nmatroid=uniform k=2\n")
+    key, _, value = line.partition("=")
+    lists = {"exponents": "-1", "vd": "0", "b": "0,1,2"}
+    lists[key] = value
+    summ.write_text(
+        "mode=centralized\nn=5\nk=2\nd=1\nepsilon=0.3\nmonotone=1\nseed=5\ndelta=5.0\n"
+        "bucket=-1:1,2\n" + "".join(f"{name}={ids}\n" for name, ids in lists.items())
     )
     for command in (
         ["verify", "--summary", str(summ), "--instance", str(inst)],

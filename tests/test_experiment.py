@@ -12,23 +12,29 @@ from robust_summary import (
     ExperimentConfig,
     Instance,
     Modular,
+    SolverKind,
     StreamingConfig,
     SummaryEntry,
     build_summary,
     check_weight_properties,
+    choose_deletions,
     format_instance,
     format_summary,
     generate_instance,
     load_experiment_config,
     make_modular,
     make_uniform,
+    parse_strategy,
     parse_summary,
     read_instance,
     run_experiment,
+    solve_after_deletions,
     stream_summary,
     verify_summary,
     write_instance,
 )
+from robust_summary.thresholds import PowerLadder
+from robust_summary.verify import structural_checks
 
 
 def _busy_instance(n=16, k=4):
@@ -329,6 +335,76 @@ def test_verify_flags_inflated_gain():
     corrupted.entries[0] = SummaryEntry(entry.element, entry.exponent, entry.gain + 50.0)
     report = verify_summary(corrupted, inst)
     assert any(c.name == "gain_brackets" for c in report.failures())
+
+
+def _with_gain(summary, index, gain):
+    """The summary re-read from its text, the gain of its index-th ``a=`` line replaced."""
+    lines = format_summary(summary).splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if line.startswith("a=")][index]
+    element, exponent, _ = lines[at][2:].split(",")
+    lines[at] = f"a={element},{exponent},{gain!r}\n"
+    return parse_summary("".join(lines))
+
+
+@pytest.mark.parametrize("mode", ["centralized", "streaming"])
+def test_gain_brackets_flag_a_gain_outside_its_band(mode):
+    rng = np.random.default_rng(5)
+    inst = Instance(make_modular(rng.lognormal(0.0, 1.0, size=60)), make_uniform(60, 8))
+    if mode == "centralized":
+        config = CentralizedConfig(epsilon=0.3, d=2, monotone_mode=True, seed=1)
+        summary = build_summary(inst.objective.clone(), inst.matroid, config)
+    else:
+        config = StreamingConfig(epsilon=0.3, d=2, monotone_mode=True, seed=1)
+        summary = stream_summary(inst.objective.clone(), inst.matroid, config, range(60))
+
+    def brackets(s):
+        (check,) = [c for c in structural_checks(s, inst) if c.name == "gain_brackets"]
+        return check.ok, check.detail
+
+    assert brackets(summary) == (True, "")
+    ladder = PowerLadder(1.3)
+    # an entry below the top exponent whose band ends well under the anchor
+    index, entry = next(
+        (i, entry) for i, entry in enumerate(summary.entries)
+        if entry.exponent < summary.exponents[0]
+        and ladder.power(entry.exponent + 1) + 1e-6 < summary.delta
+    )
+    below = float(np.nextafter(ladder.power(entry.exponent), 0.0))
+    above = ladder.power(entry.exponent + 1) + 1e-6
+    for gain, where in ((below, "below its threshold"), (above, "above its band")):
+        assert brackets(_with_gain(summary, index, gain)) == (
+            False, f"element {entry.element} gain {where}"
+        )
+
+
+def test_identity_order_streams_the_ids_in_order(tmp_path):
+    rng = np.random.default_rng(3)
+    inst = Instance(make_modular(rng.lognormal(0.0, 1.0, size=200)), make_uniform(200, 4))
+    rows = {}
+    for order in ("identity", "shuffle"):
+        config = _experiment_config(
+            tmp_path, mode="streaming", order=order, solver="greedy", opt_method="greedy-bound",
+            out_dir=str(tmp_path / order),
+        )
+        report = run_experiment(config, instance=inst)
+        rows[order] = [(r.strategy, r.seed, r.f_a_prime, r.summary_size, r.peak_mem, r.oracle_calls)
+                       for r in report.rows]
+    expected = []
+    for spec in config.strategies:
+        removed = choose_deletions(inst, parse_strategy(spec))
+        for seed in sorted({row[1] for row in rows["identity"]}):
+            objective = inst.objective.clone()
+            summary = stream_summary(
+                objective, inst.matroid,
+                StreamingConfig(epsilon=0.3, d=3, monotone_mode=True, seed=seed), range(200),
+            )
+            solution = solve_after_deletions(
+                summary, removed, objective, inst.matroid, SolverKind("greedy")
+            )
+            expected.append((spec, seed, solution.a_prime_value, summary.size(),
+                             summary.peak_memory, objective.queries))
+    assert rows["identity"] == expected
+    assert rows["shuffle"] != expected
 
 
 def _cut_experiment(tmp_path, **overrides):

@@ -36,6 +36,7 @@ from robust_summary import (
 from robust_summary.thresholds import PowerLadder
 from helpers import (
     ConcaveOfModular,
+    Float32Coverage,
     LeverConfig,
     SummedCoverage,
     literal_build_summary,
@@ -354,3 +355,45 @@ def test_value_only_gains_keep_their_float_slack():
         assert greedy_matroid(range(40), objective.clone(), uniform) == plain_greedy_matroid(
             range(40), objective.clone(), uniform
         )
+
+
+def _covers(rng):
+    return [np.flatnonzero(rng.random(30) < 0.1).tolist() for _ in range(40)]
+
+
+VALUE_ONLY = {
+    "concave-of-modular": lambda rng, epsilon: ConcaveOfModular(_lattice_weights(rng, 40, epsilon)),
+    "summed-coverage": lambda rng, epsilon: SummedCoverage(
+        _lattice_weights(rng, 30, epsilon), _covers(rng)
+    ),
+    "float32-coverage": lambda rng, epsilon: Float32Coverage(
+        _lattice_weights(rng, 30, epsilon), _covers(rng)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUE_ONLY))
+def test_value_only_objectives_run_the_plain_scan_and_greedy(kind):
+    # a gain without exact_gains bounds nothing, so both ask every feasible
+    # element after every pick; with float slacks instead, 26 of these 200
+    # float32 sweeps and 12 of these 200 float32 greedy runs differed
+    for seed in range(200):
+        rng = np.random.default_rng([seed, 23])
+        epsilon = float(rng.choice([0.1, 0.2, 0.3]))
+        objective = VALUE_ONLY[kind](rng, epsilon)
+        assert not objective.exact_gains
+        matroid = make_partition([range(0, 40, 2), range(1, 40, 2)], [3, 3])
+        config = CentralizedConfig(
+            epsilon=epsilon, d=int(rng.integers(0, 3)), monotone_mode=True, seed=seed
+        )
+        fast, literal = objective.clone(), objective.clone()
+        assert format_summary(build_summary(fast, matroid, config)) == format_summary(
+            literal_build_summary(literal, matroid, config)
+        )
+        assert fast.queries == literal.queries
+        uniform = make_uniform(40, int(rng.integers(2, 10)))
+        fast, plain = objective.clone(), objective.clone()
+        assert greedy_matroid(range(40), fast, uniform) == plain_greedy_matroid(
+            range(40), plain, uniform
+        )
+        assert fast.queries == plain.queries

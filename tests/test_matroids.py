@@ -8,7 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robust_summary import make_graphic, make_partition, make_uniform
+from robust_summary import (
+    CentralizedConfig,
+    StreamingConfig,
+    build_summary,
+    format_summary,
+    greedy_matroid,
+    make_graphic,
+    make_modular,
+    make_partition,
+    make_uniform,
+    stream_summary,
+)
 from robust_summary.matroids import Matroid
 
 from helpers import (
@@ -16,9 +27,12 @@ from helpers import (
     downward_closed_violations,
     edge_subset_has_cycle,
     independence_table,
+    literal_build_summary,
+    literal_stream_summary,
     mask_to_ids,
     minimal_dependent_supersets,
     outcome,
+    plain_greedy_matroid,
     rank_of,
     set_forms,
 )
@@ -453,3 +467,50 @@ def test_graphic_swap_along_the_circuit_keeps_the_labels():
     assert m.circuit(swapped, 1) == {0, 1, 2, 3}
     # not a swap for the last circuit's g: searched afresh, two trees
     assert m.fits(1, {0, 2, 4}) and m.fits(3, {0, 2, 4})
+
+
+class NestedCaps(Matroid):
+    """At most ``cap`` elements, at most ``low_cap`` of them below ``split``: a laminar matroid.
+
+    Defines only ``_independent``, so ``fits`` runs the base ``Matroid._fits``.
+    """
+
+    kind = "nested-caps"
+
+    def __init__(self, n, cap, split, low_cap):
+        self.n, self.cap, self.split, self.low_cap = n, cap, split, low_cap
+        self.k = min(cap, min(split, low_cap) + n - split)
+
+    def _independent(self, s):
+        return len(s) <= self.cap and sum(e < self.split for e in s) <= self.low_cap
+
+
+def test_matroid_with_only_an_independence_test_runs_the_builders_and_the_greedy():
+    assert "_fits" not in NestedCaps.__dict__
+    small = NestedCaps(8, 3, 4, 1)
+    table = independence_table(small)
+    assert not downward_closed_violations(table, 8) and not augmentation_violations(table, 8)
+    assert small.k == rank_of(small, range(8)) == 3
+    picks = 0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        objective = make_modular(rng.lognormal(0.0, 1.0, size=40))
+        matroid = NestedCaps(40, 5, 20, 2)
+        config = CentralizedConfig(epsilon=0.3, d=1, monotone_mode=True, seed=seed)
+        summary = build_summary(objective.clone(), matroid, config)
+        assert format_summary(summary) == format_summary(
+            literal_build_summary(objective.clone(), matroid, config)
+        )
+        stream_config = StreamingConfig(epsilon=0.3, d=1, monotone_mode=True, seed=seed, audit=True)
+        order = rng.permutation(40)
+        assert format_summary(
+            stream_summary(objective.clone(), matroid, stream_config, order), include_audit=True
+        ) == format_summary(
+            literal_stream_summary(objective.clone(), matroid, stream_config, order),
+            include_audit=True,
+        )
+        chosen = greedy_matroid(range(40), objective.clone(), matroid)
+        assert chosen == plain_greedy_matroid(range(40), objective.clone(), matroid)
+        assert len(chosen) == 5 and sum(e < 20 for e in chosen) <= 2
+        picks += len(summary.entries)
+    assert picks

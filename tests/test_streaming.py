@@ -459,6 +459,18 @@ def test_refused_arrival_changes_no_state():
     assert state.arrivals == 2 and state.seen == {0, 1}
 
 
+def test_monotone_mode_on_a_non_monotone_objective_is_refused():
+    cut = make_cut_function(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.5)])
+    config = StreamingConfig(epsilon=0.5, d=1, monotone_mode=True)
+    message = "monotone mode needs a monotone objective; graph-cut is not"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        stream_summary(cut, make_uniform(4, 2), config, range(4))
+    state = StreamState(config, k=2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ingest(state, 0, cut, make_uniform(4, 2), np.random.default_rng(0))
+    assert (state.arrivals, cut.queries) == (0, 0)
+
+
 def _random_stream(seed, monotone=True):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 20))
