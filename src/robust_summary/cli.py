@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adversary import parse_strategy, choose_deletions
+from .adversary import SPEC_FORMS, choose_deletions, parse_strategy
 from .bounds import bound_warnings, theoretical_bound
 from .centralized import CentralizedConfig, build_summary
 from .experiment import load_experiment_config, run_experiment
@@ -32,7 +32,7 @@ def _parse_order(spec: str, n: int) -> list[int]:
 
 def _parse_deletions(spec: str, instance) -> list[int]:
     """A strategy spec's deletions; any other spec names an id file, read as ``list:``."""
-    if not spec.startswith(("top:", "rand:", "block:", "maxdmg:", "list:")):
+    if not spec.startswith(tuple(f"{head}:" for head in [*SPEC_FORMS, "list"])):
         spec = "list:" + spec
     return choose_deletions(instance, parse_strategy(spec))
 

@@ -21,6 +21,7 @@ from .bounds import bound_warnings, theoretical_bound
 from .centralized import CentralizedConfig, build_summary
 from .generators import generate_instance
 from .instance import Instance, format_instance, read_instance
+from .objectives import check_monotone_mode
 from .solvers import SOLVER_NAMES, SolverKind, solve_after_deletions
 from .streaming import StreamingConfig, stream_summary
 from .summary import MODES, Summary
@@ -242,10 +243,7 @@ def run_experiment(
     if instance is None:
         instance = _load_instance(config)
         text = instance.text  # None for a generated instance
-    if config.monotone and not instance.objective.monotone:
-        raise ValueError(
-            f"monotone = true needs a monotone objective; {instance.objective.kind} is not"
-        )
+    check_monotone_mode(instance.objective, config.monotone)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if text is None:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import copy
 import math
 from itertools import accumulate
-from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter, mul
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -51,21 +51,25 @@ class Objective(GroundSet):
     a remembered gain bounds nothing: the scan and the greedy ask every
     feasible element after each pick, as their plain forms do, and the
     stream refiles every filed element at each change.  A class opts into
-    the lazy paths by giving exact gains, as the built-ins do: ``_gain``
-    and ``_gains_with`` as one ``math.fsum`` of e's own terms, ``_value``
-    as the fsum of the terms of S, and ``exact_gains = True``.
-    ``exact_gains`` is a fact of the class, not an option.
+    the lazy paths by giving exact gains, as the built-ins do: ``_state(S)``,
+    what a gain needs to know of S; ``_gain(state, e, S)``, one
+    ``math.fsum`` of e's own terms; ``_value`` as the fsum of the terms of
+    S; ``exact_gains = True``; and optionally ``dependents``, so that the
+    stream refiles only the elements a change can move.  ``exact_gains`` is
+    a fact of the class, not an option.
 
-    One gain, one call.  marginal() asks the class's one-element ``_gain``,
-    which sums the same terms as the batched ``_gains_with``; gains() asks
-    ``_gains_with`` for ``BATCH_ROWS`` candidates at a time.  Coverage sums
-    one C-level gather per candidate either way; facility location and
-    cuts batch by joining the candidates' arrays and cutting the terms back
-    into runs, a bookkeeping their ``_gain`` skips.  fsum does not depend
-    on the order of its terms, so both give the same bits.  Against the
-    empty set, once the table of every f({e}) is filled, both read their
-    gains from it, which is the same bits again since value({e}) is the
-    gain at the empty set; a gain query never fills the table itself.
+    One gain, one kernel.  ``_gain`` is the only gain a class writes:
+    marginal() asks it for one element, and gains() asks ``_gains_with``
+    for ``BATCH_ROWS`` candidates at a time, which calls ``_gain`` on each.
+    A class overrides ``_gains_with`` only where a batch pays, and the
+    override must give ``_gain``'s bits for every element: coverage loops
+    its gathers without a method call per candidate, and facility location
+    joins the candidates' numpy arrays into one pass and cuts the terms back
+    into runs.  fsum does not depend on the order of its terms, so both give
+    the same bits.  Against the empty set, once the table of every f({e})
+    is filled, both read their gains from it, which is the same bits again
+    since value({e}) is the gain at the empty set; a gain query never fills
+    the table itself.
     """
 
     kind = "abstract"
@@ -188,26 +192,28 @@ class Objective(GroundSet):
         raise NotImplementedError
 
     def _state(self, s: frozenset):
-        """What _gains_with needs to know of s; never modified after it is made.
+        """What a gain needs to know of s; never modified after it is made.
 
         Here f(s), for the difference of two values.
         """
         return self._f(s)
 
-    def _gains_with(self, state, es: list[int], s: frozenset) -> list[float]:
-        """The gain of each e of a non-empty list of ids outside s, as floats.
+    def _gain(self, state, e: int, s: frozenset) -> float:
+        """The gain of one id e outside s, as a float: the one kernel a class writes.
 
         Here f(s + e) - f(s), ``state`` being f(s); a class with
         ``exact_gains`` overrides it with one fsum of e's own terms.
         """
-        return [self._f(s | {e}) - state for e in es]
+        return self._f(s | {e}) - state
 
-    def _gain(self, state, e: int, s: frozenset) -> float:
-        """The gain of one id e outside s: ``_gains_with(state, [e], s)[0]``, bit for bit.
+    def _gains_with(self, state, es: list[int], s: frozenset) -> list[float]:
+        """``_gain`` of each e of a non-empty list of ids outside s.
 
-        A class overrides it where one element can skip the batch bookkeeping.
+        A class overrides it only where a batch pays, and then gives
+        ``_gain``'s bits for every e.
         """
-        return self._gains_with(state, [e], s)[0]
+        gain = self._gain
+        return [gain(state, e, s) for e in es]
 
 
 def check_monotone_mode(objective: Objective, monotone_mode: bool) -> None:
@@ -225,13 +231,6 @@ def _check_weights(weights: np.ndarray, what: str) -> None:
     bad = weights[~np.isfinite(weights) | (weights < 0.0)]
     if bad.size:
         raise ValueError(f"{what} must be finite and non-negative, got {float(bad[0])!r}")
-
-
-def _fsums(terms: np.ndarray, counts: Iterable[int]) -> list[float]:
-    """math.fsum of each run of ``terms`` in turn, the runs being ``counts`` long."""
-    terms = terms.tolist()
-    ends = list(accumulate(counts))
-    return [math.fsum(terms[start:end]) for start, end in zip([0] + ends, ends)]
 
 
 class WeightedCoverage(Objective):
@@ -300,11 +299,12 @@ class WeightedCoverage(Objective):
         return math.fsum(self._gather[e](open_weights))
 
 
-def _gatherer(items: frozenset[int]) -> Callable[[list], Sequence]:
+def _gatherer(items: Collection[int]) -> Callable[[list], Sequence]:
     """A C-level callable taking a list to its entries at ``items``, in a tuple or list.
 
+    The entries come in the order ``items`` iterates, repeats included.
     ``itemgetter`` of one item returns the entry itself, and of no item is
-    not allowed, so those covers get a slice instead.
+    not allowed, so those get a slice instead.
     """
     if len(items) > 1:
         return itemgetter(*items)
@@ -346,7 +346,10 @@ class FacilityLocation(Objective):
         terms = np.empty((rows.size, 2))
         terms[:, 0] = columns[rows, clients]
         terms[:, 1] = -best[clients]
-        return _fsums(terms.ravel(), (2 * beats.sum(axis=1)).tolist())
+        # one fsum per row: its run of 2 terms per client it beats
+        terms = terms.ravel().tolist()
+        ends = list(accumulate((2 * beats.sum(axis=1)).tolist()))
+        return [math.fsum(terms[start:end]) for start, end in zip([0] + ends, ends)]
 
     def _gain(self, best: np.ndarray, e: int, s: frozenset) -> float:
         column = self.similarity[:, e]
@@ -367,10 +370,16 @@ class GraphCut(Objective):
     generator build them.  Either way they are checked as numpy columns: the
     error names the first bad edge in order, a self-loop before a vertex out
     of range, and then the first weight that is negative or not finite.
-    Each vertex's edges are a run of two arrays sorted by vertex (the other
-    endpoints and the weights), cut by slicing at the vertex's offset; the
-    vertices with no edge share one empty run, so a graph costs an array
-    view per vertex with edges and a list slot per vertex.
+    The memo state of S is a plain list of signs, -1.0 for a vertex inside S
+    and 1.0 outside, never changed once made.  Each vertex with edges keeps
+    the weights of its edges as a list, in the order of the other endpoints,
+    and one C-level ``itemgetter`` over those endpoints (see ``_gatherer``),
+    made at construction and shared by every clone; the vertices with no
+    edge share one empty list and gatherer.  e lies outside S, so an edge
+    at e starts crossing exactly when its other end is outside: the gain is
+    one ``math.fsum`` of each weight times the sign of its other end, and a
+    weight times -1.0 or 1.0 is exact.  value(S) is the fsum of the weights
+    of the edges with exactly one end in S.
     """
 
     kind = "graph-cut"
@@ -404,51 +413,47 @@ class GraphCut(Objective):
         self.edge_u = us
         self.edge_v = vs
         self.edge_w = weights
-        # per vertex: the other endpoint and the weight of each edge at it, as
-        # views of two arrays sorted by vertex; isolated vertices share one empty view
+        # per vertex: the other endpoint and the weight of each edge at it,
+        # cut from two lists sorted by vertex
         ends = np.concatenate((us, vs))
         order = np.argsort(ends, kind="stable")
-        others = np.concatenate((vs, us))[order]
-        both = np.concatenate((weights, weights))[order]
+        others = np.concatenate((vs, us))[order].tolist()
+        both = np.concatenate((weights, weights))[order].tolist()
         counts = np.bincount(ends, minlength=n_vertices)
         touched = np.flatnonzero(counts)
-        self._others = [others[:0]] * n_vertices
-        self._weights = [both[:0]] * n_vertices
+        self._neighbours = [[]] * n_vertices
+        self._weights = [[]] * n_vertices
+        self._gather = [_gatherer(())] * n_vertices
         stop = 0
         for x, count in zip(touched.tolist(), counts[touched].tolist()):
             start, stop = stop, stop + count
-            self._others[x] = others[start:stop]
+            self._neighbours[x] = neighbours = others[start:stop]
             self._weights[x] = both[start:stop]
+            self._gather[x] = _gatherer(neighbours)
 
     def dependents(self, x: int) -> frozenset[int]:
         """The neighbours of x."""
         x = self._check_id(x)
-        return frozenset(self._others[x].tolist())
+        return frozenset(self._neighbours[x])
 
     @property
     def edges(self) -> list[tuple[int, int, float]]:
         return list(zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist()))
 
     def _value(self, s: frozenset) -> float:
-        inside = self._state(s)
-        return math.fsum(self.edge_w[inside[self.edge_u] ^ inside[self.edge_v]].tolist())
-
-    def _state(self, s: frozenset) -> np.ndarray:
-        """Which vertices lie in s."""
         inside = np.zeros(self.n, dtype=bool)
         inside[np.fromiter(s, dtype=np.intp, count=len(s))] = True
-        return inside
+        return math.fsum(self.edge_w[inside[self.edge_u] ^ inside[self.edge_v]].tolist())
 
-    def _gains_with(self, inside: np.ndarray, es: list[int], s: frozenset) -> list[float]:
-        others = [self._others[e] for e in es]
-        weights = np.concatenate([self._weights[e] for e in es])
-        # e lies outside s, so an edge at e crosses now exactly when its other end is inside
-        crossing = inside[np.concatenate(others)]
-        return _fsums(np.where(crossing, -weights, weights), map(len, others))
+    def _state(self, s: frozenset) -> list[float]:
+        """The signs of s: -1.0 for each vertex in s, 1.0 for the others."""
+        signs = [1.0] * self.n
+        for e in s:
+            signs[e] = -1.0
+        return signs
 
-    def _gain(self, inside: np.ndarray, e: int, s: frozenset) -> float:
-        weights = self._weights[e]
-        return math.fsum(np.where(inside[self._others[e]], -weights, weights).tolist())
+    def _gain(self, signs: list[float], e: int, s: frozenset) -> float:
+        return math.fsum(map(mul, self._weights[e], self._gather[e](signs)))
 
 
 def _first_bad_edge(n_vertices: int, us, vs) -> str:
@@ -484,9 +489,6 @@ class Modular(Objective):
 
     def _state(self, s: frozenset) -> None:
         return None
-
-    def _gains_with(self, state: None, es: list[int], s: frozenset) -> list[float]:
-        return [math.fsum((w,)) for w in self.weights[es].tolist()]
 
     def _gain(self, state: None, e: int, s: frozenset) -> float:
         return math.fsum((self.weights[e],))

@@ -191,7 +191,8 @@ def parse_summary(text: str) -> Summary:
     p in (0, 1], gamma is finite and positive, monotone is 0 or 1, delta,
     every gain and every weight are finite, an ``a`` line has three fields,
     a ``bucket`` line a ``:``, a counter is ``name:count`` and a weight
-    pair ``id:weight``.
+    pair ``id:weight``.  A ``b`` line must list the reservoir that the
+    ``bucket`` and ``vd`` lines give, sorted, as format_summary writes it.
     """
     fields, lists = parse_lines(text, "summary file", repeatable=("a", "bucket"))
     for key in fields:
@@ -238,7 +239,6 @@ def parse_summary(text: str) -> Summary:
     for key, name in _AUDIT_FIELDS.items():
         read = _parse_pairs if key in _PAIR_KEYS else _read_ids
         setattr(audit, name, read(key, fields.get(key, ""), limit))
-    _read_ids("b", fields.get("b", ""), limit)  # the reservoir: derived, only checked
     counters: dict[str, int] = {}
     if fields.get("counters"):
         for tok in fields["counters"].split(","):
@@ -247,7 +247,7 @@ def parse_summary(text: str) -> Summary:
                 raise ValueError(f"summary key 'counters': {tok!r} is not name:count")
             count = _checked("counters", count, int, lambda c: c >= 0, "non-negative")
             once(counters, name, count, "summary key 'counters': counter")
-    return Summary(
+    summary = Summary(
         mode=mode,
         n=n,
         k=k,
@@ -266,6 +266,11 @@ def parse_summary(text: str) -> Summary:
         peak_memory=peak_memory,
         audit=audit if any(key in fields for key in _AUDIT_FIELDS) else None,
     )
+    if "b" in fields and _read_ids("b", fields["b"], limit) != summary.reservoir:
+        raise ValueError(
+            f"summary key 'b': {fields['b']!r} is not the reservoir of the 'bucket' and 'vd' lines"
+        )
+    return summary
 
 
 def _checked(key: str, text: str, convert, ok=None, want: str = ""):

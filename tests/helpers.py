@@ -11,13 +11,15 @@ the batched, tabled and memo-backed oracle calls from the scalar calls
 they must equal (``plain_oracle``), every built-in objective's value
 in exact rational arithmetic (``exact_value``, ``exact_gains``), and the
 cut and coverage generators from one scalar draw at a time
-(``literal_generate_instance``).  ``LeverConfig`` sets the stream's swap
+(``literal_generate_instance``).  ``KernelCoverage`` is the smallest
+class with exact gains.  ``LeverConfig`` sets the stream's swap
 margin and coin probability by hand, and ``rank_of`` grows a maximal
 independent subset greedily.
 """
 
 import copy
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,6 +144,32 @@ class Float32Coverage(SummedCoverage):
     def _value(self, s):
         covered = sorted(set().union(*(self.covers[e] for e in s)))
         return float(self.weights[covered].sum(dtype=np.float32))
+
+
+class KernelCoverage(Objective):
+    """Weighted coverage as the smallest class with exact gains: ``_value``, ``_state``, ``_gain``.
+
+    The state of S is the set of items S covers, and a gain is one fsum of
+    the weights of e's items outside it.  It has no batch of its own and
+    no ``dependents``.
+    """
+
+    kind = "kernel-coverage"
+    exact_gains = True
+
+    def __init__(self, weights, covers):
+        super().__init__(len(covers), monotone=True)
+        self.weights = [float(w) for w in weights]
+        self.covers = [frozenset(cover) for cover in covers]
+
+    def _value(self, s):
+        return math.fsum(self.weights[u] for u in self._state(s))
+
+    def _state(self, s):
+        return frozenset().union(*(self.covers[e] for e in s))
+
+    def _gain(self, covered, e, s):
+        return math.fsum(self.weights[u] for u in self.covers[e] - covered)
 
 
 def edge_subset_has_cycle(n_vertices, pairs, chosen):

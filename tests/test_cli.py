@@ -1,9 +1,12 @@
 """End-to-end command-line runs: gen, summarize, solve, verify, bound, experiment."""
 
+from pathlib import Path
+
 import pytest
 
-from robust_summary.cli import main
-from robust_summary import read_summary
+from robust_summary.adversary import SPEC_FORMS, choose_deletions, parse_strategy
+from robust_summary.cli import _parse_deletions, main
+from robust_summary import generate_instance, read_summary
 
 
 def test_full_pipeline_centralized(tmp_path, capsys):
@@ -444,7 +447,7 @@ def test_monotone_experiment_on_a_cut_instance_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "robust-summary: error: monotone = true needs a monotone objective; graph-cut is not\n"
+        "robust-summary: error: monotone mode needs a monotone objective; graph-cut is not\n"
     )
 
 
@@ -676,6 +679,21 @@ def test_deletion_file_ids_are_range_checked(tmp_path, capsys, ids, bad):
         assert capsys.readouterr().err == (
             f"robust-summary: error: deletion id {bad} outside range [0, 10)\n"
         )
+
+
+@pytest.mark.parametrize("head", [*SPEC_FORMS, "list"])
+def test_every_strategy_head_is_parsed_as_a_strategy_not_a_file(tmp_path, monkeypatch, head):
+    instance = generate_instance("coverage n=12 universe=10 density=0.3",
+                                 matroid="partition nblocks=3 cap=1", seed=4)
+    with pytest.raises(ValueError, match=rf"^deletion strategy '{head}:' needs {head}:<"):
+        _parse_deletions(f"{head}:", instance)
+    if head != "list":
+        spec = ":".join([head] + ["1"] * len(SPEC_FORMS[head][1]))
+        # a file named like the spec is read only when the head is not known
+        monkeypatch.chdir(tmp_path)
+        Path(spec).write_text("0\n")
+        expected = choose_deletions(instance, parse_strategy(spec))
+        assert _parse_deletions(spec, instance) == expected != [0]
 
 
 def test_deletion_file_duplicates_keep_the_solution(tmp_path):

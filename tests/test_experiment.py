@@ -452,7 +452,7 @@ def test_epsilon_past_the_non_monotone_formula_gives_one_bound_warning(tmp_path)
 def test_monotone_mode_on_a_non_monotone_objective_is_rejected(tmp_path):
     with pytest.raises(ValueError) as raised:
         run_experiment(_cut_experiment(tmp_path, monotone=True))
-    assert str(raised.value) == "monotone = true needs a monotone objective; graph-cut is not"
+    assert str(raised.value) == "monotone mode needs a monotone objective; graph-cut is not"
     assert not (tmp_path / "cut").exists()
 
 

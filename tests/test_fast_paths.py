@@ -33,10 +33,12 @@ from robust_summary import (
     make_weighted_coverage,
     stream_summary,
 )
+from robust_summary.objectives import WeightedCoverage
 from robust_summary.thresholds import PowerLadder
 from helpers import (
     ConcaveOfModular,
     Float32Coverage,
+    KernelCoverage,
     LeverConfig,
     SummedCoverage,
     literal_build_summary,
@@ -397,3 +399,42 @@ def test_value_only_objectives_run_the_plain_scan_and_greedy(kind):
             range(40), plain, uniform
         )
         assert fast.queries == plain.queries
+
+
+def test_a_class_with_only_a_gain_kernel_runs_every_lazy_path():
+    # _value, _state and _gain only: the base batch loops _gain, and every
+    # builder takes the lazy paths a built-in coverage on the same data takes
+    for seed in SEEDS:
+        rng = np.random.default_rng([seed, 29])
+        covers = [np.flatnonzero(rng.random(60) < 0.08).tolist() for _ in range(100)]
+        weights = rng.lognormal(0.0, 1.0, size=60) * 10.0 ** rng.integers(-3, 4, size=60)
+        objective, builtin = KernelCoverage(weights, covers), WeightedCoverage(weights, covers)
+        matroid = make_partition([range(b, 100, 4) for b in range(4)], [2, 1, 2, 1])
+        base = set(rng.choice(100, size=12, replace=False).tolist())
+        gains = objective.clone().gains(range(100), base)
+        assert [float.hex(g) for g in gains] == [
+            float.hex(objective.marginal(e, base)) for e in range(100)
+        ]
+        assert gains == builtin.gains(range(100), base)
+
+        config = CentralizedConfig(epsilon=EPSILON, d=D, monotone_mode=True, seed=seed)
+        fast, literal, twin = objective.clone(), objective.clone(), builtin.clone()
+        summary = format_summary(build_summary(fast, matroid, config))
+        assert summary == format_summary(literal_build_summary(literal, matroid, config))
+        assert summary == format_summary(build_summary(twin, matroid, config))
+        assert fast.queries == twin.queries
+
+        config = StreamingConfig(epsilon=EPSILON, d=D, monotone_mode=True, seed=seed, audit=True)
+        order = rng.permutation(100)
+        fast, literal, plain = objective.clone(), objective.clone(), plain_oracle(objective)
+        summary = format_summary(stream_summary(fast, matroid, config, order), include_audit=True)
+        expected = literal_stream_summary(literal, matroid, config, order)
+        assert summary == format_summary(expected, include_audit=True)
+        stream_summary(plain, matroid, config, order)
+        assert fast.queries == plain.queries <= literal.queries
+
+        fast, plain, twin = objective.clone(), objective.clone(), builtin.clone()
+        picks = greedy_matroid(range(100), fast, matroid)
+        assert picks == plain_greedy_matroid(range(100), plain, matroid)
+        assert picks == greedy_matroid(range(100), twin, matroid) and picks
+        assert fast.queries == twin.queries

@@ -319,6 +319,28 @@ def test_centralized_summary_ids_must_lie_in_the_ground_set(line, key, bad):
         parse_summary(text)
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ("bucket=-1:1,2", "vd=0", "b=3,4"),  # a reservoir line from another summary
+        ("b=0,2",),  # a bucket id left out
+        ("b=0,2,3,4",),  # a candidate id added
+        ("b=3,2,0",),  # not sorted, as no builder writes it
+    ],
+)
+def test_summary_reservoir_line_must_match_the_buckets_and_vd(lines):
+    assert parse_summary(SMALL_CENTRALIZED_SUMMARY).reservoir == [0, 2, 3]
+    text = SMALL_CENTRALIZED_SUMMARY
+    for line in lines:
+        text = _with_line(text, line)
+    with pytest.raises(ValueError) as info:
+        parse_summary(text)
+    b = lines[-1].partition("=")[2]
+    assert str(info.value) == (
+        f"summary key 'b': {b!r} is not the reservoir of the 'bucket' and 'vd' lines"
+    )
+
+
 def _streaming_text(include_audit=True):
     rng = np.random.default_rng(6)
     summary = stream_summary(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from robust_summary import (
     generate_instance,
@@ -399,17 +399,29 @@ def _loop_gains(obj, candidates, ids):
     return [obj.marginal(e, ids) for e in candidates]
 
 
+def _shaped_cut(seed):
+    """A cut with each shape of vertex: isolated, one edge, parallel edges, several edges."""
+    weights = np.random.default_rng(seed).random(9) * 10.0 ** np.arange(-4, 5)
+    weights[0] = -0.0
+    pairs = [(1, 2), (3, 4), (4, 3), (3, 4), (5, 3), (5, 6), (7, 5), (6, 8), (8, 6)]
+    # vertex 0 is isolated, 1, 2 and 7 have one edge each
+    return make_cut_function(9, [(u, v, float(w)) for (u, v), w in zip(pairs, weights)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(ALL_KINDS),
+    kind=st.sampled_from(ALL_KINDS + ["shaped-cut"]),
     seed=st.integers(0, 2**32 - 1),
     degenerate=st.booleans(),
     filled=st.booleans(),
 )
+@example(kind="shaped-cut", seed=0, degenerate=False, filled=False)
 def test_gains_equal_marginals_and_exact_gains(kind, seed, degenerate, filled):
     def make():
         # degenerate: zero weights, empty covers, isolated vertices, parallel edges
         rng = np.random.default_rng(seed)
+        if kind == "shaped-cut":
+            return _shaped_cut(seed)
         if degenerate:
             return _singleton_objective(kind, int(rng.integers(1, 40)), seed)
         return _wide_objective(rng, kind)
@@ -438,6 +450,13 @@ def test_gains_equal_marginals_and_exact_gains(kind, seed, degenerate, filled):
     # a gain query never fills the table
     assert unfilled._singletons[0] is None
     assert (obj._singletons[0] is not None) == filled
+    if obj.kind == "graph-cut":
+        # the dependents of a vertex are its neighbours, whatever the gains asked
+        neighbours = [set() for _ in range(obj.n)]
+        for u, v, _ in obj.edges:
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+        assert [obj.dependents(v) for v in range(obj.n)] == neighbours
 
 
 @settings(max_examples=40, deadline=None)
