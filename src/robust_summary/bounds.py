@@ -4,13 +4,12 @@ The finite-epsilon expressions are evaluated exactly as derived, not as the
 epsilon-absorbed headline constants, so bound checks at concrete epsilon are
 meaningful.  All formulas degrade to 2+beta (offline), 4+beta (streaming
 monotone) and the non-monotone streaming factor at the stream's swap margin
-(``streaming.swap_margin``) as epsilon -> 0.
+(``summary.swap_margin``) as epsilon -> 0.
 """
 
 from __future__ import annotations
 
-from .streaming import swap_margin
-from .summary import MODES
+from .summary import MODES, swap_margin
 
 
 def theoretical_bound(mode: str, monotone: bool, beta: float, epsilon: float) -> float:

@@ -170,6 +170,5 @@ def build_summary(
         entries=entries,
         buckets=leftover,
         top_buffer=list(top),
-        exponents=list(lattice.exponents),
         counters={"low_value": len(pool)},
     )

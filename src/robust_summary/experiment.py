@@ -54,7 +54,6 @@ class ExperimentConfig:
     opt_method: str = "exhaustive"
     trials: int = 1
     seed_base: int = 0
-    bound_check: bool = True
     slack: float = 0.05
 
     def __post_init__(self):
@@ -122,7 +121,6 @@ def load_experiment_config(path) -> ExperimentConfig:
             opt_method=get("deletions", "opt_method", "exhaustive"),
             trials=convert(int, "trials", "count", "1"),
             seed_base=convert(int, "trials", "seed_base", "0"),
-            bound_check=convert(boolean, "report", "bound_check", "true"),
             slack=convert(float, "report", "slack", "0.05"),
         )
     except configparser.Error as exc:
@@ -335,7 +333,7 @@ def run_experiment(
         else:
             ratio = opt / mean if mean > 0.0 else math.inf
         bound_ok: bool | None = None
-        if config.bound_check and bound is not None and opt > 0.0:
+        if bound is not None and opt > 0.0:
             bound_ok = opt <= bound * mean * (1.0 + config.slack)
         results.append(
             StrategyResult(

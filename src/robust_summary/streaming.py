@@ -51,7 +51,7 @@ import numpy as np
 
 from .matroids import Matroid
 from .objectives import Objective, check_monotone_mode
-from .summary import StreamAudit, Summary, SummaryEntry
+from .summary import StreamAudit, Summary, SummaryEntry, coin_probability, swap_margin
 from .thresholds import PowerLadder, check_parameter
 
 
@@ -60,21 +60,13 @@ def drain_cap(d: int, epsilon: float) -> int:
     return max(1, math.ceil(d / epsilon))
 
 
-def swap_margin(monotone: bool) -> float:
-    """The swap margin gamma the analysis fixes for the objective class.
-
-    Non-monotone: 1.746, the minimiser of the streaming factor in ``bounds``
-    at beta = 2.597.  Monotone: 1; the monotone factor has no gamma term.
-    """
-    return 1.0 if monotone else 1.746
-
-
 @dataclass(frozen=True)
 class StreamingConfig:
     """Streaming builder parameters.
 
     The swap margin gamma and the coin probability p follow the objective
-    class: the reported bounds hold at those values only.
+    class (``summary.swap_margin`` and ``summary.coin_probability``): the
+    reported bounds hold at those values only.
     """
 
     epsilon: float
@@ -93,8 +85,7 @@ class StreamingConfig:
 
     @property
     def sample_prob_value(self) -> float:
-        """p = 1/(gamma+2) for a non-monotone run; 1, no subsampling, for a monotone one."""
-        return 1.0 if self.monotone_mode else 1.0 / (self.gamma_value + 2.0)
+        return coin_probability(self.monotone_mode)
 
     @property
     def drain_cap(self) -> int:
@@ -148,9 +139,14 @@ class StreamState:
     def raise_delta(self, delta: float) -> None:
         """Anchor the window at a larger delta and drop the buckets under it.
 
-        The window depends on delta alone, so it moves only here.  tau_min
-        can underflow to 0 on a subnormal anchor; the window then stays open
-        and the table empty.
+        The window depends on delta alone, so it moves only here.  It keeps
+        every lattice power at or above tau_min, evaluated as
+        ``epsilon / (1.0 + epsilon) * delta / k``.  The centralized lattice
+        (``thresholds.threshold_lattice``) leaves out a power equal to its
+        floor, so on such an exact tie the window reaches one exponent lower
+        (epsilon=0.1, k=1, delta=11.0: lowest exponent 0 here, 1 there).
+        tau_min can underflow to 0 on a subnormal anchor; the window then
+        stays open and the table empty.
         """
         cfg = self.config
         self.delta = delta
@@ -283,9 +279,10 @@ def drain_buckets(
     Called when bucket ``capped`` has just reached the cap while no other
     bucket is at it; the highest capped bucket drains first.  Per drained
     element the draw order is fixed: bucket-index draw first, Bernoulli coin
-    second, so traces replay exactly.  Between rebuckets a drain only
+    second, so traces replay exactly.  Outside a rebucket a drain only
     shrinks its own bucket, so the capped buckets are listed again only
-    after a rebucket.
+    after a rebucket that moved an element to another bucket or out of
+    the window.
 
     A drained element's weight is its marginal against the current
     candidate: the gain it is filed by.  An element that does not fit is
@@ -307,8 +304,6 @@ def drain_buckets(
             over.remove(exponent)
         if not bucket:
             del state.buckets[exponent]
-        state.audit.drained.append(g)
-
         state.audit.weight_log.append((g, weight))
         accepted = bool(rng.random() < state.sample_prob)
 
@@ -347,8 +342,8 @@ def drain_buckets(
             if state.config.audit and not matroid.is_independent(state.candidate_set):
                 raise AssertionError("candidate solution became dependent")
             moved = _note_change(state, objective, g, victim)
-            rebucket(state, objective, moved, solution_grew=victim is None)
-            over = [x for x in state.buckets if len(state.buckets[x]) >= cap]
+            if rebucket(state, objective, moved, solution_grew=victim is None):
+                over = [x for x in state.buckets if len(state.buckets[x]) >= cap]
     return state
 
 
@@ -388,8 +383,11 @@ def rebucket(
     objective: Objective,
     moved: frozenset[int] | None = None,
     solution_grew: bool = False,
-) -> StreamState:
+) -> bool:
     """Refile each filed element the candidate change can move, by its fresh marginal.
+
+    Returns whether an element changed bucket or left the window, that is
+    whether any bucket changed size.
 
     ``moved`` holds the elements whose gain the change can move: those that
     depend on an element that entered or left the candidate
@@ -414,7 +412,7 @@ def rebucket(
     buckets, gains = state.buckets, state.gains
     filed = gains if moved is None else [e for e in moved if e in gains]
     if not filed:
-        return state
+        return False
     filing_exponent = state.filing_exponent
     # (old exponent, element), by exponent descending, then id
     moving = sorted(((filing_exponent(gains[e]), e) for e in filed), key=lambda m: (-m[0], m[1]))
@@ -424,8 +422,11 @@ def rebucket(
         if not bucket:
             del buckets[old]
     fresh = objective.gains([e for _, e in moving], state.candidate_set)
+    changed = False
     for (old, e), gain in zip(moving, fresh):
         exponent = filing_exponent(gain)
+        if exponent != old:
+            changed = True
         if exponent is None:
             del gains[e]
             state.audit.low_value.append(e)
@@ -436,7 +437,7 @@ def rebucket(
                 state.upward_moves_after_growth += 1
         bisect.insort(buckets.setdefault(exponent, []), e)
         gains[e] = gain
-    return state
+    return changed
 
 
 def finalize(state: StreamState) -> Summary:
@@ -446,7 +447,7 @@ def finalize(state: StreamState) -> Summary:
     buckets = {x: list(state.buckets[x]) for x in sorted(state.buckets, reverse=True)}
     counters = {
         "arrivals": state.arrivals,
-        "drained": len(state.audit.drained),
+        "drained": len(state.audit.weight_log),
         "swapped_out": len(state.audit.swapped_out),
         "sample_rejected": len(state.audit.sample_rejected),
         "swap_failed": len(state.audit.swap_failed),
@@ -466,10 +467,7 @@ def finalize(state: StreamState) -> Summary:
         entries=entries,
         buckets=buckets,
         top_buffer=sorted(entry[-1] for entry in state.top_buffer),
-        exponents=sorted(buckets, reverse=True),
         counters=counters,
-        gamma=cfg.gamma_value,
-        sample_prob=cfg.sample_prob_value,
         peak_memory=state.peak_memory,
         audit=state.audit,
     )

@@ -7,11 +7,25 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .grammar import numbers, once, parse_lines
-from .thresholds import check_parameter
+from .thresholds import check_parameter, threshold_lattice
 
 
 # the two builders, as a summary file names them
 MODES = ("centralized", "streaming")
+
+
+def swap_margin(monotone: bool) -> float:
+    """The swap margin gamma the analysis fixes for the objective class.
+
+    Non-monotone: 1.746, the minimiser of the streaming factor in ``bounds``
+    at beta = 2.597.  Monotone: 1; the monotone factor has no gamma term.
+    """
+    return 1.0 if monotone else 1.746
+
+
+def coin_probability(monotone: bool) -> float:
+    """The stream's coin probability p: 1/(gamma+2) non-monotone; 1, no subsampling, monotone."""
+    return 1.0 if monotone else 1.0 / (swap_margin(False) + 2.0)
 
 
 @dataclass(frozen=True)
@@ -31,20 +45,26 @@ class SummaryEntry:
 class StreamAudit:
     """Full trace of a streaming run, for invariant tooling.
 
-    drained: every element pulled out of a bucket, in drain order.
     swapped_out: (element, weight) pairs kicked out of the candidate solution.
     sample_rejected: drained elements dropped by the subsampling coin.
     swap_failed: drained elements whose weight did not beat the swap margin.
     low_value: elements discarded for falling under the active threshold window.
     weight_log: every (element, weight) assignment, in assignment order.
+
+    Each drained element is given its weight once, when it is drained, so
+    ``drained`` is read from ``weight_log``.
     """
 
-    drained: list[int] = field(default_factory=list)
     swapped_out: list[tuple[int, float]] = field(default_factory=list)
     sample_rejected: list[int] = field(default_factory=list)
     swap_failed: list[int] = field(default_factory=list)
     low_value: list[int] = field(default_factory=list)
     weight_log: list[tuple[int, float]] = field(default_factory=list)
+
+    @property
+    def drained(self) -> list[int]:
+        """Every element pulled out of a bucket, in drain order."""
+        return [e for e, _ in self.weight_log]
 
 
 @dataclass
@@ -54,6 +74,12 @@ class Summary:
     The candidate (``entries``) is always independent in the build matroid;
     the reservoir is the protected top-value buffer plus every leftover
     threshold bucket.
+
+    The fields hold what a builder chose or measured.  What follows from
+    them is a property: the threshold ``exponents``, and the swap margin
+    ``gamma`` and coin probability ``sample_prob`` of a stream, which the
+    objective class fixes (``swap_margin``, ``coin_probability``).  So a
+    stream run with hand-set levers records the class gamma and p.
     """
 
     mode: str
@@ -67,12 +93,31 @@ class Summary:
     entries: list[SummaryEntry]
     buckets: dict[int, list[int]]
     top_buffer: list[int]
-    exponents: list[int]
     counters: dict[str, int]
-    gamma: float | None = None
-    sample_prob: float | None = None
     peak_memory: int | None = None
     audit: StreamAudit | None = None
+
+    @property
+    def exponents(self) -> list[int]:
+        """Threshold exponents, descending.
+
+        Centralized: the lattice of delta, k and epsilon that the sweep
+        walks (``threshold_lattice``).  Streaming: the exponents of the
+        surviving buckets.
+        """
+        if self.mode == "centralized":
+            return list(threshold_lattice(self.delta, self.k, self.epsilon).exponents)
+        return sorted(self.buckets, reverse=True)
+
+    @property
+    def gamma(self) -> float | None:
+        """The stream's swap margin; None for a centralized summary."""
+        return swap_margin(self.monotone) if self.mode == "streaming" else None
+
+    @property
+    def sample_prob(self) -> float | None:
+        """The stream's coin probability p; None for a centralized summary."""
+        return coin_probability(self.monotone) if self.mode == "streaming" else None
 
     @property
     def solution(self) -> list[int]:
@@ -162,15 +207,16 @@ def _parse_pairs(key: str, text: str, limit: int | None) -> list[tuple[int, floa
     return out
 
 
-# audit keys and the StreamAudit field each one fills
+# audit keys and the StreamAudit field each one fills; ``audit_drained``
+# restates the ids of ``weight_log``
 _AUDIT_FIELDS = {
-    "audit_drained": "drained",
     "audit_swapped_out": "swapped_out",
     "audit_sample_rejected": "sample_rejected",
     "audit_swap_failed": "swap_failed",
     "audit_low_value": "low_value",
     "weight_log": "weight_log",
 }
+_AUDIT_KEYS = ("audit_drained", *_AUDIT_FIELDS)
 _PAIR_KEYS = ("audit_swapped_out", "weight_log")  # lists of id:weight pairs
 _KNOWN_KEYS = {
     "mode", "n", "k", "d", "epsilon", "monotone", "seed", "gamma", "p",
@@ -191,12 +237,18 @@ def parse_summary(text: str) -> Summary:
     p in (0, 1], gamma is finite and positive, monotone is 0 or 1, delta,
     every gain and every weight are finite, an ``a`` line has three fields,
     a ``bucket`` line a ``:``, a counter is ``name:count`` and a weight
-    pair ``id:weight``.  A ``b`` line must list the reservoir that the
-    ``bucket`` and ``vd`` lines give, sorted, as format_summary writes it.
+    pair ``id:weight``.
+
+    Five lines restate other lines, and each one present must be what
+    format_summary writes from its source: ``b`` the reservoir of the
+    ``bucket`` and ``vd`` lines, ``exponents`` the summary's exponents
+    (``Summary.exponents``), ``gamma`` and ``p`` the values the mode and
+    ``monotone`` fix, and ``audit_drained`` the ids of ``weight_log``.
+    These are checked last, so every error above keeps its message.
     """
     fields, lists = parse_lines(text, "summary file", repeatable=("a", "bucket"))
     for key in fields:
-        if key not in _KNOWN_KEYS and key not in _AUDIT_FIELDS and key not in _IGNORED_KEYS:
+        if key not in _KNOWN_KEYS and key not in _AUDIT_KEYS and key not in _IGNORED_KEYS:
             raise ValueError(f"unknown summary key: {key!r}")
     for required in ("mode", "n", "k", "d", "epsilon", "monotone", "seed", "delta"):
         if required not in fields:
@@ -235,6 +287,7 @@ def parse_summary(text: str) -> Summary:
             raise ValueError(f"summary key 'bucket': {value!r} has no ':'")
         once(buckets, _checked("bucket", exp, int), _read_ids("bucket", ids, limit),
              "summary file: bucket exponent")
+    drained = _read_ids("audit_drained", fields.get("audit_drained", ""), limit)
     audit = StreamAudit()
     for key, name in _AUDIT_FIELDS.items():
         read = _parse_pairs if key in _PAIR_KEYS else _read_ids
@@ -259,17 +312,31 @@ def parse_summary(text: str) -> Summary:
         entries=list(candidate.values()),
         buckets=buckets,
         top_buffer=_read_ids("vd", fields.get("vd", ""), limit),
-        exponents=numbers(fields.get("exponents", ""), lambda t: _checked("exponents", t, int)),
         counters=counters,
-        gamma=gamma,
-        sample_prob=sample_prob,
         peak_memory=peak_memory,
-        audit=audit if any(key in fields for key in _AUDIT_FIELDS) else None,
+        audit=audit if any(key in fields for key in _AUDIT_KEYS) else None,
     )
-    if "b" in fields and _read_ids("b", fields["b"], limit) != summary.reservoir:
-        raise ValueError(
-            f"summary key 'b': {fields['b']!r} is not the reservoir of the 'bucket' and 'vd' lines"
-        )
+    exponents = numbers(fields.get("exponents", ""), lambda t: _checked("exponents", t, int))
+
+    def fixed(name: str, value: float | None) -> str:
+        if value is None:
+            return "part of a centralized summary"
+        return f"the {name} {value!r} of a stream with monotone={monotone}"
+
+    # (key, the line's value, the value of its source, what the source is)
+    restated = (
+        ("b", _read_ids("b", fields.get("b", ""), limit), summary.reservoir,
+         "the reservoir of the 'bucket' and 'vd' lines"),
+        ("exponents", exponents, summary.exponents,
+         "the threshold lattice of 'delta', 'k' and 'epsilon'" if mode == "centralized"
+         else "the 'bucket' exponents, descending"),
+        ("gamma", gamma, summary.gamma, fixed("swap margin", summary.gamma)),
+        ("p", sample_prob, summary.sample_prob, fixed("coin probability", summary.sample_prob)),
+        ("audit_drained", drained, audit.drained, "the ids of the 'weight_log' line"),
+    )
+    for key, value, source_value, source in restated:
+        if key in fields and value != source_value:
+            raise ValueError(f"summary key {key!r}: {fields[key]!r} is not {source}")
     return summary
 
 

@@ -109,7 +109,12 @@ def threshold_lattice(delta: float, k: int, epsilon: float) -> ThresholdLattice:
     """Exponents i with epsilon*delta/((1+epsilon)*k) < (1+epsilon)**i <= delta.
 
     Membership is decided on the exactly evaluated powers, never on a pure
-    float-log test, so the lattice is reproducible.
+    float-log test, so the lattice is reproducible.  The floor ``lower`` is
+    evaluated as ``epsilon * delta / ((1.0 + epsilon) * k)`` and a power
+    equal to it is left out.  The stream's window
+    (``StreamState.raise_delta``) keeps a power equal to its floor, which it
+    evaluates in another order; the two differ only on such exact ties
+    (epsilon=0.1, k=1, delta=11.0: lowest exponent 1 here, 0 in the stream).
     """
     check_parameter("k", k, "matroid rank")
     check_parameter("epsilon", epsilon)

@@ -1,10 +1,10 @@
 """Checkable invariants of a summary, and the one report type they fill.
 
-Structural checks need only the summary and its instance: independence,
-disjointness, the bucket caps, the size and memory bounds, the anchor value
-and the gain brackets.  The weight checks re-evaluate, for a streaming
-summary with its audit trail, the inequalities behind the swap rule against
-a deleted set.
+Structural checks need only the summary and its instance: a header that
+agrees with the instance, independence, disjointness, the bucket caps, the
+size and memory bounds, the anchor value and the gain brackets.  The
+weight checks re-evaluate, for a streaming summary with its audit trail,
+the inequalities behind the swap rule against a deleted set.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .centralized import bucket_cap, compute_delta
 from .instance import Instance
 from .objectives import Objective
-from .streaming import drain_cap, swap_margin
+from .streaming import drain_cap
 from .summary import Summary
 from .thresholds import PowerLadder, lattice_size_limit
 
@@ -55,12 +55,33 @@ def streaming_memory_limit(k: int, d: int, epsilon: float) -> int:
     return k + d + lattice_size_limit(k, epsilon) * drain_cap(d, epsilon)
 
 
+def header_check(summary: Summary, instance: Instance) -> VerifyCheck:
+    """The summary's header agrees with its instance.
+
+    k is the matroid's rank; a centralized n is the instance's n, and a
+    streaming n (its arrivals) at most that; ``monotone=1`` only on a
+    monotone objective.  The bounds below read k, n and monotone from the
+    header, so an edited header would move them.
+    """
+    matroid, objective = instance.matroid, instance.objective
+    wrong = []
+    if summary.k != matroid.k:
+        wrong.append(f"k={summary.k} but the matroid has rank {matroid.k}")
+    if summary.n > instance.n or (summary.mode == "centralized" and summary.n != instance.n):
+        wrong.append(f"n={summary.n} but the instance has {instance.n} elements")
+    if summary.monotone and not objective.monotone:
+        wrong.append(f"monotone=1 but {objective.kind} is not monotone")
+    detail = "; ".join(wrong) or f"k={summary.k} n={summary.n} monotone={int(summary.monotone)}"
+    return VerifyCheck("header_matches_instance", not wrong, detail)
+
+
 def structural_checks(summary: Summary, instance: Instance) -> list[VerifyCheck]:
     """Mode-aware invariants that need no audit trail."""
-    checks: list[VerifyCheck] = []
+    checks: list[VerifyCheck] = [header_check(summary, instance)]
     matroid = instance.matroid
     solution = summary.solution_set
     reservoir = set(summary.reservoir)
+    exponents = summary.exponents
     ladder = PowerLadder(1.0 + summary.epsilon)
 
     checks.append(
@@ -94,7 +115,7 @@ def structural_checks(summary: Summary, instance: Instance) -> list[VerifyCheck]
 
     if summary.mode == "centralized":
         cap = bucket_cap(summary.k, summary.d, summary.epsilon, summary.monotone)
-        size_limit = summary.k + summary.d + len(summary.exponents) * cap
+        size_limit = summary.k + summary.d + len(exponents) * cap
     else:
         cap = drain_cap(summary.d, summary.epsilon)
         size_limit = streaming_memory_limit(summary.k, summary.d, summary.epsilon)
@@ -110,8 +131,8 @@ def structural_checks(summary: Summary, instance: Instance) -> list[VerifyCheck]
     checks.append(
         VerifyCheck(
             "threshold_count",
-            len(summary.exponents) <= limit,
-            f"used={len(summary.exponents)} limit={limit}",
+            len(exponents) <= limit,
+            f"used={len(exponents)} limit={limit}",
         )
     )
     checks.append(
@@ -142,7 +163,7 @@ def structural_checks(summary: Summary, instance: Instance) -> list[VerifyCheck]
     # insertion gains must sit in their threshold band and below the anchor
     bracket_ok = True
     detail = ""
-    top_exp = summary.exponents[0] if summary.exponents else None
+    top_exp = exponents[0] if exponents else None
     for entry in summary.entries:
         tau = ladder.power(entry.exponent)
         if entry.gain < tau:
@@ -173,12 +194,12 @@ def check_weight_properties(
     and that they overestimate the value of candidate plus kicked elements.
     Weights are summed by ``math.fsum``, as the values are.  Each
     ``weights_<name>`` check holds when lhs <= rhs + 1e-9; its detail shows
-    both sides.  The swap margin is the one the summary records, or the
-    class margin (``swap_margin``) for a summary without a ``gamma=`` line.
+    both sides.  The swap margin is the one the summary records, the class
+    margin of its ``monotone`` (``Summary.gamma``), also for a stream run
+    with a hand-set margin.
     """
     if summary.mode != "streaming" or summary.audit is None:
         raise ValueError("weight checks need a streaming summary with its audit trail")
-    gamma = summary.gamma if summary.gamma is not None else swap_margin(summary.monotone)
     removed = set(int(e) for e in deleted)
 
     solution = summary.solution
@@ -203,7 +224,7 @@ def check_weight_properties(
         return VerifyCheck(f"weights_{name}", ok, f"{lhs!r} {'<=' if ok else '>'} {rhs!r}")
 
     return VerifyReport((
-        check("swap_balance", gamma * weight_kicked, weight_solution),
+        check("swap_balance", summary.gamma * weight_kicked, weight_solution),
         check("solution_weight_vs_value", weight_solution, value_solution),
         check("survivor_weight_vs_value", weight_survivors, value_survivors),
         check("union_value_vs_weight", value_union, weight_union),

@@ -347,7 +347,6 @@ def literal_build_summary(objective, matroid, config):
         entries=entries,
         buckets=leftover,
         top_buffer=list(top),
-        exponents=list(lattice.exponents),
         counters={"low_value": len(pool)},
     )
 
@@ -387,8 +386,9 @@ class LeverConfig(StreamingConfig):
 
     The library fixes both per objective class; tests move them to reach
     swaps, refusals and coin outcomes that the fixed values rarely give.
-    ``gamma`` None keeps the class margin; ``sample_prob`` None derives p
-    from gamma as the library does.
+    ``gamma`` None keeps the class margin, and ``sample_prob`` None the
+    class p.  The summary of a lever stream still records the class gamma
+    and p, which its ``monotone`` fixes.
     """
 
     gamma: float | None = None
@@ -455,7 +455,6 @@ def literal_stream_summary(objective, matroid, config, order):
             g = bucket.pop(int(rng.integers(len(bucket))))
             if not bucket:
                 del state.buckets[exponent]
-            audit.drained.append(g)
             weight = objective.marginal(g, candidate)
             audit.weight_log.append((g, weight))
             accepted = bool(rng.random() < config.sample_prob_value)

@@ -105,14 +105,14 @@ def test_degenerate_threshold_greedy_matches_classic_guarantee():
 def test_summary_size_accounting():
     empty = Summary(
         mode="centralized", n=0, k=1, d=0, epsilon=0.1, monotone=False, seed=0,
-        delta=0.0, entries=[], buckets={}, top_buffer=[], exponents=[], counters={},
+        delta=0.0, entries=[], buckets={}, top_buffer=[], counters={},
     )
     assert empty.size() == 0
     disjoint = Summary(
         mode="centralized", n=10, k=3, d=0, epsilon=0.1, monotone=False, seed=0,
         delta=1.0,
         entries=[SummaryEntry(e, 0, 1.0) for e in range(3)],
-        buckets={0: [3, 4, 5, 6]}, top_buffer=[7, 8, 9], exponents=[0], counters={},
+        buckets={0: [3, 4, 5, 6]}, top_buffer=[7, 8, 9], counters={},
     )
     assert disjoint.size() == 10
 

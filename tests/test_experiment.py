@@ -34,7 +34,7 @@ from robust_summary import (
     write_instance,
 )
 from robust_summary.thresholds import PowerLadder
-from robust_summary.verify import structural_checks
+from robust_summary.verify import VerifyCheck, structural_checks
 
 
 def _busy_instance(n=16, k=4):
@@ -287,6 +287,54 @@ def test_verify_flags_duplicated_element():
     assert any(c.name == "disjointness" for c in report.failures())
 
 
+def _header_check(summary, instance):
+    (check,) = [c for c in structural_checks(summary, instance) if c.name == "header_matches_instance"]
+    return check
+
+
+def test_verify_flags_a_rank_that_is_not_the_matroids():
+    # a summary edited to hold every element once passed verify with k=60 on a
+    # rank-5 matroid: k raised the bucket cap (k+d)/epsilon from 35 to 310
+    inst = generate_instance("cut n=200 p=0.05", matroid="partition nblocks=5 cap=1", seed=3)
+    summary = build_summary(
+        inst.objective.clone(), inst.matroid, CentralizedConfig(epsilon=0.2, d=2, seed=1)
+    )
+    assert _header_check(summary, inst) == VerifyCheck(
+        "header_matches_instance", True, "k=5 n=200 monotone=0"
+    )
+    missing = set(range(inst.n)) - set(summary.solution) - set(summary.reservoir)
+    lowest = min(summary.buckets)
+    summary.buckets[lowest] = sorted(summary.buckets[lowest] + sorted(missing))
+    summary.k = 60
+    forged = parse_summary(format_summary(summary))
+    assert forged.size() == inst.n
+    report = verify_summary(forged, inst)
+    assert [(c.name, c.detail) for c in report.failures()] == [
+        ("header_matches_instance", "k=60 but the matroid has rank 5")
+    ]
+
+
+def test_verify_flags_a_header_that_is_not_the_instances():
+    inst = generate_instance("cut n=30 p=0.2", matroid="uniform k=3", seed=4)
+    config = StreamingConfig(epsilon=0.3, d=1, seed=1)
+    streaming = stream_summary(inst.objective.clone(), inst.matroid, config, range(20))
+    # a stream over part of the ground set counts its arrivals
+    assert _header_check(streaming, inst).ok and streaming.n == 20
+    central = build_summary(
+        inst.objective.clone(), inst.matroid, CentralizedConfig(epsilon=0.3, d=1, seed=1)
+    )
+    edits = [
+        (central, "n", 29, "n=29 but the instance has 30 elements"),
+        (streaming, "n", 31, "n=31 but the instance has 30 elements"),
+        (central, "monotone", True, "monotone=1 but graph-cut is not monotone"),
+        (streaming, "monotone", True, "monotone=1 but graph-cut is not monotone"),
+    ]
+    for summary, key, value, detail in edits:
+        forged = copy.deepcopy(summary)
+        setattr(forged, key, value)
+        assert _header_check(forged, inst) == VerifyCheck("header_matches_instance", False, detail)
+
+
 def test_verify_flags_corrupted_swap_weights():
     # geometric weights force swaps against the rank-2 constraint
     inst = Instance(make_modular([2.5**i for i in range(8)]), make_uniform(8, 2))
@@ -316,7 +364,7 @@ def test_weight_checks_without_a_recorded_gamma_use_the_class_margin():
     unrecorded = parse_summary("".join(
         line for line in text.splitlines(keepends=True) if not line.startswith("gamma=")
     ))
-    assert unrecorded.gamma is None
+    assert unrecorded.gamma == 1.746
 
     def details(s):
         return [c.detail for c in check_weight_properties(s, inst.objective.clone()).checks]

@@ -33,6 +33,7 @@ from robust_summary import (
     parse_summary,
     read_instance,
     stream_summary,
+    verify_summary,
     write_instance,
 )
 from robust_summary.grammar import read_ids
@@ -282,7 +283,7 @@ epsilon=0.3
 monotone=1
 seed=5
 delta=1.0
-exponents=0,-1
+exponents=0,-1,-2,-3,-4,-5,-6,-7,-8
 a=4,0,1.0
 bucket=-1:2,3
 vd=0
@@ -341,6 +342,40 @@ def test_summary_reservoir_line_must_match_the_buckets_and_vd(lines):
     )
 
 
+def test_summary_exponents_line_must_be_its_lattice():
+    # a summary edited to hold every element once passed verify: listing its
+    # forged bucket keys in exponents= raised the size limit from 187 to 227
+    instance = generate_instance(
+        "coverage n=200 universe=150 density=0.05", matroid="partition nblocks=5 cap=1", seed=3
+    )
+    summary = build_summary(
+        instance.objective.clone(), instance.matroid,
+        CentralizedConfig(epsilon=0.2, d=2, monotone_mode=True, seed=1),
+    )
+    lattice = summary.exponents
+    assert len(lattice) == 18
+    spare = sorted(set(range(200)) - set(summary.solution) - set(summary.reservoir))
+    for x in lattice:  # 9 elements, one under the bucket cap of d/epsilon = 10
+        bucket = summary.buckets.setdefault(x, [])
+        while len(bucket) < 9:
+            bucket.append(spare.pop(0))
+    x = max(lattice) + 1
+    while spare:
+        summary.buckets[x], spare, x = spare[:9], spare[9:], x + 1
+    for bucket in summary.buckets.values():
+        bucket.sort()
+    assert summary.size() == 200
+    keys = ",".join(str(x) for x in sorted(summary.buckets, reverse=True))
+    with pytest.raises(ValueError) as info:
+        parse_summary(_with_line(format_summary(summary), f"exponents={keys}"))
+    assert str(info.value) == (
+        f"summary key 'exponents': {keys!r} is not the threshold lattice of 'delta', 'k' and 'epsilon'"
+    )
+    # with its own lattice the forgery parses, and verify refuses its size
+    report = verify_summary(parse_summary(format_summary(summary)), instance)
+    assert [(c.name, c.detail) for c in report.failures()] == [("size_bound", "size=200 limit=187")]
+
+
 def _streaming_text(include_audit=True):
     rng = np.random.default_rng(6)
     summary = stream_summary(
@@ -392,6 +427,83 @@ def test_streaming_summary_refuses_a_value_out_of_its_range(line):
     key = line.partition("=")[0]
     with pytest.raises(ValueError, match=rf"^summary key '{key}'"):
         parse_summary(_with_line(text, line))
+
+
+def _stream_of_class(monotone):
+    """An audited summary of a stream of the given class: modular or cut."""
+    if monotone:
+        return parse_summary(_streaming_text())
+    instance = generate_instance("cut n=12 p=0.4", matroid="uniform k=2", seed=1)
+    return stream_summary(
+        instance.objective, instance.matroid,
+        StreamingConfig(epsilon=0.3, d=1, seed=2, audit=True), range(12),
+    )
+
+
+@pytest.mark.parametrize("monotone", [True, False])
+def test_gamma_and_p_lines_must_be_the_values_of_the_class(monotone):
+    summary = _stream_of_class(monotone)
+    gamma, p = (1.0, 1.0) if monotone else (1.746, 1.0 / 3.746)
+    assert (summary.gamma, summary.sample_prob) == (gamma, p)
+    text = format_summary(summary, include_audit=True)
+    assert f"gamma={gamma!r}\np={p!r}\n" in text
+    edits = {
+        "gamma": [1.0, 1.746, 1.5, 3.0, float(np.nextafter(gamma, 2.0))],
+        "p": [1.0, 1.0 / 3.746, 0.5, float(np.nextafter(p, 0.0))],
+    }
+    wording = {"gamma": "swap margin", "p": "coin probability"}
+    for key, values in edits.items():
+        own = gamma if key == "gamma" else p
+        for value in values:
+            if value == own:
+                continue
+            with pytest.raises(ValueError) as info:
+                parse_summary(_with_line(text, f"{key}={value!r}"))
+            assert str(info.value) == (
+                f"summary key {key!r}: {repr(value)!r} is not the {wording[key]} {own!r} "
+                f"of a stream with monotone={int(monotone)}"
+            )
+
+
+@pytest.mark.parametrize("line", ["gamma=1.0", "gamma=1.746", "p=1.0"])
+def test_a_centralized_summary_has_no_gamma_or_p_line(line):
+    key, _, value = line.partition("=")
+    with pytest.raises(ValueError) as info:
+        parse_summary(_with_line(SMALL_CENTRALIZED_SUMMARY, line))
+    assert str(info.value) == f"summary key {key!r}: {value!r} is not part of a centralized summary"
+
+
+@pytest.mark.parametrize("exponents", ["3,2,1", "3,2,1,0,-1", "0,1,2,3", ""])
+def test_streaming_exponents_line_must_be_its_bucket_keys(exponents):
+    text = _streaming_text()
+    assert "exponents=3,2,1,0\n" in text
+    with pytest.raises(ValueError) as info:
+        parse_summary(_with_line(text, f"exponents={exponents}"))
+    assert str(info.value) == (
+        f"summary key 'exponents': {exponents!r} is not the 'bucket' exponents, descending"
+    )
+
+
+@pytest.mark.parametrize("drained", ["0,6", "6", "6,0,1", ""])
+def test_audit_drained_line_must_be_the_weight_log_ids(drained):
+    text = _streaming_text()
+    assert "audit_drained=6,0\n" in text and "weight_log=6:" in text
+    with pytest.raises(ValueError) as info:
+        parse_summary(_with_line(text, f"audit_drained={drained}"))
+    assert str(info.value) == (
+        f"summary key 'audit_drained': {drained!r} is not the ids of the 'weight_log' line"
+    )
+
+
+@pytest.mark.parametrize("monotone", [True, False])
+def test_restated_lines_may_be_left_out(monotone):
+    # each is derived from its source, and format_summary writes it back
+    streaming = format_summary(_stream_of_class(monotone), include_audit=True)
+    for text in (streaming, format_summary(parse_summary(SMALL_CENTRALIZED_SUMMARY))):
+        restated = ("exponents=", "gamma=", "p=", "b=", "audit_drained=")
+        bare = "".join(line for line in text.splitlines(True) if not line.startswith(restated))
+        assert len(bare.splitlines()) < len(text.splitlines())
+        assert format_summary(parse_summary(bare), include_audit=True) == text
 
 
 @pytest.mark.parametrize(

@@ -250,7 +250,7 @@ def _toy_summary(entries, buckets, top, k=2, d=1):
         mode="centralized", n=10, k=k, d=d, epsilon=0.2, monotone=True, seed=0,
         delta=1.0,
         entries=[SummaryEntry(e, 0, 1.0) for e in entries],
-        buckets=buckets, top_buffer=top, exponents=[0], counters={},
+        buckets=buckets, top_buffer=top, counters={},
     )
 
 

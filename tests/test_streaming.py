@@ -421,8 +421,26 @@ def test_rebucket_is_idempotent():
         ingest(state, e, obj, matroid, rng)
     rebucket(state, obj)
     first = {x: list(b) for x, b in state.buckets.items()}
-    rebucket(state, obj)
+    assert rebucket(state, obj) is False  # no bucket changed size
     assert {x: list(b) for x, b in state.buckets.items()} == first
+
+
+def test_rebucket_tells_whether_a_bucket_changed_size():
+    # the drain lists the capped buckets again only when one did
+    obj = make_weighted_coverage([1.0, 2.0, 4.0], [[0, 1], [1, 2], [2], [0]])
+    state = StreamState(StreamingConfig(epsilon=0.5, d=2, monotone_mode=True), k=3)
+    state.raise_delta(6.0)
+    for e in (0, 2, 3):
+        gain = obj.value((e,))
+        state.buckets.setdefault(state.filing_exponent(gain), []).append(e)
+        state.gains[e] = gain
+    filed = {x: list(b) for x, b in state.buckets.items()}
+    assert rebucket(state, obj) is False and state.buckets == filed
+    state.candidate_set = frozenset({1})
+    assert rebucket(state, obj, frozenset()) is False and state.buckets == filed
+    # 0 drops from 3.0 to 1.0 and leaves its bucket; 2 drops to 0 and out of the window
+    assert rebucket(state, obj, frozenset({0, 2})) is True
+    assert state.gains == {0: 1.0, 3: 1.0} and state.audit.low_value == [2]
 
 
 def test_empty_and_warmup_only_streams():
@@ -594,6 +612,16 @@ def test_memory_limit_arithmetic():
         range(40),
     )
     assert summary.peak_memory <= 689
+
+
+def test_stream_window_keeps_a_power_equal_to_its_floor():
+    # eps=0.1, k=1, delta=11: tau_min is exactly 1.0 = 1.1**0; the centralized
+    # lattice leaves that power out (test_thresholds), so unifying the two
+    # rules changes bytes
+    state = StreamState(StreamingConfig(epsilon=0.1, d=0), k=1)
+    state.raise_delta(11.0)
+    assert state.tau_min == 1.0 == state.ladder.power(0)
+    assert state.min_active_exponent == 0 and state.window[0] == 1.0
 
 
 def test_subnormal_values_do_not_crash_the_window():

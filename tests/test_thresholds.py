@@ -52,6 +52,15 @@ def test_lattice_window_delta_one():
     assert _direct_power(1.1, 1) > 1.0
 
 
+def test_centralized_lattice_leaves_out_a_power_equal_to_its_floor():
+    # eps=0.1, k=1, delta=11: the floor is exactly 1.0 = 1.1**0; the stream's
+    # window keeps that power (test_streaming), so unifying the two rules
+    # changes bytes
+    lattice = threshold_lattice(11.0, 1, 0.1)
+    assert lattice.lower == 1.0 == lattice.power(0)
+    assert lattice.exponents == tuple(range(25, 0, -1))
+
+
 def test_lattice_membership_by_direct_powers():
     for delta, k, eps in [(7.3, 4, 0.2), (0.02, 2, 0.45), (123.0, 10, 0.1)]:
         lattice = threshold_lattice(delta, k, eps)
