@@ -12,7 +12,7 @@ import numpy as np
 
 from .ground import GroundSet, Ids
 
-# candidates gains() evaluates per _gains_with call: bounds its temporaries
+# candidates FacilityLocation joins into one numpy pass: bounds its temporaries
 BATCH_ROWS = 256
 
 
@@ -26,7 +26,7 @@ class Objective(GroundSet):
     gains() counts two per candidate.  Parameters are frozen at construction.
     The mutable state is the tally, a one-slot memo ``(S, state of S)`` of
     the last set a gain was asked against, and a table of every f({e}),
-    filled in batches on the first one-element value() query or
+    filled by one batch on the first one-element value() query or
     singleton_values() call; a one-element tuple, as the stream asks at each
     arrival, is read from it without building a set.  singleton_values()
     hands out the whole table and counts no query, for callers outside the
@@ -60,16 +60,16 @@ class Objective(GroundSet):
 
     One gain, one kernel.  ``_gain`` is the only gain a class writes:
     marginal() asks it for one element, and gains() asks ``_gains_with``
-    for ``BATCH_ROWS`` candidates at a time, which calls ``_gain`` on each.
-    A class overrides ``_gains_with`` only where a batch pays, and the
-    override must give ``_gain``'s bits for every element: coverage loops
-    its gathers without a method call per candidate, and facility location
-    joins the candidates' numpy arrays into one pass and cuts the terms back
-    into runs.  fsum does not depend on the order of its terms, so both give
-    the same bits.  Against the empty set, once the table of every f({e})
-    is filled, both read their gains from it, which is the same bits again
-    since value({e}) is the gain at the empty set; a gain query never fills
-    the table itself.
+    once for all its candidates, which calls ``_gain`` on each.  A class
+    overrides ``_gains_with`` only where a batch pays, and the override must
+    give ``_gain``'s bits for every element: coverage loops its gathers
+    without a method call per candidate, and facility location joins
+    ``BATCH_ROWS`` candidates' numpy arrays at a time into one pass and cuts
+    the terms back into runs.  fsum does not depend on the order of its
+    terms, so both give the same bits.  Against the empty set, once the
+    table of every f({e}) is filled, both read their gains from it, which
+    is the same bits again since value({e}) is the gain at the empty set; a
+    gain query never fills the table itself.
     """
 
     kind = "abstract"
@@ -107,7 +107,7 @@ class Objective(GroundSet):
         return self._gain(self._remembered(s)[1], e, s)
 
     def gains(self, candidates: Ids, ids: Ids) -> list[float]:
-        """``[marginal(e, ids) for e in candidates]``, evaluated in batches.
+        """``[marginal(e, ids) for e in candidates]``, evaluated in one batch.
 
         Validates the ids once and raises for the same id the loop would,
         except that a bad S raises even with no candidates.  Counts two
@@ -126,10 +126,7 @@ class Objective(GroundSet):
             return [table[e] for e in es]
         state = self._remembered(s)[1]
         outside = [e for e in es if e not in s]
-        fresh: list[float] = []
-        for i in range(0, len(outside), BATCH_ROWS):
-            fresh.extend(self._gains_with(state, outside[i : i + BATCH_ROWS], s))
-        gains = iter(fresh)
+        gains = iter(self._gains_with(state, outside, s) if outside else ())
         return [0.0 if e in s else next(gains) for e in es]
 
     @property
@@ -173,11 +170,8 @@ class Objective(GroundSet):
         table = self._singletons[0]
         if table is None:
             empty = frozenset()
-            state = self._state(empty)
-            table = []
-            for start in range(0, self.n, BATCH_ROWS):
-                es = list(range(start, min(start + BATCH_ROWS, self.n)))
-                table.extend(self._gains_with(state, es, empty))
+            es = list(range(self.n))
+            table = self._gains_with(self._state(empty), es, empty) if es else []
             self._singletons[0] = table
         return table
 
@@ -340,16 +334,19 @@ class FacilityLocation(Objective):
         return self.similarity[:, list(s)].max(axis=1)
 
     def _gains_with(self, best: np.ndarray, es: list[int], s: frozenset) -> list[float]:
-        columns = self.similarity[:, es].T  # row j: the similarities of es[j]
-        beats = columns > best
-        rows, clients = np.nonzero(beats)  # row by row
-        terms = np.empty((rows.size, 2))
-        terms[:, 0] = columns[rows, clients]
-        terms[:, 1] = -best[clients]
-        # one fsum per row: its run of 2 terms per client it beats
-        terms = terms.ravel().tolist()
-        ends = list(accumulate((2 * beats.sum(axis=1)).tolist()))
-        return [math.fsum(terms[start:end]) for start, end in zip([0] + ends, ends)]
+        gains: list[float] = []
+        for i in range(0, len(es), BATCH_ROWS):
+            columns = self.similarity[:, es[i : i + BATCH_ROWS]].T  # row j: es[i + j]
+            beats = columns > best
+            rows, clients = np.nonzero(beats)  # row by row
+            terms = np.empty((rows.size, 2))
+            terms[:, 0] = columns[rows, clients]
+            terms[:, 1] = -best[clients]
+            # one fsum per row: its run of 2 terms per client it beats
+            terms = terms.ravel().tolist()
+            ends = list(accumulate((2 * beats.sum(axis=1)).tolist()))
+            gains += [math.fsum(terms[start:end]) for start, end in zip([0] + ends, ends)]
+        return gains
 
     def _gain(self, best: np.ndarray, e: int, s: frozenset) -> float:
         column = self.similarity[:, e]

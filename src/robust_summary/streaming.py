@@ -15,20 +15,18 @@ built: no circuit member weighs less than that, so the refusal is exact
 One loop does the arrivals: ``stream_summary`` hands it the whole order,
 and ``ingest`` is the same loop run over one element.  It holds the stream's
 containers and constants in locals and calls out only to file an element,
-to drain a capped bucket, and to move the window when delta grows.
+to drain a capped bucket, and to rebuild the lattice when delta grows.
 
 The state keeps the gain each element was filed by.  A rebucketing refiles
 only what the change can move: it visits the filed elements that depend on
 an element that entered or left the candidate (``Objective.dependents``),
 and no other.  With ``exact_gains`` every other filed gain is bit for bit
 the gain a fresh query would return (see ``rebucket``), so a drained
-element's weight is read from its filed gain.  The active window
-(``tau_min`` and the lowest live bucket) depends on the anchor delta alone
-and moves only when delta grows.  So does the window table, the lattice
-points from the lowest live bucket to one step above delta: a gain is filed
-by a bisection of that table, and the ladder's ``floor_exponent`` is asked
-only when there is no window or for a gain above its top
-(``StreamState.filing_exponent``, the one filing rule of the stream).
+element's weight is read from its filed gain.  The live buckets are the
+exponents of ``threshold_lattice`` of the anchor delta, the lattice the
+centralized sweep walks, and they move only when delta grows: the state
+keeps that lattice, rebuilt at each growth, and files a gain by its
+``filing_exponent``, a bisection of the lattice's table of powers.
 
 An arrival's gain is asked only when a candidate member can move it.  The
 state counts, per element, the candidate members that list it in their
@@ -52,7 +50,7 @@ import numpy as np
 from .matroids import Matroid
 from .objectives import Objective, check_monotone_mode
 from .summary import StreamAudit, Summary, SummaryEntry, coin_probability, swap_margin
-from .thresholds import PowerLadder, check_parameter
+from .thresholds import PowerLadder, check_parameter, threshold_lattice
 
 
 def drain_cap(d: int, epsilon: float) -> int:
@@ -121,11 +119,8 @@ class StreamState:
         # leaves next, the smallest value and on ties the larger id
         self.top_buffer: list[tuple[float, int, int]] = []
         self.delta = 0.0
-        self.tau_min = 0.0
-        self.min_active_exponent: int | None = None
-        # power(min_active_exponent) .. power(floor_exponent(delta) + 1),
-        # empty while there is no window
-        self.window: list[float] = []
+        # the live exponents of delta; empty, and filing nothing, until delta > 0
+        self.lattice = threshold_lattice(0.0, k, config.epsilon, self.ladder)
         self.audit = StreamAudit()
         self.upward_moves = 0
         self.upward_moves_after_growth = 0
@@ -137,52 +132,21 @@ class StreamState:
         return len(self.candidate) + len(self.top_buffer) + len(self.gains)
 
     def raise_delta(self, delta: float) -> None:
-        """Anchor the window at a larger delta and drop the buckets under it.
+        """Anchor the lattice at a larger delta and drop the buckets under it.
 
-        The window depends on delta alone, so it moves only here.  It keeps
-        every lattice power at or above tau_min, evaluated as
-        ``epsilon / (1.0 + epsilon) * delta / k``.  The centralized lattice
-        (``thresholds.threshold_lattice``) leaves out a power equal to its
-        floor, so on such an exact tie the window reaches one exponent lower
-        (epsilon=0.1, k=1, delta=11.0: lowest exponent 0 here, 1 there).
-        tau_min can underflow to 0 on a subnormal anchor; the window then
-        stays open and the table empty.
+        The live exponents are those of ``threshold_lattice(delta, k,
+        epsilon)``, the lattice the centralized sweep walks, so they move
+        only here.  An anchor so small that the lattice is empty files
+        nothing, and every bucket is dropped.
         """
-        cfg = self.config
         self.delta = delta
-        self.tau_min = cfg.epsilon / (1.0 + cfg.epsilon) * delta / self.k
-        if not self.tau_min > 0.0:
-            return
-        ladder = self.ladder
-        low = self.min_active_exponent = ladder.ceil_exponent(self.tau_min)
-        top = ladder.floor_exponent(delta) + 1
-        self.window = [ladder.power(i) for i in range(low, top + 1)]
+        lattice = self.lattice = threshold_lattice(delta, self.k, self.config.epsilon, self.ladder)
+        low = lattice.exponents[-1] if lattice.exponents else math.inf
         for x in sorted(x for x in self.buckets if x < low):
             dropped = self.buckets.pop(x)
             for e in dropped:
                 del self.gains[e]
             self.audit.low_value.extend(dropped)
-
-    def filing_exponent(self, gain: float) -> int | None:
-        """The exponent a gain is filed at, or None when it falls out of the window.
-
-        The rule: a gain that is positive and at least tau_min is filed at
-        ``ladder.floor_exponent(gain)``, unless that lies under
-        ``min_active_exponent``.  The lattice points strictly rise with the
-        exponent, so counting the window's powers at or below the gain finds
-        that exponent; the ladder is asked only when there is no window, or
-        for a gain at or above the window's top power (a gain above delta,
-        which an objective without exact gains can give).
-        """
-        if not gain > 0.0 or self.tau_min > gain:
-            return None
-        window = self.window
-        if window:
-            i = bisect.bisect_right(window, gain)
-            if i < len(window):
-                # i == 0: the window leaves no lattice point at or below the gain
-                return self.min_active_exponent + i - 1 if i else None
-        return self.ladder.floor_exponent(gain)
 
 
 def ingest(
@@ -197,9 +161,9 @@ def ingest(
     This is the one arrival loop of ``stream_summary`` (``_arrive``) run
     over one element, so feeding a stream one arrival at a time gives the
     bytes and the queries of ``stream_summary``.  The popped element is
-    filed through the window table (``StreamState.filing_exponent``), and a
-    drain that changes the candidate refiles only the filed elements the
-    change can move (``rebucket``).
+    filed by the state's lattice (``ThresholdLattice.filing_exponent``),
+    and a drain that changes the candidate refiles only the filed elements
+    the change can move (``rebucket``).
     """
     _arrive(state, (element,), objective, matroid, rng)
     return state
@@ -232,7 +196,7 @@ def _arrive(
     value_of, marginal = objective.value, objective.marginal
     seen, top_buffer, buckets, gains = state.seen, state.top_buffer, state.buckets, state.gains
     candidate, low_value = state.candidate, state.audit.low_value
-    filing_exponent = state.filing_exponent
+    filing_exponent = state.lattice.filing_exponent
     for element in elements:
         element = int(element)
         if element in seen:
@@ -247,6 +211,7 @@ def _arrive(
             popped_value, _, popped = heapq.heappushpop(top_buffer, (value, -element, element))
             if popped_value > state.delta:
                 state.raise_delta(popped_value)
+                filing_exponent = state.lattice.filing_exponent
             depended = state.depended
             if exact and depended is not None and popped not in depended:
                 # no candidate member can move the gain: it is the gain at the empty set
@@ -282,7 +247,7 @@ def drain_buckets(
     second, so traces replay exactly.  Outside a rebucket a drain only
     shrinks its own bucket, so the capped buckets are listed again only
     after a rebucket that moved an element to another bucket or out of
-    the window.
+    the lattice.
 
     A drained element's weight is its marginal against the current
     candidate: the gain it is filed by.  An element that does not fit is
@@ -386,7 +351,7 @@ def rebucket(
 ) -> bool:
     """Refile each filed element the candidate change can move, by its fresh marginal.
 
-    Returns whether an element changed bucket or left the window, that is
+    Returns whether an element changed bucket or left the lattice, that is
     whether any bucket changed size.
 
     ``moved`` holds the elements whose gain the change can move: those that
@@ -400,20 +365,20 @@ def rebucket(
     (``_note_change`` gives None), since a difference of two float values
     can move by an ulp where the exact gain did not.
 
-    A visited element's old exponent is the one its filed gain is filed at
-    (``StreamState.filing_exponent``); the window only rose since, and an
-    element under it was dropped.  Elements are refiled by old exponent
-    descending, then id.  The fresh marginals become the filed gains.
-    Elements falling under the active window are discarded.  When the
-    candidate only grew, gains cannot rise, so upward moves are tracked
-    separately from the legitimate ones a swap can cause: with exact gains
-    ``upward_moves_after_growth`` stays 0.
+    A visited element's old exponent is the one its filed gain files at in
+    the state's lattice (``ThresholdLattice.filing_exponent``); the lattice
+    only rose since, and an element under it was dropped.  Elements are
+    refiled by old exponent descending, then id.  The fresh marginals
+    become the filed gains.  Elements falling under the lattice are
+    discarded.  When the candidate only grew, gains cannot rise, so upward
+    moves are tracked separately from the legitimate ones a swap can cause:
+    with exact gains ``upward_moves_after_growth`` stays 0.
     """
     buckets, gains = state.buckets, state.gains
     filed = gains if moved is None else [e for e in moved if e in gains]
     if not filed:
         return False
-    filing_exponent = state.filing_exponent
+    filing_exponent = state.lattice.filing_exponent
     # (old exponent, element), by exponent descending, then id
     moving = sorted(((filing_exponent(gains[e]), e) for e in filed), key=lambda m: (-m[0], m[1]))
     for old, e in moving:

@@ -48,7 +48,7 @@ class StreamAudit:
     swapped_out: (element, weight) pairs kicked out of the candidate solution.
     sample_rejected: drained elements dropped by the subsampling coin.
     swap_failed: drained elements whose weight did not beat the swap margin.
-    low_value: elements discarded for falling under the active threshold window.
+    low_value: elements discarded for falling under the threshold lattice.
     weight_log: every (element, weight) assignment, in assignment order.
 
     Each drained element is given its weight once, when it is drained, so

@@ -1,7 +1,14 @@
-"""Geometric threshold lattices with reproducible power evaluation."""
+"""Geometric threshold lattices with reproducible power evaluation.
+
+``threshold_lattice`` is the one rule both builders follow: which exponents
+are live for an anchor delta, and where a gain files.  The centralized sweep
+walks its exponents; the stream rebuilds it when delta grows and files each
+gain by its ``filing_exponent``.
+"""
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -56,17 +63,14 @@ class PowerLadder:
             guess -= 1
         return guess
 
-    def ceil_exponent(self, x: float) -> int:
-        """Smallest i with power(i) >= x.  Requires x > 0."""
-        j = self.floor_exponent(x)
-        return j if self.power(j) == x else j + 1
-
 
 @dataclass(frozen=True)
 class ThresholdLattice:
     """Descending geometric thresholds (1+eps)**i covering (lower, delta].
 
     ``exponents`` is empty when delta <= 0 (no positive values to chase).
+    ``table`` holds the powers from the lowest exponent to one step above
+    the highest, ascending; it is empty with the exponents.
     """
 
     epsilon: float
@@ -74,6 +78,7 @@ class ThresholdLattice:
     lower: float
     exponents: tuple[int, ...]
     ladder: PowerLadder = field(repr=False, compare=False)
+    table: list[float] = field(repr=False, compare=False)
 
     def power(self, i: int) -> float:
         return self.ladder.power(i)
@@ -81,6 +86,25 @@ class ThresholdLattice:
     @property
     def size(self) -> int:
         return len(self.exponents)
+
+    def filing_exponent(self, gain: float) -> int | None:
+        """The exponent a gain files at: ``ladder.floor_exponent(gain)``, if live.
+
+        None for a gain under the lowest power, for one that is not
+        positive or is NaN, and on an empty lattice.  The powers strictly
+        rise with the exponent, so counting the table's powers at or below
+        the gain finds the exponent; the ladder is asked only for a gain at
+        or above the table's top (a gain above delta, which an objective
+        without exact gains can give).
+        """
+        table = self.table
+        i = bisect.bisect_right(table, gain)
+        if 0 < i < len(table):
+            return self.exponents[-1] + i - 1
+        # under the lowest power, an empty table, or NaN (it bisects to the top)
+        if i == 0 or not gain > 0.0:
+            return None
+        return self.ladder.floor_exponent(gain)
 
 
 # The range each builder parameter must lie in, and its wording in errors.
@@ -105,30 +129,36 @@ def check_parameter(name: str, value, label: str | None = None, text: str | None
     return value
 
 
-def threshold_lattice(delta: float, k: int, epsilon: float) -> ThresholdLattice:
+def threshold_lattice(
+    delta: float, k: int, epsilon: float, ladder: PowerLadder | None = None
+) -> ThresholdLattice:
     """Exponents i with epsilon*delta/((1+epsilon)*k) < (1+epsilon)**i <= delta.
 
     Membership is decided on the exactly evaluated powers, never on a pure
     float-log test, so the lattice is reproducible.  The floor ``lower`` is
     evaluated as ``epsilon * delta / ((1.0 + epsilon) * k)`` and a power
-    equal to it is left out.  The stream's window
-    (``StreamState.raise_delta``) keeps a power equal to its floor, which it
-    evaluates in another order; the two differ only on such exact ties
-    (epsilon=0.1, k=1, delta=11.0: lowest exponent 1 here, 0 in the stream).
+    equal to it is left out.  ``ladder``, a ladder of base 1 + epsilon,
+    lets a caller that rebuilds the lattice keep its powers; by default a
+    new one is made.
     """
     check_parameter("k", k, "matroid rank")
     check_parameter("epsilon", epsilon)
-    ladder = PowerLadder(1.0 + epsilon)
+    if ladder is None:
+        ladder = PowerLadder(1.0 + epsilon)
     if not delta > 0.0:
-        return ThresholdLattice(epsilon, float(delta), 0.0, (), ladder)
+        return ThresholdLattice(epsilon, float(delta), 0.0, (), ladder, [])
     lower = epsilon * delta / ((1.0 + epsilon) * k)
     if lower <= 0.0:
-        # subnormal delta underflowed the window floor; clamp to the smallest
+        # subnormal delta underflowed the floor; clamp to the smallest
         # positive double so the lattice stays finite
         lower = 5e-324
     hi = ladder.floor_exponent(delta)
     lo = ladder.floor_exponent(lower) + 1  # smallest exponent strictly above `lower`
-    return ThresholdLattice(epsilon, float(delta), lower, tuple(range(hi, lo - 1, -1)), ladder)
+    power = ladder.power
+    table = [power(i) for i in range(lo, hi + 2)] if lo <= hi else []
+    return ThresholdLattice(
+        epsilon, float(delta), lower, tuple(range(hi, lo - 1, -1)), ladder, table
+    )
 
 
 def lattice_size_limit(k: int, epsilon: float) -> int:

@@ -160,26 +160,31 @@ def structural_checks(summary: Summary, instance: Instance) -> list[VerifyCheck]
             )
         )
 
-    # insertion gains must sit in their threshold band and below the anchor
+    # insertion gains must sit in their threshold band and below the anchor.
+    # Only floor_exponent(gain) or the exponent under it can pass (the
+    # centralized band allows 1e-9), so the power of any other exponent an
+    # entry gives is never built; no builder writes a gain that is not positive.
     bracket_ok = True
     detail = ""
     top_exp = exponents[0] if exponents else None
     for entry in summary.entries:
-        tau = ladder.power(entry.exponent)
-        if entry.gain < tau:
-            bracket_ok, detail = False, f"element {entry.element} gain below its threshold"
+        gain, exponent = entry.gain, entry.exponent
+        floor = ladder.floor_exponent(gain) if gain > 0.0 else None
+        if floor is None or exponent > floor:
+            where = "below its threshold"
+        elif gain > summary.delta + 1e-9:
+            where = "above the anchor"
+        elif exponent < floor - 1:
+            where = "above its band"
+        elif summary.mode == "streaming":
+            where = "above its band" if gain > ladder.power(exponent + 1) else None
+        elif top_exp is not None and exponent < top_exp:
+            where = "above its band" if gain > ladder.power(exponent + 1) + 1e-9 else None
+        else:
+            where = None
+        if where is not None:
+            bracket_ok, detail = False, f"element {entry.element} gain {where}"
             break
-        if entry.gain > summary.delta + 1e-9:
-            bracket_ok, detail = False, f"element {entry.element} gain above the anchor"
-            break
-        if summary.mode == "centralized" and top_exp is not None and entry.exponent < top_exp:
-            if entry.gain > ladder.power(entry.exponent + 1) + 1e-9:
-                bracket_ok, detail = False, f"element {entry.element} gain above its band"
-                break
-        if summary.mode == "streaming":
-            if entry.gain > ladder.power(entry.exponent + 1):
-                bracket_ok, detail = False, f"element {entry.element} gain above its band"
-                break
     checks.append(VerifyCheck("gain_brackets", bracket_ok, detail))
     return checks
 

@@ -408,15 +408,17 @@ def literal_stream_summary(objective, matroid, config, order):
 
     The plain reference for ``stream_summary``: same buffer, filing, draws,
     swaps and refiling, but a drained element's weight is a fresh marginal
-    against the candidate, the window is recomputed at every arrival, every
-    bucket is scanned for the cap before every draw, refiling asks one
-    marginal and one floor exponent per element, and memory is recounted at
-    every boundary.
+    against the candidate, the lowest live exponent is taken from
+    ``threshold_lattice`` at every arrival and a gain is filed by
+    ``floor_exponent`` (not by the lattice's table), every bucket is scanned
+    for the cap before every draw, refiling asks one marginal and one floor
+    exponent per element, and memory is recounted at every boundary.
     """
     rng = np.random.default_rng(config.seed)
     state = StreamState(config, matroid.k)
     ladder, audit, cap = state.ladder, state.audit, config.drain_cap
     candidate = set()
+    low = None  # the lowest live exponent; None files nothing
 
     def boundary():
         filed = sum(len(bucket) for bucket in state.buckets.values())
@@ -424,12 +426,11 @@ def literal_stream_summary(objective, matroid, config, order):
         state.peak_memory = max(state.peak_memory, memory)
 
     def live_exponent(gain):
-        """The exponent to file a gain at, or None when it falls out of the window."""
-        if state.tau_min > gain or gain <= 0.0:
+        """The exponent to file a gain at, or None when it falls under the lattice."""
+        if low is None or not gain > 0.0:
             return None
         exponent = ladder.floor_exponent(gain)
-        low = state.min_active_exponent
-        return None if low is not None and exponent < low else exponent
+        return exponent if exponent >= low else None
 
     def refile(grew):
         filed = [(x, e) for x in sorted(state.buckets, reverse=True) for e in state.buckets[x]]
@@ -495,12 +496,10 @@ def literal_stream_summary(objective, matroid, config, order):
         popped_value, popped = min(state.top_buffer, key=lambda t: (t[0], -t[1]))
         state.top_buffer.remove((popped_value, popped))
         state.delta = max(state.delta, popped_value)
-        state.tau_min = config.epsilon / (1.0 + config.epsilon) * state.delta / state.k
-        if state.tau_min > 0.0:
-            state.min_active_exponent = ladder.ceil_exponent(state.tau_min)
-            for x in sorted(state.buckets):
-                if x < state.min_active_exponent:
-                    audit.low_value.extend(state.buckets.pop(x))
+        low = min(threshold_lattice(state.delta, state.k, config.epsilon).exponents, default=None)
+        for x in sorted(state.buckets):
+            if low is None or x < low:
+                audit.low_value.extend(state.buckets.pop(x))
         exponent = live_exponent(objective.marginal(popped, candidate))
         if exponent is None:
             audit.low_value.append(popped)

@@ -34,6 +34,7 @@ from robust_summary import (
     write_instance,
 )
 from robust_summary.thresholds import PowerLadder
+from robust_summary import verify
 from robust_summary.verify import VerifyCheck, structural_checks
 
 
@@ -423,6 +424,38 @@ def test_gain_brackets_flag_a_gain_outside_its_band(mode):
         assert brackets(_with_gain(summary, index, gain)) == (
             False, f"element {entry.element} gain {where}"
         )
+
+
+def test_gain_brackets_build_no_power_of_a_far_exponent(monkeypatch):
+    # an a= exponent of +-10**6 fails at the cost of its gain: the ladder
+    # builds the powers out to floor_exponent(gain), not out to the exponent
+    ladders = []
+
+    class CountingLadder(PowerLadder):
+        def __init__(self, base):
+            super().__init__(base)
+            ladders.append(self)
+
+        def power(self, i):
+            # refuse at once, where the unbounded check would build 10**6 powers
+            assert abs(i) < 1000, f"power({i}) asked"
+            return super().power(i)
+
+    monkeypatch.setattr(verify, "PowerLadder", CountingLadder)
+    inst = generate_instance(
+        "coverage n=40 universe=60 density=0.1", matroid="partition nblocks=4 cap=1", seed=3
+    )
+    config = CentralizedConfig(epsilon=0.5, d=1, monotone_mode=True, seed=1)
+    text = format_summary(build_summary(inst.objective.clone(), inst.matroid, config))
+    first = text.index("\na=") + 1
+    element, _, gain = text[first:].split("\n", 1)[0][2:].split(",")
+    for exponent, where in ((10**6, "below its threshold"), (-(10**6), "above its band")):
+        line = f"a={element},{exponent},{gain}"
+        edited = parse_summary(text[:first] + line + text[text.index("\n", first):])
+        (check,) = [c for c in structural_checks(edited, inst) if c.name == "gain_brackets"]
+        assert (check.ok, check.detail) == (False, f"element {element} gain {where}")
+        built = len(ladders[-1]._pos) + len(ladders[-1]._neg)
+        assert built < 1000
 
 
 def test_identity_order_streams_the_ids_in_order(tmp_path):

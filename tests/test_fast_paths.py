@@ -336,10 +336,10 @@ def test_objective_without_dependents_refiles_everything():
     assert drained
 
 
-def test_value_only_gains_keep_their_float_slack():
-    # differences of two float sums on lattice weights: without the skip
-    # slack 11 of these 200 sweeps, and without the near-tie window 15 of
-    # these 200 greedy runs, differed from their plain references
+def test_value_only_coverage_sweep_and_greedy_equal_their_plain_references():
+    # gains that are differences of two float sums on lattice weights, where
+    # a remembered gain bounds nothing: the sweep and the greedy ask every
+    # feasible element, so they give the bytes and picks of the plain loops
     for seed in range(200):
         rng = np.random.default_rng([seed, 23])
         epsilon = float(rng.choice([0.1, 0.2, 0.3]))

@@ -22,6 +22,7 @@ from robust_summary import (
     rebucket,
     stream_summary,
     streaming_memory_limit,
+    threshold_lattice,
 )
 from robust_summary.thresholds import PowerLadder
 from helpers import ConcaveOfModular, LeverConfig, literal_stream_summary
@@ -432,7 +433,7 @@ def test_rebucket_tells_whether_a_bucket_changed_size():
     state.raise_delta(6.0)
     for e in (0, 2, 3):
         gain = obj.value((e,))
-        state.buckets.setdefault(state.filing_exponent(gain), []).append(e)
+        state.buckets.setdefault(state.lattice.filing_exponent(gain), []).append(e)
         state.gains[e] = gain
     filed = {x: list(b) for x, b in state.buckets.items()}
     assert rebucket(state, obj) is False and state.buckets == filed
@@ -540,15 +541,10 @@ def test_partition_audit_on_random_streams(monotone):
         assert summary.counters["upward_moves_after_growth"] == 0
         if summary.delta > 0:
             assert all(w > 0 for _, w in audit.weight_log)
-        # active window: surviving bucket thresholds sit between the floor and
-        # the anchor value
-        from robust_summary import PowerLadder
-
-        ladder = PowerLadder(1.0 + cfg.epsilon)
-        tau_min = cfg.epsilon / (1.0 + cfg.epsilon) * summary.delta / matroid.k
-        for exponent in summary.buckets:
-            assert ladder.power(exponent) >= tau_min
-            assert ladder.power(exponent) <= summary.delta + 1e-9
+        # every surviving bucket sits at an exponent of the lattice the
+        # centralized sweep walks from the same anchor
+        live = threshold_lattice(summary.delta, matroid.k, cfg.epsilon).exponents
+        assert set(summary.buckets) <= set(live)
         report = check_weight_properties(summary, obj, deleted=order[: cfg.d])
         assert report.all_ok, report.failures()
 
@@ -614,18 +610,8 @@ def test_memory_limit_arithmetic():
     assert summary.peak_memory <= 689
 
 
-def test_stream_window_keeps_a_power_equal_to_its_floor():
-    # eps=0.1, k=1, delta=11: tau_min is exactly 1.0 = 1.1**0; the centralized
-    # lattice leaves that power out (test_thresholds), so unifying the two
-    # rules changes bytes
-    state = StreamState(StreamingConfig(epsilon=0.1, d=0), k=1)
-    state.raise_delta(11.0)
-    assert state.tau_min == 1.0 == state.ladder.power(0)
-    assert state.min_active_exponent == 0 and state.window[0] == 1.0
-
-
 def test_subnormal_values_do_not_crash_the_window():
-    # 5e-324 underflows tau_min to zero while the anchor stays positive
+    # 5e-324 underflows the lattice floor: the anchor stays positive, the lattice empty
     obj = make_modular([0.0, 0.0, 5e-324])
     cfg = StreamingConfig(epsilon=0.4, d=0, monotone_mode=True, seed=0)
     summary = stream_summary(obj, make_uniform(3, 1), cfg, [0, 1, 2])

@@ -11,6 +11,9 @@ from robust_summary import (
     StreamingConfig,
     StreamState,
     lattice_size_limit,
+    make_modular,
+    make_uniform,
+    stream_summary,
     threshold_lattice,
 )
 
@@ -29,14 +32,12 @@ def test_power_ladder_matches_direct_evaluation():
         assert ladder.power(i) == _direct_power(1.1, i)
 
 
-def test_floor_and_ceil_exponents():
+def test_floor_exponents():
     ladder = PowerLadder(1.25)
     for i in range(-20, 21):
         x = ladder.power(i)
         assert ladder.floor_exponent(x) == i
-        assert ladder.ceil_exponent(x) == i
         assert ladder.floor_exponent(x * 1.01) == i
-        assert ladder.ceil_exponent(x * 1.01) == i + 1
     with pytest.raises(ValueError):
         ladder.floor_exponent(0.0)
 
@@ -52,13 +53,21 @@ def test_lattice_window_delta_one():
     assert _direct_power(1.1, 1) > 1.0
 
 
-def test_centralized_lattice_leaves_out_a_power_equal_to_its_floor():
-    # eps=0.1, k=1, delta=11: the floor is exactly 1.0 = 1.1**0; the stream's
-    # window keeps that power (test_streaming), so unifying the two rules
-    # changes bytes
+def test_both_builders_leave_out_a_power_equal_to_the_floor():
+    # eps=0.1, k=1, delta=11: the floor is exactly 1.0 = 1.1**0, and neither
+    # the sweep's lattice nor a stream anchored at 11.0 keeps that power
     lattice = threshold_lattice(11.0, 1, 0.1)
     assert lattice.lower == 1.0 == lattice.power(0)
     assert lattice.exponents == tuple(range(25, 0, -1))
+    state = _state(0.1, k=1)
+    state.raise_delta(11.0)
+    assert state.lattice.exponents[-1] == 1
+    assert state.lattice.filing_exponent(1.0) is None
+    assert state.lattice.filing_exponent(1.1) == 1
+    # a whole stream: 11.0 anchors it, and the gain 1.0 is not filed
+    config = StreamingConfig(epsilon=0.1, d=0, monotone_mode=True)
+    summary = stream_summary(make_modular([11.0, 1.0]), make_uniform(2, 1), config, [0, 1])
+    assert summary.delta == 11.0 and summary.audit.low_value == [1]
 
 
 def test_lattice_membership_by_direct_powers():
@@ -126,15 +135,14 @@ def test_every_subnormal_has_a_lattice_point_at_or_below_it(base):
         # 1e-311 and the like sit above a positive lattice point
         if x >= 1e-320:
             assert ladder.power(i) > 0.0
-    # a window over the subnormals files each gain as the literal rule does
-    state = _state(base - 1.0)
+    # a lattice over the subnormals files each gain as the literal rule does
     for delta in (1e-309, 2.2250738585072014e-308):
-        state.raise_delta(delta)
-        assert state.tau_min > 0.0 and state.window
+        lattice = threshold_lattice(delta, 3, base - 1.0)
+        assert lattice.exponents
         for x, i in zip(xs, expected):
-            assert state.filing_exponent(x) == _literal_filing_exponent(state, x)
-            if x >= state.ladder.power(state.min_active_exponent):
-                assert state.filing_exponent(x) == i
+            assert lattice.filing_exponent(x) == _literal_filing_exponent(lattice, x)
+            if x >= lattice.power(lattice.exponents[-1]):
+                assert lattice.filing_exponent(x) == i
 
 
 def test_lattice_rejects_bad_parameters():
@@ -148,20 +156,19 @@ def _state(epsilon, k=3):
     return StreamState(StreamingConfig(epsilon=epsilon, d=1), k)
 
 
-def _literal_filing_exponent(state, gain):
-    """The filing rule as written: floor_exponent and the two window checks."""
-    if not gain > 0.0 or state.tau_min > gain:
+def _literal_filing_exponent(lattice, gain):
+    """The filing rule as written: floor_exponent, if at or above the lowest exponent."""
+    if not lattice.exponents or not gain > 0.0:
         return None
-    exponent = state.ladder.floor_exponent(gain)
-    low = state.min_active_exponent
-    return None if low is not None and exponent < low else exponent
+    exponent = lattice.ladder.floor_exponent(gain)
+    return exponent if exponent >= lattice.exponents[-1] else None
 
 
-def _probes(state, low, high):
+def _probes(ladder, low, high):
     """Each lattice point from ``low`` to ``high``, and one step either side of it."""
     gains = []
     for i in range(low, high + 1):
-        p = state.ladder.power(i)
+        p = ladder.power(i)
         gains += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
     return [g for g in gains if 0.0 < g < math.inf]
 
@@ -177,62 +184,71 @@ class _CountingLadder(PowerLadder):
 @pytest.mark.parametrize("epsilon", [0.001, 0.05, 0.1, 0.2, 0.9])
 def test_filing_exponent_matches_the_literal_rule(epsilon):
     state = _state(epsilon)
-    # no window yet: every positive gain is filed by floor_exponent
-    for gain in _probes(state, -40, 40) + [5e-324, 1e-320, 1e300]:
-        assert state.filing_exponent(gain) == state.ladder.floor_exponent(gain)
-    # delta grows between calls, and the window with it
+    ladder = state.ladder
+    # no anchor yet: the lattice is empty and files nothing
+    for gain in _probes(ladder, -40, 40) + [5e-324, 1e-320, 1e300]:
+        assert state.lattice.filing_exponent(gain) is None
+    # delta grows between calls, and the stream's lattice is the sweep's
     for delta in (1e-300, 0.37, 1.0, 2.5e3, 1e200):
         state.raise_delta(delta)
-        low, top = state.min_active_exponent, state.ladder.floor_exponent(delta) + 1
-        assert state.window == [state.ladder.power(i) for i in range(low, top + 1)]
-        gains = _probes(state, low - 3, top + 3)
-        # under tau_min, between tau_min and the lowest lattice point, above the top
-        gains += [state.tau_min, math.nextafter(state.tau_min, 0.0), delta, 10.0 * delta]
-        gains += [state.ladder.power(top + 5) * 1.5, 1e300]
+        lattice = state.lattice
+        assert lattice == threshold_lattice(delta, 3, epsilon)
+        low, top = lattice.exponents[-1], ladder.floor_exponent(delta) + 1
+        assert lattice.table == [ladder.power(i) for i in range(low, top + 1)]
+        gains = _probes(ladder, low - 3, top + 3)
+        # at and under the floor, between the floor and the lowest power, above the top
+        gains += [lattice.lower, math.nextafter(lattice.lower, 0.0), delta, 10.0 * delta]
+        gains += [ladder.power(top + 5) * 1.5, 1e300]
         for gain in gains:
-            exponent = state.filing_exponent(gain)
-            assert exponent == _literal_filing_exponent(state, gain), (delta, gain)
+            exponent = lattice.filing_exponent(gain)
+            assert exponent == _literal_filing_exponent(lattice, gain), (delta, gain)
             assert exponent is None or type(exponent) is int
-        # the gains above the window are filed, each above the table's top
-        assert state.filing_exponent(10.0 * delta) > top >= state.filing_exponent(delta)
+        # the gains above the table are filed, each above its top
+        assert lattice.filing_exponent(10.0 * delta) > top >= lattice.filing_exponent(delta)
 
 
 def test_filing_exponent_asks_the_ladder_only_outside_the_window():
     state = _state(0.2)
     state.ladder.__class__ = _CountingLadder
     state.raise_delta(7.0)
-    top = state.ladder.floor_exponent(7.0) + 1
+    lattice = state.lattice
+    top = lattice.exponents[0] + 1
     before = _CountingLadder.calls
-    for gain in _probes(state, state.min_active_exponent - 2, top - 1) + [7.0]:
-        state.filing_exponent(gain)
+    for gain in _probes(state.ladder, lattice.exponents[-1] - 2, top - 1) + [7.0]:
+        lattice.filing_exponent(gain)
     assert _CountingLadder.calls == before
-    assert state.filing_exponent(state.ladder.power(top)) == top
+    assert lattice.filing_exponent(state.ladder.power(top)) == top
     assert _CountingLadder.calls == before + 1
 
 
 def test_filing_exponent_files_no_zero_negative_or_nan_gain():
     state = _state(0.1)
-    # no anchor, a subnormal anchor with no window, then a window
+    # no anchor, a subnormal anchor with an empty lattice, then a lattice
     for delta in (None, 5e-324, 1.0):
         if delta is not None:
             state.raise_delta(delta)
         for gain in (0.0, -0.0, -5e-324, -1.0, -math.inf, math.nan):
-            assert state.filing_exponent(gain) is None
-            assert _literal_filing_exponent(state, gain) is None
+            assert state.lattice.filing_exponent(gain) is None
+            assert _literal_filing_exponent(state.lattice, gain) is None
 
 
 def test_a_subnormal_anchor_leaves_no_window():
+    # the floor underflows: the lattice of 5e-324 is empty, as the sweep's is
     state = _state(0.4, k=1)
     state.raise_delta(5e-324)
-    # tau_min underflows to 0: the window stays open and its table empty
-    assert state.tau_min == 0.0 and state.min_active_exponent is None and state.window == []
+    assert state.lattice.exponents == () == threshold_lattice(5e-324, 1, 0.4).exponents
     for gain in [5e-324, 1e-320, 2.2e-308, 0.5, 3.0, 1e300]:
-        assert state.filing_exponent(gain) == state.ladder.floor_exponent(gain)
-        assert state.filing_exponent(gain) == _literal_filing_exponent(state, gain)
-    # the first anchor with a positive tau_min opens the window
+        assert state.lattice.filing_exponent(gain) is None
+    # the first anchor with live exponents files again
     state.raise_delta(1.0)
-    assert state.min_active_exponent is not None and state.window
-    assert state.filing_exponent(1e-320) is None
+    assert state.lattice.exponents
+    assert state.lattice.filing_exponent(1e-320) is None
+    assert state.lattice.filing_exponent(1.0) == 0
+    # a whole stream anchored at 5e-324 files nothing
+    config = StreamingConfig(epsilon=0.4, d=0, monotone_mode=True)
+    summary = stream_summary(make_modular([5e-324] * 3), make_uniform(3, 1), config, [0, 1, 2])
+    assert summary.delta == 5e-324 and summary.buckets == {} and summary.solution == []
+    assert summary.audit.low_value == [0, 1, 2]
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, 2.0, math.nan, math.inf])
