@@ -610,6 +610,22 @@ def test_memory_limit_arithmetic():
     assert summary.peak_memory <= 689
 
 
+def test_stream_leaves_out_a_power_equal_to_its_floor():
+    # eps=0.1, k=1, delta=11: the floor is exactly 1.0 = 1.1**0; the stream
+    # files through the sweep's lattice, which leaves that power out
+    # (test_thresholds)
+    state = StreamState(StreamingConfig(epsilon=0.1, d=0), k=1)
+    state.raise_delta(11.0)
+    assert state.lattice == threshold_lattice(11.0, 1, 0.1)
+    assert state.lattice.exponents[-1] == 1
+    assert state.lattice.filing_exponent(1.0) is None
+    assert state.lattice.filing_exponent(1.1) == 1
+    # a whole stream: 11.0 anchors it, and the gain 1.0 is not filed
+    config = StreamingConfig(epsilon=0.1, d=0, monotone_mode=True)
+    summary = stream_summary(make_modular([11.0, 1.0]), make_uniform(2, 1), config, [0, 1])
+    assert summary.delta == 11.0 and summary.audit.low_value == [1]
+
+
 def test_subnormal_values_do_not_crash_the_window():
     # 5e-324 underflows the lattice floor: the anchor stays positive, the lattice empty
     obj = make_modular([0.0, 0.0, 5e-324])

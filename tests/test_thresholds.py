@@ -53,21 +53,15 @@ def test_lattice_window_delta_one():
     assert _direct_power(1.1, 1) > 1.0
 
 
-def test_both_builders_leave_out_a_power_equal_to_the_floor():
-    # eps=0.1, k=1, delta=11: the floor is exactly 1.0 = 1.1**0, and neither
-    # the sweep's lattice nor a stream anchored at 11.0 keeps that power
+def test_centralized_lattice_leaves_out_a_power_equal_to_its_floor():
+    # eps=0.1, k=1, delta=11: the floor is exactly 1.0 = 1.1**0, and the
+    # lattice leaves that power out; a stream anchored at 11.0 does the same
+    # (test_streaming)
     lattice = threshold_lattice(11.0, 1, 0.1)
     assert lattice.lower == 1.0 == lattice.power(0)
     assert lattice.exponents == tuple(range(25, 0, -1))
-    state = _state(0.1, k=1)
-    state.raise_delta(11.0)
-    assert state.lattice.exponents[-1] == 1
-    assert state.lattice.filing_exponent(1.0) is None
-    assert state.lattice.filing_exponent(1.1) == 1
-    # a whole stream: 11.0 anchors it, and the gain 1.0 is not filed
-    config = StreamingConfig(epsilon=0.1, d=0, monotone_mode=True)
-    summary = stream_summary(make_modular([11.0, 1.0]), make_uniform(2, 1), config, [0, 1])
-    assert summary.delta == 11.0 and summary.audit.low_value == [1]
+    assert lattice.filing_exponent(1.0) is None
+    assert lattice.filing_exponent(1.1) == 1
 
 
 def test_lattice_membership_by_direct_powers():
