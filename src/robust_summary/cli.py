@@ -45,6 +45,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    if args.mode == "centralized" and args.order is not None:
+        raise ValueError("--order sets a stream's arrival order; --mode centralized reads none")
     instance = read_instance(args.instance)
     if args.mode == "centralized":
         config = CentralizedConfig(
@@ -52,6 +54,7 @@ def cmd_summarize(args) -> int:
             d=args.d,
             monotone_mode=args.monotone,
             seed=args.seed,
+            audit=args.audit,
         )
         summary = build_summary(instance.objective, instance.matroid, config)
     else:
@@ -62,7 +65,7 @@ def cmd_summarize(args) -> int:
             seed=args.seed,
             audit=args.audit,
         )
-        order = _parse_order(args.order, instance.n)
+        order = _parse_order("identity" if args.order is None else args.order, instance.n)
         summary = stream_summary(instance.objective, instance.matroid, config, order)
     write_summary(summary, args.out, include_audit=args.audit)
     print(
@@ -154,8 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monotone", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--order", default="identity", help="arrival order file | shuffle:<seed> | identity")
-    p.add_argument("--audit", action="store_true", help="dump the audit trail into the summary file")
+    p.add_argument(
+        "--order", default=None,
+        help="streaming arrival order: order file | shuffle:<seed> | identity (the default)",
+    )
+    p.add_argument(
+        "--audit", action="store_true",
+        help="assert independence at every change of the candidate, in both modes; a stream "
+        "also records its audit trail and writes it into the summary file",
+    )
     p.set_defaults(func=cmd_summarize)
 
     p = sub.add_parser("solve", help="run the post-deletion phase on a summary")

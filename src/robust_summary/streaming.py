@@ -35,6 +35,16 @@ dependents; an element popped from the top buffer with count 0 has, with
 candidate, which is the singleton value the buffer was keyed by (see
 ``_arrive``).  A dependents call that answers None stops the counts, and
 every later arrival asks its marginal.
+
+What the state keeps is what the algorithm reads, and no more: the
+candidate, the top buffer, the filed elements with their gains, the
+swapped-out ``(element, weight)`` pairs the weight checks read, integer
+tallies for the counters, and one ``seen`` flag per ground-set id (n
+bytes) to refuse a repeated arrival.  The rest of the audit trail (the
+weight of every drained element, and every refused or dropped element)
+is recorded only with ``StreamingConfig.audit``, so beyond the instance's
+own n-sized tables and the arrival order the stream's memory stays flat
+as the number of arrivals grows.
 """
 
 from __future__ import annotations
@@ -65,6 +75,10 @@ class StreamingConfig:
     The swap margin gamma and the coin probability p follow the objective
     class (``summary.swap_margin`` and ``summary.coin_probability``): the
     reported bounds hold at those values only.
+
+    ``audit`` records the run's whole trail in the summary's ``StreamAudit``
+    (every drain and every drop) and asserts the candidate's independence
+    at each change; without it the trail keeps only the swapped-out pairs.
     """
 
     epsilon: float
@@ -121,11 +135,18 @@ class StreamState:
         self.delta = 0.0
         # the live exponents of delta; empty, and filing nothing, until delta > 0
         self.lattice = threshold_lattice(0.0, k, config.epsilon, self.ladder)
+        # ``trail`` is the audit with config.audit and None without: the
+        # lists other than swapped_out are filled only through it, and
+        # ``counts`` tallies the refused and dropped elements either way
         self.audit = StreamAudit()
+        self.trail = self.audit if config.audit else None
+        self.counts = {"sample_rejected": 0, "swap_failed": 0, "low_value": 0}
         self.upward_moves = 0
         self.upward_moves_after_growth = 0
         self.arrivals = 0
-        self.seen: set[int] = set()
+        # one flag per ground-set id, 1 once it arrived; empty until the
+        # first arrival is taken, since the state does not know n before
+        self.seen = bytearray()
         self.peak_memory = 0
 
     def memory(self) -> int:
@@ -146,7 +167,9 @@ class StreamState:
             dropped = self.buckets.pop(x)
             for e in dropped:
                 del self.gains[e]
-            self.audit.low_value.extend(dropped)
+            self.counts["low_value"] += len(dropped)
+            if self.trail is not None:
+                self.trail.low_value.extend(dropped)
 
 
 def ingest(
@@ -182,7 +205,8 @@ def _arrive(
     element is filed into can reach it, and only then is the drain called.
     A refused arrival (a repeat, or an id outside the ground set) raises
     before it changes any state, and so does monotone mode on an objective
-    that is not monotone.
+    that is not monotone.  A repeat is read from the state's ``seen``
+    flags, one byte per ground-set id, before any query.
 
     The popped element is filed by its singleton value, without a marginal,
     when the objective has exact gains and no candidate member lists it in
@@ -194,15 +218,18 @@ def _arrive(
     check_monotone_mode(objective, state.config.monotone_mode)
     d, cap, exact = state.config.d, state.drain_cap, objective.exact_gains
     value_of, marginal = objective.value, objective.marginal
-    seen, top_buffer, buckets, gains = state.seen, state.top_buffer, state.buckets, state.gains
-    candidate, low_value = state.candidate, state.audit.low_value
+    top_buffer, buckets, gains = state.top_buffer, state.buckets, state.gains
+    candidate, counts, trail = state.candidate, state.counts, state.trail
     filing_exponent = state.lattice.filing_exponent
+    seen = state.seen or bytearray(objective.n)
+    n = len(seen)
     for element in elements:
         element = int(element)
-        if element in seen:
+        if 0 <= element < n and seen[element]:
             raise ValueError(f"element {element} arrived twice")
         value = value_of((element,))  # raises for an id outside the ground set
-        seen.add(element)
+        seen[element] = 1
+        state.seen = seen  # the flags join the state with the first arrival taken
         state.arrivals += 1
         if len(top_buffer) < d:
             # warm-up: the first d arrivals are buffered wholesale
@@ -220,7 +247,9 @@ def _arrive(
                 gain = marginal(popped, state.candidate_set)
             exponent = filing_exponent(gain)
             if exponent is None:
-                low_value.append(popped)
+                counts["low_value"] += 1
+                if trail is not None:
+                    trail.low_value.append(popped)
             else:
                 bucket = buckets.setdefault(exponent, [])
                 bisect.insort(bucket, popped)
@@ -258,7 +287,7 @@ def drain_buckets(
     least that much, and ``(1+gamma) * x`` rounds monotonically in x.
     """
     cap = state.drain_cap
-    candidate = state.candidate
+    candidate, counts, trail = state.candidate, state.counts, state.trail
     over = [capped]
     while over:
         exponent = max(over)
@@ -269,40 +298,41 @@ def drain_buckets(
             over.remove(exponent)
         if not bucket:
             del state.buckets[exponent]
-        state.audit.weight_log.append((g, weight))
+        if trail is not None:
+            trail.weight_log.append((g, weight))
         accepted = bool(rng.random() < state.sample_prob)
 
-        changed = False
+        # the audit list g is refused into; None once g entered the candidate
+        refused = "sample_rejected"
         victim = None
         if matroid.fits(g, state.candidate_set):
             if accepted:
                 candidate[g] = SummaryEntry(g, exponent, weight)
                 state.candidate_set = state.candidate_set | {g}
-                changed = True
-            else:
-                state.audit.sample_rejected.append(g)
+                refused = None
         elif not weight > state.swap_factor * min(weight, state.lightest_gain):
             # no member of g's circuit can weigh less: the swap cannot clear the margin
-            state.audit.swap_failed.append(g)
+            refused = "swap_failed"
         else:
             cycle = matroid.circuit(state.candidate_set, g)
             victim_gain, loser = min(
                 (weight if y == g else candidate[y].gain, y) for y in cycle
             )
-            if weight > state.swap_factor * victim_gain:
-                if accepted:
-                    victim = loser
-                    del candidate[victim]
-                    state.audit.swapped_out.append((victim, victim_gain))
-                    candidate[g] = SummaryEntry(g, exponent, weight)
-                    state.candidate_set = (state.candidate_set - {victim}) | {g}
-                    changed = True
-                else:
-                    state.audit.sample_rejected.append(g)
-            else:
-                state.audit.swap_failed.append(g)
+            if not weight > state.swap_factor * victim_gain:
+                refused = "swap_failed"
+            elif accepted:
+                victim = loser
+                del candidate[victim]
+                state.audit.swapped_out.append((victim, victim_gain))
+                candidate[g] = SummaryEntry(g, exponent, weight)
+                state.candidate_set = (state.candidate_set - {victim}) | {g}
+                refused = None
 
-        if changed:
+        if refused is not None:
+            counts[refused] += 1
+            if trail is not None:
+                getattr(trail, refused).append(g)
+        else:
             state.lightest_gain = min(entry.gain for entry in candidate.values())
             if state.config.audit and not matroid.is_independent(state.candidate_set):
                 raise AssertionError("candidate solution became dependent")
@@ -394,7 +424,9 @@ def rebucket(
             changed = True
         if exponent is None:
             del gains[e]
-            state.audit.low_value.append(e)
+            state.counts["low_value"] += 1
+            if state.trail is not None:
+                state.trail.low_value.append(e)
             continue
         if exponent > old:
             state.upward_moves += 1
@@ -410,13 +442,17 @@ def finalize(state: StreamState) -> Summary:
     cfg = state.config
     entries = list(state.candidate.values())
     buckets = {x: list(state.buckets[x]) for x in sorted(state.buckets, reverse=True)}
+    counts = state.counts
+    swapped_out = len(state.audit.swapped_out)
     counters = {
         "arrivals": state.arrivals,
-        "drained": len(state.audit.weight_log),
-        "swapped_out": len(state.audit.swapped_out),
-        "sample_rejected": len(state.audit.sample_rejected),
-        "swap_failed": len(state.audit.swap_failed),
-        "low_value": len(state.audit.low_value),
+        # a drained element entered the candidate (it is there, or it was
+        # swapped out: none enters twice) or was refused
+        "drained": len(entries) + swapped_out + counts["sample_rejected"] + counts["swap_failed"],
+        "swapped_out": swapped_out,
+        "sample_rejected": counts["sample_rejected"],
+        "swap_failed": counts["swap_failed"],
+        "low_value": counts["low_value"],
         "upward_moves": state.upward_moves,
         "upward_moves_after_growth": state.upward_moves_after_growth,
     }

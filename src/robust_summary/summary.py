@@ -43,7 +43,7 @@ class SummaryEntry:
 
 @dataclass
 class StreamAudit:
-    """Full trace of a streaming run, for invariant tooling.
+    """Trace of a streaming run, for invariant tooling.
 
     swapped_out: (element, weight) pairs kicked out of the candidate solution.
     sample_rejected: drained elements dropped by the subsampling coin.
@@ -51,8 +51,12 @@ class StreamAudit:
     low_value: elements discarded for falling under the threshold lattice.
     weight_log: every (element, weight) assignment, in assignment order.
 
-    Each drained element is given its weight once, when it is drained, so
-    ``drained`` is read from ``weight_log``.
+    A stream always keeps ``swapped_out``, which the weight checks read.
+    The other four lists are filled only with ``StreamingConfig.audit``;
+    without it they stay empty, and so do their lines in
+    ``format_summary(include_audit=True)``, while the summary's counters
+    still give their lengths.  Each drained element is given its weight
+    once, when it is drained, so ``drained`` is read from ``weight_log``.
     """
 
     swapped_out: list[tuple[int, float]] = field(default_factory=list)

@@ -4,7 +4,9 @@ Structural checks need only the summary and its instance: a header that
 agrees with the instance, independence, disjointness, the bucket caps, the
 size and memory bounds, the anchor value and the gain brackets.  The
 weight checks re-evaluate, for a streaming summary with its audit trail,
-the inequalities behind the swap rule against a deleted set.
+the inequalities behind the swap rule against a deleted set.  They read
+only the swapped-out pairs of the trail, which every in-memory stream
+summary keeps, audited or not; a summary file has them with ``--audit``.
 """
 
 from __future__ import annotations
@@ -244,9 +246,10 @@ def verify_summary(
 ) -> VerifyReport:
     """Re-check a (possibly re-read) summary against its instance.
 
-    For streaming summaries carrying an audit trail, the weight-function
-    inequalities are re-evaluated for the empty deletion and a seeded batch
-    of random deletion sets.
+    For streaming summaries carrying an audit trail (every in-memory
+    stream summary does), the weight-function inequalities are
+    re-evaluated for the empty deletion and a seeded batch of random
+    deletion sets.
     """
     checks = structural_checks(summary, instance)
     if summary.mode == "streaming" and summary.audit is not None:

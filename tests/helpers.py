@@ -508,6 +508,12 @@ def literal_stream_summary(objective, matroid, config, order):
             state.buckets[exponent].sort()
             drain()
         boundary()
+    # the counters come from this reference's own trail, which it always records
+    state.counts.update(
+        sample_rejected=len(audit.sample_rejected),
+        swap_failed=len(audit.swap_failed),
+        low_value=len(audit.low_value),
+    )
     return finalize(state)
 
 

@@ -85,6 +85,33 @@ def test_summarize_reruns_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_centralized_audit_keeps_the_summary_bytes(tmp_path):
+    inst = tmp_path / "inst.txt"
+    main(["gen", "--spec", "coverage n=40 universe=30 density=0.1",
+          "--matroid", "partition nblocks=4 cap=2", "--seed", "5", "--out", str(inst)])
+    outs = []
+    for name, audit in (("plain.txt", []), ("audited.txt", ["--audit"])):
+        target = tmp_path / name
+        assert main([
+            "summarize", "--mode", "centralized", "--instance", str(inst),
+            "--epsilon", "0.2", "--d", "2", "--monotone", "--seed", "3",
+            "--out", str(target), *audit,
+        ]) == 0
+        outs.append(target.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_centralized_summarize_refuses_an_arrival_order(tmp_path, capsys):
+    inst, summ = tmp_path / "inst.txt", tmp_path / "summary.txt"
+    main(["gen", "--spec", "lowerbound k=2 d=1 nzero=2", "--out", str(inst)])
+    capsys.readouterr()
+    _clean_error(capsys, ["summarize", "--mode", "centralized", "--instance", str(inst),
+                          "--epsilon", "0.5", "--d", "1", "--order", "shuffle:3",
+                          "--out", str(summ)],
+                 "--order sets a stream's arrival order; --mode centralized reads none")
+    assert not summ.exists()
+
+
 def test_solve_accepts_deletion_file(tmp_path):
     inst = tmp_path / "inst.txt"
     summ = tmp_path / "summary.txt"

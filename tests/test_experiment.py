@@ -34,7 +34,7 @@ from robust_summary import (
     write_instance,
 )
 from robust_summary.thresholds import PowerLadder
-from robust_summary import verify
+from robust_summary import experiment, verify
 from robust_summary.verify import VerifyCheck, structural_checks
 
 
@@ -110,6 +110,25 @@ def test_streaming_experiment_runs(tmp_path):
     report = run_experiment(config)
     assert report.all_invariants_ok
     assert all(row.peak_mem is not None for row in report.rows)
+
+
+def test_a_streaming_experiment_checks_the_weights_once_per_trial_and_strategy(
+    tmp_path, monkeypatch
+):
+    # the stream runs without audit; its swapped-out pairs still feed the checks
+    calls = []
+    check = experiment.check_weight_properties
+
+    def spy(summary, objective, deleted):
+        calls.append(summary)
+        return check(summary, objective, deleted)
+
+    monkeypatch.setattr(experiment, "check_weight_properties", spy)
+    config = _experiment_config(
+        tmp_path, mode="streaming", d=2, strategies=("top:2", "rand:2:9"), trials=3
+    )
+    report = run_experiment(config)
+    assert len(calls) == 2 * 3 and report.all_invariants_ok
 
 
 def test_config_validation(tmp_path):

@@ -381,7 +381,7 @@ def _streaming_text(include_audit=True):
     summary = stream_summary(
         make_modular(rng.uniform(0.0, 4.0, size=12)),
         make_uniform(12, 2),
-        StreamingConfig(epsilon=0.4, d=1, monotone_mode=True, seed=2),
+        StreamingConfig(epsilon=0.4, d=1, monotone_mode=True, seed=2, audit=True),
         range(12),
     )
     return format_summary(summary, include_audit=include_audit)

@@ -1,5 +1,8 @@
 """Single-pass builder: buffering, draining, swapping, rebucketing, audits."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,9 +88,8 @@ def test_popped_element_is_newcomer_when_not_among_top():
 
 def test_zero_value_arrival_discarded_after_anchor_rises():
     obj = make_modular([2.0, 0.0])
-    summary = stream_summary(
-        obj, make_uniform(2, 1), StreamingConfig(epsilon=0.5, d=0, monotone_mode=True), [0, 1]
-    )
+    config = StreamingConfig(epsilon=0.5, d=0, monotone_mode=True, audit=True)
+    summary = stream_summary(obj, make_uniform(2, 1), config, [0, 1])
     assert summary.solution == [0]
     assert summary.audit.low_value == [1]
 
@@ -110,7 +112,7 @@ def test_hand_trace_swap_chain():
     # only the 1 -> 3 step clears the (1+gamma) margin, ties and lesser
     # ratios fall into the swap-failed bin
     obj = make_modular([1.0, 2.0, 3.0, 4.0, 5.0])
-    cfg = StreamingConfig(epsilon=0.5, d=0, monotone_mode=True, seed=0)
+    cfg = StreamingConfig(epsilon=0.5, d=0, monotone_mode=True, seed=0, audit=True)
     matroid = make_uniform(5, 1)
     circuits = _count_circuits(matroid)
     summary = stream_summary(obj, matroid, cfg, [0, 1, 2, 3, 4])
@@ -131,7 +133,7 @@ def test_circuit_decides_when_the_lightest_candidate_sits_in_another_block():
     obj = make_modular([1.0, 2.5, 4.9, 5.0, 4.0])
     matroid = make_partition([[0, 1, 2], [3, 4]], [1, 1])
     circuits = _count_circuits(matroid)
-    cfg = StreamingConfig(epsilon=0.5, d=0, monotone_mode=True, seed=0)
+    cfg = StreamingConfig(epsilon=0.5, d=0, monotone_mode=True, seed=0, audit=True)
     order = [0, 3, 4, 1, 2]
     summary = stream_summary(obj, matroid, cfg, order)
     # 4 beats twice the lightest candidate gain (element 0, weight 1.0), but
@@ -158,7 +160,7 @@ def test_an_element_that_entered_in_a_drain_can_be_swapped_out_in_the_same_drain
     obj = make_weighted_coverage([5.0, 11.0, 4.0, 8.0, 100.0], [[0], [0, 1], [2], [3], [4]])
     matroid = make_partition([[0, 1], [2], [3], [4]], [1, 1, 1, 1])
     circuits = _count_circuits(matroid)
-    cfg = StreamingConfig(epsilon=0.5, d=1, monotone_mode=True)
+    cfg = StreamingConfig(epsilon=0.5, d=1, monotone_mode=True, audit=True)
     summary = stream_summary(obj, matroid, cfg, [4, 1, 3, 0, 2], rng=ScriptedRng())
     assert summary.audit.drained == [0, 1]
     assert summary.audit.swapped_out == [(0, 5.0)]
@@ -267,7 +269,7 @@ def test_an_element_whose_only_dependency_left_is_filed_by_its_singleton_value()
     # it out, so 2, whose only neighbour is 0, is filed by f({2}) = 4.0
     # without a marginal; 3 neighbours the candidate 1 and is asked one
     obj = make_cut_function(4, [(0, 2, 4.0), (1, 3, 9.0)])
-    cfg = LeverConfig(epsilon=0.5, d=0, gamma=1.0, sample_prob=1.0)
+    cfg = LeverConfig(epsilon=0.5, d=0, gamma=1.0, sample_prob=1.0, audit=True)
     state = StreamState(cfg, k=1)
     matroid = make_uniform(4, 1)
     calls = _record_marginals(obj)
@@ -343,7 +345,7 @@ def test_top_buffer_lets_the_larger_id_leave_on_ties():
 
 def test_exact_swap_margin_tie_goes_to_failed():
     obj = make_modular([1.0, 2.0])
-    cfg = StreamingConfig(epsilon=0.5, d=0, monotone_mode=True)
+    cfg = StreamingConfig(epsilon=0.5, d=0, monotone_mode=True, audit=True)
     summary = stream_summary(obj, make_uniform(2, 1), cfg, [0, 1])
     # weight 2 equals (1+gamma)*1 exactly: strict comparison refuses the swap
     assert summary.solution == [0]
@@ -352,7 +354,7 @@ def test_exact_swap_margin_tie_goes_to_failed():
 
 def test_forced_rejection_keeps_solution_empty():
     obj = make_modular([1.0, 2.0, 3.0])
-    cfg = StreamingConfig(epsilon=0.5, d=0, monotone_mode=True)
+    cfg = StreamingConfig(epsilon=0.5, d=0, monotone_mode=True, audit=True)
     state = StreamState(cfg, k=2)
     rng = ScriptedRng(coin=1.0)  # Bernoulli never fires
     matroid = make_uniform(3, 2)
@@ -368,7 +370,7 @@ def test_a_bucket_drained_below_the_cap_stops_draining():
     # rejects, so the candidate never changes and no rebucket runs: each
     # arrival that fills the bucket drains exactly one element.
     obj = make_modular([1.0] * 10)
-    cfg = LeverConfig(epsilon=0.5, d=2, sample_prob=0.5)
+    cfg = LeverConfig(epsilon=0.5, d=2, sample_prob=0.5, audit=True)
     state = StreamState(cfg, k=3)
     rng = ScriptedRng(coin=0.9)
     matroid = make_uniform(10, 3)
@@ -386,7 +388,7 @@ def test_rebucket_discards_zeroed_marginals():
     # three twins covering the same universe items: once one is accepted the
     # buffered twin's gain collapses to zero and falls out at rebucket
     obj = make_weighted_coverage([1.0, 1.0, 1.0, 1.0], [[0, 1], [0, 1], [0, 1]])
-    cfg = StreamingConfig(epsilon=0.5, d=1, monotone_mode=True)
+    cfg = StreamingConfig(epsilon=0.5, d=1, monotone_mode=True, audit=True)
     state = StreamState(cfg, k=2)
     matroid = make_uniform(3, 2)
     rng = ScriptedRng(index=0, coin=0.0)
@@ -429,7 +431,7 @@ def test_rebucket_is_idempotent():
 def test_rebucket_tells_whether_a_bucket_changed_size():
     # the drain lists the capped buckets again only when one did
     obj = make_weighted_coverage([1.0, 2.0, 4.0], [[0, 1], [1, 2], [2], [0]])
-    state = StreamState(StreamingConfig(epsilon=0.5, d=2, monotone_mode=True), k=3)
+    state = StreamState(StreamingConfig(epsilon=0.5, d=2, monotone_mode=True, audit=True), k=3)
     state.raise_delta(6.0)
     for e in (0, 2, 3):
         gain = obj.value((e,))
@@ -463,19 +465,29 @@ def test_duplicate_arrival_rejected():
         ingest(state, 0, obj, make_uniform(2, 1), rng)
 
 
+def _seen(state):
+    """The ids the state's ``seen`` flags mark as arrived."""
+    return {e for e, flag in enumerate(state.seen) if flag}
+
+
 def test_refused_arrival_changes_no_state():
     obj = make_modular([1.0, 2.0])
     matroid = make_uniform(2, 1)
     state = StreamState(StreamingConfig(epsilon=0.5, d=1), k=1)
     rng = np.random.default_rng(0)
+    # a refused first arrival does not even make the flags
+    for refused in (7, -1):
+        with pytest.raises(ValueError):
+            ingest(state, refused, obj, matroid, rng)
+        assert (state.arrivals, state.seen, obj.queries) == (0, bytearray(), 0)
     ingest(state, 0, obj, matroid, rng)
-    before = (state.arrivals, set(state.seen), list(state.top_buffer), obj.queries)
+    before = (state.arrivals, _seen(state), list(state.top_buffer), obj.queries)
     for refused in (7, -1, 0):
         with pytest.raises(ValueError):
             ingest(state, refused, obj, matroid, rng)
-        assert (state.arrivals, state.seen, state.top_buffer, obj.queries) == before
+        assert (state.arrivals, _seen(state), state.top_buffer, obj.queries) == before
     ingest(state, 1, obj, matroid, rng)
-    assert state.arrivals == 2 and state.seen == {0, 1}
+    assert state.arrivals == 2 and _seen(state) == {0, 1}
 
 
 def test_monotone_mode_on_a_non_monotone_objective_is_refused():
@@ -578,7 +590,8 @@ def test_memory_equals_a_full_recount_after_every_arrival():
 
 def test_a_long_stream_keeps_per_element_records_only_for_what_it_holds():
     # weights and exponents live only for the candidate, the filed elements
-    # and the buffer; the audit trail and ``seen`` are O(n)
+    # and the buffer; without audit the trail keeps only the swapped-out
+    # pairs, and ``seen`` is one byte per ground-set id
     rng = np.random.default_rng(3)
     n = 4000
     obj, matroid = make_modular(rng.lognormal(0.0, 1.0, size=n)), make_uniform(n, 5)
@@ -587,14 +600,39 @@ def test_a_long_stream_keeps_per_element_records_only_for_what_it_holds():
     stream_rng = np.random.default_rng(cfg.seed)
     for e in range(n):
         ingest(state, e, obj, matroid, stream_rng)
-    assert len(state.audit.drained) > 10 * (matroid.k + cfg.d)  # many drains and swaps
+    assert finalize(state).counters["drained"] > 10 * (matroid.k + cfg.d)  # many drains and swaps
     filed = {e for bucket in state.buckets.values() for e in bucket}
     held = set(state.candidate) | filed | {entry[-1] for entry in state.top_buffer}
     assert set(state.gains) == filed
     for name, value in vars(state).items():
-        if isinstance(value, (dict, set)) and name not in ("buckets", "seen"):
+        if isinstance(value, (dict, set)) and name not in ("buckets", "counts"):
             assert set(value) <= held, name
+    trail = {f.name: getattr(state.audit, f.name) for f in dataclasses.fields(state.audit)}
+    assert trail.pop("swapped_out") and not any(trail.values())
+    assert len(state.seen) == n
     assert [entry.element for entry in state.candidate.values()] == finalize(state).solution
+
+
+def test_a_long_stream_without_audit_stays_flat_in_traced_memory():
+    # lognormal modular, rank 20, eps 0.1, d 10: 40,000 arrivals.  Beyond the
+    # instance's n-sized tables, made before tracing starts, the stream holds
+    # its buckets, buffer and candidate, n bytes of seen flags and the
+    # swapped-out pairs; a trail of every drain would hold megabytes
+    n = 40_000
+    rng = np.random.default_rng(0)
+    obj, matroid = make_modular(rng.lognormal(0.0, 1.0, size=n)), make_uniform(n, 20)
+    obj.singleton_values()
+    cfg = StreamingConfig(epsilon=0.1, d=10, monotone_mode=True, seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        summary = stream_summary(obj, matroid, cfg, range(n))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.counters["drained"] > n // 2  # the stream drained throughout
+    assert peak - base < 1_500_000
+    assert held - base < 250_000
 
 
 def test_memory_limit_arithmetic():
@@ -621,7 +659,7 @@ def test_stream_leaves_out_a_power_equal_to_its_floor():
     assert state.lattice.filing_exponent(1.0) is None
     assert state.lattice.filing_exponent(1.1) == 1
     # a whole stream: 11.0 anchors it, and the gain 1.0 is not filed
-    config = StreamingConfig(epsilon=0.1, d=0, monotone_mode=True)
+    config = StreamingConfig(epsilon=0.1, d=0, monotone_mode=True, audit=True)
     summary = stream_summary(make_modular([11.0, 1.0]), make_uniform(2, 1), config, [0, 1])
     assert summary.delta == 11.0 and summary.audit.low_value == [1]
 

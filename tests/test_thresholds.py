@@ -239,7 +239,7 @@ def test_a_subnormal_anchor_leaves_no_window():
     assert state.lattice.filing_exponent(1e-320) is None
     assert state.lattice.filing_exponent(1.0) == 0
     # a whole stream anchored at 5e-324 files nothing
-    config = StreamingConfig(epsilon=0.4, d=0, monotone_mode=True)
+    config = StreamingConfig(epsilon=0.4, d=0, monotone_mode=True, audit=True)
     summary = stream_summary(make_modular([5e-324] * 3), make_uniform(3, 1), config, [0, 1, 2])
     assert summary.delta == 5e-324 and summary.buckets == {} and summary.solution == []
     assert summary.audit.low_value == [0, 1, 2]
