@@ -41,7 +41,7 @@ for deleted in itertools.combinations(range(k + d), d):
 print(f"worst deletion set {worst[0]} still leaves value {worst[1]}  (optimum is {k})")
 
 bound = theoretical_bound(
-    "centralized", True, solver.beta(instance.objective.monotone), config.epsilon
+    "centralized", True, solver.beta(instance.objective, instance.matroid), config.epsilon
 )
 print(f"guaranteed factor at epsilon={config.epsilon}: {bound:.3f}; "
       f"observed ratio {k / worst[1]:.3f}")

@@ -49,7 +49,6 @@ from .solvers import (
     SolverKind,
     exhaustive_opt,
     greedy_matroid,
-    local_search,
     solve_after_deletions,
 )
 from .streaming import (

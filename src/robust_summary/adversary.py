@@ -163,7 +163,9 @@ def opt_value(
 
     "exhaustive" is the true optimum (refused above ``EXHAUSTIVE_CAP``
     elements); "greedy-bound" returns the greedy value, a lower bound on the
-    optimum that is within a factor 2 of it for monotone objectives.
+    optimum that is within the greedy's ``SolverKind.beta`` of it: exact on
+    a modular objective, a factor e/(e-1) for a monotone objective over a
+    uniform matroid and 2 over any other, none for a non-monotone one.
     """
     removed = set(int(e) for e in deleted)
     ground = [e for e in range(objective.n) if e not in removed]

@@ -259,7 +259,7 @@ def run_experiment(
 
     warnings = bound_warnings(config.mode, config.epsilon)
     bound: float | None = None
-    beta = solver.beta(instance.objective.monotone)
+    beta = solver.beta(instance.objective, instance.matroid)
     if beta is not None:
         try:
             bound = theoretical_bound(config.mode, config.monotone, beta, config.epsilon)

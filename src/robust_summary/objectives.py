@@ -133,9 +133,6 @@ class Objective(GroundSet):
     def queries(self) -> int:
         return self._queries
 
-    def reset_queries(self) -> None:
-        self._queries = 0
-
     def clone(self) -> "Objective":
         """Same oracle with a fresh query tally and memo.
 

@@ -8,17 +8,15 @@ routine's output and the surviving candidate solution itself.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .matroids import Matroid
-from .objectives import Objective
+from .matroids import Matroid, UniformMatroid
+from .objectives import Modular, Objective
 from .summary import Summary
 
-SOLVER_NAMES = ("greedy", "exhaustive", "localsearch")
-# local search: a move must raise the value by this factor; at most this many moves
-LS_IMPROVE = 0.01
-LS_MAX_MOVES = 10_000
+SOLVER_NAMES = ("greedy", "exhaustive")
 # the exhaustive search refuses larger ground sets: 2^22 subsets at most
 EXHAUSTIVE_CAP = 22
 
@@ -27,8 +25,9 @@ EXHAUSTIVE_CAP = 22
 class SolverKind:
     """Which routine runs in the post-deletion phase.
 
-    ``beta(monotone)`` is the routine's proven approximation factor on an
-    objective of that kind, used by bound checks, or None where it has none.
+    ``beta(objective, matroid)`` is the routine's proven approximation
+    factor on that objective and matroid, used by bound checks, or None
+    where it has none.
     """
 
     name: str
@@ -37,20 +36,27 @@ class SolverKind:
         if self.name not in SOLVER_NAMES:
             raise ValueError(f"solver must be one of {SOLVER_NAMES}")
 
-    def beta(self, monotone: bool) -> float | None:
-        """1 for the exact search; 2 for the greedy, proven for monotone objectives only."""
-        if self.name == "exhaustive":
+    def beta(self, objective: Objective, matroid: Matroid) -> float | None:
+        """1 for the exact search; for the greedy, the factor its objective and matroid prove.
+
+        The greedy is exact on a modular objective over any matroid (Edmonds
+        1971).  On a monotone objective it reaches 1 - 1/e of the optimum
+        over a uniform matroid (Nemhauser, Wolsey & Fisher 1978), so beta is
+        e/(e-1), and half of it over any other matroid (Fisher, Nemhauser &
+        Wolsey 1978).  It proves nothing on a non-monotone objective.
+        """
+        if self.name == "exhaustive" or isinstance(objective, Modular):
             return 1.0
-        if self.name == "greedy" and monotone:
-            return 2.0
-        return None
+        if not objective.monotone:
+            return None
+        if isinstance(matroid, UniformMatroid):
+            return math.e / (math.e - 1.0)
+        return 2.0
 
     def run(self, ground: Sequence[int], objective: Objective, matroid: Matroid) -> list[int]:
         if self.name == "greedy":
             return greedy_matroid(ground, objective, matroid)
-        if self.name == "exhaustive":
-            return exhaustive_opt(ground, objective, matroid)
-        return local_search(ground, objective, matroid)
+        return exhaustive_opt(ground, objective, matroid)
 
 
 def greedy_matroid(ground: Iterable[int], objective: Objective, matroid: Matroid) -> list[int]:
@@ -134,56 +140,6 @@ def exhaustive_opt(ground: Iterable[int], objective: Objective, matroid: Matroid
     return list(best)
 
 
-def local_search(ground: Iterable[int], objective: Objective, matroid: Matroid) -> list[int]:
-    """Add/drop/swap local search for non-monotone objectives.
-
-    Accepts the first move that multiplies the value by at least (1+LS_IMPROVE)
-    (any strictly positive value counts from 0); runs once from the greedy
-    solution and once from scratch, returns the better endpoint.  Each
-    accepted move is a multiplicative gain, so the search terminates well
-    before ``LS_MAX_MOVES`` on bounded objectives.
-    """
-    elements = sorted(set(int(e) for e in ground))
-
-    def improves(new_value: float, value: float) -> bool:
-        return new_value > value and new_value >= value * (1.0 + LS_IMPROVE)
-
-    def refine(start: Iterable[int]) -> tuple[set[int], float]:
-        current = set(start)
-        value = objective.value(current)
-
-        def moves():
-            """(trial set, whether it needs an independence check): adds, drops, swaps."""
-            for e in elements:
-                if e not in current:
-                    yield current | {e}, True
-            for e in sorted(current):
-                yield current - {e}, False
-            for out in sorted(current):
-                for inn in elements:
-                    if inn not in current:
-                        yield (current - {out}) | {inn}, True
-
-        for _ in range(LS_MAX_MOVES):
-            for trial, check in moves():
-                if check and not matroid.is_independent(trial):
-                    continue
-                trial_value = objective.value(trial)
-                if improves(trial_value, value):
-                    current, value = trial, trial_value
-                    break
-            else:
-                break
-        return current, value
-
-    from_greedy = refine(greedy_matroid(elements, objective, matroid))
-    from_empty = refine(())
-    candidates = sorted(
-        (from_greedy, from_empty), key=lambda t: (-t[1], tuple(sorted(t[0])))
-    )
-    return sorted(candidates[0][0])
-
-
 @dataclass(frozen=True)
 class RobustSolution:
     """Outcome of the post-deletion phase."""
@@ -230,7 +186,7 @@ def solve_after_deletions(
         ids=tuple(ids),
         value=value,
         source=source,
-        beta_claimed=solver.beta(objective.monotone),
+        beta_claimed=solver.beta(objective, matroid),
         a_prime_value=survivors_value,
         deleted=tuple(sorted(removed)),
         warning=warning,

@@ -149,9 +149,6 @@ class StreamState:
         self.seen = bytearray()
         self.peak_memory = 0
 
-    def memory(self) -> int:
-        return len(self.candidate) + len(self.top_buffer) + len(self.gains)
-
     def raise_delta(self, delta: float) -> None:
         """Anchor the lattice at a larger delta and drop the buckets under it.
 

@@ -327,19 +327,22 @@ def parse_summary(text: str) -> Summary:
             return "part of a centralized summary"
         return f"the {name} {value!r} of a stream with monotone={monotone}"
 
-    # (key, the line's value, the value of its source, what the source is)
+    # (key, the line's value, its source, what the source is); a source is
+    # derived only for a line that is present: a centralized summary's
+    # exponents build every power of its lattice, however far out it lies
     restated = (
-        ("b", _read_ids("b", fields.get("b", ""), limit), summary.reservoir,
+        ("b", _read_ids("b", fields.get("b", ""), limit), lambda: summary.reservoir,
          "the reservoir of the 'bucket' and 'vd' lines"),
-        ("exponents", exponents, summary.exponents,
+        ("exponents", exponents, lambda: summary.exponents,
          "the threshold lattice of 'delta', 'k' and 'epsilon'" if mode == "centralized"
          else "the 'bucket' exponents, descending"),
-        ("gamma", gamma, summary.gamma, fixed("swap margin", summary.gamma)),
-        ("p", sample_prob, summary.sample_prob, fixed("coin probability", summary.sample_prob)),
-        ("audit_drained", drained, audit.drained, "the ids of the 'weight_log' line"),
+        ("gamma", gamma, lambda: summary.gamma, fixed("swap margin", summary.gamma)),
+        ("p", sample_prob, lambda: summary.sample_prob,
+         fixed("coin probability", summary.sample_prob)),
+        ("audit_drained", drained, lambda: audit.drained, "the ids of the 'weight_log' line"),
     )
     for key, value, source_value, source in restated:
-        if key in fields and value != source_value:
+        if key in fields and value != source_value():
             raise ValueError(f"summary key {key!r}: {fields[key]!r} is not {source}")
     return summary
 

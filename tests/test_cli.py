@@ -52,9 +52,37 @@ def test_full_pipeline_streaming_with_audit(tmp_path):
     assert main(["verify", "--summary", str(summ), "--instance", str(inst)]) == 0
     assert main([
         "solve", "--summary", str(summ), "--instance", str(inst),
-        "--delete", "rand:2:5", "--solver", "localsearch", "--out", str(sol),
+        "--delete", "rand:2:5", "--solver", "greedy", "--out", str(sol),
     ]) == 0
 
+
+def test_solve_names_the_local_search_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main([
+            "solve", "--summary", "s", "--instance", "i", "--delete", "top:1",
+            "--solver", "localsearch", "--out", "o",
+        ])
+    assert raised.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --solver: invalid choice: 'localsearch'" in err
+    # older argparse versions quote the choices (repr), newer ones list them bare
+    assert ("(choose from 'greedy', 'exhaustive')" in err
+            or "(choose from greedy, exhaustive)" in err)
+
+
+def test_solve_on_a_modular_instance_claims_beta_one(tmp_path):
+    # the greedy is exact on a modular objective, over any matroid
+    inst, summ, sol = tmp_path / "inst.txt", tmp_path / "summary.txt", tmp_path / "solution.txt"
+    assert main(["gen", "--spec", "lowerbound k=3 d=2 nzero=4", "--out", str(inst)]) == 0
+    assert main([
+        "summarize", "--mode", "centralized", "--instance", str(inst),
+        "--epsilon", "0.2", "--d", "2", "--monotone", "--seed", "1", "--out", str(summ),
+    ]) == 0
+    assert main([
+        "solve", "--summary", str(summ), "--instance", str(inst),
+        "--delete", "top:2", "--solver", "greedy", "--out", str(sol),
+    ]) == 0
+    assert "\nbeta=1.0\n" in sol.read_text()
 
 def test_streaming_accepts_order_file(tmp_path):
     inst = tmp_path / "inst.txt"

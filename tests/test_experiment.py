@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -525,7 +526,7 @@ def _cut_experiment(tmp_path, **overrides):
 
 
 def test_greedy_claims_no_bound_on_a_non_monotone_objective(tmp_path):
-    # the greedy's factor 2 is proven for monotone objectives only
+    # the greedy proves no factor on a non-monotone objective
     report = run_experiment(_cut_experiment(tmp_path))
     assert all(s.bound is None and s.bound_ok is None for s in report.strategies)
     text = report.text_path.read_text()
@@ -556,11 +557,38 @@ def test_monotone_mode_on_a_non_monotone_objective_is_rejected(tmp_path):
     assert not (tmp_path / "cut").exists()
 
 
+def test_monotone_greedy_on_a_uniform_matroid_reports_the_paper_constant(tmp_path):
+    # the greedy reaches 1 - 1/e of the optimum there: beta = e/(e-1), so the
+    # bound tends to 4 + beta = 5.582 for a monotone stream as epsilon -> 0
+    from robust_summary import theoretical_bound
+
+    beta = math.e / (math.e - 1.0)
+    report = run_experiment(_cut_experiment(
+        tmp_path, gen_spec="coverage n=60 universe=80 density=0.05",
+        gen_matroid="uniform k=4", monotone=True,
+    ))
+    bound = theoretical_bound("streaming", True, beta, 0.2)
+    assert [s.bound for s in report.strategies] == [bound]
+    assert f"  bound={bound!r} check=ok\n" in report.text_path.read_text()
+
+
+def test_config_file_naming_the_local_search_is_refused(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(
+        "[instance]\ngenerator = cut n=30 p=0.2\nmatroid = uniform k=3\n"
+        "[phase2]\nsolver = localsearch\n"
+        "[deletions]\nstrategies = top:1\n"
+    )
+    with pytest.raises(ValueError) as raised:
+        load_experiment_config(path)
+    assert str(raised.value).endswith("solver must be one of ('greedy', 'exhaustive')")
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
         ("order", "shufle", "order must be identity or shuffle"),
-        ("solver", "gredy", "solver must be one of ('greedy', 'exhaustive', 'localsearch')"),
+        ("solver", "gredy", "solver must be one of ('greedy', 'exhaustive')"),
         ("opt_method", "exact", "opt_method must be one of ('exhaustive', 'greedy-bound')"),
     ],
     ids=["order", "solver", "opt_method"],

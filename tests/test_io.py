@@ -36,6 +36,7 @@ from robust_summary import (
     verify_summary,
     write_instance,
 )
+from robust_summary import thresholds
 from robust_summary.grammar import read_ids
 from robust_summary.instance import MAX_N
 
@@ -375,6 +376,25 @@ def test_summary_exponents_line_must_be_its_lattice():
     report = verify_summary(parse_summary(format_summary(summary)), instance)
     assert [(c.name, c.detail) for c in report.failures()] == [("size_bound", "size=200 limit=187")]
 
+
+def test_a_summary_without_an_exponents_line_builds_no_lattice(monkeypatch):
+    # k=1, epsilon=1e-5, delta=1e6: the lattice lies near exponent 1.4 million,
+    # which a check of an absent exponents= line would build every power out to
+    class RefusingLadder(thresholds.PowerLadder):
+        def power(self, i):
+            assert abs(i) < 1000, f"power({i}) asked"
+            return super().power(i)
+
+    monkeypatch.setattr(thresholds, "PowerLadder", RefusingLadder)
+    text = (
+        "# robust-summary summary v1\nmode=centralized\nn=1\nk=1\nd=0\nepsilon=1e-05\n"
+        "monotone=1\nseed=0\ndelta=1000000.0\n"
+    )
+    summary = parse_summary(text)
+    assert (summary.k, summary.epsilon, summary.delta, summary.entries) == (1, 1e-05, 1e6, [])
+    # a present line is still checked against the lattice, which asks the ladder
+    with pytest.raises(AssertionError, match="power"):
+        parse_summary(text + "exponents=0\n")
 
 def _streaming_text(include_audit=True):
     rng = np.random.default_rng(6)

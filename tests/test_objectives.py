@@ -219,8 +219,6 @@ def test_query_counter_and_clone():
     assert other.queries == 0
     other.value([0])
     assert obj.queries == 4 and other.queries == 1
-    obj.reset_queries()
-    assert obj.queries == 0
 
 
 def _random_objective(rng, kind):

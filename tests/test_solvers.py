@@ -1,6 +1,8 @@
 """Post-deletion solvers and the second-phase driver."""
 
 import copy
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from robust_summary import (
     exhaustive_opt,
     generate_instance,
     greedy_matroid,
-    local_search,
     make_cut_function,
     make_graphic,
     make_modular,
@@ -80,12 +81,8 @@ def test_greedy_callers_match_plain_reference(monkeypatch):
             opt_value(obj, matroid, set(range(obj.n)) - set(ground), method="greedy-bound")
             for _, obj, matroid, ground in cases
         ]
-        searches = [
-            local_search(ground, obj, matroid)
-            for _, obj, matroid, ground in cases
-            if obj.n <= 30
-        ]
-        return bounds, searches
+        solves = [SolverKind("greedy").run(ground, obj, matroid) for _, obj, matroid, ground in cases]
+        return bounds, solves
 
     lazy = callers()
     monkeypatch.setattr(solvers, "greedy_matroid", plain_greedy_matroid)
@@ -180,69 +177,76 @@ def test_greedy_within_half_of_optimum():
         assert greedy_value >= opt_value / 2 - 1e-9
 
 
-def test_local_search_dominates_greedy_on_monotone():
-    rng = np.random.default_rng(3)
-    for _ in range(6):
-        n = 9
-        obj = make_modular(rng.uniform(0.0, 5.0, size=n))
-        matroid = make_uniform(n, 3)
-        ls = obj.value(local_search(range(n), obj, matroid))
-        greedy = obj.value(greedy_matroid(range(n), obj, matroid))
-        assert ls >= greedy - 1e-9
-
-
-def test_local_search_triangle_cut_hits_optimum():
-    cut = make_cut_function(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
-    matroid = make_uniform(3, 2)
-    picked = local_search(range(3), cut, matroid)
-    opt_value, _ = brute_force_opt(cut, matroid, range(3))
-    assert opt_value == 2.0
-    assert cut.value(picked) == 2.0
-
-
-def test_local_search_floor_on_random_cuts():
-    rng = np.random.default_rng(13)
-    for _ in range(8):
-        n = int(rng.integers(5, 12))
-        edges = [
-            (u, v, float(rng.uniform(0.5, 1.5)))
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < 0.4
-        ]
-        cut = make_cut_function(n, edges)
-        matroid = make_uniform(n, int(rng.integers(1, 5)))
-        value = cut.value(local_search(range(n), cut, matroid))
-        opt_value, _ = brute_force_opt(cut, matroid, range(n))
-        assert value >= 0.25 * opt_value - 1e-9
-
-
-def test_local_search_evaluates_each_trial_once():
-    instance = generate_instance("cut n=40 p=0.2", matroid="uniform k=8", seed=3)
-    cut = instance.objective.clone()
-    asked = []
-    value = cut.value
-
-    def recording_value(ids):
-        ids = frozenset(ids)
-        asked.append(ids)
-        return value(ids)
-
-    cut.value = recording_value
-    picked = local_search(range(cut.n), cut, instance.matroid)
-    assert value(picked) > 0.0 and len(asked) > 100
-    # an accepted trial's value is kept, never asked for again right away
-    assert all(a != b for a, b in zip(asked, asked[1:]))
-
-
 def test_solver_kind_validation_and_beta():
-    assert SolverKind("exhaustive").beta(monotone=False) == 1.0
-    assert SolverKind("greedy").beta(monotone=True) == 2.0
-    # the greedy's factor 2 is proven for monotone objectives only
-    assert SolverKind("greedy").beta(monotone=False) is None
-    assert SolverKind("localsearch").beta(monotone=True) is None
+    modular, uniform = make_modular([1.0, 2.0]), make_uniform(2, 1)
+    cut = make_cut_function(2, [(0, 1, 1.0)])
+    assert SolverKind("exhaustive").beta(cut, uniform) == 1.0
+    assert SolverKind("greedy").beta(modular, uniform) == 1.0
+    # the greedy proves no factor on a non-monotone objective
+    assert SolverKind("greedy").beta(cut, uniform) is None
     with pytest.raises(ValueError):
         SolverKind("annealing")
+
+
+def test_beta_table_over_objectives_and_matroids():
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0)]  # a 4-cycle: its graphic matroid has rank 3
+    objectives = {
+        "modular": make_modular([1.0, 2.0, 3.0, 4.0]),
+        "coverage": make_weighted_coverage([1.0, 2.0, 3.0], [[0], [1], [2], [0, 2]]),
+        "cut": make_cut_function(4, [(u, v, 1.0) for u, v in edges]),
+    }
+    matroids = {
+        "uniform": make_uniform(4, 2),
+        "partition": make_partition([[0, 1], [2, 3]], [1, 1]),
+        "graphic": make_graphic(4, edges),
+    }
+    greedy = {
+        ("modular", "uniform"): 1.0,
+        ("modular", "partition"): 1.0,
+        ("modular", "graphic"): 1.0,
+        ("coverage", "uniform"): math.e / (math.e - 1.0),
+        ("coverage", "partition"): 2.0,
+        ("coverage", "graphic"): 2.0,
+        ("cut", "uniform"): None,
+        ("cut", "partition"): None,
+        ("cut", "graphic"): None,
+    }
+    for (oname, obj), (mname, matroid) in itertools.product(objectives.items(), matroids.items()):
+        assert SolverKind("exhaustive").beta(obj, matroid) == 1.0, (oname, mname)
+        assert SolverKind("greedy").beta(obj, matroid) == greedy[oname, mname], (oname, mname)
+
+
+def test_greedy_is_exact_on_modular_objectives_under_every_matroid():
+    # beta = 1: the matroid greedy finds a max-weight independent set
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        edges = [(u, v) for u in range(6) for v in range(u + 1, 6) if rng.random() < 0.6]
+        n = len(edges)
+        obj = make_modular(rng.lognormal(0.0, 1.0, size=n))
+        blocks = [list(range(0, n, 3)), list(range(1, n, 3)), list(range(2, n, 3))]
+        for matroid in (
+            make_uniform(n, int(rng.integers(1, 5))),
+            make_partition(blocks, [int(c) for c in rng.integers(1, 3, size=3)]),
+            make_graphic(6, edges),
+        ):
+            assert SolverKind("greedy").beta(obj, matroid) == 1.0
+            greedy_value = obj.value(greedy_matroid(range(n), obj, matroid))
+            assert greedy_value == brute_force_opt(obj, matroid, range(n))[0], (seed, matroid.kind)
+
+
+def test_greedy_reaches_one_minus_one_over_e_on_monotone_uniform():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 12))
+        universe = rng.uniform(0.1, 1.0, size=10)
+        covers = [list(np.flatnonzero(rng.random(10) < 0.3)) for _ in range(n)]
+        obj = make_weighted_coverage(universe, covers)
+        matroid = make_uniform(n, int(rng.integers(1, 5)))
+        beta = SolverKind("greedy").beta(obj, matroid)
+        assert beta == math.e / (math.e - 1.0)
+        greedy_value = obj.value(greedy_matroid(range(n), obj, matroid))
+        opt, _ = brute_force_opt(obj, matroid, range(n))
+        assert greedy_value >= opt / beta - 1e-9, seed
 
 
 def _toy_summary(entries, buckets, top, k=2, d=1):
@@ -298,10 +302,9 @@ def test_exhaustive_dominates_other_solvers_without_deletions():
     summary = _toy_summary([0, 1], {0: [2, 3, 4, 5]}, [6], k=3, d=1)
     values = {
         name: solve_after_deletions(summary, [], obj, matroid, SolverKind(name)).value
-        for name in ("exhaustive", "greedy", "localsearch")
+        for name in ("exhaustive", "greedy")
     }
     assert values["exhaustive"] >= values["greedy"] - 1e-9
-    assert values["exhaustive"] >= values["localsearch"] - 1e-9
 
 
 def test_phase_two_tie_prefers_survivors():
@@ -323,7 +326,6 @@ def test_phase_two_on_hard_additive_instance():
     )
     kept = set(summary.solution) | set(summary.reservoir)
     assert set(range(k + d)) <= kept
-    import itertools
 
     for deleted in itertools.combinations(range(k + d), d):
         solution = solve_after_deletions(summary, deleted, obj, matroid, SolverKind("greedy"))
