@@ -2,7 +2,7 @@
 
 Elements stream by in arbitrary order; the builder keeps a candidate solution
 alive by swapping out circuit elements whose recorded weight is beaten by the
-configured margin, and banks near-threshold elements into small buckets.
+swap margin of the objective class, and banks near-threshold elements into small buckets.
 
 Run:  python3 demos/demo_streaming_pipeline.py
 """
@@ -16,17 +16,17 @@ from robust_summary import (
     stream_summary,
     streaming_memory_limit,
 )
+from robust_summary.streaming import drain_cap
 
 instance = generate_instance(
     "coverage n=30 universe=20 density=0.25", matroid="uniform k=4", seed=3
 )
 config = StreamingConfig(epsilon=0.4, d=2, monotone_mode=True, seed=11, audit=True)
-print(f"fixed for a monotone objective: swap margin gamma={config.gamma_value}, "
-      f"sampling probability p={config.sample_prob_value}, "
-      f"drain cap {config.drain_cap}")
-
 order = [int(e) for e in np.random.default_rng(42).permutation(instance.n)]
 summary = stream_summary(instance.objective.clone(), instance.matroid, config, order)
+print(f"fixed for a monotone objective: swap margin gamma={summary.gamma}, "
+      f"sampling probability p={summary.sample_prob}, "
+      f"drain cap {drain_cap(summary.d, summary.epsilon)}")
 
 print("\ncandidate solution (element, weight):",
       [(e.element, round(e.gain, 3)) for e in summary.entries])
@@ -54,6 +54,6 @@ cut_summary = stream_summary(
     cut_instance.objective.clone(), cut_instance.matroid, cut_config,
     range(cut_instance.n),
 )
-print(f"\nnon-monotone run: p={cut_config.sample_prob_value:.3f}, "
+print(f"\nnon-monotone run: gamma={cut_summary.gamma}, p={cut_summary.sample_prob:.3f}, "
       f"{len(cut_summary.audit.sample_rejected)} arrivals rejected by the coin, "
       f"{len(cut_summary.audit.swapped_out)} swaps")

@@ -61,6 +61,7 @@ from .streaming import (
     stream_summary,
 )
 from .summary import (
+    BuildConfig,
     StreamAudit,
     Summary,
     SummaryEntry,

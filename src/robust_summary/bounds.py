@@ -21,10 +21,11 @@ def theoretical_bound(mode: str, monotone: bool, beta: float, epsilon: float) ->
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if beta < 1.0:
-        raise ValueError("beta cannot beat the exact optimum")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be non-negative")
+    # NaN fails every comparison, so each guard is written to refuse it
+    if not beta >= 1.0:
+        raise ValueError(f"beta must be at least 1, got {beta!r}")
+    if not epsilon >= 0.0:
+        raise ValueError(f"epsilon must be non-negative, got {epsilon!r}")
 
     if mode == "centralized":
         if epsilon >= 0.5:

@@ -22,35 +22,18 @@ infeasible skip holds for every objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .matroids import Matroid
 from .objectives import Objective, check_monotone_mode
-from .summary import Summary, SummaryEntry
-from .thresholds import check_parameter, threshold_lattice
+from .summary import BuildConfig, Summary, SummaryEntry
+from .thresholds import threshold_lattice
 
 
-@dataclass(frozen=True)
-class CentralizedConfig:
-    """Offline builder parameters.
-
-    The approximation guarantee needs epsilon < 1/5; larger values up to 1
-    are accepted and only flagged in reports (``bounds.bound_warnings``),
-    since the size bounds remain meaningful there.
-    """
-
-    epsilon: float
-    d: int
-    monotone_mode: bool = False
-    seed: int = 0
-    audit: bool = False
-
-    def __post_init__(self):
-        check_parameter("epsilon", self.epsilon)
-        check_parameter("d", self.d, "deletion budget d")
+# the builders take one config (``summary.BuildConfig``), bound to both names
+CentralizedConfig = BuildConfig
 
 
 def bucket_cap(k: int, d: int, epsilon: float, monotone_mode: bool) -> int:
@@ -108,7 +91,7 @@ def _scan_bucket(pool, solution, tau, objective, matroid, gain_cache, infeasible
 def build_summary(
     objective: Objective,
     matroid: Matroid,
-    config: CentralizedConfig,
+    config: BuildConfig,
     rng: np.random.Generator | None = None,
 ) -> Summary:
     """Run the offline threshold sweep and return the summary.

@@ -10,14 +10,15 @@ import numpy as np
 
 from .adversary import SPEC_FORMS, choose_deletions, parse_strategy
 from .bounds import bound_warnings, theoretical_bound
-from .centralized import CentralizedConfig, build_summary
+from .centralized import build_summary
 from .experiment import load_experiment_config, run_experiment
 from .generators import generate_instance
 from .grammar import read_ids
 from .instance import read_instance, write_instance
 from .solvers import SOLVER_NAMES, SolverKind, solve_after_deletions
-from .streaming import StreamingConfig, stream_summary
-from .summary import MODES, read_summary, write_summary
+from .streaming import stream_summary
+from .summary import MODES, BuildConfig, read_summary, write_summary
+from .thresholds import check_parameter
 from .verify import verify_summary
 
 
@@ -25,9 +26,17 @@ def _parse_order(spec: str, n: int) -> list[int]:
     if spec == "identity":
         return list(range(n))
     if spec.startswith("shuffle:"):
-        seed = int(spec.split(":", 1)[1])
+        seed = check_parameter("seed", int(spec.split(":", 1)[1]), "--order shuffle:<seed>")
         return [int(e) for e in np.random.default_rng(seed).permutation(n)]
     return read_ids(spec)
+
+
+def _seed(text: str) -> int:
+    """The type of a seed flag: a non-negative integer, refused by the flag's name."""
+    try:
+        return check_parameter("seed", int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}") from None
 
 
 def _parse_deletions(spec: str, instance) -> list[int]:
@@ -47,24 +56,14 @@ def cmd_gen(args) -> int:
 def cmd_summarize(args) -> int:
     if args.mode == "centralized" and args.order is not None:
         raise ValueError("--order sets a stream's arrival order; --mode centralized reads none")
+    config = BuildConfig(
+        epsilon=args.epsilon, d=args.d, monotone_mode=args.monotone, seed=args.seed,
+        audit=args.audit,
+    )
     instance = read_instance(args.instance)
     if args.mode == "centralized":
-        config = CentralizedConfig(
-            epsilon=args.epsilon,
-            d=args.d,
-            monotone_mode=args.monotone,
-            seed=args.seed,
-            audit=args.audit,
-        )
         summary = build_summary(instance.objective, instance.matroid, config)
     else:
-        config = StreamingConfig(
-            epsilon=args.epsilon,
-            d=args.d,
-            monotone_mode=args.monotone,
-            seed=args.seed,
-            audit=args.audit,
-        )
         order = _parse_order("identity" if args.order is None else args.order, instance.n)
         summary = stream_summary(instance.objective, instance.matroid, config, order)
     write_summary(summary, args.out, include_audit=args.audit)
@@ -145,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic instance file")
     p.add_argument("--spec", required=True, help='e.g. "coverage n=14 universe=20 density=0.25"')
     p.add_argument("--matroid", default=None, help='e.g. "uniform k=3" or "partition nblocks=3 cap=1"')
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -155,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--monotone", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument(
         "--order", default=None,
@@ -180,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", required=True)
     p.add_argument("--instance", required=True)
     p.add_argument("--deletion-trials", type=int, default=50)
-    p.add_argument("--deletion-seed", type=int, default=0)
+    p.add_argument("--deletion-seed", type=_seed, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bound", help="evaluate the approximation-factor formula")

@@ -11,20 +11,21 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .adversary import OPT_METHODS, choose_deletions, opt_value, parse_strategy
 from .bounds import bound_warnings, theoretical_bound
-from .centralized import CentralizedConfig, build_summary
+from .centralized import build_summary
 from .generators import generate_instance
 from .instance import Instance, format_instance, read_instance
 from .objectives import check_monotone_mode
 from .solvers import SOLVER_NAMES, SolverKind, solve_after_deletions
-from .streaming import StreamingConfig, stream_summary
-from .summary import MODES, Summary
+from .streaming import stream_summary
+from .summary import MODES, BuildConfig, Summary
+from .thresholds import check_parameter
 from .verify import check_weight_properties, structural_checks
 
 CSV_HEADER = "# robust-summary csv v1"
@@ -71,6 +72,8 @@ class ExperimentConfig:
             raise ValueError("at least one deletion strategy is required")
         if (self.instance_file is None) == (self.gen_spec is None):
             raise ValueError("configure exactly one of instance_file / gen_spec")
+        check_parameter("seed", self.gen_seed, "gen_seed")
+        check_parameter("seed", self.seed_base, "seed_base")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -134,7 +137,10 @@ def load_experiment_config(path) -> ExperimentConfig:
         for option in parser.options(section):
             if (section, option) not in read:
                 raise ValueError(f"{path}: unknown key [{section}] {option}")
-    return ExperimentConfig(**fields)
+    try:
+        return ExperimentConfig(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -194,35 +200,18 @@ def _load_instance(config: ExperimentConfig) -> Instance:
     return generate_instance(config.gen_spec, matroid=config.gen_matroid, seed=config.gen_seed)
 
 
-def _phase_one(config: ExperimentConfig, instance: Instance, seed: int) -> tuple[Summary, int]:
+def _phase_one(
+    config: ExperimentConfig, instance: Instance, build: BuildConfig
+) -> tuple[Summary, int]:
     objective = instance.objective.clone()
     if config.mode == "centralized":
-        summary = build_summary(
-            objective,
-            instance.matroid,
-            CentralizedConfig(
-                epsilon=config.epsilon,
-                d=config.d,
-                monotone_mode=config.monotone,
-                seed=seed,
-            ),
-        )
+        summary = build_summary(objective, instance.matroid, build)
     else:
         if config.order == "identity":
             order = list(range(instance.n))
         else:
-            order = [int(e) for e in np.random.default_rng([seed, 1]).permutation(instance.n)]
-        summary = stream_summary(
-            objective,
-            instance.matroid,
-            StreamingConfig(
-                epsilon=config.epsilon,
-                d=config.d,
-                monotone_mode=config.monotone,
-                seed=seed,
-            ),
-            order,
-        )
+            order = [int(e) for e in np.random.default_rng([build.seed, 1]).permutation(instance.n)]
+        summary = stream_summary(objective, instance.matroid, build, order)
     return summary, objective.queries
 
 
@@ -237,6 +226,8 @@ def run_experiment(
     holds the bytes of the configured instance file as read, or
     ``format_instance`` of a generated or passed-in instance.
     """
+    # the builders' parameters, refused before any file is written
+    build = BuildConfig(epsilon=config.epsilon, d=config.d, monotone_mode=config.monotone)
     text = None
     if instance is None:
         instance = _load_instance(config)
@@ -267,7 +258,7 @@ def run_experiment(
             warnings.append(f"bound formula unavailable: {exc}")
 
     def run_trial(seed: int) -> list[TrialRow]:
-        summary, phase1_queries = _phase_one(config, instance, seed)
+        summary, phase1_queries = _phase_one(config, instance, replace(build, seed=seed))
         base_ok = all(c.ok for c in structural_checks(summary, instance))
         rows = []
         for strategy in strategies:

@@ -42,7 +42,7 @@ swapped-out ``(element, weight)`` pairs the weight checks read, integer
 tallies for the counters, and one ``seen`` flag per ground-set id (n
 bytes) to refuse a repeated arrival.  The rest of the audit trail (the
 weight of every drained element, and every refused or dropped element)
-is recorded only with ``StreamingConfig.audit``, so beyond the instance's
+is recorded only with ``BuildConfig.audit``, so beyond the instance's
 own n-sized tables and the arrival order the stream's memory stays flat
 as the number of arrivals grows.
 """
@@ -52,14 +52,13 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .matroids import Matroid
 from .objectives import Objective, check_monotone_mode
-from .summary import StreamAudit, Summary, SummaryEntry, coin_probability, swap_margin
+from .summary import BuildConfig, StreamAudit, Summary, SummaryEntry, coin_probability, swap_margin
 from .thresholds import PowerLadder, check_parameter, threshold_lattice
 
 
@@ -68,54 +67,22 @@ def drain_cap(d: int, epsilon: float) -> int:
     return max(1, math.ceil(d / epsilon))
 
 
-@dataclass(frozen=True)
-class StreamingConfig:
-    """Streaming builder parameters.
-
-    The swap margin gamma and the coin probability p follow the objective
-    class (``summary.swap_margin`` and ``summary.coin_probability``): the
-    reported bounds hold at those values only.
-
-    ``audit`` records the run's whole trail in the summary's ``StreamAudit``
-    (every drain and every drop) and asserts the candidate's independence
-    at each change; without it the trail keeps only the swapped-out pairs.
-    """
-
-    epsilon: float
-    d: int
-    monotone_mode: bool = False
-    seed: int = 0
-    audit: bool = False
-
-    def __post_init__(self):
-        check_parameter("epsilon", self.epsilon)
-        check_parameter("d", self.d, "deletion budget d")
-
-    @property
-    def gamma_value(self) -> float:
-        return swap_margin(self.monotone_mode)
-
-    @property
-    def sample_prob_value(self) -> float:
-        return coin_probability(self.monotone_mode)
-
-    @property
-    def drain_cap(self) -> int:
-        return drain_cap(self.d, self.epsilon)
+# the builders take one config (``summary.BuildConfig``), bound to both names
+StreamingConfig = BuildConfig
 
 
 class StreamState:
     """Mutable state of one streaming run.  Strictly sequential per stream."""
 
-    def __init__(self, config: StreamingConfig, k: int):
+    def __init__(self, config: BuildConfig, k: int):
         check_parameter("k", k, "matroid rank")
         self.config = config
         self.k = k
-        # read once per stream: the config derives them on every access
-        self.drain_cap = config.drain_cap
-        self.swap_factor = 1.0 + config.gamma_value
-        self.sample_prob = config.sample_prob_value
-        self.ladder = PowerLadder(1.0 + config.epsilon)
+        # the stream's constants, read once: the objective class fixes the
+        # swap margin gamma (as the factor 1 + gamma) and the coin probability
+        self.drain_cap = drain_cap(config.d, config.epsilon)
+        self.swap_factor = 1.0 + swap_margin(config.monotone_mode)
+        self.sample_prob = coin_probability(config.monotone_mode)
         # in insertion order; an entry's gain is its element's swap weight
         self.candidate: dict[int, SummaryEntry] = {}
         # the smallest gain in the candidate, inf while it is empty
@@ -133,8 +100,9 @@ class StreamState:
         # leaves next, the smallest value and on ties the larger id
         self.top_buffer: list[tuple[float, int, int]] = []
         self.delta = 0.0
-        # the live exponents of delta; empty, and filing nothing, until delta > 0
-        self.lattice = threshold_lattice(0.0, k, config.epsilon, self.ladder)
+        # the live exponents of delta; empty, and filing nothing, until delta > 0.
+        # Every rebuild keeps this one ladder, so a power is evaluated once per stream
+        self.lattice = threshold_lattice(0.0, k, config.epsilon, PowerLadder(1.0 + config.epsilon))
         # ``trail`` is the audit with config.audit and None without: the
         # lists other than swapped_out are filled only through it, and
         # ``counts`` tallies the refused and dropped elements either way
@@ -158,7 +126,9 @@ class StreamState:
         nothing, and every bucket is dropped.
         """
         self.delta = delta
-        lattice = self.lattice = threshold_lattice(delta, self.k, self.config.epsilon, self.ladder)
+        lattice = self.lattice = threshold_lattice(
+            delta, self.k, self.config.epsilon, self.lattice.ladder
+        )
         low = lattice.exponents[-1] if lattice.exponents else math.inf
         for x in sorted(x for x in self.buckets if x < low):
             dropped = self.buckets.pop(x)
@@ -474,7 +444,7 @@ def finalize(state: StreamState) -> Summary:
 def stream_summary(
     objective: Objective,
     matroid: Matroid,
-    config: StreamingConfig,
+    config: BuildConfig,
     order: Iterable[int],
     rng: np.random.Generator | None = None,
 ) -> Summary:

@@ -1,4 +1,4 @@
-"""Summary containers shared by the offline and streaming builders, plus file I/O."""
+"""The config and summary containers shared by the offline and streaming builders, plus file I/O."""
 
 from __future__ import annotations
 
@@ -7,11 +7,35 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .grammar import numbers, once, parse_lines
-from .thresholds import check_parameter, threshold_lattice
+from .thresholds import check_parameter, may_be_lattice, threshold_lattice
 
 
 # the two builders, as a summary file names them
 MODES = ("centralized", "streaming")
+
+
+@dataclass(frozen=True)
+class BuildConfig:
+    """The parameters of both builders, bound to ``CentralizedConfig`` and ``StreamingConfig``.
+
+    The centralized guarantee needs epsilon < 1/5; larger values up to 1 are
+    only flagged in reports (``bounds.bound_warnings``).  A stream's swap
+    margin and coin probability are no parameters: the objective class fixes
+    them (``swap_margin``, ``coin_probability``).  ``audit`` asserts the
+    candidate's independence at each change, and a stream records its whole
+    trail (``StreamAudit``) rather than only the swapped-out pairs.
+    """
+
+    epsilon: float
+    d: int
+    monotone_mode: bool = False
+    seed: int = 0
+    audit: bool = False
+
+    def __post_init__(self):
+        check_parameter("epsilon", self.epsilon)
+        check_parameter("d", self.d, "deletion budget d")
+        check_parameter("seed", self.seed)
 
 
 def swap_margin(monotone: bool) -> float:
@@ -82,8 +106,7 @@ class Summary:
     The fields hold what a builder chose or measured.  What follows from
     them is a property: the threshold ``exponents``, and the swap margin
     ``gamma`` and coin probability ``sample_prob`` of a stream, which the
-    objective class fixes (``swap_margin``, ``coin_probability``).  So a
-    stream run with hand-set levers records the class gamma and p.
+    objective class fixes (``swap_margin``, ``coin_probability``).
     """
 
     mode: str
@@ -236,7 +259,7 @@ def parse_summary(text: str) -> Summary:
     Every error names its key.  The mode is centralized or streaming, an
     integer key holds an integer and a float key a number.  Ids must be
     non-negative; in a centralized summary they must also be below n.  As
-    every builder writes them, k is at least 1, n, d,
+    every builder writes them, k is at least 1, n, d, seed,
     peak_memory and every counter are non-negative, epsilon lies in (0, 1),
     p in (0, 1], gamma is finite and positive, monotone is 0 or 1, delta,
     every gain and every weight are finite, an ``a`` line has three fields,
@@ -260,6 +283,8 @@ def parse_summary(text: str) -> Summary:
     mode = _checked("mode", fields["mode"], str, lambda m: m in MODES, "centralized or streaming")
     k = check_parameter("k", _checked("k", fields["k"], int), "summary key 'k'", fields["k"])
     d = check_parameter("d", _checked("d", fields["d"], int), "summary key 'd'", fields["d"])
+    seed = _checked("seed", fields["seed"], int)
+    seed = check_parameter("seed", seed, "summary key 'seed'", fields["seed"])
     epsilon = _checked("epsilon", fields["epsilon"], float)
     epsilon = check_parameter("epsilon", epsilon, "summary key 'epsilon'", fields["epsilon"])
     monotone = _checked("monotone", fields["monotone"], int, lambda m: m in (0, 1), "0 or 1")
@@ -311,7 +336,7 @@ def parse_summary(text: str) -> Summary:
         d=d,
         epsilon=epsilon,
         monotone=bool(monotone),
-        seed=_checked("seed", fields["seed"], int),
+        seed=seed,
         delta=delta,
         entries=list(candidate.values()),
         buckets=buckets,
@@ -329,11 +354,13 @@ def parse_summary(text: str) -> Summary:
 
     # (key, the line's value, its source, what the source is); a source is
     # derived only for a line that is present: a centralized summary's
-    # exponents build every power of its lattice, however far out it lies
+    # exponents build every power of its lattice, however far out it lies,
+    # so a line that cannot be the lattice is refused before any is built
     restated = (
         ("b", _read_ids("b", fields.get("b", ""), limit), lambda: summary.reservoir,
          "the reservoir of the 'bucket' and 'vd' lines"),
-        ("exponents", exponents, lambda: summary.exponents,
+        ("exponents", exponents, lambda: summary.exponents
+         if mode == "streaming" or may_be_lattice(exponents, delta, k, epsilon) else None,
          "the threshold lattice of 'delta', 'k' and 'epsilon'" if mode == "centralized"
          else "the 'bucket' exponents, descending"),
         ("gamma", gamma, lambda: summary.gamma, fixed("swap margin", summary.gamma)),

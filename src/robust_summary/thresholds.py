@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import Sequence
 
 
 class PowerLadder:
@@ -63,6 +65,20 @@ class PowerLadder:
             guess -= 1
         return guess
 
+    def estimate(self, x: float) -> tuple[float, float]:
+        """log(x)/log(base), and how many steps ``floor_exponent(x)`` can lie from it; x > 0.
+
+        power(i) lies within |i| + 1 roundings of base**i, and the floor and
+        the logs add two steps.  A subnormal quotient can fall by as little
+        as a sixth of a step, so six times the steps from x up to the
+        smallest normal double are added under it.  No power is evaluated.
+        """
+        t = math.log(x) / self._log_base
+        margin = 2.0 + 2.0**-50 * (abs(t) + 3.0) / self._log_base
+        if x < sys.float_info.min:
+            margin += 6.0 * (math.log(sys.float_info.min / x) / self._log_base + 1.0)
+        return t, margin
+
 
 @dataclass(frozen=True)
 class ThresholdLattice:
@@ -113,11 +129,12 @@ _PARAMETER_RULES = {
     "k": (lambda k: k >= 1, "at least 1"),
     "d": (lambda d: d >= 0, "non-negative"),
     "epsilon": (lambda x: 0.0 < x < 1.0, "in (0, 1)"),
+    "seed": (lambda s: s >= 0, "non-negative"),
 }
 
 
 def check_parameter(name: str, value, label: str | None = None, text: str | None = None):
-    """``value`` of builder parameter ``name`` ("k", "d" or "epsilon") if it lies in its range.
+    """``value`` of builder parameter ``name`` (k, d, epsilon or seed) if it lies in its range.
 
     Otherwise a ValueError "<label> must be <range>, got <text>", ``label``
     defaulting to ``name`` and ``text`` to the value itself.
@@ -147,11 +164,7 @@ def threshold_lattice(
         ladder = PowerLadder(1.0 + epsilon)
     if not delta > 0.0:
         return ThresholdLattice(epsilon, float(delta), 0.0, (), ladder, [])
-    lower = epsilon * delta / ((1.0 + epsilon) * k)
-    if lower <= 0.0:
-        # subnormal delta underflowed the floor; clamp to the smallest
-        # positive double so the lattice stays finite
-        lower = 5e-324
+    lower = _floor(delta, k, epsilon)
     hi = ladder.floor_exponent(delta)
     lo = ladder.floor_exponent(lower) + 1  # smallest exponent strictly above `lower`
     power = ladder.power
@@ -159,6 +172,31 @@ def threshold_lattice(
     return ThresholdLattice(
         epsilon, float(delta), lower, tuple(range(hi, lo - 1, -1)), ladder, table
     )
+
+
+def _floor(delta: float, k: int, epsilon: float) -> float:
+    """The floor of a positive delta's lattice; one that underflows is the smallest double."""
+    return max(epsilon * delta / ((1.0 + epsilon) * k), 5e-324)
+
+
+def may_be_lattice(exponents: Sequence[int], delta: float, k: int, epsilon: float) -> bool:
+    """False when ``exponents`` cannot be ``threshold_lattice(delta, k, epsilon).exponents``.
+
+    The lattice runs down by one from ``floor_exponent(delta)`` and holds
+    ``floor_exponent(delta) - floor_exponent(lower)`` exponents, which
+    ``PowerLadder.estimate`` bounds without evaluating a power.
+    """
+    if any(a - b != 1 for a, b in zip(exponents, exponents[1:])):
+        return False
+    if not delta > 0.0:
+        return not exponents
+    ladder = PowerLadder(1.0 + epsilon)
+    top, top_margin = ladder.estimate(delta)
+    bottom, bottom_margin = ladder.estimate(_floor(delta, k, epsilon))
+    count, margin = top - bottom, top_margin + bottom_margin
+    if not exponents:
+        return count <= margin
+    return abs(exponents[0] - top) <= top_margin and abs(len(exponents) - count) <= margin
 
 
 def lattice_size_limit(k: int, epsilon: float) -> int:

@@ -22,7 +22,7 @@ from .instance import Instance
 from .objectives import Objective
 from .streaming import drain_cap
 from .summary import Summary
-from .thresholds import PowerLadder, lattice_size_limit
+from .thresholds import PowerLadder, lattice_size_limit, threshold_lattice
 
 
 @dataclass(frozen=True)
@@ -80,86 +80,45 @@ def header_check(summary: Summary, instance: Instance) -> VerifyCheck:
 def structural_checks(summary: Summary, instance: Instance) -> list[VerifyCheck]:
     """Mode-aware invariants that need no audit trail."""
     checks: list[VerifyCheck] = [header_check(summary, instance)]
-    matroid = instance.matroid
-    solution = summary.solution_set
-    reservoir = set(summary.reservoir)
-    exponents = summary.exponents
-    ladder = PowerLadder(1.0 + summary.epsilon)
 
-    checks.append(
-        VerifyCheck("solution_independent", matroid.is_independent(solution))
-    )
-    checks.append(
-        VerifyCheck(
-            "solution_within_rank",
-            len(solution) <= summary.k,
-            f"|solution|={len(solution)} k={summary.k}",
-        )
-    )
-    overlap = solution & reservoir
-    buckets_flat = [e for exp in summary.buckets for e in summary.buckets[exp]]
-    bucket_dupes = len(buckets_flat) != len(set(buckets_flat))
-    top_overlap = set(summary.top_buffer) & set(buckets_flat)
-    checks.append(
-        VerifyCheck(
-            "disjointness",
-            not overlap and not bucket_dupes and not top_overlap,
-            f"solution/reservoir overlap={sorted(overlap)}",
-        )
-    )
-    checks.append(
-        VerifyCheck(
-            "top_buffer_within_budget",
-            len(summary.top_buffer) <= summary.d,
-            f"|top|={len(summary.top_buffer)} d={summary.d}",
-        )
-    )
+    def check(name: str, ok: bool, detail: str = "") -> None:
+        checks.append(VerifyCheck(name, ok, detail))
 
+    k, d, epsilon = summary.k, summary.d, summary.epsilon
     if summary.mode == "centralized":
-        cap = bucket_cap(summary.k, summary.d, summary.epsilon, summary.monotone)
-        size_limit = summary.k + summary.d + len(exponents) * cap
+        lattice = threshold_lattice(summary.delta, k, epsilon)
+        exponents, ladder = list(lattice.exponents), lattice.ladder
+        cap = bucket_cap(k, d, epsilon, summary.monotone)
+        size_limit = k + d + len(exponents) * cap
     else:
-        cap = drain_cap(summary.d, summary.epsilon)
-        size_limit = streaming_memory_limit(summary.k, summary.d, summary.epsilon)
-    checks.append(
-        VerifyCheck(
-            "bucket_caps",
-            all(len(b) < cap for b in summary.buckets.values()),
-            f"cap={cap}",
-        )
+        exponents, ladder = summary.exponents, PowerLadder(1.0 + epsilon)
+        cap = drain_cap(d, epsilon)
+        size_limit = streaming_memory_limit(k, d, epsilon)
+    solution, top = summary.solution_set, summary.top_buffer
+    overlap = solution & set(summary.reservoir)
+    filed = [e for bucket in summary.buckets.values() for e in bucket]
+    check("solution_independent", instance.matroid.is_independent(solution))
+    check("solution_within_rank", len(solution) <= k, f"|solution|={len(solution)} k={k}")
+    check(
+        "disjointness",
+        not overlap and len(filed) == len(set(filed)) and not set(top) & set(filed),
+        f"solution/reservoir overlap={sorted(overlap)}",
     )
-
-    limit = lattice_size_limit(summary.k, summary.epsilon)
-    checks.append(
-        VerifyCheck(
-            "threshold_count",
-            len(exponents) <= limit,
-            f"used={len(exponents)} limit={limit}",
-        )
-    )
-    checks.append(
-        VerifyCheck(
-            "size_bound",
-            summary.size() <= size_limit,
-            f"size={summary.size()} limit={size_limit}",
-        )
-    )
+    check("top_buffer_within_budget", len(top) <= d, f"|top|={len(top)} d={d}")
+    check("bucket_caps", all(len(b) < cap for b in summary.buckets.values()), f"cap={cap}")
+    limit = lattice_size_limit(k, epsilon)
+    check("threshold_count", len(exponents) <= limit, f"used={len(exponents)} limit={limit}")
+    check("size_bound", summary.size() <= size_limit, f"size={summary.size()} limit={size_limit}")
     if summary.mode == "streaming":
-        peak = summary.peak_memory if summary.peak_memory is not None else 0
-        checks.append(
-            VerifyCheck(
-                "peak_memory_bound", peak <= size_limit, f"peak={peak} limit={size_limit}"
-            )
-        )
+        peak = summary.peak_memory or 0
+        check("peak_memory_bound", peak <= size_limit, f"peak={peak} limit={size_limit}")
     # a stream over part of the ground set anchors on the part it saw
     if summary.mode == "centralized" or summary.counters.get("arrivals") == instance.n:
-        delta, top = compute_delta(instance.objective.singleton_values(), summary.d)
-        checks.append(
-            VerifyCheck(
-                "anchor_value",
-                delta == summary.delta and sorted(top) == sorted(summary.top_buffer),
-                f"expected delta={delta!r}",
-            )
+        delta, protected = compute_delta(instance.objective.singleton_values(), d)
+        check(
+            "anchor_value",
+            delta == summary.delta and sorted(protected) == sorted(top),
+            f"expected delta={delta!r}",
         )
 
     # insertion gains must sit in their threshold band and below the anchor.
@@ -187,7 +146,7 @@ def structural_checks(summary: Summary, instance: Instance) -> list[VerifyCheck]
         if where is not None:
             bracket_ok, detail = False, f"element {entry.element} gain {where}"
             break
-    checks.append(VerifyCheck("gain_brackets", bracket_ok, detail))
+    check("gain_brackets", bracket_ok, detail)
     return checks
 
 
@@ -201,9 +160,8 @@ def check_weight_properties(
     and that they overestimate the value of candidate plus kicked elements.
     Weights are summed by ``math.fsum``, as the values are.  Each
     ``weights_<name>`` check holds when lhs <= rhs + 1e-9; its detail shows
-    both sides.  The swap margin is the one the summary records, the class
-    margin of its ``monotone`` (``Summary.gamma``), also for a stream run
-    with a hand-set margin.
+    both sides.  The swap margin is the class margin the summary records
+    (``Summary.gamma``).
     """
     if summary.mode != "streaming" or summary.audit is None:
         raise ValueError("weight checks need a streaming summary with its audit trail")

@@ -12,21 +12,21 @@ they must equal (``plain_oracle``), every built-in objective's value
 in exact rational arithmetic (``exact_value``, ``exact_gains``), and the
 cut and coverage generators from one scalar draw at a time
 (``literal_generate_instance``).  ``KernelCoverage`` is the smallest
-class with exact gains.  ``LeverConfig`` sets the stream's swap
-margin and coin probability by hand, and ``rank_of`` grows a maximal
-independent subset greedily.
+class with exact gains.  ``levers`` sets the stream's swap margin and
+coin probability by hand, and ``rank_of`` grows a maximal independent
+subset greedily.
 """
 
+import contextlib
 import copy
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
 from robust_summary import (
-    StreamingConfig,
     StreamState,
     Summary,
     SummaryEntry,
@@ -35,6 +35,7 @@ from robust_summary import (
     finalize,
     threshold_lattice,
 )
+from robust_summary import streaming
 from robust_summary.generators import _parse_spec
 from robust_summary.instance import Instance, parse_matroid_spec
 from robust_summary.matroids import Matroid
@@ -380,27 +381,23 @@ def literal_generate_instance(spec, matroid, seed):
     return Instance(objective, parse_matroid_spec(matroid, n))
 
 
-@dataclass(frozen=True)
-class LeverConfig(StreamingConfig):
-    """A streaming config with the swap margin and coin probability set by hand.
+@contextlib.contextmanager
+def levers(gamma=None, sample_prob=None):
+    """Streams started inside run with the swap margin and coin probability set by hand.
 
-    The library fixes both per objective class; tests move them to reach
-    swaps, refusals and coin outcomes that the fixed values rarely give.
-    ``gamma`` None keeps the class margin, and ``sample_prob`` None the
-    class p.  The summary of a lever stream still records the class gamma
-    and p, which its ``monotone`` fixes.
+    The library fixes both per objective class, and ``StreamState`` reads
+    them once, from ``swap_margin`` and ``coin_probability``; tests move them
+    to reach swaps, refusals and coin outcomes that the fixed values rarely
+    give.  None keeps the class value.  The summary still records the class
+    gamma and p, which its ``monotone`` fixes.
     """
-
-    gamma: float | None = None
-    sample_prob: float | None = None
-
-    @property
-    def gamma_value(self) -> float:
-        return super().gamma_value if self.gamma is None else self.gamma
-
-    @property
-    def sample_prob_value(self) -> float:
-        return super().sample_prob_value if self.sample_prob is None else self.sample_prob
+    margin, coin = streaming.swap_margin, streaming.coin_probability
+    with mock.patch.multiple(
+        streaming,
+        swap_margin=lambda monotone: margin(monotone) if gamma is None else gamma,
+        coin_probability=lambda monotone: coin(monotone) if sample_prob is None else sample_prob,
+    ):
+        yield
 
 
 def literal_stream_summary(objective, matroid, config, order):
@@ -416,7 +413,7 @@ def literal_stream_summary(objective, matroid, config, order):
     """
     rng = np.random.default_rng(config.seed)
     state = StreamState(config, matroid.k)
-    ladder, audit, cap = state.ladder, state.audit, config.drain_cap
+    ladder, audit, cap = state.lattice.ladder, state.audit, state.drain_cap
     candidate = set()
     low = None  # the lowest live exponent; None files nothing
 
@@ -458,7 +455,7 @@ def literal_stream_summary(objective, matroid, config, order):
                 del state.buckets[exponent]
             weight = objective.marginal(g, candidate)
             audit.weight_log.append((g, weight))
-            accepted = bool(rng.random() < config.sample_prob_value)
+            accepted = bool(rng.random() < state.sample_prob)
             changed = grew = False
             if matroid.is_independent(candidate | {g}):
                 if accepted:
@@ -469,7 +466,7 @@ def literal_stream_summary(objective, matroid, config, order):
                 cycle = matroid.circuit(candidate, g)
                 weights = {y: state.candidate[y].gain for y in cycle - {g}} | {g: weight}
                 victim = min(cycle, key=lambda y: (weights[y], y))
-                if weight > (1.0 + config.gamma_value) * weights[victim]:
+                if weight > state.swap_factor * weights[victim]:
                     if accepted:
                         del state.candidate[victim]
                         candidate.discard(victim)

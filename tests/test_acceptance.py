@@ -178,9 +178,9 @@ def test_criterion_3_streaming_bounds():
         summaries = []
         for seed in range(ENSEMBLE_SEEDS):
             config = StreamingConfig(epsilon=0.1, d=2, monotone_mode=True, seed=seed)
-            assert config.gamma_value == 1.0 and config.sample_prob_value == 1.0
             order = [int(e) for e in np.random.default_rng([seed, 1]).permutation(instance.n)]
             summary = stream_summary(instance.objective.clone(), instance.matroid, config, order)
+            assert summary.gamma == 1.0 and summary.sample_prob == 1.0
             _assert_streaming_size(summary)
             summaries.append(summary)
         _ensemble_assert(instance, _collapse(summaries), all_deletions, mono_bound)
@@ -191,10 +191,10 @@ def test_criterion_3_streaming_bounds():
         summaries = []
         for seed in range(ENSEMBLE_SEEDS):
             config = StreamingConfig(epsilon=0.1, d=2, monotone_mode=False, seed=seed)
-            assert config.gamma_value == 1.746
-            assert config.sample_prob_value == 1.0 / (1.746 + 2.0)
             order = [int(e) for e in np.random.default_rng([seed, 1]).permutation(instance.n)]
             summary = stream_summary(instance.objective.clone(), instance.matroid, config, order)
+            assert summary.gamma == 1.746
+            assert summary.sample_prob == 1.0 / (1.746 + 2.0)
             _assert_streaming_size(summary)
             summaries.append(summary)
         _ensemble_assert(instance, _collapse(summaries), deletion_sets, nonmono_bound)

@@ -73,3 +73,13 @@ def test_invalid_parameters_raise():
         theoretical_bound("centralized", False, 0.5, 0.1)  # beta below 1
     with pytest.raises(ValueError):
         theoretical_bound("offline", False, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("mode", ["centralized", "streaming"])
+@pytest.mark.parametrize("monotone", [True, False])
+def test_nan_beta_or_epsilon_is_refused(mode, monotone):
+    # NaN once passed every guard and the bound came back nan
+    with pytest.raises(ValueError, match=r"^beta must be at least 1, got nan$"):
+        theoretical_bound(mode, monotone, math.nan, 0.1)
+    with pytest.raises(ValueError, match=r"^epsilon must be non-negative, got nan$"):
+        theoretical_bound(mode, monotone, 2.0, math.nan)

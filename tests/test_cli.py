@@ -167,6 +167,16 @@ def test_bound_command(capsys):
     assert printed == pytest.approx(4.4583, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "beta, epsilon, message",
+    [("nan", "0.1", "beta must be at least 1, got nan"),
+     ("2", "nan", "epsilon must be non-negative, got nan")],
+)
+@pytest.mark.parametrize("mode", ["centralized", "streaming"])
+def test_bound_refuses_nan_with_exit_2(capsys, mode, beta, epsilon, message):
+    _clean_error(capsys, ["bound", "--mode", mode, "--beta", beta, "--epsilon", epsilon], message)
+
+
 def test_experiment_command(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -644,6 +654,7 @@ def test_malformed_summary_file_is_a_clean_error(tmp_path, capsys, line, message
         ("n=-3", "summary key 'n' must be non-negative, got '-3'"),
         ("peak_memory=-4", "summary key 'peak_memory' must be non-negative, got '-4'"),
         ("counters=x:-1", "summary key 'counters' must be non-negative, got '-1'"),
+        ("seed=-1", "summary key 'seed' must be non-negative, got '-1'"),
         ("weight_log=1:nan", "summary key 'weight_log' must be finite, got 'nan'"),
         ("audit_swapped_out=1:-inf", "summary key 'audit_swapped_out' must be finite, got '-inf'"),
         ("mode=weird", "summary key 'mode' must be centralized or streaming, got 'weird'"),
@@ -784,3 +795,46 @@ def test_malformed_strategy_spec_names_its_form(tmp_path, capsys, spec, needs):
     assert capsys.readouterr().err == (
         f"robust-summary: error: deletion strategy {spec!r} needs {needs}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["gen", "--spec", "cut n=6 p=0.5", "--out", "o"], "--seed"),
+        (["summarize", "--mode", "centralized", "--instance", "i", "--epsilon", "0.2", "--d", "1",
+          "--out", "o"], "--seed"),
+        (["verify", "--summary", "s", "--instance", "i"], "--deletion-seed"),
+    ],
+    ids=["gen", "summarize", "verify"],
+)
+def test_negative_seed_flag_is_a_usage_error_naming_it(tmp_path, monkeypatch, capsys, command, flag):
+    # numpy once refused these seeds in its own words, after reading the files
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as raised:
+        main(command + [flag, "-1"])
+    assert raised.value.code == 2
+    assert f"argument {flag}: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_shuffle_seed_is_refused_naming_the_order(tmp_path, capsys):
+    inst, summ = tmp_path / "inst.txt", tmp_path / "summary.txt"
+    inst.write_text("n=5\nobjective=modular\nweights=5,1,2,2,4\nmatroid=uniform k=2\n")
+    _clean_error(capsys, [
+        "summarize", "--mode", "streaming", "--instance", str(inst), "--epsilon", "0.2",
+        "--d", "1", "--order", "shuffle:-1", "--out", str(summ),
+    ], "--order shuffle:<seed> must be non-negative, got -1")
+    assert not summ.exists()
+
+
+@pytest.mark.parametrize("key", ["gen_seed", "seed_base"])
+def test_negative_seed_in_config_is_refused_naming_its_key(tmp_path, capsys, key):
+    out_dir = tmp_path / "out"
+    text = _VALID_CONFIG + f"[report]\nout_dir = {out_dir}\n"
+    if key == "gen_seed":
+        text = text.replace("[instance]\n", "[instance]\ngen_seed = -1\n")
+    else:
+        text += "[trials]\nseed_base = -1\n"
+    err = _experiment_error(tmp_path, capsys, text)
+    assert err.endswith(f": {key} must be non-negative, got -1\n")
+    assert not out_dir.exists()

@@ -35,7 +35,7 @@ from robust_summary import (
     write_instance,
 )
 from robust_summary.thresholds import PowerLadder
-from robust_summary import experiment, verify
+from robust_summary import experiment, thresholds
 from robust_summary.verify import VerifyCheck, structural_checks
 
 
@@ -461,7 +461,8 @@ def test_gain_brackets_build_no_power_of_a_far_exponent(monkeypatch):
             assert abs(i) < 1000, f"power({i}) asked"
             return super().power(i)
 
-    monkeypatch.setattr(verify, "PowerLadder", CountingLadder)
+    # a centralized summary's brackets ask the ladder of the lattice it derives
+    monkeypatch.setattr(thresholds, "PowerLadder", CountingLadder)
     inst = generate_instance(
         "coverage n=40 universe=60 density=0.1", matroid="partition nblocks=4 cap=1", seed=3
     )
@@ -590,8 +591,14 @@ def test_config_file_naming_the_local_search_is_refused(tmp_path):
         ("order", "shufle", "order must be identity or shuffle"),
         ("solver", "gredy", "solver must be one of ('greedy', 'exhaustive')"),
         ("opt_method", "exact", "opt_method must be one of ('exhaustive', 'greedy-bound')"),
+        # a negative seed_base once wrote instance.txt and results.partial.csv
+        # before numpy refused the seed in its own words
+        ("gen_seed", -1, "gen_seed must be non-negative, got -1"),
+        ("seed_base", -1, "seed_base must be non-negative, got -1"),
+        ("d", -1, "deletion budget d must be non-negative, got -1"),
+        ("epsilon", 1.5, "epsilon must be in (0, 1), got 1.5"),
     ],
-    ids=["order", "solver", "opt_method"],
+    ids=["order", "solver", "opt_method", "gen_seed", "seed_base", "d", "epsilon"],
 )
 def test_misspelled_choice_is_rejected_before_any_output(tmp_path, field, value, message):
     with pytest.raises(ValueError) as raised:

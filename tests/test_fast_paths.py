@@ -39,8 +39,8 @@ from helpers import (
     ConcaveOfModular,
     Float32Coverage,
     KernelCoverage,
-    LeverConfig,
     SummedCoverage,
+    levers,
     literal_build_summary,
     literal_stream_summary,
     plain_greedy_matroid,
@@ -275,14 +275,15 @@ def test_sparse_refile_matches_literal_loop_on_float_adversarial_streams(family)
         epsilon = float(rng.choice([0.1, 0.2, 0.3]))
         objective, matroid = FLOAT_ADVERSARIAL[family](rng, epsilon)
         monotone = objective.monotone and bool(rng.random() < 0.5)
-        config = LeverConfig(
+        config = StreamingConfig(
             epsilon=epsilon, d=int(rng.integers(0, 3)), monotone_mode=monotone,
-            gamma=0.05 if seed % 2 else None, seed=seed, audit=True,
+            seed=seed, audit=True,
         )
         order = rng.permutation(objective.n)
         fast, literal = objective.clone(), objective.clone()
-        summary = stream_summary(fast, matroid, config, order)
-        expected = literal_stream_summary(literal, matroid, config, order)
+        with levers(gamma=0.05 if seed % 2 else None):
+            summary = stream_summary(fast, matroid, config, order)
+            expected = literal_stream_summary(literal, matroid, config, order)
         assert format_summary(summary, include_audit=True) == format_summary(
             expected, include_audit=True
         )

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -377,6 +378,13 @@ def test_summary_exponents_line_must_be_its_lattice():
     assert [(c.name, c.detail) for c in report.failures()] == [("size_bound", "size=200 limit=187")]
 
 
+# k=1, epsilon=1e-5, delta=1e6: a lattice near exponent 1.4 million
+_FAR_OUT = (
+    "# robust-summary summary v1\nmode=centralized\nn=1\nk=1\nd=0\nepsilon=1e-05\n"
+    "monotone=1\nseed=0\ndelta=1000000.0\n"
+)
+
+
 def test_a_summary_without_an_exponents_line_builds_no_lattice(monkeypatch):
     # k=1, epsilon=1e-5, delta=1e6: the lattice lies near exponent 1.4 million,
     # which a check of an absent exponents= line would build every power out to
@@ -385,16 +393,33 @@ def test_a_summary_without_an_exponents_line_builds_no_lattice(monkeypatch):
             assert abs(i) < 1000, f"power({i}) asked"
             return super().power(i)
 
+    # epsilon=0.1, delta=1e300: 26 exponents near 7,250
+    far = ",".join(str(x) for x in thresholds.threshold_lattice(1e300, 1, 0.1).exponents)
     monkeypatch.setattr(thresholds, "PowerLadder", RefusingLadder)
-    text = (
-        "# robust-summary summary v1\nmode=centralized\nn=1\nk=1\nd=0\nepsilon=1e-05\n"
-        "monotone=1\nseed=0\ndelta=1000000.0\n"
-    )
-    summary = parse_summary(text)
+    summary = parse_summary(_FAR_OUT)
     assert (summary.k, summary.epsilon, summary.delta, summary.entries) == (1, 1e-05, 1e6, [])
-    # a present line is still checked against the lattice, which asks the ladder
+    # a present line that cannot be the lattice is refused before the ladder is asked
+    with pytest.raises(ValueError, match="is not the threshold lattice"):
+        parse_summary(_FAR_OUT + "exponents=0\n")
+    # one that can be it is still checked against the lattice, which asks the ladder
     with pytest.raises(AssertionError, match="power"):
-        parse_summary(text + "exponents=0\n")
+        parse_summary(
+            _FAR_OUT.replace("epsilon=1e-05", "epsilon=0.1").replace("1000000.0", "1e300")
+            + f"exponents={far}\n"
+        )
+
+
+def test_a_far_out_exponents_line_is_refused_in_bounded_time_and_memory():
+    # deriving this lattice, about 1.15 million exponents near 1.4 million,
+    # to compare it with the line took 7.6 s and a 100.7 MB traced peak
+    start = time.perf_counter()
+    peak, error = _traced_peak(parse_summary, _FAR_OUT + "exponents=0\n")
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2**20
+    assert str(error) == (
+        "summary key 'exponents': '0' is not the threshold lattice of 'delta', 'k' and 'epsilon'"
+    )
+
 
 def _streaming_text(include_audit=True):
     rng = np.random.default_rng(6)

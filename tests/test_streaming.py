@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robust_summary import (
+    BuildConfig,
+    CentralizedConfig,
     Objective,
     StreamingConfig,
     StreamState,
+    build_summary,
     check_weight_properties,
     finalize,
     format_summary,
@@ -27,8 +30,10 @@ from robust_summary import (
     streaming_memory_limit,
     threshold_lattice,
 )
+from robust_summary.streaming import drain_cap
+from robust_summary.summary import coin_probability, swap_margin
 from robust_summary.thresholds import PowerLadder
-from helpers import ConcaveOfModular, LeverConfig, literal_stream_summary
+from helpers import ConcaveOfModular, levers, literal_stream_summary
 
 
 class ScriptedRng:
@@ -46,11 +51,15 @@ class ScriptedRng:
 
 
 def test_config_defaults():
-    nonmono = StreamingConfig(epsilon=0.2, d=1)
-    assert nonmono.gamma_value == 1.746
-    assert nonmono.sample_prob_value == 1.0 / (1.746 + 2.0)
-    mono = StreamingConfig(epsilon=0.2, d=1, monotone_mode=True)
-    assert mono.gamma_value == 1.0 and mono.sample_prob_value == 1.0
+    # the objective class fixes the levers, and a stream reads them once
+    assert swap_margin(False) == 1.746
+    assert coin_probability(False) == 1.0 / (1.746 + 2.0)
+    assert swap_margin(True) == 1.0 and coin_probability(True) == 1.0
+    nonmono = StreamState(StreamingConfig(epsilon=0.2, d=1), k=1)
+    assert nonmono.swap_factor == 1.0 + 1.746
+    assert nonmono.sample_prob == 1.0 / (1.746 + 2.0)
+    mono = StreamState(StreamingConfig(epsilon=0.2, d=1, monotone_mode=True), k=1)
+    assert mono.swap_factor == 2.0 and mono.sample_prob == 1.0
 
 
 def test_config_validation():
@@ -65,10 +74,21 @@ def test_config_validation():
         StreamingConfig(epsilon=0.2, d=1, sample_prob=0.5)
 
 
+def test_one_config_serves_both_builders():
+    assert CentralizedConfig is StreamingConfig is BuildConfig
+    obj, matroid = make_modular([3.0, 1.0, 2.0, 5.0]), make_uniform(4, 2)
+    config = StreamingConfig(epsilon=0.3, d=1, monotone_mode=True, seed=2)
+    assert build_summary(obj, matroid, config).mode == "centralized"
+    assert stream_summary(obj, matroid, config, range(4)).mode == "streaming"
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        BuildConfig(epsilon=0.3, d=1, seed=-1)
+
+
 def test_drain_cap_floors_at_one():
-    assert StreamingConfig(epsilon=0.5, d=0).drain_cap == 1
-    assert StreamingConfig(epsilon=0.5, d=1).drain_cap == 2
-    assert StreamingConfig(epsilon=0.1, d=2).drain_cap == 20
+    assert drain_cap(0, 0.5) == 1
+    assert drain_cap(1, 0.5) == 2
+    assert drain_cap(2, 0.1) == 20
+    assert StreamState(StreamingConfig(epsilon=0.1, d=2), k=1).drain_cap == 20
 
 
 def test_warmup_buffers_first_arrivals_wholesale():
@@ -212,14 +232,15 @@ def test_swap_prefilter_matches_literal_loop(
 ):
     rng = np.random.default_rng(seed)
     objective, matroid = _swap_instance(objective_kind, matroid_kind, rng)
-    cfg = LeverConfig(
+    cfg = StreamingConfig(
         epsilon=epsilon, d=d, monotone_mode=objective.monotone and bool(rng.random() < 0.5),
-        gamma=gamma, sample_prob=sample_prob, seed=seed, audit=True,
+        seed=seed, audit=True,
     )
     order = rng.permutation(objective.n)
     fast, literal = objective.clone(), objective.clone()
-    summary = stream_summary(fast, matroid, cfg, order)
-    expected = literal_stream_summary(literal, matroid, cfg, order)
+    with levers(gamma, sample_prob):
+        summary = stream_summary(fast, matroid, cfg, order)
+        expected = literal_stream_summary(literal, matroid, cfg, order)
     assert format_summary(summary, include_audit=True) == format_summary(
         expected, include_audit=True
     )
@@ -269,8 +290,8 @@ def test_an_element_whose_only_dependency_left_is_filed_by_its_singleton_value()
     # it out, so 2, whose only neighbour is 0, is filed by f({2}) = 4.0
     # without a marginal; 3 neighbours the candidate 1 and is asked one
     obj = make_cut_function(4, [(0, 2, 4.0), (1, 3, 9.0)])
-    cfg = LeverConfig(epsilon=0.5, d=0, gamma=1.0, sample_prob=1.0, audit=True)
-    state = StreamState(cfg, k=1)
+    state = StreamState(StreamingConfig(epsilon=0.5, d=0, audit=True), k=1)
+    state.swap_factor, state.sample_prob = 2.0, 1.0
     matroid = make_uniform(4, 1)
     calls = _record_marginals(obj)
     for e in [0, 1]:
@@ -370,8 +391,8 @@ def test_a_bucket_drained_below_the_cap_stops_draining():
     # rejects, so the candidate never changes and no rebucket runs: each
     # arrival that fills the bucket drains exactly one element.
     obj = make_modular([1.0] * 10)
-    cfg = LeverConfig(epsilon=0.5, d=2, sample_prob=0.5, audit=True)
-    state = StreamState(cfg, k=3)
+    state = StreamState(StreamingConfig(epsilon=0.5, d=2, audit=True), k=3)
+    state.sample_prob = 0.5
     rng = ScriptedRng(coin=0.9)
     matroid = make_uniform(10, 3)
     filed = []
@@ -570,7 +591,7 @@ def test_buckets_stay_under_cap_at_every_arrival_boundary():
     stream_rng = np.random.default_rng(cfg.seed)
     for e in rng.permutation(30):
         ingest(state, int(e), obj, matroid, stream_rng)
-        assert all(len(b) < cfg.drain_cap for b in state.buckets.values())
+        assert all(len(b) < state.drain_cap for b in state.buckets.values())
         memory = len(state.candidate) + len(state.top_buffer) + len(state.gains)
         assert memory <= streaming_memory_limit(matroid.k, cfg.d, cfg.epsilon)
 

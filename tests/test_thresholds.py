@@ -16,6 +16,7 @@ from robust_summary import (
     stream_summary,
     threshold_lattice,
 )
+from robust_summary.thresholds import may_be_lattice
 
 
 def _direct_power(base, i):
@@ -178,7 +179,7 @@ class _CountingLadder(PowerLadder):
 @pytest.mark.parametrize("epsilon", [0.001, 0.05, 0.1, 0.2, 0.9])
 def test_filing_exponent_matches_the_literal_rule(epsilon):
     state = _state(epsilon)
-    ladder = state.ladder
+    ladder = state.lattice.ladder
     # no anchor yet: the lattice is empty and files nothing
     for gain in _probes(ladder, -40, 40) + [5e-324, 1e-320, 1e300]:
         assert state.lattice.filing_exponent(gain) is None
@@ -203,15 +204,15 @@ def test_filing_exponent_matches_the_literal_rule(epsilon):
 
 def test_filing_exponent_asks_the_ladder_only_outside_the_window():
     state = _state(0.2)
-    state.ladder.__class__ = _CountingLadder
+    state.lattice.ladder.__class__ = _CountingLadder
     state.raise_delta(7.0)
     lattice = state.lattice
     top = lattice.exponents[0] + 1
     before = _CountingLadder.calls
-    for gain in _probes(state.ladder, lattice.exponents[-1] - 2, top - 1) + [7.0]:
+    for gain in _probes(lattice.ladder, lattice.exponents[-1] - 2, top - 1) + [7.0]:
         lattice.filing_exponent(gain)
     assert _CountingLadder.calls == before
-    assert lattice.filing_exponent(state.ladder.power(top)) == top
+    assert lattice.filing_exponent(lattice.ladder.power(top)) == top
     assert _CountingLadder.calls == before + 1
 
 
@@ -270,3 +271,26 @@ def test_every_builder_refuses_the_same_d_and_k_in_the_same_words():
     ):
         with pytest.raises(ValueError, match=r"^matroid rank must be at least 1, got 0$"):
             build()
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.1, 0.5, 0.9])
+def test_may_be_lattice_passes_every_lattice_and_refuses_far_lines(epsilon):
+    # subnormal anchors and floors widen the margins; normal ones are within a few steps
+    deltas = (5e-324, 1e-320, 3e-310, 2.2250738585072014e-308, 1e-300, 1e-200, 0.37, 1.0,
+              7.0, 1e200, 1.7e308)
+    ladder = PowerLadder(1.0 + epsilon)
+    for delta in deltas:
+        for k in (1, 7, 1000):
+            exponents = list(threshold_lattice(delta, k, epsilon, ladder).exponents)
+            assert may_be_lattice(exponents, delta, k, epsilon), (delta, k)
+            if delta < 1e-200 or not exponents:
+                continue
+            low = exponents[-1]
+            for wrong in (
+                [x + 5 for x in exponents],
+                [x - 5 for x in exponents],
+                exponents + list(range(low - 1, low - 11, -1)),
+                exponents[:1] + [low - 2],  # a gap
+            ):
+                assert not may_be_lattice(wrong, delta, k, epsilon), (delta, k, wrong[:3])
+    assert may_be_lattice([], 0.0, 1, epsilon) and not may_be_lattice([0], 0.0, 1, epsilon)
