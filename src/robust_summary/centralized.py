@@ -108,7 +108,7 @@ def build_summary(
         rng = np.random.default_rng(config.seed)
 
     n = objective.n
-    values = [objective.value((e,)) for e in range(n)]
+    values = [objective.singleton_value(e) for e in range(n)]
     delta, top = compute_delta(values, config.d)
     lattice = threshold_lattice(delta, matroid.k, config.epsilon)
     cap = bucket_cap(matroid.k, config.d, config.epsilon, config.monotone_mode)

@@ -10,6 +10,11 @@ Ids = Iterable[int]
 class GroundSet:
     """An oracle over the ground set 0..n-1; ids are validated at each call.
 
+    The one exception is the predicate ``Matroid.fits_to(S)`` hands out:
+    S is validated once, when it is fetched, and the ids it is asked about
+    must already be known to be valid, as a builder's filed elements and
+    the greedy's heap entries are.
+
     ``_memo`` is a one-slot memo ``(S, ...)`` of the last solution S the
     oracle was asked about, filled by ``_remember(S)``.  It is replaced whole,
     never changed in place, so a copy of the oracle may share it.

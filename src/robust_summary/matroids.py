@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .ground import GroundSet, Ids
 
 NOT_DEPENDENT = "circuit() requires base+g to be dependent"
 NOT_INDEPENDENT = "circuit() requires an independent base set"
+
+
+def _never(e: int) -> bool:
+    """``fits_to`` of a dependent set: nothing joins it independently."""
+    return False
+
+
+def _always(e: int) -> bool:
+    """``fits_to`` of a uniform set under its cap: every element joins it independently."""
+    return True
 
 
 class Matroid(GroundSet):
@@ -18,17 +28,21 @@ class Matroid(GroundSet):
     The concrete matroids override circuit() with a direct construction of
     the same set.  The ground set and constraints are frozen at construction.
     The only mutable state is a one-slot memo ``(S, independent(S), per-class
-    state of S)`` of the last set fits() or a native circuit() was asked
+    state of S)`` of the last set fits_to() or a native circuit() was asked
     against: the concrete matroids keep S's size, its count per block, or
-    the tree labels of its forest, so each candidate against an unchanged S
-    costs O(1) beyond validating S.  fits_each() validates S once for a
-    whole list of candidates.  The memo is replaced whole, never changed in
-    place, so a copy of the oracle may share it.  The graphic matroid
-    derives the labels of S from the memo's when S is the memo's set plus
-    one edge, or one edge swapped along the last circuit it found, as the
-    builders' and the greedy's solutions change; any other S is searched
-    afresh.  It keeps that last circuit, with the adjacency of its base, in
-    a second one-slot memo, replaced whole in the same way.
+    the tree labels of its forest.  fits_to(S) validates S and reads its
+    memo state once, and returns the predicate ``e -> fits(e, S)``, built
+    by the class's one kernel ``_fits``, which answers in O(1) for ids
+    already known to be valid.  The stream's drain and the greedy's refresh
+    keep one predicate while their solution stands and fetch a new one at
+    each change; fits() and fits_each() are thin uses of it.  The memo is
+    replaced whole, never changed in place, so a copy of the oracle may
+    share it, and a predicate holds on to the state it was built from.
+    The graphic matroid derives the labels of S from the memo's when S is
+    the memo's set plus one edge, or one edge swapped along the last circuit
+    it found, as the builders' and the greedy's solutions change; any other
+    S is searched afresh.  It keeps that last circuit, with the adjacency of
+    its base, in a second one-slot memo, replaced whole in the same way.
     """
 
     kind = "abstract"
@@ -41,11 +55,7 @@ class Matroid(GroundSet):
     def fits(self, e: int, ids: Ids) -> bool:
         """Whether ids + e is independent: ``is_independent(ids | {e})``."""
         e = self._check_id(e)
-        s = self._as_set(ids)
-        _, independent, state = self._remembered(s)
-        if e in s or not independent:
-            return independent
-        return self._fits(state, e, s)
+        return self.fits_to(ids)(e)
 
     def fits_each(self, candidates: Ids, ids: Ids) -> list[bool]:
         """``[fits(e, ids) for e in candidates]``, validating ids once.
@@ -58,12 +68,22 @@ class Matroid(GroundSet):
             self._check_id(es[0])
         s = self._as_set(ids)
         self._check_ids(es)
-        if not es:
-            return []
+        return list(map(self._fits_to(s), es)) if es else []
+
+    def fits_to(self, ids: Ids) -> Callable[[int], bool]:
+        """The predicate ``e -> fits(e, ids)``, for ids e already known to be valid.
+
+        Validates ids and reads its memo state once, here, raising as fits()
+        would for a bad id in ids; the predicate checks nothing.  It answers
+        for the set ids was when fetched: a caller whose set changes fetches
+        a new one.
+        """
+        return self._fits_to(self._as_set(ids))
+
+    def _fits_to(self, s: frozenset) -> Callable[[int], bool]:
+        """``fits_to`` of a validated set."""
         _, independent, state = self._remembered(s)
-        if not independent:
-            return [False] * len(es)
-        return [e in s or self._fits(state, e, s) for e in es]
+        return self._fits(state, s) if independent else _never
 
     def circuit(self, a: Ids, g: int) -> frozenset:
         """The unique minimal dependent subset of a+g, for independent a.
@@ -102,9 +122,13 @@ class Matroid(GroundSet):
     def _remember(self, s: frozenset) -> tuple:
         return self._independent(s), None
 
-    def _fits(self, state, e: int, s: frozenset) -> bool:
-        """Whether s + e is independent, for independent s and e not in s."""
-        return self._independent(s | {e})
+    def _fits(self, state, s: frozenset) -> Callable[[int], bool]:
+        """The predicate ``e -> s + e is independent`` of an independent s: the one kernel.
+
+        Asked for every valid id e, members of s included, which fit.
+        """
+        independent = self._independent
+        return lambda e: e in s or independent(s | {e})
 
 
 class UniformMatroid(Matroid):
@@ -123,8 +147,8 @@ class UniformMatroid(Matroid):
     def _independent(self, s: frozenset) -> bool:
         return len(s) <= self.cap
 
-    def _fits(self, state, e: int, s: frozenset) -> bool:
-        return len(s) < self.cap
+    def _fits(self, state, s: frozenset) -> Callable[[int], bool]:
+        return _always if len(s) < self.cap else s.__contains__
 
     def circuit(self, a: Ids, g: int) -> frozenset:
         base, g, _ = self._circuit_args(a, g)
@@ -168,9 +192,10 @@ class PartitionMatroid(Matroid):
             counts[self.block_of[e]] += 1
         return all(c <= cap for c, cap in zip(counts, self.capacities)), counts
 
-    def _fits(self, counts: list[int], e: int, s: frozenset) -> bool:
-        block = self.block_of[e]
-        return counts[block] < self.capacities[block]
+    def _fits(self, counts: list[int], s: frozenset) -> Callable[[int], bool]:
+        block_of = self.block_of
+        room = [c < cap for c, cap in zip(counts, self.capacities)]  # per block
+        return lambda e: e in s or room[block_of[e]]
 
     def circuit(self, a: Ids, g: int) -> frozenset:
         """g plus the members of the base in g's block, when that block is full."""
@@ -271,11 +296,12 @@ class GraphicMatroid(Matroid):
         if memo is None:
             return self._search(s)
         key = memo[0]
-        if len(s) == len(key) + 1 and key < s:
+        added = s - key if len(s) == len(key) + 1 else ()
+        if len(added) == 1:  # s is the memo's set plus one edge
             if not memo[1]:
                 return False, None
             tree, trees = memo[2]
-            (e,) = s - key
+            (e,) = added
             u, v = self._ends[e]
             a, b = tree[u], tree[v]
             if a == b:
@@ -307,10 +333,15 @@ class GraphicMatroid(Matroid):
         rank, tree, trees = self._forest(s)
         return (True, (tree, trees)) if len(s) == rank else (False, None)
 
-    def _fits(self, state, e: int, s: frozenset) -> bool:
+    def _fits(self, state, s: frozenset) -> Callable[[int], bool]:
         tree, _ = state
-        u, v = self._ends[e]
-        return tree[u] != tree[v]
+        ends = self._ends
+
+        def fits(e: int) -> bool:
+            u, v = ends[e]
+            return e in s or tree[u] != tree[v]
+
+        return fits
 
     def circuit(self, a: Ids, g: int) -> frozenset:
         """g plus the path joining g's endpoints in the forest of the base.

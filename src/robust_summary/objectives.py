@@ -27,8 +27,9 @@ class Objective(GroundSet):
     The mutable state is the tally, a one-slot memo ``(S, state of S)`` of
     the last set a gain was asked against, and a table of every f({e}),
     filled by one batch on the first one-element value() query or
-    singleton_values() call; a one-element tuple, as the stream asks at each
-    arrival, is read from it without building a set.  singleton_values()
+    singleton_value() or singleton_values() call.  singleton_value(e), the
+    reader the builders ask at each arrival or id, is value({e}) read from
+    the table without building a set, one query each.  singleton_values()
     hands out the whole table and counts no query, for callers outside the
     algorithms, whose reads no report counts (deletion strategies and
     checks).  The memo is replaced whole, never changed in place;
@@ -84,19 +85,33 @@ class Objective(GroundSet):
         self._singletons: list = [None]  # one slot, shared by every clone
 
     def value(self, ids: Ids) -> float:
-        if type(ids) is tuple and len(ids) == 1:
-            e = self._check_id(ids[0])
-            self._queries += 1
-            return self.singleton_values()[e]
+        """f(ids), one query; a one-element set is read from the table of every f({e})."""
         s = self._as_set(ids)
         self._queries += 1
         if len(s) == 1:
             return self.singleton_values()[next(iter(s))]
         return self._f(s)
 
-    def marginal(self, e: int, ids: Ids) -> float:
-        """The gain f(ids + e) - f(ids); an exact 0.0 when e is already in the set."""
+    def singleton_value(self, e: int) -> float:
+        """``value({e})``, one query, read from the table of every f({e}) without building a set."""
         e = self._check_id(e)
+        self._queries += 1
+        table = self._singletons[0]
+        return (self.singleton_values() if table is None else table)[e]
+
+    def marginal(self, e: int, ids: Ids) -> float:
+        """The gain f(ids + e) - f(ids); an exact 0.0 when e is already in the set.
+
+        The one-element gain query, two queries.  When ids is the memo's
+        own key, as the builders' and the greedy's solutions are while
+        they stand, its state is read from the memo without validating ids
+        again.
+        """
+        e = self._check_id(e)
+        memo = self._memo
+        if memo is not None and ids is memo[0]:
+            self._queries += 2
+            return 0.0 if e in ids else self._gain(memo[1], e, ids)
         s = self._as_set(ids)
         self._queries += 2
         if e in s:

@@ -79,10 +79,12 @@ def greedy_matroid(ground: Iterable[int], objective: Objective, matroid: Matroid
     # replaced on every pick, never mutated: the oracles know it by identity
     chosen: frozenset[int] = frozenset()
     heap = _fresh_heap(sorted(set(int(e) for e in ground)), objective, matroid, chosen)
+    # every id on the heap passed fits_each; fetched again at each pick
+    fits = matroid.fits_to(chosen)
     while heap:
         key, e, stamp = heapq.heappop(heap)
         if stamp != len(chosen):
-            if matroid.fits(e, chosen):
+            if fits(e):
                 heapq.heappush(heap, (-objective.marginal(e, chosen), e, len(chosen)))
             continue
         if key >= 0.0:
@@ -92,6 +94,7 @@ def greedy_matroid(ground: Iterable[int], objective: Objective, matroid: Matroid
             break
         if not objective.exact_gains:
             heap = _fresh_heap([x for _, x, _ in heap], objective, matroid, chosen)
+        fits = matroid.fits_to(chosen)
     return sorted(chosen)
 
 

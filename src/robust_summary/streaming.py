@@ -14,8 +14,14 @@ built: no circuit member weighs less than that, so the refusal is exact
 
 One loop does the arrivals: ``stream_summary`` hands it the whole order,
 and ``ingest`` is the same loop run over one element.  It holds the stream's
-containers and constants in locals and calls out only to file an element,
-to drain a capped bucket, and to rebuild the lattice when delta grows.
+containers and constants in locals and calls out only to read an arrival's
+singleton value (``Objective.singleton_value``, which validates the id, one
+query), to ask a popped element's marginal when a candidate member can
+move it, to file an element, to drain a capped bucket, and to rebuild the
+lattice when delta grows.  A drain asks whether an element fits through
+the predicate ``Matroid.fits_to`` gave for the current candidate: the state
+keeps it, and fetches a new one at each change of the candidate, so the
+candidate is validated once per change, not once per drained element.
 
 The state keeps the gain each element was filed by.  A rebucketing refiles
 only what the change can move: it visits the filed elements that depend on
@@ -89,6 +95,9 @@ class StreamState:
         self.lightest_gain = math.inf
         # replaced on every change, never mutated: the oracles know it by identity
         self.candidate_set: frozenset[int] = frozenset()
+        # the matroid's ``fits_to(candidate_set)``: fetched by the first drain
+        # and again at each change, so S is validated once per change
+        self.fits = None
         self.buckets: dict[int, list[int]] = {}  # exponent -> sorted ids
         # filed element -> the gain it was last filed by: its gain against
         # the current candidate, bit for bit
@@ -184,7 +193,7 @@ def _arrive(
     """
     check_monotone_mode(objective, state.config.monotone_mode)
     d, cap, exact = state.config.d, state.drain_cap, objective.exact_gains
-    value_of, marginal = objective.value, objective.marginal
+    read, marginal = objective.singleton_value, objective.marginal
     top_buffer, buckets, gains = state.top_buffer, state.buckets, state.gains
     candidate, counts, trail = state.candidate, state.counts, state.trail
     filing_exponent = state.lattice.filing_exponent
@@ -194,7 +203,7 @@ def _arrive(
         element = int(element)
         if 0 <= element < n and seen[element]:
             raise ValueError(f"element {element} arrived twice")
-        value = value_of((element,))  # raises for an id outside the ground set
+        value = read(element)  # raises for an id outside the ground set
         seen[element] = 1
         state.seen = seen  # the flags join the state with the first arrival taken
         state.arrivals += 1
@@ -255,6 +264,10 @@ def drain_buckets(
     """
     cap = state.drain_cap
     candidate, counts, trail = state.candidate, state.counts, state.trail
+    # every drained element was validated on arrival
+    fits = state.fits
+    if fits is None:
+        fits = state.fits = matroid.fits_to(state.candidate_set)
     over = [capped]
     while over:
         exponent = max(over)
@@ -272,7 +285,7 @@ def drain_buckets(
         # the audit list g is refused into; None once g entered the candidate
         refused = "sample_rejected"
         victim = None
-        if matroid.fits(g, state.candidate_set):
+        if fits(g):
             if accepted:
                 candidate[g] = SummaryEntry(g, exponent, weight)
                 state.candidate_set = state.candidate_set | {g}
@@ -300,9 +313,13 @@ def drain_buckets(
             if trail is not None:
                 getattr(trail, refused).append(g)
         else:
-            state.lightest_gain = min(entry.gain for entry in candidate.values())
+            if victim is None or victim_gain > state.lightest_gain:
+                state.lightest_gain = min(state.lightest_gain, weight)
+            else:  # the lightest member left
+                state.lightest_gain = min(entry.gain for entry in candidate.values())
             if state.config.audit and not matroid.is_independent(state.candidate_set):
                 raise AssertionError("candidate solution became dependent")
+            fits = state.fits = matroid.fits_to(state.candidate_set)
             moved = _note_change(state, objective, g, victim)
             if rebucket(state, objective, moved, solution_grew=victim is None):
                 over = [x for x in state.buckets if len(state.buckets[x]) >= cap]

@@ -52,6 +52,15 @@ class PowerLadder:
             self._pos.append(self._pos[-1] * self.base)
         return self._pos[i]
 
+    def powers(self, lo: int, hi: int) -> list[float]:
+        """``[power(i) for i in range(lo, hi + 1)]``, as slices of the memoized powers."""
+        if lo > hi:
+            return []
+        self.power(lo)  # evaluates every power from lo up to 0, if lo < 0
+        self.power(hi)
+        below = self._neg[-lo : max(-hi - 1, 0) : -1] if lo < 0 else []
+        return (below + self._pos[max(lo, 0) : hi + 1]) if hi >= 0 else below
+
     def floor_exponent(self, x: float) -> int:
         """Largest i with power(i) <= x.  Requires x > 0."""
         if not x > 0.0:
@@ -167,8 +176,7 @@ def threshold_lattice(
     lower = _floor(delta, k, epsilon)
     hi = ladder.floor_exponent(delta)
     lo = ladder.floor_exponent(lower) + 1  # smallest exponent strictly above `lower`
-    power = ladder.power
-    table = [power(i) for i in range(lo, hi + 2)] if lo <= hi else []
+    table = ladder.powers(lo, hi + 1) if lo <= hi else []
     return ThresholdLattice(
         epsilon, float(delta), lower, tuple(range(hi, lo - 1, -1)), ladder, table
     )

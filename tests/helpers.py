@@ -559,6 +559,12 @@ def _plain_value(objective, ids):
     return objective._f(s)
 
 
+def _plain_singleton_value(objective, e):
+    e = objective._check_id(e)
+    objective._queries += 1
+    return objective._f(frozenset({e}))
+
+
 def _plain_gains(objective, candidates, ids):
     ids = list(ids)
     return [objective.marginal(e, ids) for e in candidates]
@@ -566,6 +572,11 @@ def _plain_gains(objective, candidates, ids):
 
 def _plain_fits(matroid, e, ids):
     return matroid.is_independent(set(ids) | {e})
+
+
+def _plain_fits_to(matroid, ids):
+    s = set(ids)
+    return lambda e: matroid.is_independent(s | {e})
 
 
 def _plain_fits_each(matroid, candidates, ids):
@@ -576,16 +587,27 @@ def _plain_fits_each(matroid, candidates, ids):
 def plain_oracle(oracle):
     """A copy of an objective or matroid whose fast paths are their plain references.
 
-    ``value`` evaluates every set afresh, singletons included, ``gains``
-    becomes a loop of ``marginal``, ``fits(e, S)`` becomes
-    ``is_independent(S | {e})``, ``fits_each`` a loop of that ``fits``, and
-    every ``circuit`` the generic ``Matroid.circuit``.  Everything else is
-    the oracle's own code.
+    ``value`` evaluates every set afresh, singletons included, and so
+    does ``singleton_value``, one query each; ``gains`` becomes a loop of
+    ``marginal``, ``fits(e, S)`` becomes ``is_independent(S | {e})``, and
+    so does the predicate ``fits_to(S)`` hands out, ``fits_each`` a loop of
+    that ``fits``, and every ``circuit`` the generic ``Matroid.circuit``.
+    Everything else is the oracle's own code.
     """
     if isinstance(oracle, Objective):
-        plain, methods = oracle.clone(), {"value": _plain_value, "gains": _plain_gains}
+        methods = {
+            "value": _plain_value,
+            "singleton_value": _plain_singleton_value,
+            "gains": _plain_gains,
+        }
+        plain = oracle.clone()
     else:
-        methods = {"fits": _plain_fits, "fits_each": _plain_fits_each, "circuit": Matroid.circuit}
+        methods = {
+            "fits": _plain_fits,
+            "fits_to": _plain_fits_to,
+            "fits_each": _plain_fits_each,
+            "circuit": Matroid.circuit,
+        }
         plain = copy.copy(oracle)
     plain.__class__ = type(f"Plain{type(oracle).__name__}", (type(oracle),), methods)
     return plain

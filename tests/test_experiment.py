@@ -714,3 +714,34 @@ def test_cut_experiment_from_a_file_keeps_its_output_bytes(tmp_path):
     for name, digest in PINNED_CUT_RUN.items():
         assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == digest, name
     assert (tmp_path / "run" / "instance.txt").read_bytes() == path.read_bytes()
+
+
+# sha256 of results.csv and report.txt of a centralized monotone coverage
+# sweep over a partition matroid with the greedy in phase 2 (greedy-bound,
+# three strategies), oracle_calls included: the sweep's and the lazy greedy's
+# bytes and query counts, which the streaming pins above do not reach
+PINNED_CENTRAL_RUN = {
+    "results.csv": "a7705b2045403ee1a42505051446f766e75d684856590d6339f31cb4b5338465",
+    "report.txt": "c3d426c0d6e1db5ed40cc18216793233e6e6dbedfd09bfcd8a6b201a18d76875",
+}
+
+
+def test_centralized_coverage_experiment_keeps_its_output_bytes(tmp_path):
+    config = ExperimentConfig(
+        out_dir=str(tmp_path / "run"),
+        mode="centralized",
+        epsilon=0.2,
+        d=2,
+        monotone=True,
+        gen_spec="coverage n=120 universe=90 density=0.06",
+        gen_matroid="partition nblocks=4 cap=2",
+        gen_seed=23,
+        solver="greedy",
+        strategies=("top:2", "rand:2:5", "block:2:0"),
+        opt_method="greedy-bound",
+        trials=3,
+        seed_base=60,
+    )
+    run_experiment(config)
+    for name, digest in PINNED_CENTRAL_RUN.items():
+        assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == digest, name

@@ -11,6 +11,8 @@ float-adversarial streams whose gains sit on bucket edges or below 1/DBL_MAX,
 and ``ingest``, fed one arrival at a time, must give its bytes and queries.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,30 @@ def test_ingest_one_arrival_at_a_time_matches_stream_summary(case):
             summary, include_audit=True
         )
         assert single.queries == whole.queries
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_the_drain_predicate_answers_for_the_candidate_as_it_stands(case):
+    # a swap along a circuit keeps the candidate's span, so a predicate kept
+    # from before it answers alike for every element that can still be
+    # drained; only its members tell it from a fresh one
+    swapped = 0
+    for seed in SEEDS:
+        objective, matroid, monotone = CASES[case](seed)
+        config = StreamingConfig(epsilon=EPSILON, d=D, monotone_mode=monotone, seed=seed)
+        reference, checked = copy.copy(matroid), None
+        rng = np.random.default_rng(config.seed)
+        with levers(gamma=0.05):
+            state = StreamState(config, matroid.k)
+            for element in np.random.default_rng(seed + 100).permutation(objective.n):
+                ingest(state, element, objective, matroid, rng)
+                s = state.candidate_set
+                if state.fits is not None and s is not checked:
+                    ids = range(matroid.n)
+                    assert [state.fits(e) for e in ids] == [reference.fits(e, s) for e in ids]
+                    checked = s
+        swapped += len(state.audit.swapped_out)
+    assert swapped
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

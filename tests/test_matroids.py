@@ -350,6 +350,62 @@ def test_fits_each_on_dependent_sets_and_members():
     assert uniform.fits_each([], [0]) == [] and uniform.fits_each(iter(()), ()) == []
 
 
+def _random_independent(rng, m):
+    s: set[int] = set()
+    for e in rng.permutation(m.n):
+        if rng.random() < 0.7 and m.is_independent(s | {int(e)}):
+            s.add(int(e))
+    return frozenset(s)
+
+
+def _assert_fits_to_matches(m, s, fits):
+    """``fits``, fetched as m.fits_to(s), answers as fits does for every id outside s."""
+    reference = copy.copy(m)
+    reference._memo = None
+    for e in range(m.n):
+        if e not in s:
+            assert fits(e) == reference.fits(e, s) == m.is_independent(s | {e})
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["uniform", "partition", "graphic"]), seed=st.integers(0, 2**32 - 1))
+def test_fits_to_predicate_equals_fits(kind, seed):
+    rng = np.random.default_rng(seed)
+    m = _random_matroid(rng, kind)
+    searched = []
+    if kind == "graphic":
+        search = m._search
+        m._search = lambda s: searched.append(s) or search(s)
+    s = _random_independent(rng, m)
+    _assert_fits_to_matches(m, s, m.fits_to(s))
+    # walk the way the builders do: add an edge that fits, or swap one along
+    # the circuit of one that does not; the graphic memo derives each set
+    for _ in range(8):
+        outside = [e for e in range(m.n) if e not in s]
+        if not outside:
+            break
+        g = outside[int(rng.integers(len(outside)))]
+        if m.fits(g, s):
+            s = s | {g}
+        else:
+            cycle = sorted(m.circuit(s, g) - {g})
+            if not cycle:  # a uniform or partition matroid of capacity 0
+                continue
+            s = (s - {cycle[int(rng.integers(len(cycle)))]}) | {g}
+        before = len(searched)
+        fits = m.fits_to(s)
+        assert len(searched) == before  # derived from the memo, not searched afresh
+        _assert_fits_to_matches(m, s, fits)
+    # a dependent set, or one holding an id out of range, as fits treats it
+    others = [frozenset(_random_subset(rng, m.n)) for _ in range(3)]
+    for bad in others + [s | {m.n}, s | {-1}, frozenset([m.n + 3])]:
+        for e in range(m.n):
+            fresh = copy.copy(m)
+            assert outcome(lambda: m.fits_to(bad)(e)) == outcome(lambda: fresh.fits(e, bad))
+            if bad in others:
+                assert m.fits_to(bad)(e) == m.is_independent(bad | {e})
+
+
 @pytest.mark.parametrize(
     "m",
     [

@@ -598,6 +598,24 @@ def test_singleton_value_is_the_gain_at_the_empty_set(kind, n, seed):
     assert [float.hex(g) for g in obj.gains(range(n), ())] == values
 
 
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_singleton_reader_is_value_of_the_one_element_set(kind, n, seed):
+    obj = _singleton_objective(kind, n, seed)
+    reference = _singleton_objective(kind, n, seed)
+    ids = [int(e) for e in np.random.default_rng(seed).integers(0, n, size=2 * n)]
+    got = [float.hex(obj.singleton_value(e)) for e in ids]
+    assert got == [float.hex(reference.value([e])) for e in ids]
+    assert obj.queries == reference.queries == 2 * n
+    # ids as value() takes them in a set: numpy ints and bools
+    assert obj.singleton_value(np.int64(ids[0])) == reference.value([ids[0]])
+    assert obj.singleton_value(False) == reference.value([False])
+    # a refused id raises as value() does and counts nothing
+    for bad in (-1, n, n + 7, np.int64(n)):
+        assert outcome(lambda: obj.singleton_value(bad)) == outcome(lambda: reference.value([bad]))
+    assert obj.queries == reference.queries == 2 * n + 2
+
+
 def test_singleton_value_queries_count_one_each():
     obj = make_cut_function(4, [(0, 1, 1.0), (1, 2, 2.0)])
     assert obj.value([1]) == 3.0 and obj.queries == 1

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robust_summary import (
     CentralizedConfig,
@@ -116,6 +117,46 @@ def test_powers_never_rise_as_the_exponent_falls(base):
     for i in range(1, 2000):
         if ladder.power(i) < math.inf:
             assert ladder.power(-i) == 1.0 / ladder.power(i)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    base=st.sampled_from([1.01, 1.05, 1.2, 1.9]),
+    where=st.sampled_from(["below 0", "across 0", "above 0", "subnormal"]),
+    offset=st.integers(0, 400),
+    length=st.integers(-1, 120),
+    fresh=st.booleans(),
+)
+def test_powers_slice_equals_power_of_each_exponent(base, where, offset, length, fresh):
+    # the slice comes from a new ladder or from one already part-filled; the
+    # reference ladder evaluates each power on its own, in the other order
+    reference = PowerLadder(base)
+    # a positive subnormal power, with up to 60 exponents under it, 0.0 ones included
+    subnormal = reference.floor_exponent(1e-315)
+    lo = {
+        "below 0": -offset - 1 - max(length, 0),
+        "across 0": -offset - 1,
+        "above 0": offset,
+        "subnormal": subnormal - offset % 60,
+    }[where]
+    hi = lo + length
+    sliced = PowerLadder(base)
+    if not fresh:
+        sliced.power(lo + length // 2)
+    expected = [reference.power(i) for i in range(hi, lo - 1, -1)][::-1]
+    assert [x.hex() for x in sliced.powers(lo, hi)] == [x.hex() for x in expected]
+    assert len(expected) == max(length + 1, 0)
+    if where == "across 0" and length > offset + 1:
+        assert lo < 0 < hi
+    if where == "subnormal" and hi >= subnormal:
+        assert 0.0 < reference.power(subnormal) < 2.2250738585072014e-308
+
+
+def test_lattice_table_is_the_ladders_powers_over_its_window():
+    for delta, k, epsilon in [(3.0, 35, 0.2), (1e-310, 2, 0.3), (1e300, 4, 0.05), (0.7, 1, 0.5)]:
+        lattice = threshold_lattice(delta, k, epsilon)
+        lo, hi = lattice.exponents[-1], lattice.exponents[0]
+        assert lattice.table == [PowerLadder(1.0 + epsilon).power(i) for i in range(lo, hi + 2)]
 
 
 @pytest.mark.parametrize("base", [1.001, 1.05, 1.1, 1.2, 1.9])
