@@ -31,8 +31,8 @@ def _parse_order(spec: str, n: int) -> list[int]:
     return read_ids(spec)
 
 
-def _seed(text: str) -> int:
-    """The type of a seed flag: a non-negative integer, refused by the flag's name."""
+def _non_negative(text: str) -> int:
+    """The type of a seed or count flag: a non-negative integer, refused by the flag's name."""
     try:
         return check_parameter("seed", int(text))
     except ValueError:
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic instance file")
     p.add_argument("--spec", required=True, help='e.g. "coverage n=14 universe=20 density=0.25"')
     p.add_argument("--matroid", default=None, help='e.g. "uniform k=3" or "partition nblocks=3 cap=1"')
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--monotone", action="store_true")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--out", required=True)
     p.add_argument(
         "--order", default=None,
@@ -178,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-check a summary file against its instance")
     p.add_argument("--summary", required=True)
     p.add_argument("--instance", required=True)
-    p.add_argument("--deletion-trials", type=int, default=50)
-    p.add_argument("--deletion-seed", type=_seed, default=0)
+    p.add_argument("--deletion-trials", type=_non_negative, default=50)
+    p.add_argument("--deletion-seed", type=_non_negative, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bound", help="evaluate the approximation-factor formula")

@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ValueError("configure exactly one of instance_file / gen_spec")
         check_parameter("seed", self.gen_seed, "gen_seed")
         check_parameter("seed", self.seed_base, "seed_base")
+        if not (math.isfinite(self.slack) and self.slack >= 0):
+            raise ValueError(f"slack must be finite and non-negative, got {self.slack!r}")
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -30,7 +30,7 @@ class Matroid(GroundSet):
     The only mutable state is a one-slot memo ``(S, independent(S), per-class
     state of S)`` of the last set fits_to() or a native circuit() was asked
     against: the concrete matroids keep S's size, its count per block, or
-    the tree labels of its forest.  fits_to(S) validates S and reads its
+    its rooted forest.  fits_to(S) validates S and reads its
     memo state once, and returns the predicate ``e -> fits(e, S)``, built
     by the class's one kernel ``_fits``, which answers in O(1) for ids
     already known to be valid.  The stream's drain and the greedy's refresh
@@ -38,11 +38,11 @@ class Matroid(GroundSet):
     each change; fits() and fits_each() are thin uses of it.  The memo is
     replaced whole, never changed in place, so a copy of the oracle may
     share it, and a predicate holds on to the state it was built from.
-    The graphic matroid derives the labels of S from the memo's when S is
-    the memo's set plus one edge, or one edge swapped along the last circuit
-    it found, as the builders' and the greedy's solutions change; any other
-    S is searched afresh.  It keeps that last circuit, with the adjacency of
-    its base, in a second one-slot memo, replaced whole in the same way.
+    The graphic matroid derives the forest of S from the memo's when S is
+    the memo's set plus one edge, or the memo's set with one edge swapped
+    for an edge whose endpoints share a tree, as the builders' and the
+    greedy's solutions change; any other S is searched afresh.  Its circuit
+    is read off the same forest.
     """
 
     kind = "abstract"
@@ -212,11 +212,12 @@ class GraphicMatroid(Matroid):
     The vertices that some edge touches are numbered 0.. in order of first
     touch, and every search works on those numbers (``_ends``), so a vertex
     no edge touches costs nothing, however many ``n_vertices`` declares.
+    The memo state of a forest is rooted: a tree label and a parent edge
+    (-1 at a root) per touched vertex.  Fits compares labels; a circuit
+    walks parent edges up from g's endpoints to where the two ways meet.
     """
 
     kind = "graphic"
-    # (base, g, circuit, adjacency of base) of the last circuit() call
-    _circuit_memo: tuple | None = None
 
     def __init__(self, n_vertices: int, edges: Sequence[tuple[int, int]]):
         n_vertices = int(n_vertices)
@@ -247,91 +248,102 @@ class GraphicMatroid(Matroid):
     def _independent(self, s: frozenset) -> bool:
         return self._remember(s)[0]
 
-    def _adjacency(self, s: Iterable[int]) -> dict[int, list[tuple[int, int]]]:
-        """Each vertex an edge of s touches -> (neighbour, edge) per edge of s at it.
+    def _forest(self, s: Iterable[int]):
+        """The rank of the edges s, and a tree label and a parent edge per touched vertex.
 
-        Vertices are numbered as in ``_ends``.
+        One search from each tree's first vertex, its root, which labels the
+        tree; a vertex no edge of s touches is a root of its own.  The parent
+        edges are those of the search, and describe a forest only when s is
+        one.  The rank is the number of vertices s touches minus its trees.
         """
-        adjacent: dict[int, list[tuple[int, int]]] = {}
+        adjacent: dict[int, list[tuple[int, int]]] = {}  # vertex -> (neighbour, edge) per edge
         for e in s:
             u, v = self._ends[e]
             adjacent.setdefault(u, []).append((v, e))
             adjacent.setdefault(v, []).append((u, e))
-        return adjacent
-
-    def _forest(self, s: Iterable[int]):
-        """The rank of the edges s, a label per touched vertex and the vertices of each tree.
-
-        A tree is labelled by one of its vertices and listed by its label; a
-        vertex no edge of s touches is its own tree and is not listed.  The
-        rank is the number of vertices s touches minus the trees it forms.
-        """
-        adjacent = self._adjacency(s)
         tree = list(range(self._touched))
-        trees: dict[int, list[int]] = {}
+        parent = [-1] * self._touched
+        roots = 0
         for root in adjacent:
-            if tree[root] != root or root in trees:
+            if tree[root] != root:
                 continue
-            members = trees[root] = [root]
+            roots += 1
             stack = [root]
             while stack:
-                for y, _ in adjacent[stack.pop()]:
-                    if tree[y] == y and y not in trees:
-                        tree[y] = root
-                        members.append(y)
+                for y, e in adjacent[stack.pop()]:
+                    if tree[y] == y and y != root:
+                        tree[y], parent[y] = root, e
                         stack.append(y)
-        return len(adjacent) - len(trees), tree, trees
+        return len(adjacent) - roots, tree, parent
+
+    def _way_up(self, parent: list[int], x: int) -> list[int]:
+        """The parent edges from x up to its root."""
+        ends = self._ends
+        edges = []
+        while (e := parent[x]) >= 0:
+            edges.append(e)
+            u, v = ends[e]
+            x = u if x == v else v
+        return edges
+
+    def _path(self, parent: list[int], u: int, v: int) -> tuple[list[int], list[int]]:
+        """The forest path from u to v in one tree: the edges up from each to where they meet."""
+        up, down = self._way_up(parent, u), self._way_up(parent, v)
+        while up and down and up[-1] == down[-1]:
+            up.pop()
+            down.pop()
+        return up, down
+
+    def _hang(self, parent: list[int], x: int, e: int, cut: int = -1) -> list[int]:
+        """A copy of parent with x hung from e and x's way up reversed, up to the edge cut."""
+        parent, ends = parent.copy(), self._ends
+        while True:
+            parent[x], e = e, parent[x]
+            if e == cut:
+                return parent
+            u, v = ends[e]
+            x = u if x == v else v
 
     def _remember(self, s: frozenset):
-        """Whether s is a forest and, if so, its tree labels and the vertices of each tree.
+        """Whether s is a forest and, if so, its tree labels and parent edges.
 
-        When s is the memo's forest plus one edge, its labels are the memo's
-        with the smaller of the two trees that edge joins relabelled, in new
-        lists.  When s is the memo's forest with an edge x swapped for an
-        edge g whose circuit, as the last circuit() found it, holds x, the
-        trees span the same vertices, so s keeps the memo's labels.
-        Otherwise they come from a fresh search of s.
+        When s is the memo's forest plus an edge e joining trees a and b, b
+        is relabelled a, and e's endpoint in b is re-rooted and hung from e.
+        When s is the memo's forest with an edge x swapped for an edge g
+        whose endpoints share a tree, s is a forest iff x lies on g's forest
+        path; then x is cut, g's endpoint below it is re-rooted and hung
+        from g, and the labels are kept.  Any other s is searched afresh.
         """
         memo = self._memo
         if memo is None:
             return self._search(s)
         key = memo[0]
-        added = s - key if len(s) == len(key) + 1 else ()
-        if len(added) == 1:  # s is the memo's set plus one edge
-            if not memo[1]:
-                return False, None
-            tree, trees = memo[2]
-            (e,) = added
-            u, v = self._ends[e]
-            a, b = tree[u], tree[v]
+        grown = len(s) - len(key)
+        added = s - key if grown in (0, 1) else ()
+        if len(added) != 1:
+            return self._search(s)
+        if not memo[1]:
+            return (False, None) if grown else self._search(s)
+        tree, parent = memo[2]
+        (g,) = added
+        u, v = self._ends[g]
+        a, b = tree[u], tree[v]
+        if grown:  # s is the memo's forest plus g
             if a == b:
                 return False, None
-            into, moved = trees.get(a, [a]), trees.get(b, [b])
-            if len(into) < len(moved):
-                a, b, into, moved = b, a, moved, into
-            tree = tree.copy()
-            for y in moved:
-                tree[y] = a
-            trees = trees.copy()
-            trees.pop(b, None)
-            trees[a] = into + moved
-            return True, (tree, trees)
-        last = self._circuit_memo
-        if (
-            last is not None
-            and len(s) == len(key)
-            and last[1] in s
-            and (last[0] is key or last[0] == key)
-        ):
-            gone = key - s
-            if len(gone) == 1 and gone <= last[2]:
-                return True, memo[2]
-        return self._search(s)
+            return True, ([a if t == b else t for t in tree], self._hang(parent, v, g))
+        if a != b:
+            return self._search(s)
+        (x,) = key - s  # s is the memo's forest with x swapped for g
+        up, down = self._path(parent, u, v)
+        if x not in up and x not in down:
+            return False, None
+        return True, (tree, self._hang(parent, u if x in up else v, g, x))
 
     def _search(self, s: frozenset):
         """``_remember(s)`` from a fresh search of s, without the memo."""
-        rank, tree, trees = self._forest(s)
-        return (True, (tree, trees)) if len(s) == rank else (False, None)
+        rank, tree, parent = self._forest(s)
+        return (True, (tree, parent)) if len(s) == rank else (False, None)
 
     def _fits(self, state, s: frozenset) -> Callable[[int], bool]:
         tree, _ = state
@@ -344,38 +356,13 @@ class GraphicMatroid(Matroid):
         return fits
 
     def circuit(self, a: Ids, g: int) -> frozenset:
-        """g plus the path joining g's endpoints in the forest of the base.
-
-        The base's adjacency is built once per base and kept in a one-slot
-        memo of its own, replaced whole like the other.
-        """
-        base, g, (tree, _) = self._circuit_args(a, g)
-        start, goal = self._ends[g]
-        if g in base or tree[start] != tree[goal]:
+        """g plus the path joining g's endpoints in the forest of the base."""
+        base, g, (tree, parent) = self._circuit_args(a, g)
+        u, v = self._ends[g]
+        if g in base or tree[u] != tree[v]:
             raise ValueError(NOT_DEPENDENT)
-        last = self._circuit_memo
-        if last is not None and (last[0] is base or last[0] == base):
-            adjacent = last[3]
-        else:
-            adjacent = self._adjacency(base)
-        via = {start: -1}  # vertex -> the forest edge it was reached by
-        stack = [start]
-        while goal not in via:
-            x = stack.pop()
-            for y, e in adjacent[x]:
-                if y not in via:
-                    via[y] = e
-                    stack.append(y)
-        members = {g}
-        x = goal
-        while x != start:
-            e = via[x]
-            members.add(e)
-            u, v = self._ends[e]
-            x = u if x == v else v
-        members = frozenset(members)
-        self._circuit_memo = (base, g, members, adjacent)
-        return members
+        up, down = self._path(parent, u, v)
+        return frozenset(up).union(down, (g,))
 
 
 def make_uniform(n: int, k: int) -> UniformMatroid:

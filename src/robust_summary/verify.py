@@ -207,8 +207,10 @@ def verify_summary(
     For streaming summaries carrying an audit trail (every in-memory
     stream summary does), the weight-function inequalities are
     re-evaluated for the empty deletion and a seeded batch of random
-    deletion sets.
+    deletion sets.  A negative ``deletion_trials`` raises ValueError.
     """
+    if deletion_trials < 0:
+        raise ValueError(f"deletion_trials must be non-negative, got {deletion_trials!r}")
     checks = structural_checks(summary, instance)
     if summary.mode == "streaming" and summary.audit is not None:
         rng = np.random.default_rng(deletion_seed)

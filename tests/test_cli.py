@@ -804,8 +804,10 @@ def test_malformed_strategy_spec_names_its_form(tmp_path, capsys, spec, needs):
         (["summarize", "--mode", "centralized", "--instance", "i", "--epsilon", "0.2", "--d", "1",
           "--out", "o"], "--seed"),
         (["verify", "--summary", "s", "--instance", "i"], "--deletion-seed"),
+        # a negative count once checked only the empty deletion set and passed
+        (["verify", "--summary", "s", "--instance", "i"], "--deletion-trials"),
     ],
-    ids=["gen", "summarize", "verify"],
+    ids=["gen", "summarize", "verify", "verify-trials"],
 )
 def test_negative_seed_flag_is_a_usage_error_naming_it(tmp_path, monkeypatch, capsys, command, flag):
     # numpy once refused these seeds in its own words, after reading the files
@@ -837,4 +839,13 @@ def test_negative_seed_in_config_is_refused_naming_its_key(tmp_path, capsys, key
         text += "[trials]\nseed_base = -1\n"
     err = _experiment_error(tmp_path, capsys, text)
     assert err.endswith(f": {key} must be non-negative, got -1\n")
+    assert not out_dir.exists()
+
+
+def test_nan_slack_in_config_is_refused_naming_it(tmp_path, capsys):
+    # with a NaN slack a run within the bound once reported VIOLATED and exited 1
+    out_dir = tmp_path / "out"
+    text = _VALID_CONFIG + f"[report]\nout_dir = {out_dir}\nslack = nan\n"
+    err = _experiment_error(tmp_path, capsys, text)
+    assert err.endswith("exp.cfg: slack must be finite and non-negative, got nan\n")
     assert not out_dir.exists()

@@ -290,6 +290,9 @@ def test_verify_fresh_summaries_pass():
         np.random.default_rng(0).permutation(inst.n),
     )
     assert verify_summary(streaming, inst).all_ok
+    assert verify_summary(streaming, inst, deletion_trials=0).all_ok
+    with pytest.raises(ValueError, match="deletion_trials must be non-negative, got -5"):
+        verify_summary(streaming, inst, deletion_trials=-5)
 
 
 def test_verify_flags_duplicated_element():
@@ -597,8 +600,14 @@ def test_config_file_naming_the_local_search_is_refused(tmp_path):
         ("seed_base", -1, "seed_base must be non-negative, got -1"),
         ("d", -1, "deletion budget d must be non-negative, got -1"),
         ("epsilon", 1.5, "epsilon must be in (0, 1), got 1.5"),
+        # a NaN or negative slack once reported VIOLATED for a run within the
+        # bound, and an infinite one passed every check
+        ("slack", math.nan, "slack must be finite and non-negative, got nan"),
+        ("slack", -5.0, "slack must be finite and non-negative, got -5.0"),
+        ("slack", math.inf, "slack must be finite and non-negative, got inf"),
     ],
-    ids=["order", "solver", "opt_method", "gen_seed", "seed_base", "d", "epsilon"],
+    ids=["order", "solver", "opt_method", "gen_seed", "seed_base", "d", "epsilon",
+         "slack-nan", "slack-negative", "slack-inf"],
 )
 def test_misspelled_choice_is_rejected_before_any_output(tmp_path, field, value, message):
     with pytest.raises(ValueError) as raised:

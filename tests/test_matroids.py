@@ -464,32 +464,54 @@ def _answers(m, s):
 
 
 @settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), steps=st.lists(st.sampled_from("+-so"), max_size=24))
+@given(seed=st.integers(0, 2**32 - 1), steps=st.lists(st.sampled_from("+-sdcjo"), max_size=24))
 def test_graphic_labels_grown_or_kept_answer_as_a_fresh_oracle(seed, steps):
-    # S+e relabels the memo's forest, S-x+g along the last circuit keeps its
-    # labels, anything else is searched afresh; each answer is checked
-    # against a fresh oracle, and a copy sharing the memo keeps its own
+    # S+e grows the memo's forest, S-x+g with g's endpoints in one tree keeps
+    # its labels or is dependent, with no search; anything else is searched
+    # afresh.  Swap steps: along g's circuit ("s"), off g's path ("d"), along
+    # g's circuit after circuit() was last asked for another edge ("c"), and
+    # with g joining two trees ("j").  Each answer is checked against a fresh
+    # oracle, and a copy sharing the memo keeps its own
     rng = np.random.default_rng(seed)
     m = _random_matroid(rng, "graphic")
+    searched = []
+    search = m._search
+    m._search = lambda s: searched.append(s) or search(s)
     fresh = lambda: make_graphic(m.n_vertices, m.edges)
+    pick = lambda xs: sorted(xs)[int(rng.integers(len(xs)))]
     s, twin, twin_set = frozenset(), None, None
+    m.fits_to(s)  # the memo holds s from the start
     for step in steps:
+        derived = False
         outside = [e for e in range(m.n) if e not in s]
         if step == "+" and outside:
-            s = s | {outside[int(rng.integers(len(outside)))]}
+            s, derived = s | {pick(outside)}, True
         elif step == "-" and s:
-            s = s - {sorted(s)[int(rng.integers(len(s)))]}
-        elif step == "s" and m.is_independent(s):
+            s = s - {pick(s)}
+        elif step in "sdc" and m.is_independent(s):
             closing = [g for g in outside if not m.fits(g, s)]
             if closing:
-                g = closing[int(rng.integers(len(closing)))]
-                on_cycle = sorted(m.circuit(s, g) - {g})
-                s = s - {on_cycle[int(rng.integers(len(on_cycle)))]} | {g}
+                g = pick(closing)
+                if step == "s":
+                    on_path = m.circuit(s, g) - {g}
+                else:
+                    on_path = fresh().circuit(s, g) - {g}
+                    if step == "c" and len(closing) > 1:
+                        m.circuit(s, pick(set(closing) - {g}))
+                pool = s - on_path if step == "d" else on_path
+                if pool:
+                    s, derived = s - {pick(pool)} | {g}, True
+        elif step == "j" and s and m.is_independent(s):
+            joining = [g for g in outside if m.fits(g, s)]
+            if joining:
+                s = s - {pick(s)} | {pick(joining)}
         elif step == "o":
             s = frozenset(_random_subset(rng, m.n))
         if twin is None and rng.random() < 0.3:
             twin, twin_set = copy.copy(m), s
+        before = len(searched)
         assert _answers(m, s) == _answers(fresh(), s)
+        assert not derived or len(searched) == before
         if twin is not None:
             grown = twin_set | {int(rng.integers(m.n))}
             assert _answers(twin, grown) == _answers(fresh(), grown)
@@ -511,18 +533,22 @@ def test_graphic_labels_cost_the_touched_vertices_not_the_graph():
 
 def test_graphic_swap_along_the_circuit_keeps_the_labels():
     # path 0-1-2-3 plus the chord 0-3: swapping the chord for the middle
-    # edge keeps one tree over the same vertices
+    # edge keeps one tree over the same vertices, derived without a search
     m = make_graphic(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+    searched = []
+    search = m._search
+    m._search = lambda s: searched.append(s) or search(s)
     base = frozenset({0, 1, 2})
     assert not m.fits(3, base)
     assert m.circuit(base, 3) == {0, 1, 2, 3}
     swapped = frozenset({0, 2, 3})
-    labels = m._memo[2]
+    before = len(searched)
     assert m.fits(4, swapped) and not m.fits(1, swapped)
-    assert m._memo[0] == swapped and m._memo[2] is labels
+    assert m._memo[0] == swapped and len(searched) == before
     assert m.circuit(swapped, 1) == {0, 1, 2, 3}
-    # not a swap for the last circuit's g: searched afresh, two trees
+    # a swap whose entering edge joins two trees: searched afresh
     assert m.fits(1, {0, 2, 4}) and m.fits(3, {0, 2, 4})
+    assert searched[before:] == [frozenset({0, 2, 4})]
 
 
 class NestedCaps(Matroid):
