@@ -7,20 +7,27 @@ drawn uniformly at random into the candidate solution, which insures every
 insertion against adversarial deletions.  Leftover buckets are banked into
 the reservoir for the post-deletion solve.
 
-The scans are lazy (Minoux 1978): the solution only grows during the sweep,
-so by submodularity a gain computed earlier bounds every later gain from
-above, and by downward closure an element that once made the solution
-dependent never fits again.  Skipping such elements yields exactly the
-buckets of a full rescan with fewer oracle queries.  The gain skip needs
-``exact_gains``, where the bound holds bit for bit; a gain that is a
-difference of two float values can come back an ulp higher after the
-solution grows, so an objective without exact gains has every feasible
-pool element asked at every scan, as the plain sweep does.  The
-infeasible skip holds for every objective.
+A scan touches only the elements it can admit (Minoux 1978).  The
+unsettled pool sits on one max-heap keyed by a bound on each element's
+gain: its last computed gain, the singleton value at first.  A scan at
+threshold tau asks the standing bucket, less the pick, and the heap
+entries whose bound reaches tau, sorted by id, so the seeded draw indexes
+the bucket a full rescan would give.  The skip is exact: the solution only
+grows, so with ``exact_gains`` a gain never rises above one computed
+earlier, bit for bit, and an element under its bound stays under tau.  A
+gain that is a difference of two float values can come back an ulp higher
+after the solution grows, so an objective without exact gains keeps every
+bound at +inf and has every feasible element asked at every scan, as the
+plain sweep does.  An element that once made the solution dependent never
+fits again (downward closure) and leaves the pool for good, counted low
+value with the elements left on the heap.  The scan asks the oracles
+through the kernels ``Matroid.fits_to`` and ``Objective.gains_to`` hand
+out, fetched once per pick.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Sequence
 
@@ -53,39 +60,11 @@ def compute_delta(values: Sequence[float], d: int) -> tuple[float, list[int]]:
     Ties break toward the smaller id.  With d or fewer elements the anchor is
     0 and every element is protected.
     """
-    order = sorted(range(len(values)), key=lambda e: (-values[e], e))
-    top = sorted(order[: min(d, len(values))])
+    # stable, as sorted(..., reverse=True) is: equal values keep id order
+    order = heapq.nlargest(d + 1, range(len(values)), key=values.__getitem__)
+    top = sorted(order[:d])
     delta = float(values[order[d]]) if len(values) > d else 0.0
     return delta, top
-
-
-def _scan_bucket(pool, solution, tau, objective, matroid, gain_cache, infeasible):
-    """Current bucket at threshold tau: feasible pool elements with gain >= tau.
-
-    Skips elements already known to be infeasible and, with ``exact_gains``,
-    elements whose cached gain sits below tau; the rest are rechecked, and
-    their fresh gains refresh the cache.  Both skips are exact because the
-    solution only grows: feasibility never returns once lost (downward
-    closure), and exact gains only shrink (submodularity), so a full rescan
-    would reject the skipped elements too.  Without exact gains a cached
-    gain bounds nothing, and every feasible element is asked.
-    """
-    exact = objective.exact_gains
-    checked = [e for e in pool if not (e in infeasible or exact and gain_cache[e] < tau)]
-    fresh: list[int] = []
-    for e, fits in zip(checked, matroid.fits_each(checked, solution)):
-        if fits:
-            fresh.append(e)
-        else:
-            infeasible.add(e)
-    bucket: list[int] = []
-    gains: dict[int, float] = {}
-    for e, gain in zip(fresh, objective.gains(fresh, solution)):
-        gain_cache[e] = gain
-        if gain >= tau:
-            bucket.append(e)
-            gains[e] = gain
-    return bucket, gains
 
 
 def build_summary(
@@ -108,38 +87,51 @@ def build_summary(
         rng = np.random.default_rng(config.seed)
 
     n = objective.n
-    values = [objective.singleton_value(e) for e in range(n)]
+    values = objective.counted_singleton_values()
     delta, top = compute_delta(values, config.d)
     lattice = threshold_lattice(delta, matroid.k, config.epsilon)
     cap = bucket_cap(matroid.k, config.d, config.epsilon, config.monotone_mode)
 
+    # (-bound, id) per unsettled element: its last gain, or +inf without exact gains
+    exact = objective.exact_gains
     protected = set(top)
-    pool = [e for e in range(n) if e not in protected]
-    # singleton values are the exact gains at the empty solution
-    gain_cache = {e: values[e] for e in pool}
-    infeasible: set[int] = set()
+    heap = [(-values[e] if exact else -math.inf, e) for e in range(n) if e not in protected]
+    heapq.heapify(heap)
+    dropped = 0  # elements that stopped fitting the solution
 
     entries: list[SummaryEntry] = []
     # replaced on every pick, never mutated: the oracles know it by identity
     solution: frozenset[int] = frozenset()
+    fits, gains = matroid.fits_to(solution), objective.gains_to(solution)
     leftover: dict[int, list[int]] = {}
 
     for exponent in lattice.exponents:
         tau = lattice.power(exponent)
+        bucket: list[int] = []
         while True:
-            bucket, gains = _scan_bucket(pool, solution, tau, objective, matroid, gain_cache, infeasible)
+            while heap and heap[0][0] <= -tau:
+                bucket.append(heapq.heappop(heap)[1])
+            bucket.sort()
+            feasible = [e for e in bucket if fits(e)]
+            dropped += len(bucket) - len(feasible)
+            bucket, bucket_gains = [], []
+            for e, gain in zip(feasible, gains(feasible)):
+                if gain >= tau:
+                    bucket.append(e)
+                    bucket_gains.append(gain)
+                else:
+                    heapq.heappush(heap, (-gain if exact else -math.inf, e))
             if len(bucket) < cap:
                 break
-            pick = bucket[int(rng.integers(len(bucket)))]
-            entries.append(SummaryEntry(pick, exponent, gains[pick]))
+            at = int(rng.integers(len(bucket)))
+            pick = bucket.pop(at)
+            entries.append(SummaryEntry(pick, exponent, bucket_gains[at]))
             solution = solution | {pick}
-            pool.remove(pick)
+            fits, gains = matroid.fits_to(solution), objective.gains_to(solution)
             if config.audit and not matroid.is_independent(solution):
                 raise AssertionError("candidate solution became dependent")
         if bucket:
-            leftover[exponent] = list(bucket)
-            banked = set(bucket)
-            pool = [e for e in pool if e not in banked]
+            leftover[exponent] = bucket
 
     return Summary(
         mode="centralized",
@@ -153,5 +145,5 @@ def build_summary(
         entries=entries,
         buckets=leftover,
         top_buffer=list(top),
-        counters={"low_value": len(pool)},
+        counters={"low_value": dropped + len(heap)},
     )

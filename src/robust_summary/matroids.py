@@ -38,6 +38,8 @@ class Matroid(GroundSet):
     each change; fits() and fits_each() are thin uses of it.  The memo is
     replaced whole, never changed in place, so a copy of the oracle may
     share it, and a predicate holds on to the state it was built from.
+    is_independent(S) reads the memo too when S is its own key, so a
+    builder's audit after a fetch searches nothing.
     The graphic matroid derives the forest of S from the memo's when S is
     the memo's set plus one edge, or the memo's set with one edge swapped
     for an edge whose endpoints share a tree, as the builders' and the
@@ -50,6 +52,15 @@ class Matroid(GroundSet):
     k: int
 
     def is_independent(self, ids: Ids) -> bool:
+        """Whether ids is independent.
+
+        When ids is the memo's own key, as a builder's solution is right
+        after it fetched ``fits_to`` of it, the answer is read from the memo
+        without validating ids or searching it again.
+        """
+        memo = self._memo
+        if memo is not None and ids is memo[0]:
+            return memo[1]
         return self._independent(self._as_set(ids))
 
     def fits(self, e: int, ids: Ids) -> bool:

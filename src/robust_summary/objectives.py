@@ -27,12 +27,17 @@ class Objective(GroundSet):
     The mutable state is the tally, a one-slot memo ``(S, state of S)`` of
     the last set a gain was asked against, and a table of every f({e}),
     filled by one batch on the first one-element value() query or
-    singleton_value() or singleton_values() call.  singleton_value(e), the
-    reader the builders ask at each arrival or id, is value({e}) read from
-    the table without building a set, one query each.  singleton_values()
-    hands out the whole table and counts no query, for callers outside the
-    algorithms, whose reads no report counts (deletion strategies and
-    checks).  The memo is replaced whole, never changed in place;
+    singleton read.  singleton_value(e), the reader the stream asks at each
+    arrival, is value({e}) read from the table without building a set, one
+    query each; counted_singleton_values(), which the centralized sweep
+    reads once, is every singleton_value(e) in one read, n queries.
+    singleton_values() hands out the whole table and counts no query, for
+    callers outside the algorithms, whose reads no report counts (deletion
+    strategies and checks).  gains_to(S) is the objective's twin of
+    ``Matroid.fits_to``: it validates S and reads its memo state once, and
+    returns the batch kernel ``es -> gains(es, S)`` for ids already known
+    to be valid and outside S, which the sweep fetches once per pick.  The
+    memo is replaced whole, never changed in place;
     clone() gives a copy with its own tally and an empty memo that shares
     the table, so it is computed at most once per objective.
 
@@ -44,7 +49,7 @@ class Objective(GroundSet):
     a gain never rises as S grows (the gains are exactly submodular), a gain
     whose exact value is unchanged is bit-identical, and value({e}) equals
     the gain of e at the empty set.  The lazy paths rely on this: the
-    centralized scan skips an element by its cached gain, the greedy
+    centralized scan skips an element by the last gain it heaped, the greedy
     recomputes only the entries that reach the top of its heap, and the
     stream reuses filed gains.  A class that defines only ``_value``
     (``exact_gains`` False) gets the gain f(S+e) - f(S) as a difference of
@@ -60,11 +65,12 @@ class Objective(GroundSet):
     a fact of the class, not an option.
 
     One gain, one kernel.  ``_gain`` is the only gain a class writes:
-    marginal() asks it for one element, and gains() asks ``_gains_with``
-    once for all its candidates, which calls ``_gain`` on each.  A class
-    overrides ``_gains_with`` only where a batch pays, and the override must
-    give ``_gain``'s bits for every element: coverage loops its gathers
-    without a method call per candidate, and facility location joins
+    marginal() asks it for one element, and gains() and the kernel of
+    gains_to() ask ``_gains_with`` once for all their candidates, which
+    calls ``_gain`` on each.  A class overrides ``_gains_with`` only where
+    a batch pays, and the override must give ``_gain``'s bits for every
+    element: coverage loops its gathers without a method call per
+    candidate, and facility location joins
     ``BATCH_ROWS`` candidates' numpy arrays at a time into one pass and cuts
     the terms back into runs.  fsum does not depend on the order of its
     terms, so both give the same bits.  Against the empty set, once the
@@ -98,6 +104,15 @@ class Objective(GroundSet):
         self._queries += 1
         table = self._singletons[0]
         return (self.singleton_values() if table is None else table)[e]
+
+    def counted_singleton_values(self) -> list[float]:
+        """``[singleton_value(e) for e in range(n)]`` in one read: n queries.
+
+        The list is the shared table itself: read it, never change it.
+        """
+        table = self.singleton_values()
+        self._queries += self.n
+        return table
 
     def marginal(self, e: int, ids: Ids) -> float:
         """The gain f(ids + e) - f(ids); an exact 0.0 when e is already in the set.
@@ -133,16 +148,43 @@ class Objective(GroundSet):
             self._check_id(es[0])
         s = self._as_set(ids)
         self._check_ids(es)
-        self._queries += 2 * len(es)
         if not es:
             return []
+        outside = [e for e in es if e not in s] if s else es
+        gains = self._gains_to(s)(outside)
+        if len(outside) == len(es):
+            return gains
+        self._queries += 2 * (len(es) - len(outside))
+        gains = iter(gains)
+        return [0.0 if e in s else next(gains) for e in es]
+
+    def gains_to(self, ids: Ids) -> Callable[[list[int]], list[float]]:
+        """The kernel ``es -> gains(es, ids)``, for a list of valid ids outside ids.
+
+        Validates ids and reads its memo state once, here, raising as gains()
+        would for a bad id in ids; the kernel checks nothing.  It counts two
+        queries per id and gives gains()'s bits.  It answers for the set ids
+        was when fetched: a caller whose set changes fetches a new one.
+        """
+        return self._gains_to(self._as_set(ids))
+
+    def _gains_to(self, s: frozenset) -> Callable[[list[int]], list[float]]:
+        """``gains_to`` of a validated set; the empty set reads a filled table."""
         table = self._singletons[0]
         if not s and table is not None:
-            return [table[e] for e in es]
-        state = self._remembered(s)[1]
-        outside = [e for e in es if e not in s]
-        gains = iter(self._gains_with(state, outside, s) if outside else ())
-        return [0.0 if e in s else next(gains) for e in es]
+
+            def gains(es: list[int]) -> list[float]:
+                self._queries += 2 * len(es)
+                return [table[e] for e in es]
+
+            return gains
+        state, gains_with = self._remembered(s)[1], self._gains_with
+
+        def gains(es: list[int]) -> list[float]:
+            self._queries += 2 * len(es)
+            return gains_with(state, es, s) if es else []
+
+        return gains
 
     @property
     def queries(self) -> int:

@@ -317,9 +317,9 @@ def drain_buckets(
                 state.lightest_gain = min(state.lightest_gain, weight)
             else:  # the lightest member left
                 state.lightest_gain = min(entry.gain for entry in candidate.values())
+            fits = state.fits = matroid.fits_to(state.candidate_set)
             if state.config.audit and not matroid.is_independent(state.candidate_set):
                 raise AssertionError("candidate solution became dependent")
-            fits = state.fits = matroid.fits_to(state.candidate_set)
             moved = _note_change(state, objective, g, victim)
             if rebucket(state, objective, moved, solution_grew=victim is None):
                 over = [x for x in state.buckets if len(state.buckets[x]) >= cap]

@@ -565,9 +565,18 @@ def _plain_singleton_value(objective, e):
     return objective._f(frozenset({e}))
 
 
+def _plain_counted_singleton_values(objective):
+    return [objective.singleton_value(e) for e in range(objective.n)]
+
+
 def _plain_gains(objective, candidates, ids):
     ids = list(ids)
     return [objective.marginal(e, ids) for e in candidates]
+
+
+def _plain_gains_to(objective, ids):
+    s = set(ids)
+    return lambda es: [objective.marginal(e, s) for e in es]
 
 
 def _plain_fits(matroid, e, ids):
@@ -588,8 +597,10 @@ def plain_oracle(oracle):
     """A copy of an objective or matroid whose fast paths are their plain references.
 
     ``value`` evaluates every set afresh, singletons included, and so
-    does ``singleton_value``, one query each; ``gains`` becomes a loop of
-    ``marginal``, ``fits(e, S)`` becomes ``is_independent(S | {e})``, and
+    does ``singleton_value``, one query each, which
+    ``counted_singleton_values`` loops over; ``gains`` and the kernel
+    ``gains_to(S)`` hands out become loops of ``marginal`` against S,
+    ``fits(e, S)`` becomes ``is_independent(S | {e})``, and
     so does the predicate ``fits_to(S)`` hands out, ``fits_each`` a loop of
     that ``fits``, and every ``circuit`` the generic ``Matroid.circuit``.
     Everything else is the oracle's own code.
@@ -598,7 +609,9 @@ def plain_oracle(oracle):
         methods = {
             "value": _plain_value,
             "singleton_value": _plain_singleton_value,
+            "counted_singleton_values": _plain_counted_singleton_values,
             "gains": _plain_gains,
+            "gains_to": _plain_gains_to,
         }
         plain = oracle.clone()
     else:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robust_summary import (
+    BuildConfig,
     CentralizedConfig,
     StreamingConfig,
     build_summary,
@@ -595,4 +596,34 @@ def test_matroid_with_only_an_independence_test_runs_the_builders_and_the_greedy
         assert chosen == plain_greedy_matroid(range(40), objective.clone(), matroid)
         assert len(chosen) == 5 and sum(e < 20 for e in chosen) <= 2
         picks += len(summary.entries)
+    assert picks
+
+
+def test_an_audit_reads_the_forest_the_builders_fetched():
+    # the audit's independence check follows the builder's fits_to fetch and
+    # reads the memo it filled: audited or not, a build makes as many forest
+    # derivations or searches, and writes the same summary lines
+    def build(run, audit, seed):
+        matroid = make_graphic(16, edges)
+        remembered = []
+        remember = matroid._remember
+        matroid._remember = lambda s: remembered.append(s) or remember(s)
+        config = BuildConfig(epsilon=0.3, d=1, monotone_mode=True, seed=seed, audit=audit)
+        summary = run(objective.clone(), matroid, config)
+        return len(remembered), format_summary(summary), len(summary.entries)
+
+    def stream(objective, matroid, config):
+        return stream_summary(objective, matroid, config, order)
+
+    picks = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        pairs = [(u, v) for u in range(16) for v in range(u + 1, 16)]
+        edges = [pairs[i] for i in rng.choice(len(pairs), size=100, replace=False)]
+        objective = make_modular(rng.lognormal(0.0, 0.5, size=100))
+        order = rng.permutation(100)
+        for run in (stream, build_summary):
+            plain, audited = build(run, False, seed), build(run, True, seed)
+            assert audited == plain
+            picks += plain[2]
     assert picks

@@ -505,6 +505,51 @@ def test_gains_reject_out_of_range_ids_as_the_loop_does():
         obj.gains([], [4])  # S is checked even with no candidates
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("filled", [False, True])
+def test_gains_to_kernel_gives_the_bits_and_tally_of_gains(kind, seed, filled):
+    # the kernel fetched once per set against the batch: the same bits
+    # (float.hex tells -0.0 from 0.0) and two queries per id, read from the
+    # singleton table at the empty set once it is filled, and never filling it
+    rng = np.random.default_rng(seed)
+    obj = _wide_objective(rng, kind)
+    if filled:
+        obj.singleton_values()
+    batch, asked = obj.clone(), []
+    for base in (frozenset(), frozenset(_random_subset(rng, obj.n)), frozenset()):
+        outside = [e for e in range(obj.n) if e not in base]
+        es = [int(e) for e in rng.permutation(outside)] + outside[:2]  # repeats too
+        before = obj.queries
+        got = obj.gains_to(base)(es)
+        assert [float.hex(g) for g in got] == [float.hex(g) for g in batch.gains(es, base)]
+        assert obj.queries - before == 2 * len(es) and obj.queries == batch.queries
+        assert obj.gains_to(base)([]) == [] and obj.queries == batch.queries
+        asked.append((got, es, base))
+    assert (obj._singletons[0] is not None) == filled
+    for got, es, base in asked:
+        assert got == _reference_gains(obj, es, base)
+
+
+def test_gains_to_rejects_a_bad_set_when_fetched():
+    obj = make_modular([1.0, 2.0, 4.0])
+    for ids, message in (([0, 7], r"element id 7 outside range \[0, 3\)"), ((-1, 1), "id -1")):
+        with pytest.raises(ValueError, match=message):
+            obj.gains([], ids)
+        with pytest.raises(ValueError, match=message):
+            obj.gains_to(iter(ids))
+    assert obj.queries == 0
+
+
+def test_counted_singleton_values_count_one_query_each():
+    obj = make_cut_function(4, [(0, 1, 1.0), (1, 2, 2.0)])
+    reference = obj.clone()
+    values = obj.counted_singleton_values()
+    assert values == [reference.singleton_value(e) for e in range(4)] == [1.0, 3.0, 2.0, 0.0]
+    assert obj.queries == reference.queries == 4
+    assert values is obj.singleton_values() and obj.queries == 4
+
+
 def _singleton_objective(kind, n, seed):
     """An objective over n elements with weights spanning nine decades and signed zeros.
 
