@@ -35,7 +35,7 @@ import numpy as np
 
 from .matroids import Matroid
 from .objectives import Objective, check_monotone_mode
-from .summary import BuildConfig, Summary, SummaryEntry
+from .summary import BuildConfig, Draws, Summary, SummaryEntry
 from .thresholds import threshold_lattice
 
 
@@ -76,7 +76,12 @@ def build_summary(
     """Run the offline threshold sweep and return the summary.
 
     Deterministic given (objective, matroid, config.seed): bucket draws map a
-    uniform index into the bucket sorted by element id.
+    uniform index into the bucket sorted by element id.  The index is drawn
+    through ``summary.Draws``, the stream's draw kernel: it is
+    ``int(rng.integers(len(bucket)))`` bit for bit, through the bit
+    generator's C entry points for a numpy ``Generator`` and through the
+    object's own ``integers`` for any other rng.  No other thread may draw
+    from ``rng`` while the sweep runs, since the kernel takes no lock.
     """
     if objective.n == 0:
         raise ValueError("instance is empty")
@@ -85,6 +90,7 @@ def build_summary(
     check_monotone_mode(objective, config.monotone_mode)
     if rng is None:
         rng = np.random.default_rng(config.seed)
+    index = Draws(rng).index
 
     n = objective.n
     values = objective.counted_singleton_values()
@@ -123,7 +129,7 @@ def build_summary(
                     heapq.heappush(heap, (-gain if exact else -math.inf, e))
             if len(bucket) < cap:
                 break
-            at = int(rng.integers(len(bucket)))
+            at = index(len(bucket))
             pick = bucket.pop(at)
             entries.append(SummaryEntry(pick, exponent, bucket_gains[at]))
             solution = solution | {pick}

@@ -26,7 +26,14 @@ def _parse_order(spec: str, n: int) -> list[int]:
     if spec == "identity":
         return list(range(n))
     if spec.startswith("shuffle:"):
-        seed = check_parameter("seed", int(spec.split(":", 1)[1]), "--order shuffle:<seed>")
+        text = spec.split(":", 1)[1]
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(
+                f"--order shuffle:<seed> must be a non-negative integer, got {text!r}"
+            ) from None
+        seed = check_parameter("seed", seed, "--order shuffle:<seed>")
         return [int(e) for e in np.random.default_rng(seed).permutation(n)]
     return read_ids(spec)
 

@@ -22,7 +22,17 @@ def numbers(text: str, convert=int) -> list:
 
 
 def read_ids(path) -> list[int]:
-    return [int(t) for t in Path(path).read_text(encoding="utf-8").replace(",", " ").split()]
+    """The ids of an id file; a token ``int`` refuses is an error naming the file and the token."""
+    tokens = Path(path).read_text(encoding="utf-8").replace(",", " ").split()
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for token in tokens:
+            try:
+                int(token)
+            except ValueError:
+                raise ValueError(f"id file {str(path)!r}: {token!r} is not an integer") from None
+        raise
 
 
 def once(table: dict, key, value, where: str) -> None:

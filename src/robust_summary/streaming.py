@@ -23,6 +23,18 @@ the predicate ``Matroid.fits_to`` gave for the current candidate: the state
 keeps it, and fetches a new one at each change of the candidate, so the
 candidate is validated once per change, not once per drained element.
 
+A drained element takes two draws from the stream's generator: its index
+in the bucket, then its coin.  Both go through the kernel ``summary.Draws``
+the state keeps for the generator it was last handed (matched by
+identity), the kernel the centralized sweep draws its picks through.  For
+a ``numpy.random.Generator`` it calls the bit generator's C entry points
+and gives ``int(rng.integers(m))`` and ``rng.random()`` bit for bit,
+leaving the generator's state where those calls leave it; an index over
+one element takes no bits.  A range of 2**32 or more, and any other rng
+object, is drawn by the object's own ``integers`` and ``random``.  The
+kernel takes no lock, so no other thread may draw from the generator while
+the stream runs.
+
 The state keeps the gain each element was filed by.  A rebucketing refiles
 only what the change can move: it visits the filed elements that depend on
 an element that entered or left the candidate (``Objective.dependents``),
@@ -64,7 +76,7 @@ import numpy as np
 
 from .matroids import Matroid
 from .objectives import Objective, check_monotone_mode
-from .summary import BuildConfig, StreamAudit, Summary, SummaryEntry, coin_probability, swap_margin
+from .summary import BuildConfig, Draws, StreamAudit, Summary, SummaryEntry, coin_probability, swap_margin
 from .thresholds import PowerLadder, check_parameter, threshold_lattice
 
 
@@ -98,6 +110,9 @@ class StreamState:
         # the matroid's ``fits_to(candidate_set)``: fetched by the first drain
         # and again at each change, so S is validated once per change
         self.fits = None
+        # the ``summary.Draws`` of the rng the last drain was handed, kept
+        # while the next drain is handed the same object
+        self.draws: Draws | None = None
         self.buckets: dict[int, list[int]] = {}  # exponent -> sorted ids
         # filed element -> the gain it was last filed by: its gain against
         # the current candidate, bit for bit
@@ -249,7 +264,13 @@ def drain_buckets(
     Called when bucket ``capped`` has just reached the cap while no other
     bucket is at it; the highest capped bucket drains first.  Per drained
     element the draw order is fixed: bucket-index draw first, Bernoulli coin
-    second, so traces replay exactly.  Outside a rebucket a drain only
+    second, so traces replay exactly.  Both are drawn through the state's
+    ``summary.Draws`` of ``rng``, built at the first drain handed that
+    object: ``int(rng.integers(len(bucket)))`` and ``rng.random()`` bit for
+    bit, through the bit generator's C entry points for a numpy
+    ``Generator`` and through the object's own calls for any other rng.
+    No other thread may draw from ``rng`` while the drain runs, since the
+    kernel takes no lock.  Outside a rebucket a drain only
     shrinks its own bucket, so the capped buckets are listed again only
     after a rebucket that moved an element to another bucket or out of
     the lattice.
@@ -268,11 +289,15 @@ def drain_buckets(
     fits = state.fits
     if fits is None:
         fits = state.fits = matroid.fits_to(state.candidate_set)
+    draws = state.draws
+    if draws is None or draws.rng is not rng:
+        draws = state.draws = Draws(rng)
+    index, coin = draws.index, draws.coin
     over = [capped]
     while over:
         exponent = max(over)
         bucket = state.buckets[exponent]
-        g = bucket.pop(int(rng.integers(len(bucket))))
+        g = bucket.pop(index(len(bucket)))
         weight = state.gains.pop(g)
         if len(bucket) < cap:
             over.remove(exponent)
@@ -280,7 +305,7 @@ def drain_buckets(
             del state.buckets[exponent]
         if trail is not None:
             trail.weight_log.append((g, weight))
-        accepted = bool(rng.random() < state.sample_prob)
+        accepted = bool(coin() < state.sample_prob)
 
         # the audit list g is refused into; None once g entered the candidate
         refused = "sample_rejected"

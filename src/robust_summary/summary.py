@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .grammar import numbers, once, parse_lines
 from .thresholds import check_parameter, may_be_lattice, threshold_lattice
@@ -50,6 +53,50 @@ def swap_margin(monotone: bool) -> float:
 def coin_probability(monotone: bool) -> float:
     """The stream's coin probability p: 1/(gamma+2) non-monotone; 1, no subsampling, monotone."""
     return 1.0 if monotone else 1.0 / (swap_margin(False) + 2.0)
+
+
+class Draws:
+    """The bucket draws of both builders: ``index(m)`` and ``coin()`` of one generator.
+
+    ``index(m)`` is ``int(rng.integers(m))`` and ``coin()`` is
+    ``rng.random()``, bit for bit, and each leaves the generator's state
+    where that call leaves it.  For a ``numpy.random.Generator`` (exactly
+    that type) they call its bit generator's public ``ctypes`` entry points,
+    without numpy's per-call Python overhead: ``index`` is numpy's bounded
+    draw for a range under 2**32, Lemire's multiply-and-reject over
+    ``next_uint32`` ("Fast random integer generation in an interval", ACM
+    TOMACS 2019), and ``coin`` is ``next_double``.  ``index(1)`` draws
+    nothing, as numpy draws nothing for it.  Any larger range, and any
+    other rng object, is drawn by the object's own ``integers`` and
+    ``random``.
+
+    The kernel keeps the generator, so the state its entry points write
+    stays alive.  Unlike numpy's calls it does not take the bit generator's
+    lock: no other thread may draw from the generator while a builder runs.
+    """
+
+    def __init__(self, rng):
+        self.rng = rng
+        if type(rng) is not np.random.Generator:
+            self.index = lambda m: int(rng.integers(m))
+            self.coin = rng.random
+            return
+        entry = rng.bit_generator.ctypes
+        state, next_uint32 = entry.state, entry.next_uint32
+
+        def index(m: int) -> int:
+            if 1 < m < 0x100000000:
+                x = next_uint32(state) * m
+                if (x & 0xFFFFFFFF) < m:
+                    # a low word under (2**32 - m) % m would bias the draw: draw again
+                    threshold = (0x100000000 - m) % m
+                    while (x & 0xFFFFFFFF) < threshold:
+                        x = next_uint32(state) * m
+                return x >> 32
+            return 0 if m == 1 else int(rng.integers(m))
+
+        self.index = index
+        self.coin = functools.partial(entry.next_double, state)
 
 
 @dataclass(frozen=True)
@@ -400,7 +447,21 @@ def _read_id(key: str, text: str, limit: int | None) -> int:
 
 
 def _read_ids(key: str, text: str, limit: int | None) -> list[int]:
-    """The comma list of element ids of summary key ``key``; blank text is []."""
+    """The comma list of element ids of summary key ``key``; blank text is [].
+
+    One ``map(int, ...)`` and one range check read a valid list; a list
+    that fails either is read again id by id (``_read_id``) to word the
+    error for its first bad id.
+    """
+    text = text.strip()
+    if not text:
+        return []
+    try:
+        ids = list(map(int, text.split(",")))
+    except ValueError:
+        ids = None
+    if ids and min(ids) >= 0 and (limit is None or max(ids) < limit):
+        return ids
     return numbers(text, lambda t: _read_id(key, t, limit))
 
 

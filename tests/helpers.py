@@ -400,7 +400,7 @@ def levers(gamma=None, sample_prob=None):
         yield
 
 
-def literal_stream_summary(objective, matroid, config, order):
+def literal_stream_summary(objective, matroid, config, order, rng=None):
     """Streaming pass that re-derives what ``stream_summary`` keeps between arrivals.
 
     The plain reference for ``stream_summary``: same buffer, filing, draws,
@@ -409,9 +409,12 @@ def literal_stream_summary(objective, matroid, config, order):
     ``threshold_lattice`` at every arrival and a gain is filed by
     ``floor_exponent`` (not by the lattice's table), every bucket is scanned
     for the cap before every draw, refiling asks one marginal and one floor
-    exponent per element, and memory is recounted at every boundary.
+    exponent per element, and memory is recounted at every boundary.  It
+    draws with the generator's own ``integers`` and ``random``, from ``rng``
+    or, by default, a generator seeded with ``config.seed``.
     """
-    rng = np.random.default_rng(config.seed)
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
     state = StreamState(config, matroid.k)
     ladder, audit, cap = state.lattice.ladder, state.audit, state.drain_cap
     candidate = set()

@@ -829,6 +829,41 @@ def test_negative_shuffle_seed_is_refused_naming_the_order(tmp_path, capsys):
     assert not summ.exists()
 
 
+@pytest.mark.parametrize("seed", ["abc", "1.5", ""])
+def test_non_integer_shuffle_seed_is_refused_naming_the_order(tmp_path, capsys, seed):
+    # int() once refused it in its own words, naming neither the flag nor the seed's form
+    inst, summ = tmp_path / "inst.txt", tmp_path / "summary.txt"
+    inst.write_text("n=5\nobjective=modular\nweights=5,1,2,2,4\nmatroid=uniform k=2\n")
+    _clean_error(capsys, [
+        "summarize", "--mode", "streaming", "--instance", str(inst), "--epsilon", "0.2",
+        "--d", "1", "--order", f"shuffle:{seed}", "--out", str(summ),
+    ], f"--order shuffle:<seed> must be a non-negative integer, got {seed!r}")
+    assert not summ.exists()
+
+
+def test_an_order_file_with_a_non_integer_names_the_file_and_the_token(tmp_path, capsys):
+    inst, summ, order = tmp_path / "inst.txt", tmp_path / "summary.txt", tmp_path / "order.txt"
+    inst.write_text("n=5\nobjective=modular\nweights=5,1,2,2,4\nmatroid=uniform k=2\n")
+    order.write_text("4,3\n2 x1 abc\n")
+    _clean_error(capsys, [
+        "summarize", "--mode", "streaming", "--instance", str(inst), "--epsilon", "0.2",
+        "--d", "1", "--order", str(order), "--out", str(summ),
+    ], f"id file {str(order)!r}: 'x1' is not an integer")
+    assert not summ.exists()
+
+
+def test_a_deletion_file_with_a_non_integer_names_the_file_and_the_token(tmp_path, capsys):
+    listing = tmp_path / "del.txt"
+    listing.write_text("0, 3,abc\n")
+    for delete in (str(listing), f"list:{listing}"):
+        capsys.readouterr()
+        code, _ = _solve_with_deletions(tmp_path, delete)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"robust-summary: error: id file {str(listing)!r}: 'abc' is not an integer\n"
+        )
+
+
 @pytest.mark.parametrize("key", ["gen_seed", "seed_base"])
 def test_negative_seed_in_config_is_refused_naming_its_key(tmp_path, capsys, key):
     out_dir = tmp_path / "out"

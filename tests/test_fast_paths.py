@@ -8,7 +8,9 @@ the outputs must agree byte for byte, and so must the query tallies.
 which re-derives the weights, the window and the capped buckets it reuses
 and refiles every element at every change of the candidate, also on
 float-adversarial streams whose gains sit on bucket edges or below 1/DBL_MAX,
-and ``ingest``, fed one arrival at a time, must give its bytes and queries.
+and ``ingest``, fed one arrival at a time, must give its bytes and queries;
+the stream's draws (``summary.Draws``) must leave the generator where the
+literal loop's own ``integers`` and ``random`` calls leave it.
 """
 
 import copy
@@ -160,6 +162,52 @@ def test_ingest_one_arrival_at_a_time_matches_stream_summary(case):
             summary, include_audit=True
         )
         assert single.queries == whole.queries
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_ingest_leaves_the_generator_where_the_literal_loop_leaves_it(case):
+    # the stream draws through ``summary.Draws``, the literal loop through the
+    # generator's own calls: both must take the same bits
+    for seed in SEEDS:
+        objective, matroid, monotone = CASES[case](seed)
+        config = StreamingConfig(
+            epsilon=EPSILON, d=D, monotone_mode=monotone, seed=seed, audit=True
+        )
+        order = np.random.default_rng(seed + 100).permutation(objective.n)
+        drawn, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+        state = StreamState(config, matroid.k)
+        for element in order:
+            ingest(state, element, objective.clone(), matroid, drawn)
+        expected = literal_stream_summary(objective.clone(), matroid, config, order, plain)
+        assert format_summary(finalize(state), include_audit=True) == format_summary(
+            expected, include_audit=True
+        )
+        assert drawn.bit_generator.state == plain.bit_generator.state
+        assert drawn.random() == plain.random()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_stream_without_a_top_buffer_matches_the_literal_loop(case):
+    # with d = 0 the drain cap is 1: every index draw is over one element and
+    # takes no bits, so only the coins move the generator
+    drained = 0
+    for seed in SEEDS:
+        objective, matroid, monotone = CASES[case](seed)
+        config = StreamingConfig(
+            epsilon=EPSILON, d=0, monotone_mode=monotone, seed=seed, audit=True
+        )
+        order = np.random.default_rng(seed + 100).permutation(objective.n)
+        drawn, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+        summary = stream_summary(objective.clone(), matroid, config, order, drawn)
+        expected = literal_stream_summary(objective.clone(), matroid, config, order, plain)
+        assert format_summary(summary, include_audit=True) == format_summary(
+            expected, include_audit=True
+        )
+        assert drawn.bit_generator.state == plain.bit_generator.state
+        assert drawn.random() == plain.random()
+        assert summary.top_buffer == []
+        drained += summary.counters["drained"]
+    assert drained
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

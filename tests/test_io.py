@@ -37,8 +37,8 @@ from robust_summary import (
     verify_summary,
     write_instance,
 )
-from robust_summary import thresholds
-from robust_summary.grammar import read_ids
+from robust_summary import summary as summary_module, thresholds
+from robust_summary.grammar import numbers, read_ids
 from robust_summary.instance import MAX_N
 
 
@@ -1008,3 +1008,35 @@ def test_only_value_errors_escape_the_id_file_reader(base, mutations):
         except ValueError:
             return
     assert ids == [int(t) for t in re.split(r"[,\s]+", text.strip()) if t]
+
+
+def test_an_id_file_names_its_first_non_integer_token(tmp_path):
+    path = tmp_path / "ids.txt"
+    path.write_text("3, 1\n0x2 y 4\n")
+    with pytest.raises(ValueError) as raised:
+        read_ids(path)
+    assert str(raised.value) == f"id file {str(path)!r}: '0x2' is not an integer"
+    path.write_text(" 7,\n8 ,+9\n")
+    assert read_ids(path) == [7, 8, 9]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.lists(
+        st.sampled_from(["0", "4", "5", "-1", "12", " 3", "+2", "x", "", "1.0", "007"]),
+        min_size=1,
+        max_size=6,
+    ).map(",".join),
+    limit=st.sampled_from([5, None]),
+)
+def test_a_summary_id_list_reads_as_the_per_id_reader_reads_it(text, limit):
+    # the one-pass reader of a comma list accepts what the per-id reader
+    # accepts, and words the error for the same first bad id
+    def outcome(read):
+        try:
+            return read()
+        except ValueError as exc:
+            return str(exc)
+
+    per_id = outcome(lambda: numbers(text, lambda t: summary_module._read_id("b", t, limit)))
+    assert outcome(lambda: summary_module._read_ids("b", text, limit)) == per_id
